@@ -11,10 +11,8 @@ from .agent import (
     compute_reward,
     dqn_step,
     load_agent,
-    q_values,
     save_agent,
     select_action,
-    state_pp,
     state_static,
     sync_target,
     td_loss,

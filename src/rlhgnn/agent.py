@@ -8,13 +8,13 @@ target.
 """
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from .checkpoint import read_checkpoint, write_checkpoint
 from .hin import HinGraph
 from .metapath import Frontier, arrived_mean
 from .model import AdamState, _glorot, backward, init_adam, optimizer_step
@@ -68,10 +68,6 @@ class QNetwork:
         q = self.values(states)
         z = np.exp(q - q.max(axis=1, keepdims=True))
         return z / z.sum(axis=1, keepdims=True)
-
-
-def q_values(qnet: QNetwork, state: np.ndarray) -> np.ndarray:
-    return qnet.values(state)[0]
 
 
 def select_action(qvals: np.ndarray, legal_mask: np.ndarray, eps: float, rng: np.random.Generator) -> int:
@@ -160,9 +156,6 @@ class Normalizer:
             self._pending = []
         return states
 
-    def transform_one(self, state: np.ndarray) -> np.ndarray:
-        return self.transform(state[None])[0]
-
     def apply(self, states: np.ndarray) -> np.ndarray:
         """Read-only transform: like transform(), but never records states."""
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
@@ -193,11 +186,6 @@ def initial_state_static(g: HinGraph, node, state_dim: int) -> np.ndarray:
 
 def static_state_dim(g: HinGraph) -> int:
     return max(g.schema.attribute_dims[t] for t in g.schema.node_types)
-
-
-def state_pp(normalizer: Normalizer, rep: np.ndarray) -> np.ndarray:
-    """Normalised current representation of the episode's start node."""
-    return normalizer.transform_one(np.asarray(rep, dtype=np.float64))
 
 
 class RewardHistory:
@@ -325,15 +313,10 @@ class DqnAgent:
 
 
 def save_agent(agent: DqnAgent, path, eps_position: float = 0.0) -> None:
-    arrays: list[tuple[str, np.ndarray]] = []
-    for i, v in enumerate(agent.qnet.vars()):
-        arrays.append((f"q:{i}", v.value))
-    for i, v in enumerate(agent.target_net.vars()):
-        arrays.append((f"target:{i}", v.value))
+    arrays = [(f"q:{i}", v.value) for i, v in enumerate(agent.qnet.vars())]
+    arrays += [(f"target:{i}", v.value) for i, v in enumerate(agent.target_net.vars())]
     norm = agent.normalizer
-    header = {
-        "kind": "dqn-agent",
-        "dtype": "float64",
+    write_checkpoint(path, "dqn-agent", {
         "input_dim": agent.qnet.input_dim,
         "num_actions": agent.qnet.num_actions,
         "hidden": list(agent.qnet.hidden),
@@ -350,45 +333,28 @@ def save_agent(agent: DqnAgent, path, eps_position: float = 0.0) -> None:
             "mean": None if norm.mean is None else norm.mean.tolist(),
             "std": None if norm.std is None else norm.std.tolist(),
         },
-        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
-    }
-    with open(path, "wb") as f:
-        f.write(json.dumps(header).encode("utf-8"))
-        f.write(b"\n")
-        for _, a in arrays:
-            f.write(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    }, arrays)
 
 
 def load_agent(path) -> DqnAgent:
-    with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
-        blob = f.read()
-    if header.get("kind") != "dqn-agent":
-        raise ValueError("not an agent checkpoint")
-    arrays: dict[str, np.ndarray] = {}
-    off = 0
-    for spec in header["arrays"]:
-        shape = tuple(spec["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        arrays[spec["name"]] = np.frombuffer(blob, dtype=np.float64, count=n, offset=off).reshape(shape).copy()
-        off += n * 8
+    header, arrays = read_checkpoint(path, "dqn-agent")
     agent = DqnAgent.create(
-        input_dim=int(header["input_dim"]),
-        num_actions=int(header["num_actions"]),
-        buffer_capacity=int(header["buffer_capacity"]),
-        gamma=float(header["gamma"]),
-        sync_every=int(header["sync_every"]),
-        reward_window=int(header["reward_window"]),
+        input_dim=header["input_dim"],
+        num_actions=header["num_actions"],
+        buffer_capacity=header["buffer_capacity"],
+        gamma=header["gamma"],
+        sync_every=header["sync_every"],
+        reward_window=header["reward_window"],
         hidden=tuple(header["hidden"]),
     )
     for i, v in enumerate(agent.qnet.vars()):
         v.value = arrays[f"q:{i}"]
     for i, v in enumerate(agent.target_net.vars()):
         v.value = arrays[f"target:{i}"]
-    agent.update_count = int(header["update_count"])
+    agent.update_count = header["update_count"]
     norm = header.get("normalizer")
     if norm is not None:
-        agent.normalizer = Normalizer(int(norm["fit_count"]))
+        agent.normalizer = Normalizer(norm["fit_count"])
         if norm["mean"] is not None:
             agent.normalizer.mean = np.asarray(norm["mean"])
             agent.normalizer.std = np.asarray(norm["std"])

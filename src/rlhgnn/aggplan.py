@@ -88,6 +88,9 @@ class AggregationStats:
     reduction_ratio: float
     per_layer_naive: list[int] = field(default_factory=list)
     per_layer_merged: list[int] = field(default_factory=list)
+    # the two plans compared, kept for diagnostic export
+    naive: AggregationDag | None = field(default=None, repr=False, compare=False)
+    merged: AggregationDag | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -247,6 +250,8 @@ def plan_stats(naive: AggregationDag, merged: AggregationDag) -> AggregationStat
         reduction_ratio=ratio,
         per_layer_naive=naive.per_layer_counts(),
         per_layer_merged=merged.per_layer_counts(),
+        naive=naive,
+        merged=merged,
     )
 
 

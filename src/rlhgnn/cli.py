@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,7 @@ import numpy as np
 from . import agent as rl
 from . import model as nn
 from . import pipeline as pl
-from .aggplan import build_plan, naive_plan, plan_stats
-from .hin import DataSplit, HinSchema, RelationType, load_hin, save_hin, split_nodes
+from .hin import DataSplit, HinGraph, load_hin, save_hin, split_nodes
 from .synth import SyntheticSpec, generate_planted_hin
 
 
@@ -49,66 +49,13 @@ def _load_split(path: Path) -> DataSplit:
     )
 
 
-def _report_to_json(report: pl.EpisodeReport, schema: HinSchema, target_type: str) -> dict:
-    return {
-        "variant": report.variant,
-        "num_actions": report.num_actions,
-        "schema": {
-            "node_types": list(schema.node_types),
-            "relation_types": [[r.name, r.src, r.dst] for r in schema.relation_types],
-            "attribute_dims": dict(schema.attribute_dims),
-            "target_type": target_type,
-        },
-        "meta": report.meta,
-        "steps": [
-            {
-                "round": s.round,
-                "timestep": s.timestep,
-                "acting_nodes": s.acting_nodes,
-                "actions": s.actions,
-                "reward": s.reward,
-                "micro_f1": s.micro_f1,
-                "macro_f1": s.macro_f1,
-                "q_loss": s.q_loss,
-                "hgnn_loss": s.hgnn_loss,
-                "wall_ms": s.wall_ms,
-            }
-            for s in report.steps
-        ],
-        "rounds": [
-            {
-                "round": r.round,
-                "val_metric": r.val_metric,
-                "nodes": r.nodes,
-                "paths": [list(p) for p in r.paths],
-            }
-            for r in report.rounds
-        ],
-    }
-
-
-def _report_from_json(doc: dict) -> tuple[pl.EpisodeReport, HinSchema, str]:
-    report = pl.EpisodeReport(variant=doc["variant"], num_actions=doc["num_actions"])
-    for s in doc["steps"]:
-        report.steps.append(pl.StepRecord(
-            round=s["round"], timestep=s["timestep"], acting_nodes=s["acting_nodes"],
-            actions=s["actions"], reward=s["reward"], micro_f1=s["micro_f1"],
-            macro_f1=s["macro_f1"], q_loss=s["q_loss"], hgnn_loss=s["hgnn_loss"],
-            wall_ms=s["wall_ms"],
-        ))
-    for r in doc["rounds"]:
-        report.rounds.append(pl.RoundRecord(
-            round=r["round"], val_metric=r["val_metric"], nodes=r["nodes"],
-            paths=[tuple(p) for p in r["paths"]],
-        ))
-    report.meta = doc.get("meta", {})
-    s = doc["schema"]
-    schema = HinSchema(
-        node_types=tuple(s["node_types"]),
-        relation_types=tuple(RelationType(*r) for r in s["relation_types"]),
-        attribute_dims={k: int(v) for k, v in s["attribute_dims"].items()},
-    )
-    return report, schema, s["target_type"]
+def _split(g: HinGraph, seed: int, n_train: int | None = None,
+           n_val: int | None = None) -> DataSplit:
+    """Train/validation counts default to 40% / 30% of the labelled nodes."""
+    labelled = len(g.labelled_nodes())
+    n_train = n_train or max(1, int(0.4 * labelled))
+    n_val = n_val or max(1, int(0.3 * labelled))
+    return split_nodes(g, (n_train, n_val), seed)
 
 
 def cmd_train(args) -> int:
@@ -116,10 +63,7 @@ def cmd_train(args) -> int:
     g = load_hin(args.graph, args.format)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    labelled = g.labelled_nodes()
-    n_train = args.train_count or max(1, int(0.4 * len(labelled)))
-    n_val = args.val_count or max(1, int(0.3 * len(labelled)))
-    split = split_nodes(g, (n_train, n_val), args.split_seed)
+    split = _split(g, args.split_seed, args.train_count, args.val_count)
     params, agent, report = pl.run(cfg, g, split)
     nn.save_params(params, out / "model.bin")
     rl.save_agent(agent, out / "agent.bin", eps_position=report.meta.get("final_eps", 0.0))
@@ -131,7 +75,7 @@ def cmd_train(args) -> int:
     with open(out / "metrics.csv", "w", encoding="utf-8", newline="") as f:
         f.write(report.to_csv(include_wall=True))
     with open(out / "report.json", "w", encoding="utf-8") as f:
-        json.dump(_report_to_json(report, g.schema, g.target_type), f)
+        json.dump(report.to_json(g.schema, g.target_type), f)
     stats = pl.action_report(report, g)
     with open(out / "actions.txt", "w", encoding="utf-8") as f:
         f.write(stats.render() + "\n")
@@ -158,70 +102,29 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report_paths(args) -> int:
-    run_dir = Path(args.run)
-    with open(run_dir / "report.json", "r", encoding="utf-8") as f:
-        report, schema, target_type = _report_from_json(json.load(f))
-    best = report.best_round()
-    names = [r.name for r in schema.relation_types] + ["STOP"]
-    print(f"best round: {best.round} (validation micro-F1 {best.val_metric:.4f})")
-    if report.variant == "rl-hgnn":
-        in_round = [s for s in report.steps if s.round == best.round]
-    else:
-        T = max(s.timestep for s in report.steps)
-        in_round = [s for s in report.steps if s.round // T == best.round]
-    for s in in_round:
-        if not s.actions:
-            continue
-        freq: dict[str, float] = {}
-        for a in s.actions:
-            freq[names[a]] = freq.get(names[a], 0.0) + 1.0
-        shown = ", ".join(f"{k}={v / len(s.actions):.3f}" for k, v in sorted(freq.items()))
-        print(f"  t={s.timestep}: {shown}")
-    counts: dict[tuple[str, ...], int] = {}
-    stop0 = 0
-    for p in best.paths:
-        if len(p) == 0:
-            stop0 += 1
-        else:
-            counts[p] = counts.get(p, 0) + 1
-    total = max(1, len(best.paths))
-    print(f"stop-at-0: {100 * stop0 / total:.1f}%")
-    print("meta-path table:")
-    for rels, c in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
-        arrow = _arrow(schema, target_type, rels)
-        print(f"  {100 * c / total:5.1f}%  {arrow}")
+    path = Path(args.run) / "actions.txt"
+    if not path.is_file():
+        raise FileNotFoundError(f"no action report at {path}; is {args.run} a `train --out` directory?")
+    sys.stdout.write(path.read_text(encoding="utf-8"))
     return 0
-
-
-def _arrow(schema: HinSchema, start: str, rels: tuple[str, ...]) -> str:
-    parts = [start]
-    for rel in rels:
-        r = schema.relation(rel)
-        parts.append(f"-{r.name}-> {r.dst}")
-    return " ".join(parts)
 
 
 def cmd_bench_agg(args) -> int:
     g = load_hin(args.graph, args.format)
     cfg = _load_config(args.config, None)
+    if args.uncapped:
+        cfg = replace(cfg, fan_out_cap=None)
     timesteps = [int(x) for x in args.timesteps.split(",")]
-    cap = None if args.uncapped else cfg.fan_out_cap
+    results = pl.bench_aggregation(g, cfg, timesteps, episodes_per_t=args.episodes, seed=args.seed)
     export: dict = {"per_timestep": {}}
     print(f"{'T':>3} {'naive':>10} {'merged':>10} {'reduction':>10}")
-    for T in timesteps:
-        n = args.episodes or cfg.node_batch
-        rng = np.random.default_rng(args.seed)
-        starts = np.sort(rng.integers(0, g.num_nodes[g.target_type], size=n))
-        episodes = pl.random_legal_episodes(g, starts, T, seed=args.seed + T, fan_out_cap=cap)
-        nv = naive_plan(g, episodes)
-        mg = build_plan(g, episodes)
-        stats = plan_stats(nv, mg)
+    for T, stats in results.items():
         print(f"{T:>3} {stats.step_count_naive:>10} {stats.step_count_merged:>10} "
               f"{stats.reduction_ratio:>10.3f}")
         export["per_timestep"][str(T)] = {
             "stats": stats.to_json(),
-            "merged_plan": mg.to_json(),
-            "naive_plan": nv.to_json(),
+            "merged_plan": stats.merged.to_json(),
+            "naive_plan": stats.naive.to_json(),
         }
     if args.export:
         with open(args.export, "w", encoding="utf-8") as f:
@@ -250,10 +153,7 @@ def cmd_bench_runtime(args) -> int:
     cfg = _load_config(args.config, None)
     if args.graph:
         g = load_hin(args.graph, args.format)
-        labelled = g.labelled_nodes()
-        n_train = max(1, int(0.4 * len(labelled)))
-        n_val = max(1, int(0.3 * len(labelled)))
-        split = split_nodes(g, (n_train, n_val), cfg.seed)
+        split = _split(g, cfg.seed)
     else:
         g, split = _default_bench_graph(cfg.seed)
     result = pl.bench_runtime(cfg, g, split, repeats=args.repeats)

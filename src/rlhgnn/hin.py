@@ -53,10 +53,7 @@ class HinSchema:
                 raise SchemaError(f"missing attribute dim for node type {t!r}")
 
     def relation(self, name: str) -> RelationType:
-        for r in self.relation_types:
-            if r.name == name:
-                return r
-        raise KeyError(f"unknown relation type {name!r}")
+        return self.relation_types[self.relation_index(name)]
 
     def relation_index(self, name: str) -> int:
         for i, r in enumerate(self.relation_types):
@@ -68,6 +65,23 @@ class HinSchema:
         if node_type not in self.node_types:
             raise SchemaError(f"unknown node type {node_type!r}")
         return [r for r in self.relation_types if r.src == node_type]
+
+    def to_json(self) -> dict:
+        """List form, relations as [name, src, dst]; used by checkpoints and
+        report.json (the json-graph input format has its own object form)."""
+        return {
+            "node_types": list(self.node_types),
+            "relation_types": [[r.name, r.src, r.dst] for r in self.relation_types],
+            "attribute_dims": dict(self.attribute_dims),
+        }
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "HinSchema":
+        return cls(
+            node_types=tuple(doc["node_types"]),
+            relation_types=tuple(RelationType(*r) for r in doc["relation_types"]),
+            attribute_dims={k: int(v) for k, v in doc["attribute_dims"].items()},
+        )
 
 
 @dataclass

@@ -48,13 +48,8 @@ class MetaPath:
 
     def to_arrow(self, schema: HinSchema) -> str:
         """Render as e.g. "Movie -M-A-> Actor -A-M-> Movie"."""
-        parts = [self.start_type]
-        cur = self.start_type
-        for rel in self.relations:
-            r = schema.relation(rel)
-            parts.append(f"-{r.name}-> {r.dst}")
-            cur = r.dst
-        return " ".join(parts)
+        types = self.node_type_sequence(schema)
+        return " ".join([types[0]] + [f"-{rel}-> {t}" for rel, t in zip(self.relations, types[1:])])
 
     def __len__(self) -> int:
         return len(self.relations)

@@ -18,13 +18,13 @@ source contribute an identical term.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .aggplan import AggregationDag
+from .checkpoint import read_checkpoint, write_checkpoint
 from .hin import HinGraph, HinSchema, NodeId
 
 LEAKY_SLOPE = 0.2
@@ -54,11 +54,8 @@ class HgnnParams:
         return self.d // self.heads
 
     def all_vars(self) -> list[ad.Var]:
-        out = [self.projections[t] for t in self.schema.node_types]
-        for i in range(self.T):
-            out += [self.layer_w[i], self.layer_attn_src[i], self.layer_attn_dst[i]]
-        out += [self.classifier_w, self.classifier_b]
-        return out
+        return ([self.projections[t] for t in self.schema.node_types]
+                + self.aggregator_vars() + [self.classifier_w, self.classifier_b])
 
     def aggregator_vars(self) -> list[ad.Var]:
         out = []
@@ -418,7 +415,11 @@ def finite_diff_check(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: one binary file = JSON header line + concatenated float64 bytes
+# Checkpoints (container format in rlhgnn.checkpoint)
+
+
+# header fields besides the schema, in header order
+_HYPER = ("T", "d", "heads", "num_classes", "dropout", "seed")
 
 
 def _named_arrays(params: HgnnParams) -> list[tuple[str, np.ndarray]]:
@@ -432,54 +433,10 @@ def _named_arrays(params: HgnnParams) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def save_params(params: HgnnParams, path) -> None:
-    arrays = _named_arrays(params)
-    header = {
-        "kind": "hgnn-params",
-        "dtype": "float64",
-        "T": params.T,
-        "d": params.d,
-        "heads": params.heads,
-        "num_classes": params.num_classes,
-        "dropout": params.dropout,
-        "seed": params.seed,
-        "schema": {
-            "node_types": list(params.schema.node_types),
-            "relation_types": [[r.name, r.src, r.dst] for r in params.schema.relation_types],
-            "attribute_dims": dict(params.schema.attribute_dims),
-        },
-        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
-    }
-    with open(path, "wb") as f:
-        f.write(json.dumps(header).encode("utf-8"))
-        f.write(b"\n")
-        for _, a in arrays:
-            f.write(np.ascontiguousarray(a, dtype=np.float64).tobytes())
-
-
-def load_params(path) -> HgnnParams:
-    from .hin import RelationType
-
-    with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
-        blob = f.read()
-    if header.get("kind") != "hgnn-params":
-        raise ValueError("not a model checkpoint")
-    schema = HinSchema(
-        node_types=tuple(header["schema"]["node_types"]),
-        relation_types=tuple(RelationType(*r) for r in header["schema"]["relation_types"]),
-        attribute_dims={k: int(v) for k, v in header["schema"]["attribute_dims"].items()},
-    )
-    arrays: dict[str, np.ndarray] = {}
-    off = 0
-    for spec in header["arrays"]:
-        shape = tuple(spec["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        arrays[spec["name"]] = np.frombuffer(
-            blob, dtype=np.float64, count=n, offset=off
-        ).reshape(shape).copy()
-        off += n * 8
-    T = int(header["T"])
+def _params_from_arrays(schema: HinSchema, arrays: dict[str, np.ndarray], T: int,
+                        **hyper) -> HgnnParams:
+    """Inverse of _named_arrays, given the _HYPER fields; the arrays are used
+    as they are, not copied."""
     return HgnnParams(
         schema=schema,
         projections={t: ad.param(arrays[f"proj:{t}"]) for t in schema.node_types},
@@ -488,9 +445,21 @@ def load_params(path) -> HgnnParams:
         layer_attn_dst=[ad.param(arrays[f"layer{i}:attn_dst"]) for i in range(T)],
         classifier_w=ad.param(arrays["classifier:W"]),
         classifier_b=ad.param(arrays["classifier:b"]),
-        d=int(header["d"]),
-        heads=int(header["heads"]),
-        num_classes=int(header["num_classes"]),
-        dropout=float(header["dropout"]),
-        seed=int(header["seed"]),
+        **hyper,
     )
+
+
+def _hyper(params: HgnnParams) -> dict:
+    return {k: getattr(params, k) for k in _HYPER}
+
+
+def save_params(params: HgnnParams, path) -> None:
+    write_checkpoint(path, "hgnn-params",
+                     {**_hyper(params), "schema": params.schema.to_json()},
+                     _named_arrays(params))
+
+
+def load_params(path) -> HgnnParams:
+    header, arrays = read_checkpoint(path, "hgnn-params")
+    return _params_from_arrays(HinSchema.from_json(header["schema"]), arrays,
+                               **{k: header[k] for k in _HYPER})

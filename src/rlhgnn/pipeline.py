@@ -15,15 +15,17 @@ their own designed meta-paths.
 from __future__ import annotations
 
 import io
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import agent as rl
+from . import autodiff as ad
 from . import model as nn
 from .aggplan import AggregationDag, AggregationStats, Episode, build_plan, naive_plan, plan_stats
-from .hin import DataSplit, HinGraph, NodeId
+from .hin import DataSplit, HinGraph, HinSchema, NodeId
 from .metapath import (
     Frontier,
     MetaPath,
@@ -66,17 +68,31 @@ class TrainConfig:
         return 20 if self.variant == "rl-hgnn" else 200
 
     def validate(self) -> None:
-        if self.variant not in ("rl-hgnn", "rl-hgnn-pp"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.max_timesteps < 1:
-            raise ValueError("max_timesteps must be >= 1")
-        if self.resolved_rounds() < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.hidden_dim % self.heads != 0:
-            raise ValueError("hidden_dim must be divisible by heads")
+        """Raise ValueError naming the first field outside its valid range."""
+        def need(ok: bool, name: str, rule: str) -> None:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
+        need(self.variant in ("rl-hgnn", "rl-hgnn-pp"), "variant", "rl-hgnn or rl-hgnn-pp")
+        for name in ("max_timesteps", "inner_rounds", "node_batch", "target_sync_every",
+                     "reward_window", "memory_multiplier", "dqn_batch", "hidden_dim", "heads"):
+            need(getattr(self, name) >= 1, name, ">= 1")
+        need(self.rounds is None or self.rounds >= 1, "rounds", ">= 1 or null")
+        need(self.hidden_dim % self.heads == 0, "hidden_dim", "divisible by heads")
+        for name in ("gamma", "eps_start", "eps_end", "eps_fraction"):
+            need(0.0 <= getattr(self, name) <= 1.0, name, "in [0, 1]")
+        need(0.0 <= self.dropout < 1.0, "dropout", "in [0, 1)")
+        need(0.0 < self.learning_rate < math.inf, "learning_rate", "> 0 and finite")
+        need(0.0 <= self.weight_decay < math.inf, "weight_decay", ">= 0 and finite")
+        need(self.fan_out_cap is None or self.fan_out_cap >= 1, "fan_out_cap", ">= 1 or null")
+        need(self.seed >= 0, "seed", ">= 0")
+        need(isinstance(self.messages_from_target, bool), "messages_from_target", "true or false")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
+        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown TrainConfig field(s): {', '.join(unknown)}")
         kwargs = dict(doc)
         if "fixed_path" in kwargs and kwargs["fixed_path"] is not None:
             kwargs["fixed_path"] = tuple(kwargs["fixed_path"])
@@ -104,6 +120,11 @@ class StepRecord:
     hgnn_loss: float | None
     wall_ms: float
 
+    def action_ratios(self, num_actions: int) -> np.ndarray:
+        """Fraction of the acting nodes that chose each action."""
+        counts = np.bincount(np.asarray(self.actions, dtype=np.intp), minlength=num_actions)
+        return counts / max(1, len(self.actions))
+
 
 @dataclass
 class RoundRecord:
@@ -127,6 +148,17 @@ class EpisodeReport:
         best = max(self.rounds, key=lambda r: (r.val_metric, -r.round))
         return best
 
+    def to_json(self, schema: HinSchema, target_type: str) -> dict:
+        """The report.json document."""
+        return {
+            "variant": self.variant,
+            "num_actions": self.num_actions,
+            "schema": {**schema.to_json(), "target_type": target_type},
+            "meta": self.meta,
+            "steps": [asdict(s) for s in self.steps],
+            "rounds": [asdict(r) for r in self.rounds],
+        }
+
     def to_csv(self, include_wall: bool = False) -> str:
         """Deterministic metrics table; wall times are opt-in because they
         change between equal-seed runs."""
@@ -138,12 +170,8 @@ class EpisodeReport:
             cols.append("wall_ms")
         buf.write(",".join(cols) + "\n")
         for i, s in enumerate(self.steps):
-            counts = np.zeros(self.num_actions)
-            for a in s.actions:
-                counts[a] += 1
-            ratios = counts / max(1, len(s.actions))
             row = [str(i), str(s.round), str(s.timestep)]
-            row += [_fmt(x) for x in ratios]
+            row += [_fmt(x) for x in s.action_ratios(self.num_actions)]
             row += [_fmt(s.reward), _fmt(s.micro_f1), _fmt(s.macro_f1)]
             row += ["" if s.q_loss is None else _fmt(s.q_loss)]
             row += ["" if s.hgnn_loss is None else _fmt(s.hgnn_loss)]
@@ -160,19 +188,32 @@ def _fmt(x: float) -> str:
 @dataclass
 class ActionStats:
     best_round: int
+    best_val_metric: float
     per_timestep: dict[int, dict[str, float]]
-    path_table: list[tuple[str, float]]  # arrow string -> fraction of nodes
-    stop_at_zero_fraction: float
+    path_counts: list[tuple[str, int]]  # arrow string -> nodes that designed it
+    stop_at_zero: int  # nodes that stopped at t=0
+    num_paths: int  # nodes in the best round (at least 1)
+
+    @property
+    def path_table(self) -> list[tuple[str, float]]:
+        """Arrow string -> fraction of nodes."""
+        return [(arrow, c / self.num_paths) for arrow, c in self.path_counts]
+
+    @property
+    def stop_at_zero_fraction(self) -> float:
+        return self.stop_at_zero / self.num_paths
 
     def render(self) -> str:
-        lines = [f"best round: {self.best_round}"]
+        """The text of actions.txt and of `rlhgnn report-paths`."""
+        lines = [f"best round: {self.best_round} "
+                 f"(validation micro-F1 {self.best_val_metric:.4f})"]
         for t in sorted(self.per_timestep):
             freqs = ", ".join(f"{k}={v:.3f}" for k, v in sorted(self.per_timestep[t].items()))
             lines.append(f"  t={t}: {freqs}")
-        lines.append(f"stop-at-0 fraction: {self.stop_at_zero_fraction:.3f}")
+        lines.append(f"stop-at-0: {100 * self.stop_at_zero / self.num_paths:.1f}%")
         lines.append("meta-path table:")
-        for arrow, frac in self.path_table:
-            lines.append(f"  {100 * frac:5.1f}%  {arrow}")
+        for arrow, c in self.path_counts:
+            lines.append(f"  {100 * c / self.num_paths:5.1f}%  {arrow}")
         return "\n".join(lines)
 
 
@@ -306,15 +347,11 @@ def _act(
         s_before = states[i].copy()
         acting.append(e.node[1])
         actions.append(a)
-        if a == stop:
-            e.stopped = True
-            pending.append(dict(ep=e, s=s_before, a=a, s_next=s_before, terminal=True,
-                                next_mask=mask.copy()))
-            continue
-        rel = schema.relation_types[a].name
-        nxt = expand_frontier(g, e.frontier, rel, cfg.fan_out_cap, cfg.seed)
-        if len(nxt.reached) == 0:
-            # dead end: force-stop at the previous step, state unchanged
+        if a != stop:
+            rel = schema.relation_types[a].name
+            nxt = expand_frontier(g, e.frontier, rel, cfg.fan_out_cap, cfg.seed)
+        if a == stop or len(nxt.reached) == 0:
+            # Stop, or a dead end: force-stop at the previous step, state unchanged
             e.stopped = True
             pending.append(dict(ep=e, s=s_before, a=a, s_next=s_before, terminal=True,
                                 next_mask=mask.copy()))
@@ -328,52 +365,25 @@ def _act(
     return acting, actions, pending
 
 
-def _push_transitions(agent: rl.DqnAgent, pending: list[dict], reward: float) -> None:
-    for p in pending:
-        s_next = p["s_next"] if p["s_next"] is not None else p["s"]
-        agent.buffer.push(rl.Transition(
-            s=p["s"], a=p["a"], s_next=s_next, r=reward,
-            terminal=p["terminal"], next_mask=p["next_mask"],
-        ))
-
-
-def _forward_metrics(
-    params: nn.HgnnParams,
-    g: HinGraph,
-    plan: AggregationDag,
-    ep_nodes: np.ndarray,
-    split: DataSplit,
-    cfg: TrainConfig,
-) -> tuple[np.ndarray, float, float]:
-    """Eval-mode pass over the plan: per-episode reps + validation F1 pair."""
+def _eval_pass(params: nn.HgnnParams, g: HinGraph, plan: AggregationDag, nodes: np.ndarray,
+               cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode pass over the plan of `nodes`: (per-episode representations,
+    predicted class per target-type node id)."""
     fwd = nn.hgnn_forward(params, g, plan, mode="eval",
                           messages_from_target=cfg.messages_from_target)
     probs = nn.classify(params, fwd.outputs)
-    preds_rows = np.argmax(probs.value, axis=1)
-    n_target = g.num_nodes[g.target_type]
-    preds = np.zeros(n_target, dtype=np.int64)
-    preds[ep_nodes] = preds_rows
-    micro, macro = evaluate_f1(preds, g.labels, split.validation)
-    return fwd.outputs.value, micro, macro
+    preds = np.zeros(g.num_nodes[g.target_type], dtype=np.int64)
+    preds[nodes] = np.argmax(probs.value, axis=1)
+    return fwd.outputs.value, preds
 
 
-def _train_step(
-    params: nn.HgnnParams,
-    opt: nn.AdamState,
-    g: HinGraph,
-    plan: AggregationDag,
-    ep_nodes: np.ndarray,
-    train_rows: np.ndarray,
-    cfg: TrainConfig,
-    seed: int,
-) -> float:
+def _train_loss(params: nn.HgnnParams, g: HinGraph, plan: AggregationDag, ep_nodes: np.ndarray,
+                train_rows: np.ndarray, cfg: TrainConfig, seed: int) -> ad.Var:
+    """Recorded train-mode pass: cross entropy over the training rows."""
     fwd = nn.hgnn_forward(params, g, plan, mode="train", seed=seed,
                           messages_from_target=cfg.messages_from_target)
     probs = nn.classify(params, fwd.outputs)
-    loss = nn.cross_entropy(probs, g.labels[ep_nodes], train_rows)
-    grads = nn.backward(loss, params.all_vars())
-    nn.optimizer_step(params.all_vars(), grads, opt)
-    return float(loss.value)
+    return nn.cross_entropy(probs, g.labels[ep_nodes], train_rows)
 
 
 def _make_agent(g: HinGraph, cfg: TrainConfig, split: DataSplit, input_dim: int,
@@ -392,30 +402,92 @@ def _make_agent(g: HinGraph, cfg: TrainConfig, split: DataSplit, input_dim: int,
     )
 
 
+class _Loop:
+    """Setup and bookkeeping shared by both loops: the agent with its RNG
+    streams, the batch cursor, the report and the best-round tracking."""
+
+    def __init__(self, cfg: TrainConfig, g: HinGraph, split: DataSplit, variant: str):
+        cfg.validate()
+        if cfg.variant != variant:
+            raise ValueError(f"config variant must be {variant}")
+        fast = variant == "rl-hgnn-pp"
+        self.cfg, self.split = cfg, split
+        self.agent = _make_agent(g, cfg, split,
+                                 cfg.hidden_dim if fast else rl.static_state_dim(g),
+                                 with_normalizer=fast)
+        rng_batch = np.random.default_rng(_derive_seed(cfg.seed, 1))
+        self.rng_eps = np.random.default_rng(_derive_seed(cfg.seed, 2))
+        self.rng_dqn = np.random.default_rng(_derive_seed(cfg.seed, 3))
+        self.cursor = _BatchCursor(split.train, rng_batch)
+        self.report = EpisodeReport(variant=cfg.variant, num_actions=action_space_size(g.schema))
+        self.best_params: nn.HgnnParams | None = None
+        self.best_metric = -1.0
+        self.update_opportunities = 0
+        self.design_wall_ms = 0.0
+
+    def draw_batch(self) -> tuple[np.ndarray, np.ndarray]:
+        """(episode nodes: the next training batch plus every validation node,
+        rows of the training batch among them)."""
+        batch = self.cursor.draw(self.cfg.node_batch)
+        ep_nodes = np.unique(np.concatenate([batch, self.split.validation]))
+        node_row = {int(n): i for i, n in enumerate(ep_nodes)}
+        train_rows = np.asarray([node_row[int(n)] for n in batch], dtype=np.intp)
+        return ep_nodes, train_rows
+
+    def dqn_update(self, pending: list[dict], reward: float) -> float | None:
+        """Store the round's transitions and run one DQN update opportunity."""
+        if self.cfg.fixed_path is not None:
+            return None
+        for p in pending:
+            s_next = p["s_next"] if p["s_next"] is not None else p["s"]
+            self.agent.buffer.push(rl.Transition(
+                s=p["s"], a=p["a"], s_next=s_next, r=reward,
+                terminal=p["terminal"], next_mask=p["next_mask"],
+            ))
+        self.update_opportunities += 1
+        return self.agent.maybe_update(self.cfg.dqn_batch, self.rng_dqn)
+
+    def end_round(self, round: int, val_metric: float, ep_nodes: np.ndarray,
+                  episodes: list[_Ep], params: nn.HgnnParams) -> None:
+        self.report.rounds.append(RoundRecord(
+            round=round, val_metric=val_metric,
+            nodes=[int(n) for n in ep_nodes],
+            paths=[e.path.relations for e in episodes],
+        ))
+        if val_metric > self.best_metric:
+            self.best_metric = val_metric
+            self.best_params = _clone_params(params)
+
+    def finish(self, counter: str, count: int, final_eps: float
+               ) -> tuple[nn.HgnnParams | None, rl.DqnAgent, EpisodeReport]:
+        self.report.meta = {
+            "dqn_update_opportunities": self.update_opportunities,
+            counter: count,
+            "design_wall_ms": self.design_wall_ms,
+            "best_val_metric": self.best_metric,
+            "final_eps": final_eps,
+        }
+        return self.best_params, self.agent, self.report
+
+
+def _clone_params(params: nn.HgnnParams) -> nn.HgnnParams:
+    arrays = {name: a.copy() for name, a in nn._named_arrays(params)}
+    return nn._params_from_arrays(params.schema, arrays, **nn._hyper(params))
+
+
 # ---------------------------------------------------------------------------
 # Algorithm variant 1: per-round network reinitialisation
 
 
 def run_rl_hgnn(cfg: TrainConfig, g: HinGraph, split: DataSplit):
     """Base loop: K rounds, each walking one batch through timesteps 0..T."""
-    cfg.validate()
-    if cfg.variant != "rl-hgnn":
-        raise ValueError("config variant must be rl-hgnn")
+    loop = _Loop(cfg, g, split, "rl-hgnn")
+    agent = loop.agent
     K, T = cfg.resolved_rounds(), cfg.max_timesteps
-    state_dim = rl.static_state_dim(g)
-    agent = _make_agent(g, cfg, split, state_dim, with_normalizer=False)
-    rng_batch = np.random.default_rng(_derive_seed(cfg.seed, 1))
-    rng_eps = np.random.default_rng(_derive_seed(cfg.seed, 2))
-    rng_dqn = np.random.default_rng(_derive_seed(cfg.seed, 3))
-    cursor = _BatchCursor(split.train, rng_batch)
-    report = EpisodeReport(variant=cfg.variant, num_actions=action_space_size(g.schema))
+    state_dim = agent.qnet.input_dim
     total_steps = K * (T + 1)
     step_counter = 0
     reinits = 0
-    update_opportunities = 0
-    best_params = None
-    best_metric = -1.0
-    design_wall_ms = 0.0
 
     for k in range(K):
         round_t0 = time.perf_counter()
@@ -423,13 +495,10 @@ def run_rl_hgnn(cfg: TrainConfig, g: HinGraph, split: DataSplit):
                                 cfg.dropout, seed=_derive_seed(cfg.seed, 20, k))
         opt = nn.init_adam(params.all_vars(), cfg.learning_rate, cfg.weight_decay)
         reinits += 1
-        batch = cursor.draw(cfg.node_batch)
-        ep_nodes = np.unique(np.concatenate([batch, split.validation]))
+        ep_nodes, train_rows = loop.draw_batch()
         episodes = _fresh_episodes(g, ep_nodes)
         for e in episodes:
             e.state = rl.initial_state_static(g, e.node, state_dim)
-        node_row = {int(n): i for i, n in enumerate(ep_nodes)}
-        train_rows = np.asarray([node_row[int(n)] for n in batch], dtype=np.intp)
         last_micro = 0.0
 
         for t in range(T + 1):
@@ -438,7 +507,7 @@ def run_rl_hgnn(cfg: TrainConfig, g: HinGraph, split: DataSplit):
             active = [e for e in episodes if not e.stopped]
             states = np.stack([e.state for e in active]) if active else np.zeros((0, state_dim))
             acting, actions, pending = _act(g, cfg, episodes, states, agent.qnet, eps,
-                                            rng_eps, timestep_for_fixed=t)
+                                            loop.rng_eps, timestep_for_fixed=t)
             for p in pending:
                 if not p["terminal"]:
                     e = p["ep"]
@@ -447,41 +516,27 @@ def run_rl_hgnn(cfg: TrainConfig, g: HinGraph, split: DataSplit):
             plan = build_plan(g, _episodes_for_plan(episodes))
             hgnn_loss = None
             for beta in range(cfg.inner_rounds):
-                hgnn_loss = _train_step(params, opt, g, plan, ep_nodes, train_rows, cfg,
-                                        seed=_derive_seed(cfg.seed, 30, k, t, beta))
-            _, micro, macro = _forward_metrics(params, g, plan, ep_nodes, split, cfg)
+                loss = _train_loss(params, g, plan, ep_nodes, train_rows, cfg,
+                                   seed=_derive_seed(cfg.seed, 30, k, t, beta))
+                grads = nn.backward(loss, params.all_vars())
+                nn.optimizer_step(params.all_vars(), grads, opt)
+                hgnn_loss = float(loss.value)
+            _, preds = _eval_pass(params, g, plan, ep_nodes, cfg)
+            micro, macro = evaluate_f1(preds, g.labels, split.validation)
             last_micro = micro
             reward = rl.compute_reward(agent.history, micro)
-            q_loss = None
-            if cfg.fixed_path is None:
-                _push_transitions(agent, pending, reward)
-                q_loss = agent.maybe_update(cfg.dqn_batch, rng_dqn)
-                update_opportunities += 1
+            q_loss = loop.dqn_update(pending, reward)
             step_counter += 1
-            report.steps.append(StepRecord(
+            loop.report.steps.append(StepRecord(
                 round=k, timestep=t, acting_nodes=acting, actions=actions,
                 reward=reward, micro_f1=micro, macro_f1=macro,
                 q_loss=q_loss, hgnn_loss=hgnn_loss,
                 wall_ms=1000 * (time.perf_counter() - step_t0),
             ))
-        design_wall_ms += 1000 * (time.perf_counter() - round_t0)
-        report.rounds.append(RoundRecord(
-            round=k, val_metric=last_micro,
-            nodes=[int(n) for n in ep_nodes],
-            paths=[e.path.relations for e in episodes],
-        ))
-        if last_micro > best_metric:
-            best_metric = last_micro
-            best_params = _clone_params(params)
+        loop.design_wall_ms += 1000 * (time.perf_counter() - round_t0)
+        loop.end_round(k, last_micro, ep_nodes, episodes, params)
 
-    report.meta = {
-        "dqn_update_opportunities": update_opportunities,
-        "hgnn_reinits": reinits,
-        "design_wall_ms": design_wall_ms,
-        "best_val_metric": best_metric,
-        "final_eps": _eps_at(cfg, step_counter, total_steps),
-    }
-    return best_params, agent, report
+    return loop.finish("hgnn_reinits", reinits, _eps_at(cfg, step_counter, total_steps))
 
 
 # ---------------------------------------------------------------------------
@@ -491,24 +546,13 @@ def run_rl_hgnn(cfg: TrainConfig, g: HinGraph, split: DataSplit):
 def run_rl_hgnn_pp(cfg: TrainConfig, g: HinGraph, split: DataSplit):
     """Fast loop: timestep t = (k mod T) + 1, one optimizer step and one DQN
     update per round, states from the normalised current representations."""
-    cfg.validate()
-    if cfg.variant != "rl-hgnn-pp":
-        raise ValueError("config variant must be rl-hgnn-pp")
+    loop = _Loop(cfg, g, split, "rl-hgnn-pp")
+    agent = loop.agent
     K, T = cfg.resolved_rounds(), cfg.max_timesteps
-    agent = _make_agent(g, cfg, split, cfg.hidden_dim, with_normalizer=True)
-    rng_batch = np.random.default_rng(_derive_seed(cfg.seed, 1))
-    rng_eps = np.random.default_rng(_derive_seed(cfg.seed, 2))
-    rng_dqn = np.random.default_rng(_derive_seed(cfg.seed, 3))
-    cursor = _BatchCursor(split.train, rng_batch)
     params = nn.init_params(g.schema, g.num_classes, T, cfg.hidden_dim, cfg.heads,
                             cfg.dropout, seed=_derive_seed(cfg.seed, 21))
     opt = nn.init_adam(params.all_vars(), cfg.learning_rate, cfg.weight_decay)
-    report = EpisodeReport(variant=cfg.variant, num_actions=action_space_size(g.schema))
     hgnn_steps = 0
-    update_opportunities = 0
-    best_params = None
-    best_metric = -1.0
-    design_wall_ms = 0.0
 
     episodes: list[_Ep] = []
     ep_nodes = np.zeros(0, dtype=np.int64)
@@ -521,11 +565,8 @@ def run_rl_hgnn_pp(cfg: TrainConfig, g: HinGraph, split: DataSplit):
         step_t0 = time.perf_counter()
         if t == 1:
             cycle_t0 = step_t0
-            batch = cursor.draw(cfg.node_batch)
-            ep_nodes = np.unique(np.concatenate([batch, split.validation]))
+            ep_nodes, train_rows = loop.draw_batch()
             episodes = _fresh_episodes(g, ep_nodes)
-            node_row = {int(n): i for i, n in enumerate(ep_nodes)}
-            train_rows = np.asarray([node_row[int(n)] for n in batch], dtype=np.intp)
             h0, _ = nn.project_attributes(
                 params, g, [(g.target_type, int(n)) for n in ep_nodes])
             reps = h0.value  # row i aligns with episode i
@@ -534,16 +575,14 @@ def run_rl_hgnn_pp(cfg: TrainConfig, g: HinGraph, split: DataSplit):
         active_idx = [i for i, e in enumerate(episodes) if not e.stopped]
         states = norm_states[active_idx] if active_idx else np.zeros((0, cfg.hidden_dim))
         acting, actions, pending = _act(g, cfg, episodes, states, agent.qnet, eps,
-                                        rng_eps, timestep_for_fixed=t - 1)
+                                        loop.rng_eps, timestep_for_fixed=t - 1)
         plan = build_plan(g, _episodes_for_plan(episodes))
 
         # recorded pass for the optimizer step; clean pass for states/metrics
-        fwd = nn.hgnn_forward(params, g, plan, mode="train",
-                              seed=_derive_seed(cfg.seed, 31, k),
-                              messages_from_target=cfg.messages_from_target)
-        probs = nn.classify(params, fwd.outputs)
-        loss = nn.cross_entropy(probs, g.labels[ep_nodes], train_rows)
-        reps, micro, macro = _forward_metrics(params, g, plan, ep_nodes, split, cfg)
+        loss = _train_loss(params, g, plan, ep_nodes, train_rows, cfg,
+                           seed=_derive_seed(cfg.seed, 31, k))
+        reps, preds = _eval_pass(params, g, plan, ep_nodes, cfg)
+        micro, macro = evaluate_f1(preds, g.labels, split.validation)
         reward = rl.compute_reward(agent.history, micro)
 
         norm_states = agent.normalizer.transform(reps)
@@ -553,60 +592,23 @@ def run_rl_hgnn_pp(cfg: TrainConfig, g: HinGraph, split: DataSplit):
                 p["s_next"] = norm_states[row_of[p["ep"].node[1]]].copy()
                 if t == T:
                     p["terminal"] = True
-        q_loss = None
-        if cfg.fixed_path is None:
-            _push_transitions(agent, pending, reward)
-            q_loss = agent.maybe_update(cfg.dqn_batch, rng_dqn)
-            update_opportunities += 1
+        q_loss = loop.dqn_update(pending, reward)
 
         grads = nn.backward(loss, params.all_vars())
         nn.optimizer_step(params.all_vars(), grads, opt)
         hgnn_steps += 1
 
-        report.steps.append(StepRecord(
+        loop.report.steps.append(StepRecord(
             round=k, timestep=t, acting_nodes=acting, actions=actions,
             reward=reward, micro_f1=micro, macro_f1=macro,
             q_loss=q_loss, hgnn_loss=float(loss.value),
             wall_ms=1000 * (time.perf_counter() - step_t0),
         ))
         if t == T or k == K - 1:
-            design_wall_ms += 1000 * (time.perf_counter() - cycle_t0)
-            report.rounds.append(RoundRecord(
-                round=k // T, val_metric=micro,
-                nodes=[int(n) for n in ep_nodes],
-                paths=[e.path.relations for e in episodes],
-            ))
-            if micro > best_metric:
-                best_metric = micro
-                best_params = _clone_params(params)
+            loop.design_wall_ms += 1000 * (time.perf_counter() - cycle_t0)
+            loop.end_round(k // T, micro, ep_nodes, episodes, params)
 
-    report.meta = {
-        "dqn_update_opportunities": update_opportunities,
-        "hgnn_steps": hgnn_steps,
-        "design_wall_ms": design_wall_ms,
-        "best_val_metric": best_metric,
-        "final_eps": _eps_at(cfg, K, K),
-    }
-    return best_params, agent, report
-
-
-def _clone_params(params: nn.HgnnParams) -> nn.HgnnParams:
-    from . import autodiff as ad
-
-    return nn.HgnnParams(
-        schema=params.schema,
-        projections={t: ad.param(v.value.copy()) for t, v in params.projections.items()},
-        layer_w=[ad.param(v.value.copy()) for v in params.layer_w],
-        layer_attn_src=[ad.param(v.value.copy()) for v in params.layer_attn_src],
-        layer_attn_dst=[ad.param(v.value.copy()) for v in params.layer_attn_dst],
-        classifier_w=ad.param(params.classifier_w.value.copy()),
-        classifier_b=ad.param(params.classifier_b.value.copy()),
-        d=params.d,
-        heads=params.heads,
-        num_classes=params.num_classes,
-        dropout=params.dropout,
-        seed=params.seed,
-    )
+    return loop.finish("hgnn_steps", hgnn_steps, _eps_at(cfg, K, K))
 
 
 def run(cfg: TrainConfig, g: HinGraph, split: DataSplit):
@@ -670,13 +672,7 @@ def predict(
     """Greedy-designed episodes + eval-mode forward; predictions per node id."""
     nodes = np.asarray(nodes)
     episodes = design_episodes_greedy(params, agent, g, cfg, nodes)
-    plan = build_plan(g, episodes)
-    fwd = nn.hgnn_forward(params, g, plan, mode="eval",
-                          messages_from_target=cfg.messages_from_target)
-    probs = nn.classify(params, fwd.outputs)
-    preds = np.zeros(g.num_nodes[g.target_type], dtype=np.int64)
-    preds[nodes] = np.argmax(probs.value, axis=1)
-    return preds
+    return _eval_pass(params, g, build_plan(g, episodes), nodes, cfg)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -693,14 +689,10 @@ def action_report(report: EpisodeReport, g: HinGraph) -> ActionStats:
         in_round = [s for s in report.steps if s.round // T == best.round]
     schema = g.schema
     names = [r.name for r in schema.relation_types] + ["STOP"]
-    per_t: dict[int, dict[str, float]] = {}
-    for s in in_round:
-        if not s.actions:
-            continue
-        freq: dict[str, float] = {}
-        for a in s.actions:
-            freq[names[a]] = freq.get(names[a], 0.0) + 1.0
-        per_t[s.timestep] = {k: v / len(s.actions) for k, v in freq.items()}
+    per_t = {
+        s.timestep: {names[a]: float(r) for a, r in enumerate(s.action_ratios(len(names))) if r}
+        for s in in_round if s.actions
+    }
     counts: dict[tuple[str, ...], int] = {}
     stop0 = 0
     for rels in best.paths:
@@ -708,16 +700,14 @@ def action_report(report: EpisodeReport, g: HinGraph) -> ActionStats:
             stop0 += 1
         else:
             counts[rels] = counts.get(rels, 0) + 1
-    total = max(1, len(best.paths))
     table = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    path_table = [
-        (MetaPath(g.target_type, rels).to_arrow(schema), c / total) for rels, c in table
-    ]
     return ActionStats(
         best_round=best.round,
+        best_val_metric=best.val_metric,
         per_timestep=per_t,
-        path_table=path_table,
-        stop_at_zero_fraction=stop0 / total,
+        path_counts=[(MetaPath(g.target_type, rels).to_arrow(schema), c) for rels, c in table],
+        stop_at_zero=stop0,
+        num_paths=max(1, len(best.paths)),
     )
 
 
@@ -760,7 +750,8 @@ def bench_aggregation(
     episodes_per_t: int | None = None,
     seed: int = 0,
 ) -> dict[int, AggregationStats]:
-    """Naive vs merged step counts for random legal episodes at each T.
+    """Naive vs merged step counts for random legal episodes at each T; each
+    result also holds the two plans it compared.
 
     Start nodes are drawn with replacement: training revisits nodes across
     rounds, and repeated aggregation demand is exactly the workload the

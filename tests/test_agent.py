@@ -14,10 +14,8 @@ from rlhgnn.agent import (
     dqn_step,
     initial_state_static,
     load_agent,
-    q_values,
     save_agent,
     select_action,
-    state_pp,
     state_static,
     static_state_dim,
     sync_target,
@@ -77,13 +75,13 @@ def test_state_pp_normalizer():
     raw = norm.transform(batch)
     np.testing.assert_array_equal(raw, batch)  # pre-freeze passthrough
     assert norm.frozen
-    np.testing.assert_allclose(state_pp(norm, norm.mean), 0.0)
+    np.testing.assert_allclose(norm.transform(norm.mean)[0], 0.0)
     ident = Normalizer(fit_count=1)
     ident.transform(np.zeros((1, 3)))
     ident.mean = np.zeros(3)
     ident.std = np.ones(3)
     x = np.array([0.3, -0.7, 2.0])
-    np.testing.assert_allclose(state_pp(ident, x), x)
+    np.testing.assert_allclose(ident.transform(x)[0], x)
 
 
 def test_normalizer_statistics_on_fitting_batch():
@@ -111,7 +109,7 @@ def test_q_values_zero_weights_and_tie_break():
     qnet = tiny_qnet()
     for w in qnet.weights:
         w.value = np.zeros_like(w.value)
-    qv = q_values(qnet, np.ones(4))
+    qv = qnet.values(np.ones(4))[0]
     np.testing.assert_array_equal(qv, 0.0)
     mask = np.array([True, True, True])
     a = select_action(qv, mask, eps=0.0, rng=np.random.default_rng(0))
@@ -123,7 +121,7 @@ def test_q_values_zero_weights_and_tie_break():
 def test_q_values_deterministic_and_match_recomputation():
     qnet = tiny_qnet(seed=3)
     s = np.random.default_rng(1).normal(size=4)
-    v1, v2 = q_values(qnet, s), q_values(qnet, s)
+    v1, v2 = qnet.values(s)[0], qnet.values(s)[0]
     np.testing.assert_array_equal(v1, v2)
     x = s[None]
     for i, (w, b) in enumerate(zip(qnet.weights, qnet.biases)):
@@ -240,7 +238,7 @@ def test_td_loss_zero_when_targets_equal_predictions():
     target = tiny_qnet(seed=1)
     sync_target(qnet, target)
     s = np.random.default_rng(0).normal(size=4)
-    qv = q_values(qnet, s)
+    qv = qnet.values(s)[0]
     # construct r so that r + gamma*maxQ == Q(s,a) exactly
     gamma = 0.9
     batch = []
@@ -258,7 +256,7 @@ def test_td_loss_terminal_reduces_to_reward():
     s = np.zeros(4)
     t = transition(s, 1, s, 0.7, terminal=True)
     loss = td_loss(qnet, target, [t], gamma=0.99)
-    expected = (0.7 - q_values(qnet, s)[1]) ** 2
+    expected = (0.7 - qnet.values(s)[0][1]) ** 2
     np.testing.assert_allclose(float(loss.value), expected, atol=1e-12)
 
 
@@ -271,10 +269,10 @@ def test_td_loss_hand_computed_two_transitions():
     gamma = 0.95
     t1 = transition(s1, 0, n1, 0.3)
     t2 = transition(s2, 2, n2, -0.1, terminal=True)
-    y1 = 0.3 + gamma * q_values(target, n1).max()
+    y1 = 0.3 + gamma * target.values(n1)[0].max()
     y2 = -0.1
-    p1 = q_values(qnet, s1)[0]
-    p2 = q_values(qnet, s2)[2]
+    p1 = qnet.values(s1)[0][0]
+    p2 = qnet.values(s2)[0][2]
     expected = ((y1 - p1) ** 2 + (y2 - p2) ** 2) / 2
     loss = td_loss(qnet, target, [t1, t2], gamma)
     np.testing.assert_allclose(float(loss.value), expected, atol=1e-12)
@@ -287,8 +285,8 @@ def test_td_loss_next_max_respects_mask():
     t = transition(s, 0, s, 0.0)
     t.next_mask = np.array([False, False, True])
     gamma = 0.9
-    y = gamma * q_values(target, s)[2]
-    expected = (y - q_values(qnet, s)[0]) ** 2
+    y = gamma * target.values(s)[0][2]
+    expected = (y - qnet.values(s)[0][0]) ** 2
     np.testing.assert_allclose(float(td_loss(qnet, target, [t], gamma).value),
                                expected, atol=1e-12)
 

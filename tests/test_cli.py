@@ -109,6 +109,24 @@ def test_bench_agg_cli(tmp_path, synth_graph, capsys):
     assert one["merged_plan"]["kind"] == "merged"
 
 
+def test_bench_agg_cli_matches_library_seeding(tmp_path, synth_graph, capsys):
+    from rlhgnn.hin import load_hin
+    from rlhgnn.pipeline import TrainConfig, bench_aggregation
+
+    export = tmp_path / "plans.json"
+    assert main(["bench-agg", "--graph", str(synth_graph), "--timesteps", "2,1,3",
+                 "--episodes", "25", "--seed", "5", "--uncapped",
+                 "--export", str(export)]) == 0
+    doc = json.loads(export.read_text())["per_timestep"]
+    lib = bench_aggregation(load_hin(synth_graph), TrainConfig(fan_out_cap=None), [2, 1, 3],
+                            episodes_per_t=25, seed=5)
+    assert list(doc) == ["2", "1", "3"]
+    for T, stats in lib.items():
+        assert doc[str(T)]["stats"] == stats.to_json()
+        assert doc[str(T)]["merged_plan"] == stats.merged.to_json()
+        assert doc[str(T)]["naive_plan"] == stats.naive.to_json()
+
+
 def test_bench_runtime_cli(tmp_path, synth_graph, capsys):
     cfg_path = write_config(tmp_path, rounds=2, max_timesteps=1, inner_rounds=3,
                             node_batch=12, hidden_dim=8)
@@ -125,3 +143,93 @@ def test_bench_runtime_cli_without_graph(tmp_path, capsys):
     rc = main(["bench-runtime", "--config", str(cfg_path), "--repeats", "1"])
     assert rc == 0
     assert "ratio" in capsys.readouterr().out
+
+
+def train_run(tmp_path, synth_graph, name="run", **overrides):
+    out = tmp_path / name
+    rc = main(["train", "--graph", str(synth_graph), "--config",
+               str(write_config(tmp_path, **overrides)), "--out", str(out),
+               "--train-count", "24", "--val-count", "18"])
+    assert rc == 0
+    return out
+
+
+@pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
+def test_report_paths_prints_actions_txt(tmp_path, synth_graph, capsys, variant):
+    out = train_run(tmp_path, synth_graph, variant=variant)
+    best = json.loads((out / "report.json").read_text())["meta"]["best_val_metric"]
+    capsys.readouterr()
+    assert main(["report-paths", "--run", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed == (out / "actions.txt").read_text()
+    assert printed.startswith("best round: ")
+    assert f"(validation micro-F1 {best:.4f})\n" in printed
+    assert "\nstop-at-0: " in printed and "%\nmeta-path table:\n" in printed
+
+
+def test_report_paths_without_actions_txt_names_the_file(tmp_path):
+    with pytest.raises(FileNotFoundError, match="actions.txt"):
+        main(["report-paths", "--run", str(tmp_path)])
+
+
+def test_report_json_is_episode_report_to_json(tmp_path, synth_graph):
+    """Rebuilding the EpisodeReport from report.json and serialising it again
+    with EpisodeReport.to_json reproduces the file byte for byte."""
+    from rlhgnn.hin import load_hin
+    from rlhgnn.pipeline import EpisodeReport, RoundRecord, StepRecord
+
+    out = train_run(tmp_path, synth_graph)
+    text = (out / "report.json").read_text()
+    doc = json.loads(text)
+    report = EpisodeReport(
+        variant=doc["variant"], num_actions=doc["num_actions"],
+        steps=[StepRecord(**s) for s in doc["steps"]],
+        rounds=[RoundRecord(**{**r, "paths": [tuple(p) for p in r["paths"]]})
+                for r in doc["rounds"]],
+        meta=doc["meta"],
+    )
+    g = load_hin(synth_graph)
+    assert json.dumps(report.to_json(g.schema, g.target_type)) == text
+    assert doc["schema"]["relation_types"] == [["M-A", "Movie", "Actor"],
+                                               ["M-D", "Movie", "Director"]]
+
+
+def without_wall_times(report_json: bytes) -> dict:
+    doc = json.loads(report_json)
+    del doc["meta"]["design_wall_ms"]
+    for s in doc["steps"]:
+        del s["wall_ms"]
+    return doc
+
+
+@pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
+def test_runs_are_identical_across_processes_and_hash_seeds(tmp_path, synth_graph, variant):
+    """Separate interpreters with different string-hash seeds write the same
+    report.csv, model.bin and agent.bin, and the same report.json apart from
+    its wall times."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rlhgnn
+
+    cfg_path = write_config(tmp_path, variant=variant)
+    src = str(Path(rlhgnn.__file__).resolve().parents[1])
+    runs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"hash{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run(
+            [sys.executable, "-m", "rlhgnn.cli", "train", "--graph", str(synth_graph),
+             "--config", str(cfg_path), "--out", str(out),
+             "--train-count", "24", "--val-count", "18"],
+            env=env, check=True, capture_output=True,
+        )
+        runs.append(out)
+    a, b = runs
+    for name in ("report.csv", "model.bin", "agent.bin"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    assert without_wall_times((a / "report.json").read_bytes()) == \
+        without_wall_times((b / "report.json").read_bytes())

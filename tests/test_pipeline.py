@@ -53,6 +53,61 @@ def small_cfg(**overrides):
 
 
 # ---------------------------------------------------------------------------
+# TrainConfig boundary
+
+
+@pytest.mark.parametrize("field,value", [
+    ("variant", "rl-gnn"),
+    ("max_timesteps", 0),
+    ("rounds", 0),
+    ("inner_rounds", 0),
+    ("node_batch", 0),
+    ("gamma", 2.0),
+    ("gamma", -0.1),
+    ("eps_start", 1.5),
+    ("eps_end", -0.5),
+    ("eps_fraction", 2.0),
+    ("target_sync_every", 0),
+    ("reward_window", 0),
+    ("memory_multiplier", 0),
+    ("dqn_batch", 0),
+    ("learning_rate", 0.0),
+    ("learning_rate", float("nan")),
+    ("weight_decay", -1e-4),
+    ("hidden_dim", 0),
+    ("hidden_dim", 15),  # not divisible by heads=2
+    ("heads", 0),
+    ("dropout", 1.0),
+    ("dropout", -0.1),
+    ("fan_out_cap", 0),
+    ("seed", -1),
+    ("messages_from_target", "yes"),
+])
+def test_config_rejects_out_of_range_field(field, value):
+    doc = small_cfg().to_dict()
+    doc[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        TrainConfig.from_dict(doc)
+    # the loops check too, before any work
+    g, split = generate_planted_hin(planted_spec_1hop())
+    cfg = small_cfg(**{field: value})
+    runner = run_rl_hgnn if cfg.variant == "rl-hgnn" else run_rl_hgnn_pp
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        runner(cfg, g, split)
+
+
+def test_config_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="unknown TrainConfig field\\(s\\): hiden_dim, max_timestep"):
+        TrainConfig.from_dict({"hiden_dim": 16, "max_timestep": 2, "seed": 1})
+
+
+def test_config_boundary_values_are_accepted():
+    TrainConfig.from_dict(small_cfg(gamma=1.0, dropout=0.0, eps_start=0.0, eps_fraction=0.0,
+                                    weight_decay=0.0, fan_out_cap=1, rounds=1,
+                                    max_timesteps=1, seed=0).to_dict())
+
+
+# ---------------------------------------------------------------------------
 # evaluate_f1
 
 
@@ -159,6 +214,21 @@ def test_episode_paths_never_exceed_T():
         _, _, report = runner(cfg, g, split)
         for r in report.rounds:
             assert all(len(p) <= cfg.max_timesteps for p in r.paths)
+
+
+def test_cloned_params_share_no_arrays():
+    from rlhgnn.model import init_params
+    from rlhgnn.pipeline import _clone_params
+
+    g, _ = generate_planted_hin(planted_spec_1hop())
+    p = init_params(g.schema, g.num_classes, 2, d=8, heads=2, dropout=0.3, seed=5)
+    q = _clone_params(p)
+    assert len(q.all_vars()) == len(p.all_vars())
+    for a, b in zip(p.all_vars(), q.all_vars()):
+        assert a is not b and not np.shares_memory(a.value, b.value)
+        np.testing.assert_array_equal(a.value, b.value)
+    keep = ("schema", "T", "d", "heads", "num_classes", "dropout", "seed")
+    assert [getattr(q, k) for k in keep] == [getattr(p, k) for k in keep]
 
 
 def test_default_dimensions_smoke():
