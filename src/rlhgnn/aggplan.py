@@ -10,11 +10,18 @@ equivalence oracle and the baseline for the redundancy statistics.
 Layer l steps consume layer l-1 results (layer 1 consumes projected raw
 attributes) and run with aggregator parameter set l, counting from the far
 end of the path back toward the start node.
+
+Every plan is compiled once, when it is built, into read-only index arrays
+(LayerIndex per layer, the h0 groups and the output rows), so evaluating it
+any number of times needs no per-step work.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Hashable
+
+import numpy as np
 
 from .hin import HinGraph, NodeId
 from .metapath import Frontier, MetaPath, neighbors_local
@@ -44,13 +51,28 @@ class PlanStep:
     sources: list[tuple[Key, int]]  # (source key, edge multiplicity), sorted
 
 
+@dataclass(frozen=True)
+class LayerIndex:
+    """One layer's steps as gather rows, one row per traversal (a source
+    reached through m edges appears m times), grouped by step in step order."""
+
+    src_rows: np.ndarray  # source's row in the previous layer (in H0 at layer 1)
+    tgt_rows: np.ndarray  # target node's row in H0
+    starts: np.ndarray  # first traversal of each step
+    lengths: np.ndarray  # traversals per step, all >= 1
+
+
 @dataclass
 class AggregationDag:
     layers: list[list[PlanStep]]  # layers[l-1] holds layer-l steps
     outputs: list[Key]  # one per episode: a step key or an h0 key
-    h0_nodes: list[NodeId]  # projected raw nodes the plan reads
+    h0_nodes: list[NodeId]  # projected raw nodes the plan reads, sorted
     episodes_sig: list[tuple[NodeId, tuple[str, ...]]]
     kind: str
+    # compiled form, read-only intp arrays; H0 row i is h0_nodes[i]
+    index: list[LayerIndex] = field(repr=False, compare=False)
+    h0_groups: list[tuple[str, np.ndarray]] = field(repr=False, compare=False)  # (type, local ids) runs
+    output_rows: np.ndarray = field(repr=False, compare=False)  # rows of [H0; layer 1; ...; layer L]
 
     @property
     def step_count(self) -> int:
@@ -230,13 +252,49 @@ def _finish(g, steps, outputs, h0, sig, kind) -> AggregationDag:
         layers[s.layer - 1].append(s)
     for L in layers:
         L.sort(key=lambda s: repr(s.target))
+    h0_nodes = sorted(h0)
     return AggregationDag(
         layers=layers,
         outputs=outputs,
-        h0_nodes=sorted(h0),
+        h0_nodes=h0_nodes,
         episodes_sig=sig,
         kind=kind,
+        **_compile(layers, outputs, h0_nodes),
     )
+
+
+def _readonly(values) -> np.ndarray:
+    a = np.array(values, dtype=np.intp)
+    a.flags.writeable = False
+    return a
+
+
+def _compile(layers: list[list[PlanStep]], outputs: list[Key], h0_nodes: list[NodeId]) -> dict:
+    """Index arrays of the plan: per layer its gather rows and segments, the
+    h0 runs by node type, and each episode's output row in the stack
+    [H0; layer 1; ...; layer L]."""
+    h0_row = {n: i for i, n in enumerate(h0_nodes)}
+    prev = {("h0",) + n: i for n, i in h0_row.items()}  # key -> row in the previous layer
+    stacked = dict(prev)  # key -> row in the stack
+    index = []
+    for L in layers:
+        src = [prev[k] for s in L for k, _ in s.sources]
+        mult = [m for s in L for _, m in s.sources]
+        lengths = np.array([sum(m for _, m in s.sources) for s in L], dtype=np.intp)
+        tgt = [h0_row[s.target_node] for s in L]
+        index.append(LayerIndex(
+            src_rows=_readonly(np.repeat(src, mult)),
+            tgt_rows=_readonly(np.repeat(tgt, lengths)),
+            starts=_readonly(np.cumsum(lengths) - lengths),
+            lengths=_readonly(lengths),
+        ))
+        prev = {s.target: i for i, s in enumerate(L)}
+        base = len(stacked)
+        stacked.update((k, base + i) for k, i in prev.items())
+    h0_groups = [(t, _readonly([n for _, n in run]))
+                 for t, run in groupby(h0_nodes, key=lambda n: n[0])]
+    return {"index": index, "h0_groups": h0_groups,
+            "output_rows": _readonly([stacked[k] for k in outputs])}
 
 
 def plan_stats(naive: AggregationDag, merged: AggregationDag) -> AggregationStats:

@@ -160,6 +160,13 @@ def sum_cols(a: Var) -> Var:
     return out
 
 
+def head_dot(x: Var, a: Var) -> Var:
+    """Per-head dot product: (n, H, k) . (H, k) -> (n, H)."""
+    out = Var((x.value * a.value).sum(axis=2), (x, a))
+    out.bw = lambda g: (g[:, :, None] * a.value, (g[:, :, None] * x.value).sum(axis=0))
+    return out
+
+
 def gather_rows(a: Var, idx) -> Var:
     idx = np.asarray(idx, dtype=np.intp)
     out = Var(a.value[idx], (a,))
@@ -173,10 +180,25 @@ def gather_rows(a: Var, idx) -> Var:
     return out
 
 
+def _segment_ends(lengths: Array) -> Array:
+    if lengths.size and lengths.min() < 1:
+        raise ValueError(f"segment lengths must be >= 1, got {lengths.min()}")
+    return lengths.cumsum()
+
+
 def segment_sum(a: Var, starts, lengths) -> Var:
-    """Sum contiguous row segments: (n, k) -> (m, k) with m = len(starts)."""
+    """Sum contiguous row segments: (n, ...) -> (m, ...) with m = len(starts).
+
+    The segments must tile the rows: every length >= 1, starts the exclusive
+    cumsum of lengths, lengths summing to n.
+    """
     starts = np.asarray(starts, dtype=np.intp)
     lengths = np.asarray(lengths, dtype=np.intp)
+    ends = _segment_ends(lengths)
+    if (starts.shape != lengths.shape or (ends[-1] if ends.size else 0) != len(a.value)
+            or (starts != ends - lengths).any()):
+        raise ValueError("segment starts must be the exclusive cumsum of lengths, "
+                         "and the lengths must sum to the row count")
     v = np.add.reduceat(a.value, starts, axis=0) if len(starts) else np.zeros((0,) + a.value.shape[1:])
     out = Var(v, (a,))
     out.bw = lambda g: (np.repeat(g, lengths, axis=0),)
@@ -184,10 +206,10 @@ def segment_sum(a: Var, starts, lengths) -> Var:
 
 
 def repeat_rows(a: Var, lengths) -> Var:
-    """Repeat row i lengths[i] times (inverse layout of segment_sum)."""
+    """Repeat row i lengths[i] >= 1 times (inverse layout of segment_sum)."""
     lengths = np.asarray(lengths, dtype=np.intp)
+    starts = _segment_ends(lengths) - lengths
     out = Var(np.repeat(a.value, lengths, axis=0), (a,))
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
 
     def bw(g):
         if len(starts) == 0:
@@ -203,26 +225,6 @@ def vstack(parts: list[Var]) -> Var:
     out = Var(np.concatenate([p.value for p in parts], axis=0), tuple(parts))
     offs = np.concatenate(([0], np.cumsum(sizes)))
     out.bw = lambda g: tuple(g[offs[i]:offs[i + 1]] for i in range(len(parts)))
-    return out
-
-
-def hstack(parts: list[Var]) -> Var:
-    sizes = [p.value.shape[1] for p in parts]
-    out = Var(np.concatenate([p.value for p in parts], axis=1), tuple(parts))
-    offs = np.concatenate(([0], np.cumsum(sizes)))
-    out.bw = lambda g: tuple(g[:, offs[i]:offs[i + 1]] for i in range(len(parts)))
-    return out
-
-
-def slice_cols(a: Var, lo: int, hi: int) -> Var:
-    out = Var(a.value[:, lo:hi], (a,))
-
-    def bw(g):
-        ga = np.zeros_like(a.value)
-        ga[:, lo:hi] = g
-        return (ga,)
-
-    out.bw = bw
     return out
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .aggplan import AggregationDag
 from .checkpoint import read_checkpoint, write_checkpoint
-from .hin import HinGraph, HinSchema, NodeId
+from .hin import HinGraph, HinSchema
 
 LEAKY_SLOPE = 0.2
 
@@ -120,29 +120,19 @@ def init_params(
 
 
 def project_attributes(
-    params: HgnnParams, g: HinGraph, nodes: list[NodeId]
-) -> tuple[ad.Var, dict[NodeId, int]]:
-    """H0 rows for `nodes` (kept in the given order): H0[i] = x_i . M_type."""
+    params: HgnnParams, g: HinGraph, groups: list[tuple[str, np.ndarray]]
+) -> ad.Var:
+    """H0 rows for runs of (node type, local ids), run after run in the given
+    order: H0[i] = x_i . M_type."""
     parts: list[ad.Var] = []
-    rows: dict[NodeId, int] = {}
-    i = 0
-    while i < len(nodes):
-        t = nodes[i][0]
+    for t, ids in groups:
         if t not in params.projections:
             raise ValueError(f"no projection for node type {t!r}")
-        j = i
-        locals_ = []
-        while j < len(nodes) and nodes[j][0] == t:
-            locals_.append(nodes[j][1])
-            j += 1
-        X = ad.const(g.attributes[t][np.asarray(locals_, dtype=np.intp)])
+        X = ad.const(g.attributes[t][np.asarray(ids, dtype=np.intp)])
         parts.append(ad.matmul(X, params.projections[t]))
-        for k, n in enumerate(nodes[i:j]):
-            rows[n] = i + k
-        i = j
     if not parts:
-        return ad.const(np.zeros((0, params.d))), {}
-    return ad.vstack(parts) if len(parts) > 1 else parts[0], rows
+        return ad.const(np.zeros((0, params.d)))
+    return ad.vstack(parts) if len(parts) > 1 else parts[0]
 
 
 def attention_coefficients(
@@ -180,39 +170,27 @@ def _layer_compute(
     lengths: np.ndarray,
     messages_from_target: bool = False,
 ) -> ad.Var:
-    """Aggregate per-traversal rows into per-step outputs with parameter set `layer`."""
+    """Aggregate per-traversal rows into per-step outputs with parameter set
+    `layer`, all heads at once: head h is column block h*hd:(h+1)*hd."""
     heads, hd = params.heads, params.head_dim
     W = params.layer_w[layer - 1]
-    WS = ad.matmul(S, W)
-    WT = ad.matmul(T0, W)
-    a_src = params.layer_attn_src[layer - 1]
-    a_dst = params.layer_attn_dst[layer - 1]
-    inv_len = (1.0 / lengths)[:, None]
-    outs = []
-    for h in range(heads):
-        lo, hi = h * hd, (h + 1) * hd
-        WS_h = ad.slice_cols(WS, lo, hi)
-        WT_h = ad.slice_cols(WT, lo, hi)
-        a_s = ad.gather_rows(a_src, [h])  # (1, hd)
-        a_d = ad.gather_rows(a_dst, [h])
-        es = ad.reshape(ad.sum_cols(ad.mul(WS_h, a_s)), (-1, 1))
-        et = ad.reshape(ad.sum_cols(ad.mul(WT_h, a_d)), (-1, 1))
-        e = ad.leaky_relu(ad.add(es, et), LEAKY_SLOPE)
-        seg_max = np.maximum.reduceat(e.value[:, 0], starts)  # shift-invariant, no grad
-        z = ad.exp(ad.add_const(e, -np.repeat(seg_max, lengths)[:, None]))
-        denom = ad.repeat_rows(ad.segment_sum(z, starts, lengths), lengths)
-        alpha = ad.div(z, denom)
-        val = WT_h if messages_from_target else WS_h
-        summed = ad.segment_sum(ad.mul(alpha, val), starts, lengths)
-        outs.append(ad.mul_const(summed, inv_len))
-    return ad.relu(ad.hstack(outs))
+    WS = ad.reshape(ad.matmul(S, W), (-1, heads, hd))
+    WT = ad.reshape(ad.matmul(T0, W), (-1, heads, hd))
+    es = ad.head_dot(WS, params.layer_attn_src[layer - 1])  # (n, heads)
+    et = ad.head_dot(WT, params.layer_attn_dst[layer - 1])
+    e = ad.leaky_relu(ad.add(es, et), LEAKY_SLOPE)
+    seg_max = np.maximum.reduceat(e.value, starts, axis=0)  # shift-invariant, no grad
+    z = ad.exp(ad.add_const(e, -np.repeat(seg_max, lengths, axis=0)))
+    alpha = ad.div(z, ad.repeat_rows(ad.segment_sum(z, starts, lengths), lengths))
+    val = WT if messages_from_target else WS
+    weighted = ad.reshape(ad.mul(ad.reshape(alpha, (-1, heads, 1)), val), (-1, params.d))
+    summed = ad.segment_sum(weighted, starts, lengths)
+    return ad.relu(ad.mul_const(summed, (1.0 / lengths)[:, None]))
 
 
 @dataclass
 class ForwardResult:
     outputs: ad.Var  # (num episodes, d), aligned with dag.outputs
-    key_rows: dict  # plan key -> (layer index, row)
-    matrices: list[ad.Var]  # matrices[0] = H0, matrices[l] = layer-l outputs
 
 
 def hgnn_forward(
@@ -223,73 +201,33 @@ def hgnn_forward(
     seed: int = 0,
     messages_from_target: bool = False,
 ) -> ForwardResult:
-    """Evaluate the plan layer by layer; episodes that stopped at once return
-    their projected attributes directly."""
+    """Evaluate the plan's compiled index arrays layer by layer; episodes that
+    stopped at once return their projected attributes directly."""
     if mode not in ("eval", "train"):
         raise ValueError(f"unknown mode {mode!r}")
     if not dag.outputs:
         raise ValueError("plan has no episodes")
+    if len(dag.index) > params.T:
+        raise ValueError(f"plan has {len(dag.index)} aggregation layers but the model "
+                         f"has T={params.T} aggregator parameter sets")
     train = mode == "train"
     keep = 1.0 - params.dropout
     rng = np.random.default_rng([seed]) if train else None
 
-    h0_var, h0_rows = project_attributes(params, g, dag.h0_nodes)
-    key_rows: dict = {}
-    for node, row in h0_rows.items():
-        key_rows[("h0",) + node] = (0, row)
-    matrices = [h0_var]
-
-    for layer_idx, steps in enumerate(dag.layers, start=1):
-        if not steps:
-            raise ValueError(f"layer {layer_idx} of the plan is empty")
-        prev = matrices[layer_idx - 1]
-        src_rows: list[int] = []
-        tgt_rows: list[int] = []
-        lengths = np.zeros(len(steps), dtype=np.intp)
-        for si, step in enumerate(steps):
-            t_row = h0_rows[step.target_node]
-            cnt = 0
-            for src_key, mult in step.sources:
-                if layer_idx == 1:
-                    row = h0_rows[src_key[1], src_key[2]]
-                else:
-                    owner, row = key_rows[src_key]
-                    if owner != layer_idx - 1:
-                        raise ValueError("plan source does not come from the previous layer")
-                src_rows.extend([row] * mult)
-                cnt += mult
-            tgt_rows.extend([t_row] * cnt)
-            lengths[si] = cnt
-        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        S = ad.gather_rows(prev, np.asarray(src_rows, dtype=np.intp))
-        T0 = ad.gather_rows(h0_var, np.asarray(tgt_rows, dtype=np.intp))
+    h0 = project_attributes(params, g, dag.h0_groups)
+    matrices = [h0]  # matrices[l] = layer-l outputs, one row per step
+    for layer, ix in enumerate(dag.index, start=1):
+        S = ad.gather_rows(matrices[-1], ix.src_rows)
+        T0 = ad.gather_rows(h0, ix.tgt_rows)
         if train and params.dropout > 0:
             S = ad.mul_const(S, (rng.random(S.value.shape) < keep) / keep)
             T0 = ad.mul_const(T0, (rng.random(T0.value.shape) < keep) / keep)
-        out = _layer_compute(params, layer_idx, S, T0, starts, lengths, messages_from_target)
-        for si, step in enumerate(steps):
-            key_rows[step.target] = (layer_idx, si)
-        matrices.append(out)
-
-    # stack episode outputs in episode order
-    by_matrix: dict[int, list[int]] = {}
-    positions: list[tuple[int, int]] = []
-    for key in dag.outputs:
-        owner, row = key_rows[key]
-        by_matrix.setdefault(owner, []).append(row)
-        positions.append((owner, len(by_matrix[owner]) - 1))
-    offsets: dict[int, int] = {}
-    off = 0
-    parts = []
-    for owner in sorted(by_matrix):
-        offsets[owner] = off
-        parts.append(ad.gather_rows(matrices[owner], np.asarray(by_matrix[owner], dtype=np.intp)))
-        off += len(by_matrix[owner])
-    stacked = ad.vstack(parts) if len(parts) > 1 else parts[0]
-    perm = np.asarray([offsets[o] + i for o, i in positions], dtype=np.intp)
-    outputs = ad.gather_rows(stacked, perm)
+        matrices.append(_layer_compute(params, layer, S, T0, ix.starts, ix.lengths,
+                                       messages_from_target))
+    stacked = ad.vstack(matrices) if len(matrices) > 1 else h0
+    outputs = ad.gather_rows(stacked, dag.output_rows)
     outputs.check_finite("episode representations")
-    return ForwardResult(outputs=outputs, key_rows=key_rows, matrices=matrices)
+    return ForwardResult(outputs=outputs)
 
 
 def classify(params: HgnnParams, reps: ad.Var) -> ad.Var:

@@ -567,9 +567,8 @@ def run_rl_hgnn_pp(cfg: TrainConfig, g: HinGraph, split: DataSplit):
             cycle_t0 = step_t0
             ep_nodes, train_rows = loop.draw_batch()
             episodes = _fresh_episodes(g, ep_nodes)
-            h0, _ = nn.project_attributes(
-                params, g, [(g.target_type, int(n)) for n in ep_nodes])
-            reps = h0.value  # row i aligns with episode i
+            # row i of the projected batch aligns with episode i
+            reps = nn.project_attributes(params, g, [(g.target_type, ep_nodes)]).value
             norm_states = agent.normalizer.transform(reps)
         eps = _eps_at(cfg, k, K)
         active_idx = [i for i, e in enumerate(episodes) if not e.stopped]
@@ -646,8 +645,7 @@ def design_episodes_greedy(
                     e = p["ep"]
                     e.state = rl.state_static(g, e.frontier, p["s"])
     else:
-        h0, _ = nn.project_attributes(params, g, [(g.target_type, int(n)) for n in nodes])
-        reps = h0.value
+        reps = nn.project_attributes(params, g, [(g.target_type, nodes)]).value
         for t in range(1, cfg.max_timesteps + 1):
             active_idx = [i for i, e in enumerate(episodes) if not e.stopped]
             if not active_idx:

@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from rlhgnn.hin import HinGraph, HinSchema, RelationType, build_graph
+from rlhgnn import autodiff as ad
+from rlhgnn.aggplan import AggregationDag
+from rlhgnn.hin import HinGraph, HinSchema, NodeId, RelationType, build_graph
+from rlhgnn.model import LEAKY_SLOPE, HgnnParams
 
 
 def imdb_like_schema(dim_m=4, dim_d=3, dim_a=3) -> HinSchema:
@@ -73,3 +76,170 @@ def random_hin(seed: int, max_nodes: int = 50) -> HinGraph:
     target = types[0]
     labels = rng.integers(0, 2, size=counts[target])
     return build_graph(schema, counts, edge_lists, attrs, target, 2, labels)
+
+
+# ---------------------------------------------------------------------------
+# Reference forward pass: the per-head attention layer and the per-step
+# forward loop as they were before plans were compiled to index arrays and
+# heads were batched. The equivalence tests require the current forward to
+# match it bit for bit. slice_cols and hstack are the tape ops it used.
+
+
+def slice_cols(a: ad.Var, lo: int, hi: int) -> ad.Var:
+    out = ad.Var(a.value[:, lo:hi], (a,))
+
+    def bw(g):
+        ga = np.zeros_like(a.value)
+        ga[:, lo:hi] = g
+        return (ga,)
+
+    out.bw = bw
+    return out
+
+
+def hstack(parts: list[ad.Var]) -> ad.Var:
+    sizes = [p.value.shape[1] for p in parts]
+    out = ad.Var(np.concatenate([p.value for p in parts], axis=1), tuple(parts))
+    offs = np.concatenate(([0], np.cumsum(sizes)))
+    out.bw = lambda g: tuple(g[:, offs[i]:offs[i + 1]] for i in range(len(parts)))
+    return out
+
+
+def reference_project_attributes(
+    params: HgnnParams, g: HinGraph, nodes: list[NodeId]
+) -> tuple[ad.Var, dict[NodeId, int]]:
+    """H0 rows for `nodes` (kept in the given order): H0[i] = x_i . M_type."""
+    parts: list[ad.Var] = []
+    rows: dict[NodeId, int] = {}
+    i = 0
+    while i < len(nodes):
+        t = nodes[i][0]
+        if t not in params.projections:
+            raise ValueError(f"no projection for node type {t!r}")
+        j = i
+        locals_ = []
+        while j < len(nodes) and nodes[j][0] == t:
+            locals_.append(nodes[j][1])
+            j += 1
+        X = ad.const(g.attributes[t][np.asarray(locals_, dtype=np.intp)])
+        parts.append(ad.matmul(X, params.projections[t]))
+        for k, n in enumerate(nodes[i:j]):
+            rows[n] = i + k
+        i = j
+    if not parts:
+        return ad.const(np.zeros((0, params.d))), {}
+    return ad.vstack(parts) if len(parts) > 1 else parts[0], rows
+
+
+def reference_layer_compute(
+    params: HgnnParams,
+    layer: int,
+    S: ad.Var,
+    T0: ad.Var,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    messages_from_target: bool = False,
+) -> ad.Var:
+    """Aggregate per-traversal rows into per-step outputs with parameter set `layer`."""
+    heads, hd = params.heads, params.head_dim
+    W = params.layer_w[layer - 1]
+    WS = ad.matmul(S, W)
+    WT = ad.matmul(T0, W)
+    a_src = params.layer_attn_src[layer - 1]
+    a_dst = params.layer_attn_dst[layer - 1]
+    inv_len = (1.0 / lengths)[:, None]
+    outs = []
+    for h in range(heads):
+        lo, hi = h * hd, (h + 1) * hd
+        WS_h = slice_cols(WS, lo, hi)
+        WT_h = slice_cols(WT, lo, hi)
+        a_s = ad.gather_rows(a_src, [h])  # (1, hd)
+        a_d = ad.gather_rows(a_dst, [h])
+        es = ad.reshape(ad.sum_cols(ad.mul(WS_h, a_s)), (-1, 1))
+        et = ad.reshape(ad.sum_cols(ad.mul(WT_h, a_d)), (-1, 1))
+        e = ad.leaky_relu(ad.add(es, et), LEAKY_SLOPE)
+        seg_max = np.maximum.reduceat(e.value[:, 0], starts)  # shift-invariant, no grad
+        z = ad.exp(ad.add_const(e, -np.repeat(seg_max, lengths)[:, None]))
+        denom = ad.repeat_rows(ad.segment_sum(z, starts, lengths), lengths)
+        alpha = ad.div(z, denom)
+        val = WT_h if messages_from_target else WS_h
+        summed = ad.segment_sum(ad.mul(alpha, val), starts, lengths)
+        outs.append(ad.mul_const(summed, inv_len))
+    return ad.relu(hstack(outs))
+
+
+def reference_forward(
+    params: HgnnParams,
+    g: HinGraph,
+    dag: AggregationDag,
+    mode: str = "eval",
+    seed: int = 0,
+    messages_from_target: bool = False,
+) -> ad.Var:
+    """Evaluate the plan layer by layer; episodes that stopped at once return
+    their projected attributes directly."""
+    if mode not in ("eval", "train"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if not dag.outputs:
+        raise ValueError("plan has no episodes")
+    train = mode == "train"
+    keep = 1.0 - params.dropout
+    rng = np.random.default_rng([seed]) if train else None
+
+    h0_var, h0_rows = reference_project_attributes(params, g, dag.h0_nodes)
+    key_rows: dict = {}
+    for node, row in h0_rows.items():
+        key_rows[("h0",) + node] = (0, row)
+    matrices = [h0_var]
+
+    for layer_idx, steps in enumerate(dag.layers, start=1):
+        if not steps:
+            raise ValueError(f"layer {layer_idx} of the plan is empty")
+        prev = matrices[layer_idx - 1]
+        src_rows: list[int] = []
+        tgt_rows: list[int] = []
+        lengths = np.zeros(len(steps), dtype=np.intp)
+        for si, step in enumerate(steps):
+            t_row = h0_rows[step.target_node]
+            cnt = 0
+            for src_key, mult in step.sources:
+                if layer_idx == 1:
+                    row = h0_rows[src_key[1], src_key[2]]
+                else:
+                    owner, row = key_rows[src_key]
+                    if owner != layer_idx - 1:
+                        raise ValueError("plan source does not come from the previous layer")
+                src_rows.extend([row] * mult)
+                cnt += mult
+            tgt_rows.extend([t_row] * cnt)
+            lengths[si] = cnt
+        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        S = ad.gather_rows(prev, np.asarray(src_rows, dtype=np.intp))
+        T0 = ad.gather_rows(h0_var, np.asarray(tgt_rows, dtype=np.intp))
+        if train and params.dropout > 0:
+            S = ad.mul_const(S, (rng.random(S.value.shape) < keep) / keep)
+            T0 = ad.mul_const(T0, (rng.random(T0.value.shape) < keep) / keep)
+        out = reference_layer_compute(params, layer_idx, S, T0, starts, lengths, messages_from_target)
+        for si, step in enumerate(steps):
+            key_rows[step.target] = (layer_idx, si)
+        matrices.append(out)
+
+    # stack episode outputs in episode order
+    by_matrix: dict[int, list[int]] = {}
+    positions: list[tuple[int, int]] = []
+    for key in dag.outputs:
+        owner, row = key_rows[key]
+        by_matrix.setdefault(owner, []).append(row)
+        positions.append((owner, len(by_matrix[owner]) - 1))
+    offsets: dict[int, int] = {}
+    off = 0
+    parts = []
+    for owner in sorted(by_matrix):
+        offsets[owner] = off
+        parts.append(ad.gather_rows(matrices[owner], np.asarray(by_matrix[owner], dtype=np.intp)))
+        off += len(by_matrix[owner])
+    stacked = ad.vstack(parts) if len(parts) > 1 else parts[0]
+    perm = np.asarray([offsets[o] + i for o, i in positions], dtype=np.intp)
+    outputs = ad.gather_rows(stacked, perm)
+    outputs.check_finite("episode representations")
+    return outputs

@@ -75,10 +75,31 @@ def test_segment_and_repeat():
     check(lambda a: ad.total_sum(ad.square(ad.repeat_rows(a, lengths))), (3, 4))
 
 
+def test_head_dot():
+    check(lambda x, a: ad.total_sum(ad.square(ad.head_dot(x, a))), (5, 3, 4), (3, 4))
+    check(lambda x, a: ad.total_sum(ad.square(ad.head_dot(x, a))), (1, 1, 2), (1, 2))
+    x, a = np.arange(24.0).reshape(2, 3, 4), np.arange(12.0).reshape(3, 4)
+    np.testing.assert_array_equal(ad.head_dot(ad.const(x), ad.const(a)).value,
+                                  (x * a).sum(axis=2))
+
+
+def test_segments_must_tile_the_rows():
+    a = ad.param(np.arange(6.0).reshape(3, 2))
+    with pytest.raises(ValueError, match="lengths must be >= 1"):
+        ad.segment_sum(a, [0, 1, 1], [1, 0, 2])  # reduceat would return row 1
+    with pytest.raises(ValueError, match="exclusive cumsum"):
+        ad.segment_sum(a, [0, 2], [1, 2])
+    with pytest.raises(ValueError, match="exclusive cumsum"):
+        ad.segment_sum(a, [0, 1], [1, 1])  # last row left out
+    with pytest.raises(ValueError, match="lengths must be >= 1"):
+        ad.repeat_rows(a, [1, 0, 2])
+    with pytest.raises(ValueError, match="lengths must be >= 1"):
+        ad.repeat_rows(a, [1, -1, 2])
+    np.testing.assert_array_equal(ad.segment_sum(a, [0, 1], [1, 2]).value, [[0, 1], [6, 8]])
+
+
 def test_stacks_and_slices():
     check(lambda a, b: ad.total_sum(ad.square(ad.vstack([a, b]))), (2, 3), (4, 3))
-    check(lambda a, b: ad.total_sum(ad.square(ad.hstack([a, b]))), (3, 2), (3, 4))
-    check(lambda a: ad.total_sum(ad.square(ad.slice_cols(a, 1, 3))), (4, 5))
 
 
 def test_mul_const_and_scale():

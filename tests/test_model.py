@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from helpers import imdb_like_graph, random_hin
+from helpers import imdb_like_graph, random_hin, reference_forward
 from rlhgnn import autodiff as ad
 from rlhgnn.aggplan import Episode, build_plan, naive_plan
 from rlhgnn.hin import HinSchema, RelationType, build_graph
@@ -45,10 +45,10 @@ def test_projection_identity_and_zero():
     p = small_params(g, d=4, heads=2)
     lam = g.schema.attribute_dims["Movie"]
     p.projections["Movie"].value = np.eye(lam, 4)
-    H, rows = project_attributes(p, g, [("Movie", 0), ("Movie", 1)])
-    np.testing.assert_allclose(H.value[rows[("Movie", 0)], :lam][: lam], g.attributes["Movie"][0])
+    H = project_attributes(p, g, [("Movie", np.array([0, 1]))])
+    np.testing.assert_allclose(H.value[0, :lam][: lam], g.attributes["Movie"][0])
     p.projections["Movie"].value = np.zeros((lam, 4))
-    H, rows = project_attributes(p, g, [("Movie", 2)])
+    H = project_attributes(p, g, [("Movie", np.array([2]))])
     np.testing.assert_allclose(H.value, 0.0)
 
 
@@ -56,10 +56,10 @@ def test_projection_matches_direct_product():
     g = imdb_like_graph(seed=2)
     p = small_params(g, d=6, heads=2, seed=5)
     nodes = [("Actor", 1), ("Actor", 3), ("Movie", 0)]
-    H, rows = project_attributes(p, g, nodes)
-    for n in nodes:
+    H = project_attributes(p, g, [("Actor", np.array([1, 3])), ("Movie", np.array([0]))])
+    for row, n in enumerate(nodes):
         expected = g.attributes[n[0]][n[1]] @ p.projections[n[0]].value
-        np.testing.assert_allclose(H.value[rows[n]], expected, atol=1e-12)
+        np.testing.assert_allclose(H.value[row], expected, atol=1e-12)
 
 
 def test_projection_missing_type_errors():
@@ -67,7 +67,7 @@ def test_projection_missing_type_errors():
     p = small_params(g)
     del p.projections["Actor"]
     with pytest.raises(ValueError):
-        project_attributes(p, g, [("Actor", 0)])
+        project_attributes(p, g, [("Actor", np.array([0]))])
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +210,62 @@ def test_forward_literal_target_messages_differ():
     assert not np.allclose(a, b)
 
 
+def _loss_and_grads(p, outputs, labels):
+    loss = cross_entropy(classify(p, outputs), labels, np.arange(len(labels)))
+    return outputs.value, backward(loss, p.all_vars())
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_forward_matches_per_head_reference_exactly(heads):
+    """Compiled plan + batched heads give the same bits as the per-step,
+    per-head forward, in values and in every parameter gradient."""
+    cases = 0
+    for seed in range(6):
+        g = random_hin(seed)
+        n = min(5, g.num_nodes[g.target_type])
+        eps = random_legal_episodes(g, np.arange(n), length=3, seed=seed, fan_out_cap=None)
+        labels = g.labels[np.arange(n)]
+        p = small_params(g, T=3, d=8, heads=heads, seed=seed, dropout=0.3)
+        for plan in (build_plan(g, eps), naive_plan(g, eps)):
+            for mode in ("train", "eval"):
+                for mft in (False, True):
+                    new = _loss_and_grads(p, hgnn_forward(p, g, plan, mode, 5, mft).outputs, labels)
+                    ref = _loss_and_grads(p, reference_forward(p, g, plan, mode, 5, mft), labels)
+                    np.testing.assert_array_equal(new[0], ref[0])
+                    for a, b in zip(new[1], ref[1]):
+                        np.testing.assert_array_equal(a, b)
+                    cases += 1
+    assert cases == 48
+
+
+def test_one_plan_serves_every_pass_and_is_read_only():
+    g = imdb_like_graph(seed=7)
+    eps = [episode(g, ("Movie", i), rels) for i, rels in
+           [(0, ("M-A", "A-M")), (1, ("M-D",)), (2, ()), (3, ("M-A", "A-M"))]]
+    p = small_params(g, T=2, d=8, heads=4, seed=4, dropout=0.3)
+    plan = build_plan(g, eps)
+    for mode, seed in (("train", 3), ("eval", 0), ("train", 3)):
+        np.testing.assert_array_equal(
+            hgnn_forward(p, g, plan, mode, seed).outputs.value,
+            hgnn_forward(p, g, build_plan(g, eps), mode, seed).outputs.value)
+    arrays = [plan.output_rows] + [ids for _, ids in plan.h0_groups]
+    for ix in plan.index:
+        arrays += [ix.src_rows, ix.tgt_rows, ix.starts, ix.lengths]
+    assert len(arrays) == 1 + 3 + 2 * 4
+    for a in arrays:
+        assert a.dtype == np.intp and not a.flags.writeable
+    with pytest.raises(ValueError):
+        plan.index[0].src_rows[0] = 0
+
+
+def test_plan_deeper_than_model_errors():
+    g = imdb_like_graph(seed=2)
+    plan = build_plan(g, [episode(g, ("Movie", 0), ("M-A", "A-M"))])
+    p = small_params(g, T=1)
+    with pytest.raises(ValueError, match=r"2 aggregation layers.*T=1"):
+        hgnn_forward(p, g, plan)
+
+
 # ---------------------------------------------------------------------------
 # Classifier and loss
 
@@ -320,6 +376,22 @@ def test_full_model_gradients_match_finite_differences():
         fwd = hgnn_forward(p, g, plan, mode="eval")
         probs = classify(p, fwd.outputs)
         return cross_entropy(probs, labels[ep_nodes], rows)
+
+    err = finite_diff_check(p.all_vars(), loss_fn, eps=1e-5, num_coords=250, seed=0)
+    assert err < 1e-4
+
+
+def test_full_model_gradients_match_finite_differences_in_train_mode():
+    g = imdb_like_graph(n_m=6, n_d=3, n_a=5, seed=8)
+    eps = [episode(g, ("Movie", i), rels) for i, rels in
+           [(0, ("M-A", "A-M")), (1, ("M-D", "D-M")), (2, ("M-A",)), (3, ())]]
+    p = small_params(g, T=2, d=8, heads=4, seed=13, dropout=0.3)
+    plan = build_plan(g, eps)
+    labels = g.labels[np.array([0, 1, 2, 3])]
+
+    def loss_fn():  # a fixed seed draws the same dropout masks on every call
+        fwd = hgnn_forward(p, g, plan, mode="train", seed=11)
+        return cross_entropy(classify(p, fwd.outputs), labels, np.arange(len(eps)))
 
     err = finite_diff_check(p.all_vars(), loss_fn, eps=1e-5, num_coords=250, seed=0)
     assert err < 1e-4
