@@ -13,13 +13,17 @@ end of the path back toward the start node.
 
 Every plan is compiled once, when it is built, into read-only index arrays
 (LayerIndex per layer, the h0 groups and the output rows), so evaluating it
-any number of times needs no per-step work.
+any number of times needs no per-step work. The merged plan is built as
+whole arrays for the batch, with each step keyed by the integer pair
+(suffix id, local node id); its keyed views (`layers`, `outputs`,
+`h0_nodes`) are derived from the arrays only when read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import groupby
-from typing import Hashable
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -38,8 +42,12 @@ class Episode:
     frontier: Frontier
 
     def __post_init__(self):
-        if len(self.frontier.step_relations) != len(self.path.relations):
-            raise ValueError("frontier trace does not match path length")
+        if self.frontier.start != self.start or self.path.start_type != self.start[0]:
+            raise ValueError(f"episode starts at {self.start!r} on a {self.path.start_type!r} "
+                             f"path, but its frontier starts at {self.frontier.start!r}")
+        if self.frontier.step_relations != self.path.relations:
+            raise ValueError(f"frontier was expanded along {self.frontier.step_relations!r}, "
+                             f"but the path is {self.path.relations!r}")
 
 
 @dataclass
@@ -62,31 +70,54 @@ class LayerIndex:
     lengths: np.ndarray  # traversals per step, all >= 1
 
 
-@dataclass
+@dataclass(eq=False)
 class AggregationDag:
-    layers: list[list[PlanStep]]  # layers[l-1] holds layer-l steps
-    outputs: list[Key]  # one per episode: a step key or an h0 key
-    h0_nodes: list[NodeId]  # projected raw nodes the plan reads, sorted
+    """A compiled plan: read-only intp index arrays, which are all the
+    forward pass reads, plus keyed views for reports, oracles and tests.
+
+    The views `layers`, `outputs` and `h0_nodes` are derived on first read
+    and cached; threads that derive the same view at once get equal results.
+    """
+
     episodes_sig: list[tuple[NodeId, tuple[str, ...]]]
     kind: str
-    # compiled form, read-only intp arrays; H0 row i is h0_nodes[i]
-    index: list[LayerIndex] = field(repr=False, compare=False)
-    h0_groups: list[tuple[str, np.ndarray]] = field(repr=False, compare=False)  # (type, local ids) runs
-    output_rows: np.ndarray = field(repr=False, compare=False)  # rows of [H0; layer 1; ...; layer L]
+    index: list[LayerIndex] = field(repr=False)
+    h0_groups: list[tuple[str, np.ndarray]] = field(repr=False)  # (type, local ids) runs
+    output_rows: np.ndarray = field(repr=False)  # rows of [H0; layer 1; ...; layer L]
+    derive_views: Callable[[], tuple[list[list[PlanStep]], list[Key]]] = field(repr=False)
+
+    @cached_property
+    def _views(self) -> tuple[list[list[PlanStep]], list[Key]]:
+        return self.derive_views()
+
+    @property
+    def layers(self) -> list[list[PlanStep]]:
+        """layers[l-1] holds the layer-l steps, ordered by repr(target)."""
+        return self._views[0]
+
+    @property
+    def outputs(self) -> list[Key]:
+        """One key per episode: its root step's key, or its h0 key."""
+        return self._views[1]
+
+    @cached_property
+    def h0_nodes(self) -> list[NodeId]:
+        """Projected raw nodes the plan reads, sorted; H0 row i is h0_nodes[i]."""
+        return [(t, i) for t, ids in self.h0_groups for i in ids.tolist()]
 
     @property
     def step_count(self) -> int:
-        return sum(len(L) for L in self.layers)
+        return sum(len(ix.lengths) for ix in self.index)
 
     def per_layer_counts(self) -> list[int]:
-        return [len(L) for L in self.layers]
+        return [len(ix.lengths) for ix in self.index]
 
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
             "step_count": self.step_count,
             "per_layer": self.per_layer_counts(),
-            "episodes": len(self.outputs),
+            "episodes": len(self.output_rows),
             "layers": [
                 [
                     {
@@ -149,58 +180,194 @@ def _surviving_edges(ep: Episode) -> list[dict[int, list[tuple[int, int]]]]:
     return per_step
 
 
+_NO_INSTANCES = ("episode has no complete instances; dead-end traces must be "
+                 "force-stopped before planning")
+
+
 def build_plan(g: HinGraph, episodes: list[Episode]) -> AggregationDag:
-    """Merged, redundancy-free plan for a batch of episodes."""
-    steps: dict[Key, PlanStep] = {}
-    outputs: list[Key] = []
-    h0: set[NodeId] = set()
-    sig = []
-    for ep in episodes:
-        sig.append((ep.start, ep.path.relations))
-        types = ep.path.node_type_sequence(g.schema)
-        n = len(ep.path.relations)
-        if n == 0:
-            outputs.append(("h0",) + ep.start)
-            h0.add(ep.start)
-            continue
-        surviving = _surviving_edges(ep)
-        root_key = (ep.start, ep.path.relations)
-        outputs.append(root_key)
-        # walk levels root -> leaves; only parents on complete instances get steps
-        level_parents: set[int] = {ep.start[1]}
-        for k in range(n):
-            suffix = ep.path.relations[k:]
-            child_suffix = ep.path.relations[k + 1:]
-            leaf_layer = k == n - 1
-            next_parents: set[int] = set()
-            for p in sorted(level_parents):
-                kids = surviving[k].get(p)
-                if not kids:
-                    continue  # no complete instance through p
-                key = ((types[k], p), suffix)
-                target_node = (types[k], p)
-                h0.add(target_node)
-                if leaf_layer:
-                    sources = [(("h0", types[k + 1], c), m) for c, m in kids]
-                    for c, _ in kids:
-                        h0.add((types[k + 1], c))
-                else:
-                    sources = [(((types[k + 1], c), child_suffix), m) for c, m in kids]
-                existing = steps.get(key)
-                if existing is None:
-                    steps[key] = PlanStep(key, target_node, suffix[0], n - k, sources)
-                elif existing.sources != sources:
-                    raise ValueError(
-                        f"inconsistent traces: shared step {key!r} saw two source sets"
-                    )
-                next_parents.update(c for c, _ in kids)
-            level_parents = next_parents
-        if root_key not in steps:
-            raise ValueError(
-                "episode has no complete instances; dead-end traces must be "
-                "force-stopped before planning"
-            )
-    return _finish(g, steps, outputs, h0, sig, "merged")
+    """Merged, redundancy-free plan for a batch of episodes.
+
+    Built on whole arrays for the batch. Layer l gathers, from every episode
+    at least l relations long, the edges of its step n - l. Leaves first, an
+    edge survives when its (episode, child) is a surviving parent one layer
+    down; every leaf edge survives. Each surviving parent is the step keyed
+    (suffix id, local id), shared by every episode that reaches it, and all
+    of those episodes must see the same (child, multiplicity) sources.
+    """
+    schema = g.schema
+    n_nodes = max(g.num_nodes.values())  # (episode, node) code = episode * n_nodes + node
+    n_eps = len(episodes)
+    h0_types = sorted(schema.node_types)  # H0 rows are sorted (type, local id) pairs
+    h0_rank = {t: i for i, t in enumerate(h0_types)}
+
+    sig = [(ep.start, ep.path.relations) for ep in episodes]
+    paths: dict[tuple[str, ...], int] = {}
+    ep_path = np.array([paths.setdefault(rels, len(paths)) for _, rels in sig], dtype=np.intp)
+    ep_start = np.array([start[1] for start, _ in sig], dtype=np.int64)
+    h0_start = np.array([h0_rank[start[0]] * n_nodes + start[1] for start, rels in sig if not rels],
+                        dtype=np.int64)
+    suffix_id: dict[tuple[str, ...], int] = {}
+    for rels in paths:
+        for k in range(len(rels)):
+            suffix_id.setdefault(rels[k:], len(suffix_id))
+    suffixes = list(suffix_id)  # a suffix fixes its layer, target type and child type
+    n_sfx = len(suffixes)
+    src_t = [schema.relation(s[0]).src for s in suffixes]
+    dst_t = [schema.relation(s[0]).dst for s in suffixes]
+    target_h0 = np.array([h0_rank[t] for t in src_t], dtype=np.int64)
+    child_h0 = np.array([h0_rank[t] for t in dst_t], dtype=np.int64)
+    child_sid = np.array([suffix_id.get(s[1:], -1) for s in suffixes], dtype=np.int64)
+    n_layers = max(map(len, paths), default=0)
+    layer_sid = np.full((n_layers, len(paths)), -1, dtype=np.int64)  # [l-1, path] -> suffix id
+    for j, rels in enumerate(paths):
+        for k in range(len(rels)):
+            layer_sid[len(rels) - 1 - k, j] = suffix_id[rels[k:]]
+    ep_len = np.array(list(map(len, paths)), dtype=np.intp)[ep_path]
+
+    # Step order within a layer is repr(target) order: repr of the node type,
+    # then the local id as a decimal string, then repr of the suffix.
+    type_rank = {t: i for i, t in enumerate(sorted(schema.node_types, key=repr))}
+    major = np.array([type_rank[t] for t in src_t], dtype=np.int64)
+    minor = np.empty(n_sfx, dtype=np.int64)
+    minor[sorted(range(n_sfx), key=lambda i: repr(suffixes[i]))] = np.arange(n_sfx)
+    width = len(str(n_nodes - 1))
+    id_span = 10 ** width * (width + 1)
+
+    def step_code(sid: np.ndarray, node: np.ndarray) -> np.ndarray:
+        digits = np.ones_like(node)
+        for i in range(1, width):
+            digits += node >= 10 ** i
+        decimal = node * 10 ** (width - digits) * (width + 1) + digits
+        return (major[sid] * id_span + decimal) * n_sfx + minor[sid]
+
+    # every traversed edge of the batch, with its episode and its layer - 1
+    traces = [ep.frontier.step_edges[::-1] for ep in episodes]  # leaf step first
+    n_steps = np.array([len(t) for t in traces], dtype=np.intp)
+    sizes = [len(par) for t in traces for par, _ in t]
+    empty = [np.zeros(0, dtype=np.int64)]  # concatenate needs one array
+    par_all = np.concatenate(empty + [par for t in traces for par, _ in t])
+    chi_all = np.concatenate(empty + [chi for t in traces for _, chi in t])
+    own_all = np.repeat(np.repeat(np.arange(n_eps), n_steps), sizes)
+    step_rank = np.arange(n_steps.sum()) - np.repeat(np.cumsum(n_steps) - n_steps, n_steps)
+    layer_all = np.repeat(step_rank, sizes)
+
+    built = []  # per layer: step codes, suffix ids and nodes; sources' steps, children, mults
+    h0_parts = [h0_start]
+    for li in range(n_layers):
+        on_layer = layer_all == li
+        par, chi, own = par_all[on_layer], chi_all[on_layer], own_all[on_layer]
+        if li:
+            pos, keep = _find(valid, own * n_nodes + chi)
+            reached = np.zeros(len(valid), dtype=bool)
+            reached[pos[keep]] = True
+            unreached = ~reached & (ep_len[valid // n_nodes] > li)
+            if unreached.any():
+                raise _not_a_chain(episodes, *divmod(int(valid[np.argmax(unreached)]), n_nodes))
+            par, chi, own = par[keep], chi[keep], own[keep]
+        valid, v_inv = np.unique(own * n_nodes + par, return_inverse=True)
+        v_own, v_node = np.divmod(valid, n_nodes)
+        off_start = (ep_len[v_own] == li + 1) & (v_node != ep_start[v_own])
+        if off_start.any():
+            raise _not_a_chain(episodes, int(v_own[np.argmax(off_start)]), None)
+        v_sid = layer_sid[li, ep_path[v_own]]
+        codes, v_step = np.unique(step_code(v_sid, v_node), return_inverse=True)
+        some = np.empty(len(codes), dtype=np.intp)
+        some[v_step] = np.arange(len(v_step))  # any (episode, node) of a step stands for it
+        step_sid, step_node = v_sid[some], v_node[some]
+        # (step, child, episode) triples with their multiplicities: every
+        # episode reaching a step must see each of its (child, multiplicity)
+        triple, mult = np.unique((v_step[v_inv] * n_nodes + chi) * n_eps + own,
+                                 return_counts=True)
+        pair = triple // n_eps
+        lo = np.flatnonzero(np.diff(pair, prepend=-1))
+        src_step, child = np.divmod(pair[lo], n_nodes)
+        seen_by = np.diff(np.append(lo, len(pair)))
+        bad = ((seen_by != np.bincount(v_step)[src_step])
+               | (np.minimum.reduceat(mult, lo) != np.maximum.reduceat(mult, lo)))
+        if bad.any():
+            s = src_step[np.argmax(bad)]
+            key = ((src_t[step_sid[s]], int(step_node[s])), suffixes[step_sid[s]])
+            raise ValueError(f"inconsistent traces: shared step {key!r} saw two source sets")
+        built.append((codes, step_sid, step_node, src_step, child, mult[lo]))
+        h0_parts.append(target_h0[step_sid] * n_nodes + step_node)
+        if li == 0:
+            h0_parts.append(child_h0[step_sid[src_step]] * n_nodes + child)
+
+    h0 = np.sort(np.concatenate(h0_parts))
+    h0 = h0[np.diff(h0, prepend=-1) != 0]
+    output_rows = np.empty(n_eps, dtype=np.int64)
+    output_rows[ep_len == 0] = np.searchsorted(h0, h0_start)
+    base = len(h0)
+    for li, (codes, *_) in enumerate(built):
+        sel = np.flatnonzero(ep_len == li + 1)
+        pos, found = _find(codes, step_code(layer_sid[li, ep_path[sel]], ep_start[sel]))
+        if not found.all():
+            raise ValueError(_NO_INSTANCES)
+        output_rows[sel] = base + pos
+        base += len(codes)
+
+    index, prev = [], None
+    for codes, step_sid, step_node, src_step, child, mult in built:
+        lengths = np.add.reduceat(mult, np.flatnonzero(np.diff(src_step, prepend=-1)))
+        sid = step_sid[src_step]
+        if prev is None:
+            src = np.searchsorted(h0, child_h0[sid] * n_nodes + child)
+        else:
+            src = np.searchsorted(prev, step_code(child_sid[sid], child))
+        tgt = np.searchsorted(h0, target_h0[step_sid] * n_nodes + step_node)
+        index.append(LayerIndex(
+            src_rows=_readonly(np.repeat(src, mult)),
+            tgt_rows=_readonly(np.repeat(tgt, lengths)),
+            starts=_readonly(np.cumsum(lengths) - lengths),
+            lengths=_readonly(lengths),
+        ))
+        prev = codes
+    h0_type, h0_local = np.divmod(h0, n_nodes)
+    bounds = np.append(np.flatnonzero(np.diff(h0_type, prepend=-1)), len(h0))
+    return AggregationDag(
+        episodes_sig=sig,
+        kind="merged",
+        index=index,
+        h0_groups=[(h0_types[h0_type[a]], _readonly(h0_local[a:b]))
+                   for a, b in zip(bounds[:-1], bounds[1:])],
+        output_rows=_readonly(output_rows),
+        derive_views=partial(_merged_views, sig, suffixes, src_t, dst_t,
+                             [b[1:] for b in built]),
+    )
+
+
+def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each key in sorted_keys, and whether it is there."""
+    pos = np.searchsorted(sorted_keys, keys)
+    found = pos < len(sorted_keys)
+    found[found] = sorted_keys[pos[found]] == keys[found]
+    return pos, found
+
+
+def _not_a_chain(episodes: list[Episode], e: int, node: int | None) -> ValueError:
+    where = ("its first step leaves from another node than the start" if node is None
+             else f"a step leaves from local node {node}, which the step before did not reach")
+    return ValueError(f"frontier of the episode starting at {episodes[e].start!r} is not "
+                      f"one expansion chain: {where}")
+
+
+def _merged_views(sig, suffixes, src_t, dst_t, layers_arrays) -> tuple[list[list[PlanStep]], list[Key]]:
+    """The merged plan's steps and output keys, derived from its arrays."""
+    layers = []
+    for layer, (step_sid, step_node, src_step, child, mult) in enumerate(layers_arrays, start=1):
+        bounds = np.append(np.flatnonzero(np.diff(src_step, prepend=-1)), len(src_step)).tolist()
+        child, mult = child.tolist(), mult.tolist()
+        steps = []
+        for s, (sid, p) in enumerate(zip(step_sid.tolist(), step_node.tolist())):
+            suffix, t, ct = suffixes[sid], src_t[sid], dst_t[sid]
+            kids = zip(child[bounds[s]:bounds[s + 1]], mult[bounds[s]:bounds[s + 1]])
+            if layer == 1:
+                sources = [(("h0", ct, c), m) for c, m in kids]
+            else:
+                sources = [(((ct, c), suffix[1:]), m) for c, m in kids]
+            steps.append(PlanStep(((t, p), suffix), (t, p), suffix[0], layer, sources))
+        layers.append(steps)
+    return layers, [(start, rels) if rels else ("h0",) + start for start, rels in sig]
 
 
 def naive_plan(g: HinGraph, episodes: list[Episode]) -> AggregationDag:
@@ -227,10 +394,7 @@ def naive_plan(g: HinGraph, episodes: list[Episode]) -> AggregationDag:
             p = prefix[-1]
             kids = surviving[k].get(p)
             if kids is None:
-                raise ValueError(
-                    "episode has no complete instances; dead-end traces must be "
-                    "force-stopped before planning"
-                )
+                raise ValueError(_NO_INSTANCES)
             key = (idx, prefix)
             target_node = (types[k], p)
             h0.add(target_node)
@@ -254,11 +418,9 @@ def _finish(g, steps, outputs, h0, sig, kind) -> AggregationDag:
         L.sort(key=lambda s: repr(s.target))
     h0_nodes = sorted(h0)
     return AggregationDag(
-        layers=layers,
-        outputs=outputs,
-        h0_nodes=h0_nodes,
         episodes_sig=sig,
         kind=kind,
+        derive_views=lambda: (layers, outputs),
         **_compile(layers, outputs, h0_nodes),
     )
 

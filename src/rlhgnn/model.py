@@ -190,7 +190,7 @@ def _layer_compute(
 
 @dataclass
 class ForwardResult:
-    outputs: ad.Var  # (num episodes, d), aligned with dag.outputs
+    outputs: ad.Var  # (num episodes, d), one row per dag.output_rows entry
 
 
 def hgnn_forward(
@@ -205,7 +205,7 @@ def hgnn_forward(
     stopped at once return their projected attributes directly."""
     if mode not in ("eval", "train"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not dag.outputs:
+    if not len(dag.output_rows):
         raise ValueError("plan has no episodes")
     if len(dag.index) > params.T:
         raise ValueError(f"plan has {len(dag.index)} aggregation layers but the model "
@@ -294,19 +294,30 @@ def init_adam(params: list[ad.Var], lr: float = 0.005, weight_decay: float = 0.0
 
 
 def optimizer_step(params: list[ad.Var], grads: list[np.ndarray], state: AdamState) -> None:
-    """Adaptive-moment update with bias correction and decoupled weight decay."""
+    """Adaptive-moment update with bias correction and decoupled weight decay.
+
+    The moments and the parameter values are updated in place, so an array
+    that must keep a parameter's old value has to be a copy."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("parameter/gradient/state count mismatch")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    for i, (p, g) in enumerate(zip(params, grads)):
+    for p, g, m, v in zip(params, grads, state.m, state.v):
         if g.shape != p.value.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.value.shape}")
-        state.m[i] = b1 * state.m[i] + (1 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
-        mh = state.m[i] / (1 - b1 ** state.t)
-        vh = state.v[i] / (1 - b2 ** state.t)
-        p.value = p.value - state.lr * (mh / (np.sqrt(vh) + state.eps) + state.weight_decay * p.value)
+        # same operations in the same order as m = b1*m + (1-b1)*g, ...,
+        # value -= lr * (mh / (sqrt(vh) + eps) + wd * value): bit-identical
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        denom = np.sqrt(v / (1 - b2 ** state.t))
+        denom += state.eps
+        step = m / (1 - b1 ** state.t)
+        step /= denom
+        step += state.weight_decay * p.value
+        step *= state.lr
+        p.value -= step
 
 
 def finite_diff_check(

@@ -1,10 +1,20 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 
 from rlhgnn import autodiff as ad
-from rlhgnn.aggplan import AggregationDag
+from rlhgnn.aggplan import (
+    AggregationDag,
+    Episode,
+    Key,
+    LayerIndex,
+    PlanStep,
+    _readonly,
+    _surviving_edges,
+)
 from rlhgnn.hin import HinGraph, HinSchema, NodeId, RelationType, build_graph
 from rlhgnn.model import LEAKY_SLOPE, HgnnParams
 
@@ -243,3 +253,108 @@ def reference_forward(
     outputs = ad.gather_rows(stacked, perm)
     outputs.check_finite("episode representations")
     return outputs
+
+
+# ---------------------------------------------------------------------------
+# Reference merged-plan builder: the per-episode, per-parent dict walk and the
+# compile from PlanStep objects, as they were before the merged plan was
+# built on whole arrays with integer (suffix, node) keys. The property tests
+# require build_plan to match it exactly.
+
+
+def reference_build_plan(g: HinGraph, episodes: list[Episode]) -> AggregationDag:
+    """Merged plan built by walking each episode's parents as dicts."""
+    steps: dict[Key, PlanStep] = {}
+    outputs: list[Key] = []
+    h0: set[NodeId] = set()
+    sig = []
+    for ep in episodes:
+        sig.append((ep.start, ep.path.relations))
+        types = ep.path.node_type_sequence(g.schema)
+        n = len(ep.path.relations)
+        if n == 0:
+            outputs.append(("h0",) + ep.start)
+            h0.add(ep.start)
+            continue
+        surviving = _surviving_edges(ep)
+        root_key = (ep.start, ep.path.relations)
+        outputs.append(root_key)
+        # walk levels root -> leaves; only parents on complete instances get steps
+        level_parents: set[int] = {ep.start[1]}
+        for k in range(n):
+            suffix = ep.path.relations[k:]
+            child_suffix = ep.path.relations[k + 1:]
+            leaf_layer = k == n - 1
+            next_parents: set[int] = set()
+            for p in sorted(level_parents):
+                kids = surviving[k].get(p)
+                if not kids:
+                    continue  # no complete instance through p
+                key = ((types[k], p), suffix)
+                target_node = (types[k], p)
+                h0.add(target_node)
+                if leaf_layer:
+                    sources = [(("h0", types[k + 1], c), m) for c, m in kids]
+                    for c, _ in kids:
+                        h0.add((types[k + 1], c))
+                else:
+                    sources = [(((types[k + 1], c), child_suffix), m) for c, m in kids]
+                existing = steps.get(key)
+                if existing is None:
+                    steps[key] = PlanStep(key, target_node, suffix[0], n - k, sources)
+                elif existing.sources != sources:
+                    raise ValueError(
+                        f"inconsistent traces: shared step {key!r} saw two source sets"
+                    )
+                next_parents.update(c for c, _ in kids)
+            level_parents = next_parents
+        if root_key not in steps:
+            raise ValueError(
+                "episode has no complete instances; dead-end traces must be "
+                "force-stopped before planning"
+            )
+    return _reference_finish(g, steps, outputs, h0, sig, "merged")
+
+
+def _reference_finish(g, steps, outputs, h0, sig, kind) -> AggregationDag:
+    max_layer = max((s.layer for s in steps.values()), default=0)
+    layers: list[list[PlanStep]] = [[] for _ in range(max_layer)]
+    for s in steps.values():
+        layers[s.layer - 1].append(s)
+    for L in layers:
+        L.sort(key=lambda s: repr(s.target))
+    h0_nodes = sorted(h0)
+    return AggregationDag(
+        episodes_sig=sig,
+        kind=kind,
+        derive_views=lambda: (layers, outputs),
+        **_reference_compile(layers, outputs, h0_nodes),
+    )
+
+
+def _reference_compile(layers: list[list[PlanStep]], outputs: list[Key], h0_nodes: list[NodeId]) -> dict:
+    """Index arrays of the plan: per layer its gather rows and segments, the
+    h0 runs by node type, and each episode's output row in the stack
+    [H0; layer 1; ...; layer L]."""
+    h0_row = {n: i for i, n in enumerate(h0_nodes)}
+    prev = {("h0",) + n: i for n, i in h0_row.items()}  # key -> row in the previous layer
+    stacked = dict(prev)  # key -> row in the stack
+    index = []
+    for L in layers:
+        src = [prev[k] for s in L for k, _ in s.sources]
+        mult = [m for s in L for _, m in s.sources]
+        lengths = np.array([sum(m for _, m in s.sources) for s in L], dtype=np.intp)
+        tgt = [h0_row[s.target_node] for s in L]
+        index.append(LayerIndex(
+            src_rows=_readonly(np.repeat(src, mult)),
+            tgt_rows=_readonly(np.repeat(tgt, lengths)),
+            starts=_readonly(np.cumsum(lengths) - lengths),
+            lengths=_readonly(lengths),
+        ))
+        prev = {s.target: i for i, s in enumerate(L)}
+        base = len(stacked)
+        stacked.update((k, base + i) for k, i in prev.items())
+    h0_groups = [(t, _readonly([n for _, n in run]))
+                 for t, run in groupby(h0_nodes, key=lambda n: n[0])]
+    return {"index": index, "h0_groups": h0_groups,
+            "output_rows": _readonly([stacked[k] for k in outputs])}

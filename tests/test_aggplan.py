@@ -1,8 +1,12 @@
 """Plan compiler: merging, counts, oracle equivalence against enumeration."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_hin
+from helpers import random_hin, reference_build_plan
 from rlhgnn.aggplan import (
     Episode,
     build_plan,
@@ -13,6 +17,7 @@ from rlhgnn.aggplan import (
 )
 from rlhgnn.hin import HinSchema, RelationType, build_graph
 from rlhgnn.metapath import Frontier, MetaPath, expand_frontier
+from rlhgnn.model import hgnn_forward, init_params
 from rlhgnn.pipeline import random_legal_episodes
 
 
@@ -274,3 +279,138 @@ def test_stats_arithmetic():
     ep = make_episode(g, ("Paper", 0), ("Written",))
     st = plan_stats(naive_plan(g, [ep]), build_plan(g, [ep]))
     assert st.reduction_ratio == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Episode boundary checks and rejected traces
+
+
+def test_episode_rejects_a_trace_of_another_path_or_start():
+    g = academic_graph()
+    write = MetaPath("Author", ("Write",))
+    cite = expand_frontier(g, Frontier.initial(("Author", 0)), "Cite")
+    with pytest.raises(ValueError, match=r"\('Cite',\).*\('Write',\)"):
+        Episode(("Author", 0), write, cite)
+    elsewhere = expand_frontier(g, Frontier.initial(("Author", 2)), "Write")
+    with pytest.raises(ValueError, match=r"\('Author', 0\).*\('Author', 2\)"):
+        Episode(("Author", 0), write, elsewhere)
+    with pytest.raises(ValueError, match="'Paper'"):
+        Episode(("Author", 2), MetaPath("Paper", ("Write",)), elsewhere)
+    Episode(("Author", 2), write, elsewhere)
+
+
+def _chain_graph():
+    """A0 and A1 both reach B0; B0 has children C0 and C1, B1 has C1."""
+    schema = HinSchema(
+        node_types=("A", "B", "C"),
+        relation_types=(RelationType("ab", "A", "B"), RelationType("bc", "B", "C")),
+        attribute_dims={"A": 2, "B": 2, "C": 2},
+    )
+    return build_graph(schema, {"A": 2, "B": 2, "C": 2},
+                       {"ab": [(0, 0), (1, 0)], "bc": [(0, 0), (0, 1), (1, 1)]},
+                       {}, "A", 2)
+
+
+def _with_last_step(ep: Episode, parents, children) -> Episode:
+    edges = ep.frontier.step_edges[:-1] + [(np.array(parents), np.array(children))]
+    return Episode(ep.start, ep.path, replace(ep.frontier, step_edges=edges))
+
+
+@pytest.mark.parametrize("children", [[0], [0, 1, 1]], ids=["child-set", "multiplicity"])
+def test_inconsistent_traces_of_a_shared_step_rejected(children):
+    """Both episodes reach the step (B0, ("bc",)); the second saw other
+    (child, multiplicity) sources for it than the first."""
+    g = _chain_graph()
+    ep1 = make_episode(g, ("A", 0), ("ab", "bc"))
+    ep2 = _with_last_step(make_episode(g, ("A", 1), ("ab", "bc")), [0] * len(children), children)
+    for eps in ([ep1], [ep2], [ep1, ep1]):
+        build_plan(g, eps)
+    for plan in (build_plan, reference_build_plan):
+        with pytest.raises(ValueError, match=r"inconsistent traces.*\('B', 0\), \('bc',\)"):
+            plan(g, [ep1, ep2])
+
+
+def test_trace_that_is_not_one_expansion_chain_rejected():
+    g = _chain_graph()
+    ep = make_episode(g, ("A", 0), ("ab", "bc"))
+    unreached = _with_last_step(ep, [0, 1], [0, 1])  # B1 was never reached
+    with pytest.raises(ValueError, match="local node 1, which the step before did not reach"):
+        build_plan(g, [unreached])
+    first = Episode(ep.start, ep.path, replace(
+        ep.frontier, step_edges=[(np.array([1]), np.array([0]))] + ep.frontier.step_edges[1:]))
+    with pytest.raises(ValueError, match="first step leaves from another node than the start"):
+        build_plan(g, [first])
+
+
+# ---------------------------------------------------------------------------
+# Property tests: random small schemas, graphs and legal episodes
+
+
+@st.composite
+def graphs_and_episodes(draw):
+    # "T#" sorts before "T" by repr but after it as a plain string
+    types = tuple(draw(st.permutations(["T", "T#", "S10", "S2"]))[:draw(st.integers(1, 3))])
+    counts = {t: draw(st.integers(1, 14)) for t in types}
+    srcs = [types[0]] + [draw(st.sampled_from(types)) for _ in range(draw(st.integers(0, 3)))]
+    rels = tuple(RelationType(f"r{i}", s, draw(st.sampled_from(types))) for i, s in enumerate(srcs))
+    edge_lists = {  # repeated pairs are parallel edges; some nodes get none
+        r.name: draw(st.lists(st.tuples(st.integers(0, counts[r.src] - 1),
+                                        st.integers(0, counts[r.dst] - 1)), min_size=1, max_size=30))
+        for r in rels
+    }
+    dims = {t: 2 for t in types}
+    schema = HinSchema(types, rels, dims)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    attrs = {t: rng.normal(size=(counts[t], dims[t])) for t in types}
+    g = build_graph(schema, counts, edge_lists, attrs, types[0], 2)
+    cap = draw(st.sampled_from([None, 1, 2, 3]))
+    seed = draw(st.integers(0, 3))
+    episodes = []
+    for _ in range(draw(st.integers(1, 8))):
+        start = (types[0], draw(st.integers(0, counts[types[0]] - 1)))
+        path, frontier = MetaPath(types[0]), Frontier.initial(start)
+        for _ in range(draw(st.integers(0, 3))):  # 0 is stop-at-0
+            legal = schema.relations_from(path.end_type(schema))
+            if not legal:
+                break
+            rel = draw(st.sampled_from(legal)).name
+            nxt = expand_frontier(g, frontier, rel, cap, seed)
+            if len(nxt.reached) == 0:
+                break  # a dead end is force-stopped before the step
+            path, frontier = MetaPath(types[0], path.relations + (rel,)), nxt
+        episodes.append(Episode(start, path, frontier))
+    return g, episodes, cap
+
+
+def _assert_same_plan(a, b):
+    assert len(a.index) == len(b.index)
+    for x, y in zip(a.index, b.index):
+        for name in ("src_rows", "tgt_rows", "starts", "lengths"):
+            u, v = getattr(x, name), getattr(y, name)
+            assert u.dtype == v.dtype and not u.flags.writeable
+            np.testing.assert_array_equal(u, v)
+    assert [t for t, _ in a.h0_groups] == [t for t, _ in b.h0_groups]
+    for (_, u), (_, v) in zip(a.h0_groups, b.h0_groups):
+        assert u.dtype == v.dtype
+        np.testing.assert_array_equal(u, v)
+    assert a.output_rows.dtype == b.output_rows.dtype
+    np.testing.assert_array_equal(a.output_rows, b.output_rows)
+    assert a.layers == b.layers
+    assert a.outputs == b.outputs
+    assert a.h0_nodes == b.h0_nodes
+    assert a.episodes_sig == b.episodes_sig
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graphs_and_episodes())
+def test_merged_plan_matches_reference_naive_and_enumeration(case):
+    g, episodes, cap = case
+    merged = build_plan(g, episodes)
+    _assert_same_plan(merged, reference_build_plan(g, episodes))
+    naive = naive_plan(g, episodes)
+    if cap is None:  # the enumeration walks every edge, so only an uncapped trace matches it
+        recount = count_steps_by_enumeration(g, [(e.start, e.path) for e in episodes])
+        assert recount == (naive.step_count, merged.step_count)
+    params = init_params(g.schema, g.num_classes, 3, d=4, heads=2, seed=1)
+    np.testing.assert_allclose(hgnn_forward(params, g, merged).outputs.value,
+                               hgnn_forward(params, g, naive).outputs.value, rtol=0, atol=1e-10)

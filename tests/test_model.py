@@ -448,6 +448,31 @@ def test_adam_two_steps_match_hand_recursion():
     np.testing.assert_allclose(w.value[0], x, atol=1e-15)
 
 
+def test_adam_updates_in_place_bit_identical_to_out_of_place_formula():
+    rng = np.random.default_rng(0)
+    shapes = [(3, 4), (5,), (2, 2, 2)]
+    ps = [ad.param(rng.normal(size=s)) for s in shapes]
+    lr, wd, b1, b2, eps = 0.01, 0.001, 0.9, 0.999, 1e-8
+    st = init_adam(ps, lr=lr, weight_decay=wd)
+    arrays = [p.value for p in ps] + st.m + st.v
+    x = [p.value.copy() for p in ps]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    for t in range(1, 6):
+        grads = [rng.normal(size=s) for s in shapes]
+        optimizer_step(ps, grads, st)
+        for i, g in enumerate(grads):
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * g * g
+            mh = m[i] / (1 - b1 ** t)
+            vh = v[i] / (1 - b2 ** t)
+            x[i] = x[i] - lr * (mh / (np.sqrt(vh) + eps) + wd * x[i])
+            np.testing.assert_array_equal(ps[i].value, x[i])
+            np.testing.assert_array_equal(st.m[i], m[i])
+            np.testing.assert_array_equal(st.v[i], v[i])
+    assert all(a is b for a, b in zip(arrays, [p.value for p in ps] + st.m + st.v))
+
+
 def test_optimizer_shape_mismatch():
     w = ad.param(np.zeros((2, 2)))
     st = init_adam([w])

@@ -231,6 +231,38 @@ def test_cloned_params_share_no_arrays():
     assert [getattr(q, k) for k in keep] == [getattr(p, k) for k in keep]
 
 
+def test_snapshots_keep_their_values_across_later_optimizer_steps():
+    """optimizer_step updates values in place: the best-params clone and a
+    synced DQN target network must not follow the parameters they copied."""
+    from rlhgnn.agent import QNetwork, ReplayBuffer, Transition, dqn_step, sync_target
+    from rlhgnn.model import init_adam, init_params, optimizer_step
+    from rlhgnn.pipeline import _clone_params
+
+    g, _ = generate_planted_hin(planted_spec_1hop())
+    p = init_params(g.schema, g.num_classes, 2, d=8, heads=2, seed=5)
+    best = _clone_params(p)
+    snapshot = [v.value.copy() for v in best.all_vars()]
+    opt = init_adam(p.all_vars())
+    for _ in range(3):
+        optimizer_step(p.all_vars(), [np.ones_like(v.value) for v in p.all_vars()], opt)
+    for a, b, v in zip(snapshot, best.all_vars(), p.all_vars()):
+        np.testing.assert_array_equal(a, b.value)
+        assert not np.array_equal(a, v.value)
+
+    qnet, target = QNetwork(4, 3, hidden=(8,), seed=1), QNetwork(4, 3, hidden=(8,), seed=2)
+    sync_target(qnet, target)
+    synced = [v.value.copy() for v in target.vars()]
+    buf = ReplayBuffer(capacity=2)
+    buf.push(Transition(s=np.ones(4), a=1, s_next=np.zeros(4), r=1.0, terminal=True,
+                        next_mask=np.ones(3, dtype=bool)))
+    q_opt = init_adam(qnet.vars())
+    for _ in range(3):
+        dqn_step(qnet, target, buf, q_opt, 0.9, 1, np.random.default_rng(0))
+    for a, b, v in zip(synced, target.vars(), qnet.vars()):
+        np.testing.assert_array_equal(a, b.value)
+    assert any(not np.array_equal(a, v.value) for a, v in zip(synced, qnet.vars()))
+
+
 def test_default_dimensions_smoke():
     """Both loops run at the default widths (d=128, 8 heads, 16-wide heads)."""
     g, split = generate_planted_hin(planted_spec_1hop())
