@@ -70,15 +70,30 @@ class QNetwork:
         return z / z.sum(axis=1, keepdims=True)
 
 
-def select_action(qvals: np.ndarray, legal_mask: np.ndarray, eps: float, rng: np.random.Generator) -> int:
-    """Masked epsilon-greedy; illegal actions are never returned."""
-    legal = np.flatnonzero(legal_mask)
-    if len(legal) == 0:
+def select_action(qvals: np.ndarray, legal_mask: np.ndarray, eps: float,
+                  rng: np.random.Generator) -> int | np.ndarray:
+    """Masked epsilon-greedy; illegal actions are never returned.
+
+    Takes one row of Q-values and its legality mask and returns an int, or a
+    batch of rows (one per episode) and returns an int64 array. One masked
+    argmax serves every row. Draws stay scalar and in row order: for each
+    row, u = rng.random() only when eps > 0, and when u < eps a uniform legal
+    action legal[rng.integers(len(legal))], which equals rng.choice(legal) in
+    value and in generator state.
+    """
+    one_row = np.ndim(qvals) == 1
+    qvals, legal_mask = np.atleast_2d(qvals), np.atleast_2d(legal_mask)
+    if qvals.shape != legal_mask.shape:
+        raise ValueError(f"Q-values {qvals.shape} and legality masks {legal_mask.shape} differ in shape")
+    if not legal_mask.any(axis=1).all():
         raise ValueError("no legal action")
-    if eps > 0 and rng.random() < eps:
-        return int(rng.choice(legal))
-    q = np.where(legal_mask, qvals, -np.inf)
-    return int(np.argmax(q))
+    actions = np.argmax(np.where(legal_mask, qvals, -np.inf), axis=1)
+    if eps > 0:
+        for i in range(len(actions)):
+            if rng.random() < eps:
+                legal = np.flatnonzero(legal_mask[i])
+                actions[i] = legal[rng.integers(len(legal))]
+    return int(actions[0]) if one_row else actions
 
 
 def sync_target(qnet: QNetwork, target_net: QNetwork) -> None:
@@ -97,31 +112,121 @@ class Transition:
     next_mask: np.ndarray  # legality of actions in s_next, for the TD max
 
 
+# field name -> dtype, in TransitionBatch order
+_FIELDS = {"s": np.float64, "a": np.int64, "r": np.float64, "s_next": np.float64,
+           "terminal": bool, "next_mask": bool}
+
+
+@dataclass
+class TransitionBatch:
+    """Transitions as parallel arrays, one row per transition."""
+
+    s: np.ndarray  # (n, state dim) float64
+    a: np.ndarray  # (n,) int64
+    r: np.ndarray  # (n,) float64
+    s_next: np.ndarray  # (n, state dim) float64
+    terminal: np.ndarray  # (n,) bool
+    next_mask: np.ndarray  # (n, actions) bool
+
+    @classmethod
+    def stack(cls, items: list[Transition]) -> "TransitionBatch":
+        return cls(*(np.array([getattr(t, f) for t in items], dtype=dtype)
+                     for f, dtype in _FIELDS.items()))
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield Transition(s=self.s[i], a=int(self.a[i]), s_next=self.s_next[i],
+                             r=float(self.r[i]), terminal=bool(self.terminal[i]),
+                             next_mask=self.next_mask[i])
+
+
+# ring memory per allocation; see ReplayBuffer
+_BLOCK_BYTES = 1 << 20
+
+
 class ReplayBuffer:
-    """Bounded FIFO of transitions; eviction is strictly oldest-first."""
+    """Bounded FIFO of transitions; eviction is strictly oldest-first.
+
+    Rows live in a ring of records with one field per TransitionBatch array.
+    The ring is allocated with np.zeros in blocks of ~1 MB as writes first
+    reach them, so only blocks that rows have been written to take memory.
+    Blocks of that size come from the allocator's heap and reuse memory that
+    training has freed; a single ring-sized array is mapped on its own and
+    adds its rows to the peak resident memory (~12% on the scale-pp
+    benchmark workload).
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._items: deque[Transition] = deque(maxlen=capacity)
+        self._record: np.dtype | None = None  # fixed by the first write
+        self._block_rows = 0
+        self._blocks: list[np.ndarray] = []  # ring rows i * _block_rows onwards
+        self._next = 0  # ring row of the next write
+        self._len = 0
 
     def push(self, t: Transition) -> None:
-        if not np.isfinite(t.r):
-            raise ValueError("non-finite reward")
-        self._items.append(t)
+        self.push_batch(TransitionBatch.stack([t]))
 
-    def sample(self, n: int, rng: np.random.Generator) -> list[Transition]:
-        if n > len(self._items):
-            raise ValueError(f"batch size {n} exceeds buffer size {len(self._items)}")
-        idx = rng.integers(0, len(self._items), size=n)
-        return [self._items[int(i)] for i in idx]
+    def push_batch(self, batch: TransitionBatch) -> None:
+        """Append the batch's rows in order; when any reward is non-finite or
+        any field has the wrong shape, nothing is written."""
+        n = len(batch)
+        if not np.isfinite(batch.r).all():
+            raise ValueError("non-finite reward")
+        if n == 0:
+            return
+        if self._record is None:
+            self._record = np.dtype([(f, dtype, getattr(batch, f).shape[1:])
+                                     for f, dtype in _FIELDS.items()], align=True)
+            self._block_rows = max(1, _BLOCK_BYTES // self._record.itemsize)
+        for f in _FIELDS:
+            have, want = getattr(batch, f).shape, (n, *self._record[f].shape)
+            if have != want:
+                raise ValueError(f"transition field {f!r} has shape {have}, expected {want}")
+        i = max(0, n - self.capacity)  # a batch larger than the ring keeps its tail
+        while i < n:  # one contiguous run per block
+            b, off = divmod(self._next, self._block_rows)
+            if b == len(self._blocks):
+                rows = min(self._block_rows, self.capacity - b * self._block_rows)
+                self._blocks.append(np.zeros(rows, dtype=self._record))
+            block = self._blocks[b]
+            k = min(n - i, len(block) - off)
+            for f in _FIELDS:
+                block[f][off:off + k] = getattr(batch, f)[i:i + k]
+            i += k
+            self._next = (self._next + k) % self.capacity
+        self._len = min(self.capacity, self._len + n)
+
+    def _take(self, logical: np.ndarray) -> TransitionBatch:
+        """A copy of the rows at these FIFO positions (0 = oldest)."""
+        ring_rows = (self._next - self._len + logical) % self.capacity
+        if len(self._blocks) == 1:
+            rows = self._blocks[0][ring_rows]
+        else:
+            rows = np.empty(len(ring_rows), dtype=self._record)
+            block_of, offset = np.divmod(ring_rows, self._block_rows)
+            for b in np.unique(block_of):
+                picked = block_of == b
+                rows[picked] = self._blocks[b][offset[picked]]
+        return TransitionBatch(*(np.ascontiguousarray(rows[f]) for f in _FIELDS))
+
+    def sample(self, n: int, rng: np.random.Generator) -> TransitionBatch:
+        if n > self._len:
+            raise ValueError(f"batch size {n} exceeds buffer size {self._len}")
+        return self._take(rng.integers(0, self._len, size=n))
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._len
 
     def __iter__(self):
-        return iter(self._items)
+        if self._len == 0:
+            return iter(())
+        return iter(self._take(np.arange(self._len)))
 
 
 class Normalizer:
@@ -146,7 +251,7 @@ class Normalizer:
     def transform(self, states: np.ndarray) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         if self.frozen:
-            return (states - self.mean) / self.std
+            return self.apply(states)
         self._pending.append(states.copy())
         self._seen += len(states)
         if self._seen >= self.fit_count:
@@ -219,23 +324,21 @@ def compute_reward(history: RewardHistory, current: float) -> float:
     return reward
 
 
-def td_loss(qnet: QNetwork, target_net: QNetwork, batch: list[Transition], gamma: float) -> ad.Var:
+def td_loss(qnet: QNetwork, target_net: QNetwork, batch: TransitionBatch | list[Transition],
+            gamma: float) -> ad.Var:
     """Mean squared TD error; the max over next actions respects legality."""
-    if not batch:
+    if len(batch) == 0:
         raise ValueError("empty batch")
-    S = np.stack([t.s for t in batch])
-    S_next = np.stack([t.s_next for t in batch])
-    terminal = np.array([t.terminal for t in batch])
-    r = np.array([t.r for t in batch])
-    tq = target_net.values(S_next)
-    masks = np.stack([t.next_mask for t in batch])
-    tq = np.where(masks, tq, -np.inf)
+    if not isinstance(batch, TransitionBatch):
+        batch = TransitionBatch.stack(batch)
+    tq = target_net.values(batch.s_next)
+    tq = np.where(batch.next_mask, tq, -np.inf)
     max_next = tq.max(axis=1)
-    max_next = np.where(terminal, 0.0, max_next)
-    y = r + gamma * max_next * (~terminal)
-    Q = qnet.forward(S)
+    max_next = np.where(batch.terminal, 0.0, max_next)
+    y = batch.r + gamma * max_next * (~batch.terminal)
+    Q = qnet.forward(batch.s)
     onehot = np.zeros((len(batch), qnet.num_actions))
-    onehot[np.arange(len(batch)), [t.a for t in batch]] = 1.0
+    onehot[np.arange(len(batch)), batch.a] = 1.0
     picked = ad.sum_cols(ad.mul_const(Q, onehot))
     return ad.total_mean(ad.square(ad.sub(ad.const(y), picked)))
 

@@ -25,7 +25,7 @@ from . import agent as rl
 from . import autodiff as ad
 from . import model as nn
 from .aggplan import AggregationDag, AggregationStats, Episode, build_plan, naive_plan, plan_stats
-from .hin import DataSplit, HinGraph, HinSchema, NodeId
+from .hin import DataSplit, HinGraph, HinSchema, NodeId, SchemaError
 from .metapath import (
     Frontier,
     MetaPath,
@@ -307,62 +307,96 @@ def _eps_at(cfg: TrainConfig, step: int, total: int) -> float:
     return cfg.eps_start + (cfg.eps_end - cfg.eps_start) * frac
 
 
+@dataclass(frozen=True)
+class LegalActionTable:
+    """valid_actions for every (node type, at-max-depth) pair of one schema.
+
+    Row 2 * (type index) + at_max_depth of `masks` is that pair's mask; the
+    rows are read-only.
+    """
+
+    type_index: dict[str, int]
+    masks: np.ndarray  # (2 * node types, actions) bool
+
+    @classmethod
+    def build(cls, schema: HinSchema) -> "LegalActionTable":
+        masks = np.stack([valid_actions(schema, t, at_max)
+                          for t in schema.node_types for at_max in (False, True)])
+        masks.flags.writeable = False
+        return cls({t: i for i, t in enumerate(schema.node_types)}, masks)
+
+    def row(self, terminal_type: str, at_max_depth: bool) -> int:
+        i = self.type_index.get(terminal_type)
+        if i is None:
+            raise SchemaError(f"unknown node type {terminal_type!r}")
+        return 2 * i + bool(at_max_depth)
+
+
 def _act(
     g: HinGraph,
     cfg: TrainConfig,
+    table: LegalActionTable,
     episodes: list[_Ep],
     states: np.ndarray,
     qnet: rl.QNetwork,
     eps: float,
     rng: np.random.Generator,
     timestep_for_fixed: int | None = None,
-) -> tuple[list[int], list[int], list[dict]]:
-    """Select and apply one action per active episode.
+) -> tuple[list[int], list[int], np.ndarray, rl.TransitionBatch]:
+    """Select one action for every active episode at once, then apply each.
 
-    Returns (acting locals, actions, pending transition stubs). Extension to
-    an empty frontier force-stops the episode with its state unchanged.
+    Returns (acting locals, actions, rows, transitions): transition i belongs
+    to episode rows[i] and row i of `states`. Its reward is NaN and its s_next
+    equals s until the loop fills them in. Extension to an empty frontier
+    force-stops the episode with its state unchanged.
     """
     schema = g.schema
     stop = stop_index(schema)
-    acting, actions, pending = [], [], []
-    active = [e for e in episodes if not e.stopped]
-    if not active:
-        return acting, actions, pending
-    qvals = None
+    rows = np.asarray([i for i, e in enumerate(episodes) if not e.stopped], dtype=np.intp)
+    active = [episodes[i] for i in rows]
+    keys = np.array([table.row(e.frontier.node_type, len(e.path) >= cfg.max_timesteps)
+                     for e in active], dtype=np.intp)
+    masks = table.masks[keys]
     if cfg.fixed_path is None:
-        qvals = qnet.values(states)
-    for i, e in enumerate(active):
-        at_max = len(e.path) >= cfg.max_timesteps
-        mask = valid_actions(schema, e.path.end_type(schema), at_max)
-        if cfg.fixed_path is not None:
+        actions = (rl.select_action(qnet.values(states), masks, eps, rng) if active
+                   else np.zeros(0, dtype=np.int64))
+    else:
+        actions = np.full(len(active), stop, dtype=np.int64)
+        for i, e in enumerate(active):
             k = len(e.path)
-            if timestep_for_fixed is not None and k < len(cfg.fixed_path) and not at_max:
-                a = schema.relation_index(cfg.fixed_path[k])
-                if not mask[a]:
+            if timestep_for_fixed is not None and k < len(cfg.fixed_path) and k < cfg.max_timesteps:
+                actions[i] = schema.relation_index(cfg.fixed_path[k])
+                if not masks[i, actions[i]]:
                     raise ValueError(f"fixed path relation {cfg.fixed_path[k]!r} illegal here")
-            else:
-                a = stop
-        else:
-            a = rl.select_action(qvals[i], mask, eps, rng)
-        s_before = states[i].copy()
-        acting.append(e.node[1])
-        actions.append(a)
-        if a != stop:
-            rel = schema.relation_types[a].name
-            nxt = expand_frontier(g, e.frontier, rel, cfg.fan_out_cap, cfg.seed)
-        if a == stop or len(nxt.reached) == 0:
-            # Stop, or a dead end: force-stop at the previous step, state unchanged
-            e.stopped = True
-            pending.append(dict(ep=e, s=s_before, a=a, s_next=s_before, terminal=True,
-                                next_mask=mask.copy()))
+    terminal = actions == stop
+    next_keys = keys.copy()  # a terminal transition keeps the mask of its state
+    for i in np.flatnonzero(~terminal):
+        e = active[i]
+        rel = schema.relation_types[actions[i]].name
+        nxt = expand_frontier(g, e.frontier, rel, cfg.fan_out_cap, cfg.seed)
+        if len(nxt.reached) == 0:
+            terminal[i] = True  # dead end: force-stop at the previous step
             continue
-        e.path = extend_path(e.path, rel, schema)
+        # legal by the mask, so extend_path's schema check is not repeated
+        e.path = MetaPath(e.path.start_type, e.path.relations + (rel,))
         e.frontier = nxt
-        now_max = len(e.path) >= cfg.max_timesteps
-        next_mask = valid_actions(schema, e.path.end_type(schema), now_max)
-        pending.append(dict(ep=e, s=s_before, a=a, s_next=None, terminal=False,
-                            next_mask=next_mask))
-    return acting, actions, pending
+        next_keys[i] = table.row(nxt.node_type, len(e.path) >= cfg.max_timesteps)
+    for i in np.flatnonzero(terminal):
+        active[i].stopped = True
+    s = np.array(states, dtype=np.float64)
+    batch = rl.TransitionBatch(s=s, a=actions, r=np.full(len(active), np.nan), s_next=s.copy(),
+                               terminal=terminal, next_mask=table.masks[next_keys])
+    return [e.node[1] for e in active], actions.tolist(), rows, batch
+
+
+def _advance_static_states(g: HinGraph, episodes: list[_Ep], rows: np.ndarray,
+                           batch: rl.TransitionBatch) -> None:
+    """Static-variant state update of every non-terminal transition: the
+    episode's new state, which is also the transition's s_next."""
+    for i in np.flatnonzero(~batch.terminal):
+        e = episodes[rows[i]]
+        e.state = rl.state_static(g, e.frontier, batch.s[i])
+        batch.s_next[i] = e.state
 
 
 def _eval_pass(params: nn.HgnnParams, g: HinGraph, plan: AggregationDag, nodes: np.ndarray,
@@ -419,6 +453,7 @@ class _Loop:
         self.rng_eps = np.random.default_rng(_derive_seed(cfg.seed, 2))
         self.rng_dqn = np.random.default_rng(_derive_seed(cfg.seed, 3))
         self.cursor = _BatchCursor(split.train, rng_batch)
+        self.table = LegalActionTable.build(g.schema)
         self.report = EpisodeReport(variant=cfg.variant, num_actions=action_space_size(g.schema))
         self.best_params: nn.HgnnParams | None = None
         self.best_metric = -1.0
@@ -434,16 +469,13 @@ class _Loop:
         train_rows = np.asarray([node_row[int(n)] for n in batch], dtype=np.intp)
         return ep_nodes, train_rows
 
-    def dqn_update(self, pending: list[dict], reward: float) -> float | None:
-        """Store the round's transitions and run one DQN update opportunity."""
+    def dqn_update(self, batch: rl.TransitionBatch, reward: float) -> float | None:
+        """Store the round's transitions with their reward and run one DQN
+        update opportunity."""
         if self.cfg.fixed_path is not None:
             return None
-        for p in pending:
-            s_next = p["s_next"] if p["s_next"] is not None else p["s"]
-            self.agent.buffer.push(rl.Transition(
-                s=p["s"], a=p["a"], s_next=s_next, r=reward,
-                terminal=p["terminal"], next_mask=p["next_mask"],
-            ))
+        batch.r[:] = reward
+        self.agent.buffer.push_batch(batch)
         self.update_opportunities += 1
         return self.agent.maybe_update(self.cfg.dqn_batch, self.rng_dqn)
 
@@ -506,13 +538,9 @@ def run_rl_hgnn(cfg: TrainConfig, g: HinGraph, split: DataSplit):
             eps = _eps_at(cfg, step_counter, total_steps)
             active = [e for e in episodes if not e.stopped]
             states = np.stack([e.state for e in active]) if active else np.zeros((0, state_dim))
-            acting, actions, pending = _act(g, cfg, episodes, states, agent.qnet, eps,
-                                            loop.rng_eps, timestep_for_fixed=t)
-            for p in pending:
-                if not p["terminal"]:
-                    e = p["ep"]
-                    e.state = rl.state_static(g, e.frontier, p["s"])
-                    p["s_next"] = e.state.copy()
+            acting, actions, rows, batch = _act(g, cfg, loop.table, episodes, states,
+                                                agent.qnet, eps, loop.rng_eps, timestep_for_fixed=t)
+            _advance_static_states(g, episodes, rows, batch)
             plan = build_plan(g, _episodes_for_plan(episodes))
             hgnn_loss = None
             for beta in range(cfg.inner_rounds):
@@ -525,7 +553,7 @@ def run_rl_hgnn(cfg: TrainConfig, g: HinGraph, split: DataSplit):
             micro, macro = evaluate_f1(preds, g.labels, split.validation)
             last_micro = micro
             reward = rl.compute_reward(agent.history, micro)
-            q_loss = loop.dqn_update(pending, reward)
+            q_loss = loop.dqn_update(batch, reward)
             step_counter += 1
             loop.report.steps.append(StepRecord(
                 round=k, timestep=t, acting_nodes=acting, actions=actions,
@@ -573,8 +601,8 @@ def run_rl_hgnn_pp(cfg: TrainConfig, g: HinGraph, split: DataSplit):
         eps = _eps_at(cfg, k, K)
         active_idx = [i for i, e in enumerate(episodes) if not e.stopped]
         states = norm_states[active_idx] if active_idx else np.zeros((0, cfg.hidden_dim))
-        acting, actions, pending = _act(g, cfg, episodes, states, agent.qnet, eps,
-                                        loop.rng_eps, timestep_for_fixed=t - 1)
+        acting, actions, rows, batch = _act(g, cfg, loop.table, episodes, states, agent.qnet,
+                                            eps, loop.rng_eps, timestep_for_fixed=t - 1)
         plan = build_plan(g, _episodes_for_plan(episodes))
 
         # recorded pass for the optimizer step; clean pass for states/metrics
@@ -585,13 +613,11 @@ def run_rl_hgnn_pp(cfg: TrainConfig, g: HinGraph, split: DataSplit):
         reward = rl.compute_reward(agent.history, micro)
 
         norm_states = agent.normalizer.transform(reps)
-        row_of = {e.node[1]: i for i, e in enumerate(episodes)}
-        for p in pending:
-            if not p["terminal"]:
-                p["s_next"] = norm_states[row_of[p["ep"].node[1]]].copy()
-                if t == T:
-                    p["terminal"] = True
-        q_loss = loop.dqn_update(pending, reward)
+        live = ~batch.terminal
+        batch.s_next[live] = norm_states[rows[live]]
+        if t == T:
+            batch.terminal[:] = True
+        q_loss = loop.dqn_update(batch, reward)
 
         grads = nn.backward(loss, params.all_vars())
         nn.optimizer_step(params.all_vars(), grads, opt)
@@ -629,6 +655,7 @@ def design_episodes_greedy(
     episodes = _fresh_episodes(g, nodes)
     frozen = replace(cfg, eps_start=0.0, eps_end=0.0)
     rng = np.random.default_rng(0)
+    table = LegalActionTable.build(g.schema)
     if cfg.variant == "rl-hgnn":
         state_dim = rl.static_state_dim(g)
         for e in episodes:
@@ -638,12 +665,9 @@ def design_episodes_greedy(
             if not active:
                 break
             states = np.stack([e.state for e in active])
-            _, _, pending = _act(g, frozen, episodes, states, agent.qnet, 0.0, rng,
-                                 timestep_for_fixed=t)
-            for p in pending:
-                if not p["terminal"]:
-                    e = p["ep"]
-                    e.state = rl.state_static(g, e.frontier, p["s"])
+            _, _, rows, batch = _act(g, frozen, table, episodes, states, agent.qnet, 0.0, rng,
+                                     timestep_for_fixed=t)
+            _advance_static_states(g, episodes, rows, batch)
     else:
         reps = nn.project_attributes(params, g, [(g.target_type, nodes)]).value
         for t in range(1, cfg.max_timesteps + 1):
@@ -652,7 +676,8 @@ def design_episodes_greedy(
                 break
             states = agent.normalizer.apply(reps)[active_idx] if agent.normalizer \
                 else reps[active_idx]
-            _act(g, frozen, episodes, states, agent.qnet, 0.0, rng, timestep_for_fixed=t - 1)
+            _act(g, frozen, table, episodes, states, agent.qnet, 0.0, rng,
+                 timestep_for_fixed=t - 1)
             plan = build_plan(g, _episodes_for_plan(episodes))
             fwd = nn.hgnn_forward(params, g, plan, mode="eval",
                                   messages_from_target=cfg.messages_from_target)
@@ -667,7 +692,18 @@ def predict(
     cfg: TrainConfig,
     nodes: np.ndarray,
 ) -> np.ndarray:
-    """Greedy-designed episodes + eval-mode forward; predictions per node id."""
+    """Greedy-designed episodes + eval-mode forward; predictions per node id.
+
+    Raises ValueError when the model's schema or the agent's action count
+    does not fit the graph; a state width that does not fit is named by
+    QNetwork.values."""
+    if params.schema != g.schema:
+        raise ValueError("the model's schema is not the graph's: the checkpoint was trained "
+                         "on another graph schema")
+    num_actions = action_space_size(g.schema)
+    if agent.qnet.num_actions != num_actions:
+        raise ValueError(f"the agent has {agent.qnet.num_actions} actions, but the graph's "
+                         f"schema has {num_actions} (one per relation type, plus Stop)")
     nodes = np.asarray(nodes)
     episodes = design_episodes_greedy(params, agent, g, cfg, nodes)
     return _eval_pass(params, g, build_plan(g, episodes), nodes, cfg)[1]

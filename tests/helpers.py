@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
+from collections import deque
 from itertools import groupby
 
 import numpy as np
@@ -15,7 +16,9 @@ from rlhgnn.aggplan import (
     _readonly,
     _surviving_edges,
 )
+from rlhgnn.agent import Transition
 from rlhgnn.hin import HinGraph, HinSchema, NodeId, RelationType, build_graph
+from rlhgnn.metapath import expand_frontier, extend_path, stop_index, valid_actions
 from rlhgnn.model import LEAKY_SLOPE, HgnnParams
 
 
@@ -358,3 +361,93 @@ def _reference_compile(layers: list[list[PlanStep]], outputs: list[Key], h0_node
                  for t, run in groupby(h0_nodes, key=lambda n: n[0])]
     return {"index": index, "h0_groups": h0_groups,
             "output_rows": _readonly([stacked[k] for k in outputs])}
+
+
+# ---------------------------------------------------------------------------
+# Reference agent step: the per-episode action selection, `_act` and deque
+# replay buffer as they were before the agent step was batched. The
+# equivalence tests require the batched step to give equal actions,
+# frontiers, transitions and generator state.
+
+
+def reference_select_action(qvals: np.ndarray, legal_mask: np.ndarray, eps: float,
+                            rng: np.random.Generator) -> int:
+    legal = np.flatnonzero(legal_mask)
+    if len(legal) == 0:
+        raise ValueError("no legal action")
+    if eps > 0 and rng.random() < eps:
+        return int(rng.choice(legal))
+    q = np.where(legal_mask, qvals, -np.inf)
+    return int(np.argmax(q))
+
+
+def reference_act(g: HinGraph, cfg, episodes, states: np.ndarray, qnet, eps: float,
+                  rng: np.random.Generator, timestep_for_fixed: int | None = None):
+    """(acting locals, actions, pending transition dicts), per episode."""
+    schema = g.schema
+    stop = stop_index(schema)
+    acting, actions, pending = [], [], []
+    active = [e for e in episodes if not e.stopped]
+    if not active:
+        return acting, actions, pending
+    qvals = None
+    if cfg.fixed_path is None:
+        qvals = qnet.values(states)
+    for i, e in enumerate(active):
+        at_max = len(e.path) >= cfg.max_timesteps
+        mask = valid_actions(schema, e.path.end_type(schema), at_max)
+        if cfg.fixed_path is not None:
+            k = len(e.path)
+            if timestep_for_fixed is not None and k < len(cfg.fixed_path) and not at_max:
+                a = schema.relation_index(cfg.fixed_path[k])
+                if not mask[a]:
+                    raise ValueError(f"fixed path relation {cfg.fixed_path[k]!r} illegal here")
+            else:
+                a = stop
+        else:
+            a = reference_select_action(qvals[i], mask, eps, rng)
+        s_before = states[i].copy()
+        acting.append(e.node[1])
+        actions.append(a)
+        if a != stop:
+            rel = schema.relation_types[a].name
+            nxt = expand_frontier(g, e.frontier, rel, cfg.fan_out_cap, cfg.seed)
+        if a == stop or len(nxt.reached) == 0:
+            e.stopped = True
+            pending.append(dict(ep=e, s=s_before, a=a, s_next=s_before, terminal=True,
+                                next_mask=mask.copy()))
+            continue
+        e.path = extend_path(e.path, rel, schema)
+        e.frontier = nxt
+        now_max = len(e.path) >= cfg.max_timesteps
+        next_mask = valid_actions(schema, e.path.end_type(schema), now_max)
+        pending.append(dict(ep=e, s=s_before, a=a, s_next=None, terminal=False,
+                            next_mask=next_mask))
+    return acting, actions, pending
+
+
+class ReferenceReplayBuffer:
+    """Bounded FIFO of Transition objects in a deque."""
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ValueError("capacity must be positive")
+        self.capacity = capacity
+        self._items: deque[Transition] = deque(maxlen=capacity)
+
+    def push(self, t: Transition) -> None:
+        if not np.isfinite(t.r):
+            raise ValueError("non-finite reward")
+        self._items.append(t)
+
+    def sample(self, n: int, rng: np.random.Generator) -> list[Transition]:
+        if n > len(self._items):
+            raise ValueError(f"batch size {n} exceeds buffer size {len(self._items)}")
+        idx = rng.integers(0, len(self._items), size=n)
+        return [self._items[int(i)] for i in idx]
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __iter__(self):
+        return iter(self._items)

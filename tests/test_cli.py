@@ -73,6 +73,18 @@ def test_train_eval_report_cycle(tmp_path, synth_graph, capsys):
     assert "best round" in printed
 
 
+def test_eval_rejects_a_graph_of_another_schema(tmp_path, synth_graph):
+    out = tmp_path / "run"
+    assert main(["train", "--graph", str(synth_graph), "--config", str(write_config(tmp_path)),
+                 "--out", str(out), "--train-count", "24", "--val-count", "18"]) == 0
+    doc = json.loads(synth_graph.read_text())
+    doc["schema"]["relation_types"] = doc["schema"]["relation_types"][::-1]
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="schema is not the graph's"):
+        main(["eval", "--checkpoint", str(out), "--graph", str(other)])
+
+
 def test_train_twice_identical_report_bytes(tmp_path, synth_graph):
     cfg_path = write_config(tmp_path)
     outs = []

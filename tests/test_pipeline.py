@@ -1,4 +1,6 @@
 """Training loops, metrics, reports and benchmarks."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from rlhgnn.pipeline import (
     bench_aggregation,
     evaluate_f1,
     predict,
+    run,
     run_rl_hgnn,
     run_rl_hgnn_pp,
 )
@@ -361,6 +364,33 @@ def test_alg1_concentrates_on_planted_relation():
     preds = predict(params, agent, g, cfg, split.test)
     micro, _ = evaluate_f1(preds, g.labels, split.test)
     assert micro >= 0.8
+
+
+@pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
+def test_predict_rejects_an_agent_that_does_not_fit_the_graph(variant):
+    from rlhgnn.agent import DqnAgent
+
+    g, split = generate_planted_hin(planted_spec_1hop())
+    cfg = small_cfg(variant=variant, rounds=2, inner_rounds=2)
+    params, agent, _ = run(cfg, g, split)
+    assert agent.qnet.num_actions == 3  # M-A, M-D, Stop
+    wide = DqnAgent.create(agent.qnet.input_dim, 7, buffer_capacity=4)
+    with pytest.raises(ValueError, match="agent has 7 actions, but the graph's schema has 3"):
+        predict(params, wide, g, cfg, split.test)
+    width = agent.qnet.input_dim
+    narrow = DqnAgent.create(width + 1, 3, buffer_capacity=4)
+    with pytest.raises(ValueError, match=f"state dim {width} != network input {width + 1}"):
+        predict(params, narrow, g, cfg, split.test)
+
+
+def test_predict_rejects_a_model_of_another_schema():
+    g, split = generate_planted_hin(planted_spec_1hop())
+    cfg = small_cfg(rounds=2, inner_rounds=2)
+    params, agent, _ = run(cfg, g, split)
+    swapped = [("M-D", "Movie", "Director"), ("M-A", "Movie", "Actor")]
+    g2, split2 = generate_planted_hin(replace(planted_spec_1hop(), relations=swapped))
+    with pytest.raises(ValueError, match="schema is not the graph's"):
+        predict(params, agent, g2, cfg, split2.test)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,69 @@
+"""perfbench/tracing.py wraps program functions by name; a rename or a
+signature change here would crash `perfbench/run.py --trace 1` or silently
+zero its counts. The tracer is loaded from its file and not modified."""
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from helpers import imdb_like_graph
+from rlhgnn import pipeline
+from rlhgnn.aggplan import AggregationDag, Episode
+from rlhgnn.metapath import Frontier, MetaPath, expand_frontier
+from rlhgnn.pipeline import TrainConfig
+from rlhgnn.synth import SyntheticSpec, generate_planted_hin
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_finds_every_target_and_captures_frontiers_and_plans():
+    tracer = _load_tracing().Tracer()
+    assert tracer.absent == []
+    g = imdb_like_graph()
+    with tracer.installed():
+        f = pipeline.expand_frontier(g, Frontier.initial(("Movie", 0)), "M-A")
+        pipeline.build_plan(g, [Episode(("Movie", 0), MetaPath("Movie", ("M-A",)), f)])
+    assert pipeline.expand_frontier is expand_frontier  # the original is back
+    frontiers = tracer.captured["metapath.expand_frontier"]
+    plans = tracer.captured["aggplan.build_plan"]
+    assert len(frontiers) == 1 and isinstance(frontiers[0], Frontier)
+    assert len(plans) == 1 and isinstance(plans[0][1], AggregationDag)
+    np.testing.assert_array_equal(frontiers[0].reached, f.reached)
+
+
+def test_traced_run_and_predict_record_every_agent_step_span():
+    tracer = _load_tracing().Tracer()
+    g, split = generate_planted_hin(SyntheticSpec(
+        node_counts={"Movie": 40, "Actor": 12}, relations=[("M-A", "Movie", "Actor")],
+        out_degree={"M-A": 2}, target_type="Movie", planted_path=("M-A",),
+        train_count=16, val_count=12))
+    cfg = TrainConfig(rounds=3, inner_rounds=2, node_batch=16, hidden_dim=8, heads=2)
+    with tracer.installed():
+        params, agent, _ = pipeline.run(cfg, g, split)
+    summary = tracer.summarize()
+    assert summary["pipeline.run"].calls == 1
+    assert summary["aggplan.build_plan"].calls == 3
+    assert all(isinstance(plan, AggregationDag) for _, plan in tracer.captured["aggplan.build_plan"])
+    # the agent step's spans and captured frontiers feed the benchmark's
+    # per-layer metrics; a step that bypasses them would read 0 there
+    for span in ("agent.select_action", "metapath.valid_actions", "metapath.expand_frontier"):
+        assert summary[span].calls > 0, span
+    frontiers = tracer.captured["metapath.expand_frontier"]
+    assert len(frontiers) == summary["metapath.expand_frontier"].calls
+    assert all(isinstance(f, Frontier) for f in frontiers)
+
+    tracer = _load_tracing().Tracer()
+    with tracer.installed():
+        pipeline.predict(params, agent, g, cfg, split.test)
+    summary = tracer.summarize()
+    # a greedy policy may stop every node before expanding any frontier
+    for span in ("agent.select_action", "metapath.valid_actions"):
+        assert summary[span].calls > 0, span
