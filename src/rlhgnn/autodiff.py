@@ -1,8 +1,10 @@
 """Reverse-mode autodiff over numpy arrays, limited to the ops the models need.
 
 Every Var holds a float64 ndarray. Ops record a closure that maps the output
-gradient to per-parent gradients; backward() walks the tape in reverse
-topological order. No broadcasting beyond what the ops below implement.
+gradient to per-parent gradients; backward() walks the tape once, in reverse
+topological order, leaves .grad on every leaf and releases each interior
+node as soon as its closure has run. No broadcasting beyond what the ops
+below implement.
 """
 from __future__ import annotations
 
@@ -169,12 +171,19 @@ def head_dot(x: Var, a: Var) -> Var:
 
 def gather_rows(a: Var, idx) -> Var:
     idx = np.asarray(idx, dtype=np.intp)
+    n, k = len(a.value), int(np.prod(a.value.shape[1:]))
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"gather_rows indices must lie in [0, {n}), "
+                         f"got {idx.min()}..{idx.max()}")
     out = Var(a.value[idx], (a,))
 
     def bw(g):
-        ga = np.zeros_like(a.value)
-        np.add.at(ga, idx, g)
-        return (ga,)
+        # One key per output element. bincount adds each key's weights in
+        # input order from 0.0, as np.add.at does, so the sums are bit-equal;
+        # with no keys it returns int64 zeros.
+        keys = (idx.reshape(-1, 1) * k + np.arange(k)).ravel()
+        ga = np.bincount(keys, weights=g.reshape(-1), minlength=n * k)
+        return (ga.astype(np.float64, copy=False).reshape(a.value.shape),)
 
     out.bw = bw
     return out
@@ -259,10 +268,19 @@ def _topo(root: Var) -> list[Var]:
     return order
 
 
-def backward(root: Var) -> None:
-    """Accumulate d(root)/d(leaf) into .grad of every reachable Var.
+def _released(g):
+    raise ValueError("this tape was released by an earlier backward; "
+                     "record the forward pass again")
 
-    root must be scalar. Existing .grad values on the tape are overwritten.
+
+def backward(root: Var) -> None:
+    """Accumulate d(root)/d(leaf) into .grad of every leaf reachable from root.
+
+    root must be scalar. Existing .grad values of the leaves are overwritten.
+    Interior nodes are released as the walk passes them (no .grad, no
+    parents), so their gradients and the activations their closures hold are
+    freed in reverse order. A tape is walked once: a second backward through
+    a released node raises ValueError.
     """
     if root.value.ndim != 0:
         raise ValueError("backward expects a scalar root")
@@ -270,11 +288,20 @@ def backward(root: Var) -> None:
     for node in order:
         node.grad = None
     root.grad = np.asarray(1.0)
-    for node in reversed(order):
-        if node.grad is None or node.bw is None:
+    while order:
+        node = order.pop()
+        if node.bw is None:
             continue
+        # Stored grads own their memory, so an owning array from the closure is
+        # fresh or this node's released .grad: it may go uncopied to one parent.
+        handed = []
         for parent, g in zip(node.parents, node.bw(node.grad)):
-            if parent.grad is None:
-                parent.grad = np.array(g, dtype=np.float64, copy=True)
-            else:
+            if parent.grad is not None:
                 parent.grad += g
+            elif (isinstance(g, np.ndarray) and g.dtype == np.float64 and g.base is None
+                  and not any(g is h for h in handed)):
+                parent.grad = g
+                handed.append(g)
+            else:
+                parent.grad = np.array(g, dtype=np.float64, copy=True)
+        node.grad, node.bw, node.parents = None, _released, ()

@@ -255,6 +255,7 @@ def backward(loss: ad.Var, params: list[ad.Var]) -> list[np.ndarray]:
 
     Parameters that do not participate in the loss graph get zero gradients;
     their .grad is cleared first so nothing stale from an earlier pass leaks.
+    The loss's tape is released: a second call on it raises ValueError.
     """
     if loss.bw is None and not loss.parents:
         raise ValueError("loss carries no recording; run the forward pass first")

@@ -5,6 +5,7 @@ from collections import deque
 from itertools import groupby
 
 import numpy as np
+from hypothesis import strategies as st
 
 from rlhgnn import autodiff as ad
 from rlhgnn.aggplan import (
@@ -18,7 +19,14 @@ from rlhgnn.aggplan import (
 )
 from rlhgnn.agent import Transition
 from rlhgnn.hin import HinGraph, HinSchema, NodeId, RelationType, build_graph
-from rlhgnn.metapath import expand_frontier, extend_path, stop_index, valid_actions
+from rlhgnn.metapath import (
+    Frontier,
+    MetaPath,
+    expand_frontier,
+    extend_path,
+    stop_index,
+    valid_actions,
+)
 from rlhgnn.model import LEAKY_SLOPE, HgnnParams
 
 
@@ -89,6 +97,78 @@ def random_hin(seed: int, max_nodes: int = 50) -> HinGraph:
     target = types[0]
     labels = rng.integers(0, 2, size=counts[target])
     return build_graph(schema, counts, edge_lists, attrs, target, 2, labels)
+
+
+# ---------------------------------------------------------------------------
+# Random small schemas, graphs and legal episodes: the property-test corpus
+# of the plan builder and of the tape.
+
+
+@st.composite
+def graphs_and_episodes(draw):
+    # "T#" sorts before "T" by repr but after it as a plain string
+    types = tuple(draw(st.permutations(["T", "T#", "S10", "S2"]))[:draw(st.integers(1, 3))])
+    counts = {t: draw(st.integers(1, 14)) for t in types}
+    srcs = [types[0]] + [draw(st.sampled_from(types)) for _ in range(draw(st.integers(0, 3)))]
+    rels = tuple(RelationType(f"r{i}", s, draw(st.sampled_from(types))) for i, s in enumerate(srcs))
+    edge_lists = {  # repeated pairs are parallel edges; some nodes get none
+        r.name: draw(st.lists(st.tuples(st.integers(0, counts[r.src] - 1),
+                                        st.integers(0, counts[r.dst] - 1)), min_size=1, max_size=30))
+        for r in rels
+    }
+    dims = {t: 2 for t in types}
+    schema = HinSchema(types, rels, dims)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    attrs = {t: rng.normal(size=(counts[t], dims[t])) for t in types}
+    g = build_graph(schema, counts, edge_lists, attrs, types[0], 2)
+    cap = draw(st.sampled_from([None, 1, 2, 3]))
+    seed = draw(st.integers(0, 3))
+    episodes = []
+    for _ in range(draw(st.integers(1, 8))):
+        start = (types[0], draw(st.integers(0, counts[types[0]] - 1)))
+        path, frontier = MetaPath(types[0]), Frontier.initial(start)
+        for _ in range(draw(st.integers(0, 3))):  # 0 is stop-at-0
+            legal = schema.relations_from(path.end_type(schema))
+            if not legal:
+                break
+            rel = draw(st.sampled_from(legal)).name
+            nxt = expand_frontier(g, frontier, rel, cap, seed)
+            if len(nxt.reached) == 0:
+                break  # a dead end is force-stopped before the step
+            path, frontier = MetaPath(types[0], path.relations + (rel,)), nxt
+        episodes.append(Episode(start, path, frontier))
+    return g, episodes, cap
+
+
+# ---------------------------------------------------------------------------
+# Reference tape: the gather_rows scatter and the reverse walk as they were
+# before the scatter became one bincount and the walk began releasing interior
+# nodes. The tape tests require the current ones to give the same bits.
+
+
+def reference_scatter_rows(shape, idx, g: np.ndarray) -> np.ndarray:
+    """gather_rows' old backward: np.add.at into zeros of the gathered shape."""
+    ga = np.zeros(shape)
+    np.add.at(ga, np.asarray(idx, dtype=np.intp), g)
+    return ga
+
+
+def reference_backward(root: ad.Var) -> None:
+    """ad.backward before release: .grad on every reachable Var, each copied."""
+    if root.value.ndim != 0:
+        raise ValueError("backward expects a scalar root")
+    order = ad._topo(root)
+    for node in order:
+        node.grad = None
+    root.grad = np.asarray(1.0)
+    for node in reversed(order):
+        if node.grad is None or node.bw is None:
+            continue
+        for parent, g in zip(node.parents, node.bw(node.grad)):
+            if parent.grad is None:
+                parent.grad = np.array(g, dtype=np.float64, copy=True)
+            else:
+                parent.grad += g
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from helpers import random_hin, reference_build_plan
+from helpers import graphs_and_episodes, random_hin, reference_build_plan
 from rlhgnn.aggplan import (
     Episode,
     build_plan,
@@ -344,42 +343,6 @@ def test_trace_that_is_not_one_expansion_chain_rejected():
 
 # ---------------------------------------------------------------------------
 # Property tests: random small schemas, graphs and legal episodes
-
-
-@st.composite
-def graphs_and_episodes(draw):
-    # "T#" sorts before "T" by repr but after it as a plain string
-    types = tuple(draw(st.permutations(["T", "T#", "S10", "S2"]))[:draw(st.integers(1, 3))])
-    counts = {t: draw(st.integers(1, 14)) for t in types}
-    srcs = [types[0]] + [draw(st.sampled_from(types)) for _ in range(draw(st.integers(0, 3)))]
-    rels = tuple(RelationType(f"r{i}", s, draw(st.sampled_from(types))) for i, s in enumerate(srcs))
-    edge_lists = {  # repeated pairs are parallel edges; some nodes get none
-        r.name: draw(st.lists(st.tuples(st.integers(0, counts[r.src] - 1),
-                                        st.integers(0, counts[r.dst] - 1)), min_size=1, max_size=30))
-        for r in rels
-    }
-    dims = {t: 2 for t in types}
-    schema = HinSchema(types, rels, dims)
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    attrs = {t: rng.normal(size=(counts[t], dims[t])) for t in types}
-    g = build_graph(schema, counts, edge_lists, attrs, types[0], 2)
-    cap = draw(st.sampled_from([None, 1, 2, 3]))
-    seed = draw(st.integers(0, 3))
-    episodes = []
-    for _ in range(draw(st.integers(1, 8))):
-        start = (types[0], draw(st.integers(0, counts[types[0]] - 1)))
-        path, frontier = MetaPath(types[0]), Frontier.initial(start)
-        for _ in range(draw(st.integers(0, 3))):  # 0 is stop-at-0
-            legal = schema.relations_from(path.end_type(schema))
-            if not legal:
-                break
-            rel = draw(st.sampled_from(legal)).name
-            nxt = expand_frontier(g, frontier, rel, cap, seed)
-            if len(nxt.reached) == 0:
-                break  # a dead end is force-stopped before the step
-            path, frontier = MetaPath(types[0], path.relations + (rel,)), nxt
-        episodes.append(Episode(start, path, frontier))
-    return g, episodes, cap
 
 
 def _assert_same_plan(a, b):

@@ -1,8 +1,17 @@
-"""Gradient checks for every autodiff op against central finite differences."""
+"""Gradient checks for every autodiff op against central finite differences,
+and the tape against its reference in tests/helpers.py."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import graphs_and_episodes, reference_backward, reference_scatter_rows
 from rlhgnn import autodiff as ad
+from rlhgnn.agent import QNetwork, TransitionBatch, td_loss
+from rlhgnn.aggplan import build_plan
+from rlhgnn.model import backward, classify, cross_entropy, hgnn_forward, init_params
 
 
 def fd_grad(f, x: np.ndarray, eps=1e-6) -> np.ndarray:
@@ -135,3 +144,124 @@ def test_softmax_composition_matches_closed_form():
     ad.backward(loss)
     # d(-log softmax)/dlogits = probs - onehot
     np.testing.assert_allclose(x.grad, probs.value - onehot, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# gather_rows' scatter and the releasing tape, against the references in
+# tests/helpers.py
+
+
+@st.composite
+def scatter_cases(draw):
+    """(value shape, idx, output gradient): rows no index reaches, targets
+    repeated up to 20 times, empty idx, and -0.0 among the gradients."""
+    n = draw(st.integers(0, 6))
+    shape = (n,) + draw(st.sampled_from([(), (3,), (2, 3)]))
+    idx = []
+    if n:
+        idx = draw(st.lists(st.integers(0, n - 1), max_size=40))
+        hot = draw(st.integers(0, n - 1))
+        idx = draw(st.permutations(idx + [hot] * draw(st.integers(0, 20))))
+    size = len(idx) * math.prod(shape[1:])
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e-300]),
+                       st.floats(-1e100, 1e100, allow_nan=False))
+    g = np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=np.float64)
+    return shape, np.array(idx, dtype=np.intp), g.reshape((len(idx),) + shape[1:])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(scatter_cases())
+def test_gather_rows_backward_is_bit_equal_to_add_at(case):
+    shape, idx, g = case
+    (ga,) = ad.gather_rows(ad.param(np.zeros(shape)), idx).bw(g)
+    ref = reference_scatter_rows(shape, idx, g)
+    assert ga.dtype == ref.dtype and ga.shape == ref.shape
+    assert ga.tobytes() == ref.tobytes()
+
+
+def test_gather_rows_rejects_indices_outside_the_rows():
+    a = ad.param(np.arange(6.0).reshape(3, 2))
+    for bad in ([0, -1], [3], [2, 0, 7]):
+        with pytest.raises(ValueError, match=r"gather_rows indices must lie in \[0, 3\)"):
+            ad.gather_rows(a, bad)
+    with pytest.raises(ValueError, match=r"\[0, 0\)"):
+        ad.gather_rows(ad.param(np.zeros((0, 2))), [0])
+    assert ad.gather_rows(a, []).shape == (0, 2)
+
+
+def _assert_same_grads_as_reference(build, leaves):
+    """build() records a loss over `leaves`; the releasing tape must give the
+    reference tape's leaf gradients bit for bit, each in memory of its own,
+    and release every interior node."""
+    for leaf in leaves:
+        leaf.grad = None
+    reference_backward(build())
+    ref = [leaf.grad for leaf in leaves]
+    loss = build()
+    interior = [node for node in ad._topo(loss) if node.bw is not None]
+    grads = backward(loss, leaves)
+    for got, want in zip(grads, ref):
+        np.testing.assert_array_equal(got, np.zeros_like(got) if want is None else want)
+        assert got.base is None  # the tape hands on a stored .grad uncopied
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+    for node in interior:
+        assert node.grad is None and node.parents == ()
+
+
+def test_leaf_gradients_never_share_memory():
+    rng = np.random.default_rng(0)
+    x, y, z = (ad.param(rng.normal(size=(2, 3))) for _ in range(3))
+    w = ad.param(rng.normal(size=(6,)))
+    cases = [
+        lambda: ad.total_sum(ad.square(ad.add(x, x))),
+        lambda: ad.total_sum(ad.square(ad.add(x, y))),
+        lambda: ad.total_sum(ad.mul(ad.add(x, y), ad.add(y, z))),
+        lambda: ad.total_sum(ad.square(ad.vstack([x, y, x, z]))),
+        lambda: ad.total_sum(ad.square(ad.add(ad.reshape(w, (2, 3)), x))),
+        lambda: ad.total_sum(ad.reshape(ad.add(x, y), (6,))),
+    ]
+    for build in cases:
+        _assert_same_grads_as_reference(build, [x, y, z, w])
+
+
+def test_a_released_tape_cannot_be_walked_again():
+    a = ad.param(np.arange(4.0))
+    shared = ad.square(a)
+    loss = ad.total_sum(shared)
+    backward(loss, [a])
+    with pytest.raises(ValueError, match="released by an earlier backward"):
+        ad.backward(loss)
+    with pytest.raises(ValueError, match="released by an earlier backward"):
+        backward(loss, [a])
+    # another loss over a released node names the error instead of
+    # treating the node as a constant
+    with pytest.raises(ValueError, match="released by an earlier backward"):
+        ad.backward(ad.total_mean(shared))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(graphs_and_episodes(), st.booleans())
+def test_hgnn_train_loss_grads_match_reference_tape(case, messages_from_target):
+    g, episodes, _ = case
+    params = init_params(g.schema, g.num_classes, 3, d=4, heads=2, dropout=0.3, seed=1)
+    plan = build_plan(g, episodes)
+    labels = np.arange(len(episodes)) % g.num_classes
+
+    def build():
+        outputs = hgnn_forward(params, g, plan, "train", 5, messages_from_target).outputs
+        return cross_entropy(classify(params, outputs), labels, np.arange(len(labels)))
+
+    _assert_same_grads_as_reference(build, params.all_vars())
+
+
+def test_td_loss_grads_match_reference_tape():
+    rng = np.random.default_rng(3)
+    qnet, target = QNetwork(6, 4, hidden=(8, 5), seed=1), QNetwork(6, 4, hidden=(8, 5), seed=2)
+    n = 32
+    batch = TransitionBatch(s=rng.normal(size=(n, 6)), a=rng.integers(0, 4, size=n),
+                            r=rng.normal(size=n), s_next=rng.normal(size=(n, 6)),
+                            terminal=rng.random(n) < 0.3, next_mask=rng.random((n, 4)) < 0.7)
+    batch.next_mask[:, 3] = True  # Stop is always legal
+    _assert_same_grads_as_reference(lambda: td_loss(qnet, target, batch, 0.9), qnet.vars())
