@@ -7,7 +7,6 @@ from .agent import (
     QNetwork,
     ReplayBuffer,
     RewardHistory,
-    Transition,
     compute_reward,
     dqn_step,
     load_agent,
@@ -52,7 +51,6 @@ from .metapath import (
 )
 from .model import (
     HgnnParams,
-    attention_coefficients,
     backward,
     classify,
     cross_entropy,

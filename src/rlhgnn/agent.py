@@ -2,9 +2,7 @@
 selection, reward baseline, replay memory, target network and the TD update.
 
 The Q head is fixed per schema: one slot per relation type plus a trailing
-Stop slot. TD learning reads raw action values; the softmax view exists only
-for reporting, since squashing values into (0, 1) would fight the regression
-target.
+Stop slot. TD learning reads raw action values.
 """
 from __future__ import annotations
 
@@ -63,26 +61,18 @@ class QNetwork:
                 x = np.maximum(x, 0.0)
         return x
 
-    def probabilities(self, states: np.ndarray) -> np.ndarray:
-        """Softmax reporting view of the action values."""
-        q = self.values(states)
-        z = np.exp(q - q.max(axis=1, keepdims=True))
-        return z / z.sum(axis=1, keepdims=True)
-
 
 def select_action(qvals: np.ndarray, legal_mask: np.ndarray, eps: float,
-                  rng: np.random.Generator) -> int | np.ndarray:
+                  rng: np.random.Generator) -> np.ndarray:
     """Masked epsilon-greedy; illegal actions are never returned.
 
-    Takes one row of Q-values and its legality mask and returns an int, or a
-    batch of rows (one per episode) and returns an int64 array. One masked
-    argmax serves every row. Draws stay scalar and in row order: for each
-    row, u = rng.random() only when eps > 0, and when u < eps a uniform legal
-    action legal[rng.integers(len(legal))], which equals rng.choice(legal) in
-    value and in generator state.
+    Takes a batch of Q-value rows (one per episode) with their legality masks
+    and returns one int64 action per row. One masked argmax serves every row.
+    Draws stay scalar and in row order: for each row, u = rng.random() only
+    when eps > 0, and when u < eps a uniform legal action
+    legal[rng.integers(len(legal))], which equals rng.choice(legal) in value
+    and in generator state.
     """
-    one_row = np.ndim(qvals) == 1
-    qvals, legal_mask = np.atleast_2d(qvals), np.atleast_2d(legal_mask)
     if qvals.shape != legal_mask.shape:
         raise ValueError(f"Q-values {qvals.shape} and legality masks {legal_mask.shape} differ in shape")
     if not legal_mask.any(axis=1).all():
@@ -93,23 +83,13 @@ def select_action(qvals: np.ndarray, legal_mask: np.ndarray, eps: float,
             if rng.random() < eps:
                 legal = np.flatnonzero(legal_mask[i])
                 actions[i] = legal[rng.integers(len(legal))]
-    return int(actions[0]) if one_row else actions
+    return actions
 
 
 def sync_target(qnet: QNetwork, target_net: QNetwork) -> None:
     """theta_minus := theta, exactly."""
     for src, dst in zip(qnet.vars(), target_net.vars()):
         dst.value = src.value.copy()
-
-
-@dataclass
-class Transition:
-    s: np.ndarray
-    a: int
-    s_next: np.ndarray
-    r: float
-    terminal: bool
-    next_mask: np.ndarray  # legality of actions in s_next, for the TD max
 
 
 # field name -> dtype, in TransitionBatch order
@@ -126,21 +106,10 @@ class TransitionBatch:
     r: np.ndarray  # (n,) float64
     s_next: np.ndarray  # (n, state dim) float64
     terminal: np.ndarray  # (n,) bool
-    next_mask: np.ndarray  # (n, actions) bool
-
-    @classmethod
-    def stack(cls, items: list[Transition]) -> "TransitionBatch":
-        return cls(*(np.array([getattr(t, f) for t in items], dtype=dtype)
-                     for f, dtype in _FIELDS.items()))
+    next_mask: np.ndarray  # (n, actions) bool: legality in s_next, for the TD max
 
     def __len__(self) -> int:
         return len(self.a)
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield Transition(s=self.s[i], a=int(self.a[i]), s_next=self.s_next[i],
-                             r=float(self.r[i]), terminal=bool(self.terminal[i]),
-                             next_mask=self.next_mask[i])
 
 
 # ring memory per allocation; see ReplayBuffer
@@ -168,9 +137,6 @@ class ReplayBuffer:
         self._blocks: list[np.ndarray] = []  # ring rows i * _block_rows onwards
         self._next = 0  # ring row of the next write
         self._len = 0
-
-    def push(self, t: Transition) -> None:
-        self.push_batch(TransitionBatch.stack([t]))
 
     def push_batch(self, batch: TransitionBatch) -> None:
         """Append the batch's rows in order; when any reward is non-finite or
@@ -222,11 +188,6 @@ class ReplayBuffer:
 
     def __len__(self) -> int:
         return self._len
-
-    def __iter__(self):
-        if self._len == 0:
-            return iter(())
-        return iter(self._take(np.arange(self._len)))
 
 
 class Normalizer:
@@ -324,13 +285,11 @@ def compute_reward(history: RewardHistory, current: float) -> float:
     return reward
 
 
-def td_loss(qnet: QNetwork, target_net: QNetwork, batch: TransitionBatch | list[Transition],
+def td_loss(qnet: QNetwork, target_net: QNetwork, batch: TransitionBatch,
             gamma: float) -> ad.Var:
     """Mean squared TD error; the max over next actions respects legality."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    if not isinstance(batch, TransitionBatch):
-        batch = TransitionBatch.stack(batch)
     tq = target_net.values(batch.s_next)
     tq = np.where(batch.next_mask, tq, -np.inf)
     max_next = tq.max(axis=1)

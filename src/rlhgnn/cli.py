@@ -53,8 +53,8 @@ def _split(g: HinGraph, seed: int, n_train: int | None = None,
            n_val: int | None = None) -> DataSplit:
     """Train/validation counts default to 40% / 30% of the labelled nodes."""
     labelled = len(g.labelled_nodes())
-    n_train = n_train or max(1, int(0.4 * labelled))
-    n_val = n_val or max(1, int(0.3 * labelled))
+    n_train = max(1, int(0.4 * labelled)) if n_train is None else n_train
+    n_val = max(1, int(0.3 * labelled)) if n_val is None else n_val
     return split_nodes(g, (n_train, n_val), seed)
 
 

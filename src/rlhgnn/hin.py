@@ -275,6 +275,9 @@ def neighbors(g: HinGraph, node: NodeId, relation: str) -> np.ndarray:
 def split_nodes(g: HinGraph, counts: tuple[int, int], seed: int) -> DataSplit:
     """Uniform disjoint draw of (train, validation) labelled nodes; rest is test."""
     n_train, n_val = counts
+    for name, n in (("train", n_train), ("validation", n_val)):
+        if n < 1:
+            raise ValueError(f"{name} count must be >= 1, got {n}")
     labelled = g.labelled_nodes()
     if n_train + n_val > len(labelled):
         raise ValueError(
@@ -371,11 +374,8 @@ def save_hin(g: HinGraph, path: str | Path) -> None:
     }
     for rel in g.schema.relation_types:
         indptr, indices = g.edges[rel.name]
-        pairs = []
-        for src in range(len(indptr) - 1):
-            for dst in indices[indptr[src]:indptr[src + 1]]:
-                pairs.append([int(src), int(dst)])
-        doc["edges"][rel.name] = pairs
+        src = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
+        doc["edges"][rel.name] = np.stack([src, indices], axis=1).tolist()
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f)
 
@@ -413,6 +413,7 @@ def _load_csv_triples(path: Path) -> HinGraph:
         else:
             num_nodes[t] = 0
 
+    relations = {r.name: r for r in schema.relation_types}
     edge_lists: dict[str, list[tuple[int, int]]] = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(csv.reader(f), start=1):
@@ -421,7 +422,9 @@ def _load_csv_triples(path: Path) -> HinGraph:
             if len(line) != 3:
                 raise SchemaError(f"{path}:{lineno}: expected 3 fields, got {len(line)}")
             rel_name, src_field, dst_field = (x.strip() for x in line)
-            rel = schema.relation(rel_name)
+            if rel_name not in relations:
+                raise SchemaError(f"{path}:{lineno}: unknown relation {rel_name!r}")
+            rel = relations[rel_name]
             src_type, _, src_id = src_field.partition(":")
             dst_type, _, dst_id = dst_field.partition(":")
             if src_type != rel.src or dst_type != rel.dst:
@@ -429,10 +432,15 @@ def _load_csv_triples(path: Path) -> HinGraph:
                     f"{path}:{lineno}: endpoint type mismatch for relation {rel_name!r}: "
                     f"got {src_type}->{dst_type}, declared {rel.src}->{rel.dst}"
                 )
-            edge_lists.setdefault(rel_name, []).append((int(src_id), int(dst_id)))
+            try:
+                src, dst = int(src_id), int(dst_id)
+            except ValueError:
+                raise SchemaError(f"{path}:{lineno}: node ids must be integers, "
+                                  f"got {src_field!r} and {dst_field!r}") from None
+            edge_lists.setdefault(rel_name, []).append((src, dst))
             # node counts may exceed attribute rows when a type has no attrs file
-            num_nodes[src_type] = max(num_nodes[src_type], int(src_id) + 1)
-            num_nodes[dst_type] = max(num_nodes[dst_type], int(dst_id) + 1)
+            num_nodes[src_type] = max(num_nodes[src_type], src + 1)
+            num_nodes[dst_type] = max(num_nodes[dst_type], dst + 1)
 
     labels: dict[int, int] = {}
     labels_path = Path(f"{stem}.labels.csv")

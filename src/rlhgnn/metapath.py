@@ -77,13 +77,6 @@ def valid_actions(schema: HinSchema, terminal_type: str, at_max_depth: bool) -> 
     return mask
 
 
-def legal_action_names(schema: HinSchema, mask: np.ndarray) -> set[str]:
-    names = {r.name for i, r in enumerate(schema.relation_types) if mask[i]}
-    if mask[stop_index(schema)]:
-        names.add("STOP")
-    return names
-
-
 def extend_path(path: MetaPath, relation: str, schema: HinSchema) -> MetaPath:
     """Return a new path with `relation` appended; the original is unchanged."""
     r = schema.relation(relation)
@@ -97,31 +90,28 @@ def extend_path(path: MetaPath, relation: str, schema: HinSchema) -> MetaPath:
 
 @dataclass
 class Frontier:
-    """Nodes reached per step of one episode, plus the traversed edges.
+    """Nodes one episode reached at its current step, plus the edges it
+    traversed at every step.
 
-    reached is deduplicated per step; the per-step edge arrays keep one entry
-    per traversal, so a child reached from two parents appears once in
-    reached and twice in the step's edge list.
+    reached is deduplicated; the per-step edge arrays keep one entry per
+    traversal, so a child reached from two parents appears once in reached
+    and twice in the step's edge list. The nodes reached at an earlier step
+    are np.unique of that step's children.
     """
 
     start: NodeId
     node_type: str
     reached: np.ndarray
-    step: int
-    levels: list[np.ndarray]
     step_relations: tuple[str, ...]
     step_edges: list[tuple[np.ndarray, np.ndarray]]  # (parents, children) per step
 
     @classmethod
     def initial(cls, start: NodeId) -> "Frontier":
         node_type, local = start
-        first = np.asarray([local], dtype=np.int64)
         return cls(
             start=start,
             node_type=node_type,
-            reached=first,
-            step=0,
-            levels=[first],
+            reached=np.asarray([local], dtype=np.int64),
             step_relations=(),
             step_edges=[],
         )
@@ -177,8 +167,6 @@ def expand_frontier(
         start=frontier.start,
         node_type=r.dst,
         reached=reached,
-        step=frontier.step + 1,
-        levels=frontier.levels + [reached],
         step_relations=frontier.step_relations + (relation,),
         step_edges=frontier.step_edges + [(par, chi)],
     )

@@ -135,32 +135,6 @@ def project_attributes(
     return ad.vstack(parts) if len(parts) > 1 else parts[0]
 
 
-def attention_coefficients(
-    params: HgnnParams,
-    layer: int,
-    head: int,
-    source_reps: np.ndarray,
-    target_rep: np.ndarray,
-) -> np.ndarray:
-    """Per-traversal attention weights of one step (plain-numpy view).
-
-    source_reps has one row per traversed edge (a source reached through two
-    edges appears twice); the returned weights sum to 1 over those rows.
-    """
-    if len(source_reps) == 0:
-        raise ValueError("attention over an empty source set")
-    hd = params.head_dim
-    lo, hi = head * hd, (head + 1) * hd
-    W = params.layer_w[layer - 1].value
-    ws = source_reps @ W[:, lo:hi]
-    wt = target_rep @ W[:, lo:hi]
-    e = ws @ params.layer_attn_src[layer - 1].value[head] + wt @ params.layer_attn_dst[layer - 1].value[head]
-    e = np.where(e > 0, e, LEAKY_SLOPE * e)
-    e = e - e.max()
-    z = np.exp(e)
-    return z / z.sum()
-
-
 def _layer_compute(
     params: HgnnParams,
     layer: int,

@@ -68,24 +68,40 @@ class TrainConfig:
         return 20 if self.variant == "rl-hgnn" else 200
 
     def validate(self) -> None:
-        """Raise ValueError naming the first field outside its valid range."""
+        """Raise ValueError naming the first field of the wrong type or outside
+        its valid range. Values are checked as given, never converted."""
         def need(ok: bool, name: str, rule: str) -> None:
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
+        def is_int(v) -> bool:
+            return isinstance(v, int) and not isinstance(v, bool)
+
+        def is_num(v) -> bool:
+            return isinstance(v, (int, float)) and not isinstance(v, bool)
+
         need(self.variant in ("rl-hgnn", "rl-hgnn-pp"), "variant", "rl-hgnn or rl-hgnn-pp")
         for name in ("max_timesteps", "inner_rounds", "node_batch", "target_sync_every",
                      "reward_window", "memory_multiplier", "dqn_batch", "hidden_dim", "heads"):
-            need(getattr(self, name) >= 1, name, ">= 1")
-        need(self.rounds is None or self.rounds >= 1, "rounds", ">= 1 or null")
+            v = getattr(self, name)
+            need(is_int(v) and v >= 1, name, "an integer >= 1")
+        need(self.rounds is None or is_int(self.rounds) and self.rounds >= 1,
+             "rounds", "an integer >= 1 or null")
         need(self.hidden_dim % self.heads == 0, "hidden_dim", "divisible by heads")
         for name in ("gamma", "eps_start", "eps_end", "eps_fraction"):
-            need(0.0 <= getattr(self, name) <= 1.0, name, "in [0, 1]")
-        need(0.0 <= self.dropout < 1.0, "dropout", "in [0, 1)")
-        need(0.0 < self.learning_rate < math.inf, "learning_rate", "> 0 and finite")
-        need(0.0 <= self.weight_decay < math.inf, "weight_decay", ">= 0 and finite")
-        need(self.fan_out_cap is None or self.fan_out_cap >= 1, "fan_out_cap", ">= 1 or null")
-        need(self.seed >= 0, "seed", ">= 0")
+            v = getattr(self, name)
+            need(is_num(v) and 0.0 <= v <= 1.0, name, "in [0, 1]")
+        need(is_num(self.dropout) and 0.0 <= self.dropout < 1.0, "dropout", "in [0, 1)")
+        need(is_num(self.learning_rate) and 0.0 < self.learning_rate < math.inf,
+             "learning_rate", "> 0 and finite")
+        need(is_num(self.weight_decay) and 0.0 <= self.weight_decay < math.inf,
+             "weight_decay", ">= 0 and finite")
+        need(self.fan_out_cap is None or is_int(self.fan_out_cap) and self.fan_out_cap >= 1,
+             "fan_out_cap", "an integer >= 1 or null")
+        need(is_int(self.seed) and self.seed >= 0, "seed", "an integer >= 0")
+        need(self.fixed_path is None or isinstance(self.fixed_path, (list, tuple))
+             and all(isinstance(r, str) for r in self.fixed_path),
+             "fixed_path", "a list of relation names or null")
         need(isinstance(self.messages_from_target, bool), "messages_from_target", "true or false")
 
     @classmethod
@@ -93,11 +109,10 @@ class TrainConfig:
         unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown TrainConfig field(s): {', '.join(unknown)}")
-        kwargs = dict(doc)
-        if "fixed_path" in kwargs and kwargs["fixed_path"] is not None:
-            kwargs["fixed_path"] = tuple(kwargs["fixed_path"])
-        cfg = cls(**kwargs)
+        cfg = cls(**doc)
         cfg.validate()
+        if cfg.fixed_path is not None:
+            cfg.fixed_path = tuple(cfg.fixed_path)
         return cfg
 
     def to_dict(self) -> dict:
@@ -260,7 +275,6 @@ class _Ep:
     path: MetaPath
     frontier: Frontier
     stopped: bool = False
-    state: np.ndarray | None = None  # static-variant state vector
 
 
 def _fresh_episodes(g: HinGraph, nodes: np.ndarray) -> list[_Ep]:
@@ -341,14 +355,14 @@ def _act(
     qnet: rl.QNetwork,
     eps: float,
     rng: np.random.Generator,
-    timestep_for_fixed: int | None = None,
 ) -> tuple[list[int], list[int], np.ndarray, rl.TransitionBatch]:
     """Select one action for every active episode at once, then apply each.
 
-    Returns (acting locals, actions, rows, transitions): transition i belongs
-    to episode rows[i] and row i of `states`. Its reward is NaN and its s_next
-    equals s until the loop fills them in. Extension to an empty frontier
-    force-stops the episode with its state unchanged.
+    `states` holds one row per episode; the rows of stopped episodes are not
+    read. Returns (acting locals, actions, rows, transitions): transition i
+    belongs to episode rows[i]. Its reward is NaN and its s_next equals s
+    until the loop fills them in. Extension to an empty frontier force-stops
+    the episode with its state unchanged.
     """
     schema = g.schema
     stop = stop_index(schema)
@@ -357,14 +371,15 @@ def _act(
     keys = np.array([table.row(e.frontier.node_type, len(e.path) >= cfg.max_timesteps)
                      for e in active], dtype=np.intp)
     masks = table.masks[keys]
+    s = states[rows]
     if cfg.fixed_path is None:
-        actions = (rl.select_action(qnet.values(states), masks, eps, rng) if active
+        actions = (rl.select_action(qnet.values(s), masks, eps, rng) if active
                    else np.zeros(0, dtype=np.int64))
     else:
         actions = np.full(len(active), stop, dtype=np.int64)
         for i, e in enumerate(active):
             k = len(e.path)
-            if timestep_for_fixed is not None and k < len(cfg.fixed_path) and k < cfg.max_timesteps:
+            if k < len(cfg.fixed_path) and k < cfg.max_timesteps:
                 actions[i] = schema.relation_index(cfg.fixed_path[k])
                 if not masks[i, actions[i]]:
                     raise ValueError(f"fixed path relation {cfg.fixed_path[k]!r} illegal here")
@@ -383,20 +398,25 @@ def _act(
         next_keys[i] = table.row(nxt.node_type, len(e.path) >= cfg.max_timesteps)
     for i in np.flatnonzero(terminal):
         active[i].stopped = True
-    s = np.array(states, dtype=np.float64)
     batch = rl.TransitionBatch(s=s, a=actions, r=np.full(len(active), np.nan), s_next=s.copy(),
                                terminal=terminal, next_mask=table.masks[next_keys])
     return [e.node[1] for e in active], actions.tolist(), rows, batch
 
 
-def _advance_static_states(g: HinGraph, episodes: list[_Ep], rows: np.ndarray,
-                           batch: rl.TransitionBatch) -> None:
+def _initial_static_states(g: HinGraph, episodes: list[_Ep], state_dim: int) -> np.ndarray:
+    """Static-variant states at timestep 0, row i for episode i."""
+    return np.array([rl.initial_state_static(g, e.node, state_dim) for e in episodes],
+                    dtype=np.float64).reshape(len(episodes), state_dim)
+
+
+def _advance_static_states(g: HinGraph, episodes: list[_Ep], states: np.ndarray,
+                           rows: np.ndarray, batch: rl.TransitionBatch) -> None:
     """Static-variant state update of every non-terminal transition: the
-    episode's new state, which is also the transition's s_next."""
+    episode's new state row, which is also the transition's s_next."""
     for i in np.flatnonzero(~batch.terminal):
-        e = episodes[rows[i]]
-        e.state = rl.state_static(g, e.frontier, batch.s[i])
-        batch.s_next[i] = e.state
+        r = rows[i]
+        states[r] = rl.state_static(g, episodes[r].frontier, batch.s[i])
+        batch.s_next[i] = states[r]
 
 
 def _eval_pass(params: nn.HgnnParams, g: HinGraph, plan: AggregationDag, nodes: np.ndarray,
@@ -516,7 +536,6 @@ def run_rl_hgnn(cfg: TrainConfig, g: HinGraph, split: DataSplit):
     loop = _Loop(cfg, g, split, "rl-hgnn")
     agent = loop.agent
     K, T = cfg.resolved_rounds(), cfg.max_timesteps
-    state_dim = agent.qnet.input_dim
     total_steps = K * (T + 1)
     step_counter = 0
     reinits = 0
@@ -529,18 +548,15 @@ def run_rl_hgnn(cfg: TrainConfig, g: HinGraph, split: DataSplit):
         reinits += 1
         ep_nodes, train_rows = loop.draw_batch()
         episodes = _fresh_episodes(g, ep_nodes)
-        for e in episodes:
-            e.state = rl.initial_state_static(g, e.node, state_dim)
+        states = _initial_static_states(g, episodes, agent.qnet.input_dim)
         last_micro = 0.0
 
         for t in range(T + 1):
             step_t0 = time.perf_counter()
             eps = _eps_at(cfg, step_counter, total_steps)
-            active = [e for e in episodes if not e.stopped]
-            states = np.stack([e.state for e in active]) if active else np.zeros((0, state_dim))
             acting, actions, rows, batch = _act(g, cfg, loop.table, episodes, states,
-                                                agent.qnet, eps, loop.rng_eps, timestep_for_fixed=t)
-            _advance_static_states(g, episodes, rows, batch)
+                                                agent.qnet, eps, loop.rng_eps)
+            _advance_static_states(g, episodes, states, rows, batch)
             plan = build_plan(g, _episodes_for_plan(episodes))
             hgnn_loss = None
             for beta in range(cfg.inner_rounds):
@@ -599,10 +615,8 @@ def run_rl_hgnn_pp(cfg: TrainConfig, g: HinGraph, split: DataSplit):
             reps = nn.project_attributes(params, g, [(g.target_type, ep_nodes)]).value
             norm_states = agent.normalizer.transform(reps)
         eps = _eps_at(cfg, k, K)
-        active_idx = [i for i, e in enumerate(episodes) if not e.stopped]
-        states = norm_states[active_idx] if active_idx else np.zeros((0, cfg.hidden_dim))
-        acting, actions, rows, batch = _act(g, cfg, loop.table, episodes, states, agent.qnet,
-                                            eps, loop.rng_eps, timestep_for_fixed=t - 1)
+        acting, actions, rows, batch = _act(g, cfg, loop.table, episodes, norm_states,
+                                            agent.qnet, eps, loop.rng_eps)
         plan = build_plan(g, _episodes_for_plan(episodes))
 
         # recorded pass for the optimizer step; clean pass for states/metrics
@@ -657,27 +671,19 @@ def design_episodes_greedy(
     rng = np.random.default_rng(0)
     table = LegalActionTable.build(g.schema)
     if cfg.variant == "rl-hgnn":
-        state_dim = rl.static_state_dim(g)
-        for e in episodes:
-            e.state = rl.initial_state_static(g, e.node, state_dim)
-        for t in range(cfg.max_timesteps + 1):
-            active = [e for e in episodes if not e.stopped]
-            if not active:
+        states = _initial_static_states(g, episodes, rl.static_state_dim(g))
+        for _ in range(cfg.max_timesteps + 1):
+            if all(e.stopped for e in episodes):
                 break
-            states = np.stack([e.state for e in active])
-            _, _, rows, batch = _act(g, frozen, table, episodes, states, agent.qnet, 0.0, rng,
-                                     timestep_for_fixed=t)
-            _advance_static_states(g, episodes, rows, batch)
+            _, _, rows, batch = _act(g, frozen, table, episodes, states, agent.qnet, 0.0, rng)
+            _advance_static_states(g, episodes, states, rows, batch)
     else:
         reps = nn.project_attributes(params, g, [(g.target_type, nodes)]).value
-        for t in range(1, cfg.max_timesteps + 1):
-            active_idx = [i for i, e in enumerate(episodes) if not e.stopped]
-            if not active_idx:
+        for _ in range(cfg.max_timesteps):
+            if all(e.stopped for e in episodes):
                 break
-            states = agent.normalizer.apply(reps)[active_idx] if agent.normalizer \
-                else reps[active_idx]
-            _act(g, frozen, table, episodes, states, agent.qnet, 0.0, rng,
-                 timestep_for_fixed=t - 1)
+            states = agent.normalizer.apply(reps) if agent.normalizer else reps
+            _act(g, frozen, table, episodes, states, agent.qnet, 0.0, rng)
             plan = build_plan(g, _episodes_for_plan(episodes))
             fwd = nn.hgnn_forward(params, g, plan, mode="eval",
                                   messages_from_target=cfg.messages_from_target)

@@ -1,8 +1,11 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
+import json
 from collections import deque
+from dataclasses import dataclass
 from itertools import groupby
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -17,7 +20,7 @@ from rlhgnn.aggplan import (
     _readonly,
     _surviving_edges,
 )
-from rlhgnn.agent import Transition
+from rlhgnn.agent import _FIELDS, ReplayBuffer, TransitionBatch
 from rlhgnn.hin import HinGraph, HinSchema, NodeId, RelationType, build_graph
 from rlhgnn.metapath import (
     Frontier,
@@ -59,6 +62,33 @@ def imdb_like_graph(n_m=8, n_d=4, n_a=6, seed=0, edges_per_node=2) -> HinGraph:
     attrs = {t: rng.normal(size=(counts[t], schema.attribute_dims[t])) for t in counts}
     labels = rng.integers(0, 3, size=n_m)
     return build_graph(schema, counts, edge_lists, attrs, "Movie", 3, labels)
+
+
+def save_csv_triples(g: HinGraph, path: str | Path) -> None:
+    """Write g in the csv-triples format: the edges file at `path`, one line
+    per edge in CSR order, and its schema, attribute and label sidecars."""
+    stem = Path(path).with_suffix("")
+    schema = {
+        "node_types": list(g.schema.node_types),
+        "relation_types": [{"name": r.name, "src": r.src, "dst": r.dst}
+                           for r in g.schema.relation_types],
+        "attribute_dims": dict(g.schema.attribute_dims),
+        "target_type": g.target_type,
+        "num_classes": g.num_classes,
+    }
+    Path(f"{stem}.schema.json").write_text(json.dumps(schema))
+    for t in g.schema.node_types:  # repr round-trips every finite float
+        Path(f"{stem}.attrs.{t}.csv").write_text(
+            "".join(",".join(repr(float(x)) for x in row) + "\n" for row in g.attributes[t]))
+    Path(f"{stem}.labels.csv").write_text(
+        "".join(f"{i},{c}\n" for i, c in enumerate(g.labels.tolist()) if c >= 0))
+    lines = []
+    for r in g.schema.relation_types:
+        indptr, indices = g.edges[r.name]
+        for src in range(len(indptr) - 1):
+            lines += [f"{r.name},{r.src}:{src},{r.dst}:{dst}\n"
+                      for dst in indices[indptr[src]:indptr[src + 1]].tolist()]
+    Path(path).write_text("".join(lines))
 
 
 def random_hin(seed: int, max_nodes: int = 50) -> HinGraph:
@@ -444,6 +474,38 @@ def _reference_compile(layers: list[list[PlanStep]], outputs: list[Key], h0_node
 
 
 # ---------------------------------------------------------------------------
+# Transitions one at a time: the reference buffer's record type, and the
+# conversions to and from the TransitionBatch rows that the agent stores.
+
+
+@dataclass
+class Transition:
+    s: np.ndarray
+    a: int
+    s_next: np.ndarray
+    r: float
+    terminal: bool
+    next_mask: np.ndarray  # legality of actions in s_next, for the TD max
+
+
+def stack_transitions(items: list[Transition]) -> TransitionBatch:
+    """One TransitionBatch row per record, in order."""
+    return TransitionBatch(*(np.array([getattr(t, f) for t in items], dtype=dtype)
+                             for f, dtype in _FIELDS.items()))
+
+
+def unstack_transitions(batch: TransitionBatch) -> list[Transition]:
+    return [Transition(s=batch.s[i], a=int(batch.a[i]), s_next=batch.s_next[i],
+                       r=float(batch.r[i]), terminal=bool(batch.terminal[i]),
+                       next_mask=batch.next_mask[i]) for i in range(len(batch))]
+
+
+def fifo_rows(buf: ReplayBuffer) -> list[Transition]:
+    """Every stored transition, oldest first."""
+    return unstack_transitions(buf._take(np.arange(len(buf)))) if len(buf) else []
+
+
+# ---------------------------------------------------------------------------
 # Reference agent step: the per-episode action selection, `_act` and deque
 # replay buffer as they were before the agent step was batched. The
 # equivalence tests require the batched step to give equal actions,
@@ -531,3 +593,33 @@ class ReferenceReplayBuffer:
 
     def __iter__(self):
         return iter(self._items)
+
+
+# ---------------------------------------------------------------------------
+# Reference attention: one step's weights for one head, in plain numpy
+
+
+def attention_coefficients(
+    params: HgnnParams,
+    layer: int,
+    head: int,
+    source_reps: np.ndarray,
+    target_rep: np.ndarray,
+) -> np.ndarray:
+    """Per-traversal attention weights of one step.
+
+    source_reps has one row per traversed edge (a source reached through two
+    edges appears twice); the returned weights sum to 1 over those rows.
+    """
+    if len(source_reps) == 0:
+        raise ValueError("attention over an empty source set")
+    hd = params.head_dim
+    lo, hi = head * hd, (head + 1) * hd
+    W = params.layer_w[layer - 1].value
+    ws = source_reps @ W[:, lo:hi]
+    wt = target_rep @ W[:, lo:hi]
+    e = ws @ params.layer_attn_src[layer - 1].value[head] + wt @ params.layer_attn_dst[layer - 1].value[head]
+    e = np.where(e > 0, e, LEAKY_SLOPE * e)
+    e = e - e.max()
+    z = np.exp(e)
+    return z / z.sum()

@@ -5,7 +5,14 @@ import time
 import numpy as np
 import pytest
 
-from helpers import imdb_like_graph, random_hin
+from helpers import (
+    Transition,
+    attention_coefficients,
+    fifo_rows,
+    imdb_like_graph,
+    random_hin,
+    stack_transitions,
+)
 from rlhgnn import autodiff as ad
 from rlhgnn.aggplan import (
     Episode,
@@ -17,14 +24,12 @@ from rlhgnn.agent import (
     DqnAgent,
     ReplayBuffer,
     RewardHistory,
-    Transition,
     compute_reward,
     select_action,
     sync_target,
 )
 from rlhgnn.metapath import Frontier, MetaPath
 from rlhgnn.model import (
-    attention_coefficients,
     classify,
     cross_entropy,
     finite_diff_check,
@@ -155,10 +160,10 @@ def test_criterion_5_dqn_sanity():
     for ep in range(500):
         s = rng.normal(size=dim)
         eps = max(0.05, 1.0 - ep / 250)
-        a = select_action(agent.qnet.values(s[None])[0], mask, eps, rng)
+        a = select_action(agent.qnet.values(s[None]), mask[None], eps, rng)[0]
         r = 1.0 if a == special else 0.0
-        agent.buffer.push(Transition(s=s, a=a, s_next=s, r=r, terminal=True,
-                                     next_mask=mask))
+        agent.buffer.push_batch(stack_transitions([Transition(s=s, a=a, s_next=s, r=r,
+                                                              terminal=True, next_mask=mask)]))
         agent.maybe_update(32, rng)
     probes = rng.normal(size=(1000, dim))
     greedy = np.argmax(agent.qnet.values(probes), axis=1)
@@ -241,10 +246,10 @@ def test_criterion_8_unit_invariants(seed):
     # replay FIFO / capacity
     buf = ReplayBuffer(capacity=4)
     for i in range(7):
-        buf.push(Transition(np.array([float(i)]), 0, np.array([0.0]), 0.0, True,
-                            np.array([True])))
+        buf.push_batch(stack_transitions([Transition(np.array([float(i)]), 0, np.array([0.0]),
+                                                     0.0, True, np.array([True]))]))
     assert len(buf) == 4
-    assert [t.s[0] for t in buf] == [3.0, 4.0, 5.0, 6.0]
+    assert [t.s[0] for t in fifo_rows(buf)] == [3.0, 4.0, 5.0, 6.0]
     # target-sync equality
     agent = DqnAgent.create(5, 4, buffer_capacity=8, seed=seed)
     for v in agent.qnet.vars():
@@ -256,7 +261,7 @@ def test_criterion_8_unit_invariants(seed):
     mask = np.array([False, True, False, True])
     for eps in (0.0, 0.5, 1.0):
         for _ in range(100):
-            assert mask[select_action(rng.normal(size=4), mask, eps, rng)]
+            assert mask[select_action(rng.normal(size=(1, 4)), mask[None], eps, rng)].all()
     # attention weights sum to one
     g = imdb_like_graph(seed=seed)
     params = init_params(g.schema, g.num_classes, 2, d=8, heads=2, seed=seed)

@@ -2,14 +2,13 @@
 import numpy as np
 import pytest
 
-from helpers import imdb_like_graph
+from helpers import Transition, fifo_rows, imdb_like_graph, stack_transitions
 from rlhgnn.agent import (
     DqnAgent,
     Normalizer,
     QNetwork,
     ReplayBuffer,
     RewardHistory,
-    Transition,
     compute_reward,
     dqn_step,
     initial_state_static,
@@ -27,6 +26,10 @@ from rlhgnn.model import init_adam
 
 def tiny_qnet(input_dim=4, actions=3, seed=0, hidden=(8, 8)):
     return QNetwork(input_dim, actions, hidden=hidden, seed=seed)
+
+
+def one_row(*args, **kwargs):
+    return stack_transitions([transition(*args, **kwargs)])
 
 
 def transition(s, a, s_next, r, terminal=False, n_actions=3):
@@ -112,10 +115,10 @@ def test_q_values_zero_weights_and_tie_break():
     qv = qnet.values(np.ones(4))[0]
     np.testing.assert_array_equal(qv, 0.0)
     mask = np.array([True, True, True])
-    a = select_action(qv, mask, eps=0.0, rng=np.random.default_rng(0))
-    assert a == 0  # lowest index wins ties
+    a = select_action(qv[None], mask[None], eps=0.0, rng=np.random.default_rng(0))
+    assert a.tolist() == [0]  # lowest index wins ties
     mask = np.array([False, True, True])
-    assert select_action(qv, mask, 0.0, np.random.default_rng(0)) == 1
+    assert select_action(qv[None], mask[None], 0.0, np.random.default_rng(0)).tolist() == [1]
 
 
 def test_q_values_deterministic_and_match_recomputation():
@@ -143,7 +146,7 @@ def test_select_action_respects_mask_for_all_eps():
     mask = np.array([False, True, False])
     for eps in (0.0, 0.3, 1.0):
         for _ in range(200):
-            assert select_action(qv, mask, eps, rng) == 1
+            assert select_action(qv[None], mask[None], eps, rng).tolist() == [1]
 
 
 def test_select_action_uniform_at_eps_one():
@@ -153,15 +156,9 @@ def test_select_action_uniform_at_eps_one():
     counts = np.zeros(4)
     n = 10_000
     for _ in range(n):
-        counts[select_action(qv, mask, 1.0, rng)] += 1
+        counts[select_action(qv[None], mask[None], 1.0, rng)[0]] += 1
     assert counts[3] == 0
     np.testing.assert_allclose(counts[:3] / n, 1 / 3, atol=0.05)
-
-
-def test_softmax_view_is_distribution():
-    qnet = tiny_qnet(seed=5)
-    probs = qnet.probabilities(np.random.default_rng(0).normal(size=(3, 4)))
-    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +168,21 @@ def test_softmax_view_is_distribution():
 def test_buffer_fifo_and_capacity():
     buf = ReplayBuffer(capacity=5)
     for i in range(8):
-        buf.push(transition([i], 0, [i], 0.0))
+        buf.push_batch(one_row([i], 0, [i], 0.0))
     assert len(buf) == 5
-    stored = [t.s[0] for t in buf]
+    stored = [t.s[0] for t in fifo_rows(buf)]
     assert stored == [3, 4, 5, 6, 7]  # oldest 3 evicted
 
 
 def test_buffer_sample_with_replacement_and_overdraw():
     buf = ReplayBuffer(capacity=4)
     for i in range(3):
-        buf.push(transition([i], 0, [i], 0.0))
+        buf.push_batch(one_row([i], 0, [i], 0.0))
     rng = np.random.default_rng(0)
     saw_duplicate = False
     for _ in range(50):
         batch = buf.sample(3, rng)
-        ids = [t.s[0] for t in batch]
+        ids = batch.s[:, 0].tolist()
         if len(set(ids)) < len(ids):
             saw_duplicate = True
             break
@@ -199,7 +196,7 @@ def test_buffer_sample_with_replacement_and_overdraw():
 def test_buffer_rejects_non_finite_reward():
     buf = ReplayBuffer(capacity=2)
     with pytest.raises(ValueError):
-        buf.push(transition([0.0], 0, [0.0], float("nan")))
+        buf.push_batch(one_row([0.0], 0, [0.0], float("nan")))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +243,7 @@ def test_td_loss_zero_when_targets_equal_predictions():
         r = qv[a] - gamma * qv.max()
         t = transition(s, a, s, r)
         batch.append(t)
-    loss = td_loss(qnet, target, batch, gamma)
+    loss = td_loss(qnet, target, stack_transitions(batch), gamma)
     assert float(loss.value) < 1e-20
 
 
@@ -255,7 +252,7 @@ def test_td_loss_terminal_reduces_to_reward():
     target = tiny_qnet(seed=3)
     s = np.zeros(4)
     t = transition(s, 1, s, 0.7, terminal=True)
-    loss = td_loss(qnet, target, [t], gamma=0.99)
+    loss = td_loss(qnet, target, stack_transitions([t]), gamma=0.99)
     expected = (0.7 - qnet.values(s)[0][1]) ** 2
     np.testing.assert_allclose(float(loss.value), expected, atol=1e-12)
 
@@ -274,7 +271,7 @@ def test_td_loss_hand_computed_two_transitions():
     p1 = qnet.values(s1)[0][0]
     p2 = qnet.values(s2)[0][2]
     expected = ((y1 - p1) ** 2 + (y2 - p2) ** 2) / 2
-    loss = td_loss(qnet, target, [t1, t2], gamma)
+    loss = td_loss(qnet, target, stack_transitions([t1, t2]), gamma)
     np.testing.assert_allclose(float(loss.value), expected, atol=1e-12)
 
 
@@ -287,13 +284,13 @@ def test_td_loss_next_max_respects_mask():
     gamma = 0.9
     y = gamma * target.values(s)[0][2]
     expected = (y - qnet.values(s)[0][0]) ** 2
-    np.testing.assert_allclose(float(td_loss(qnet, target, [t], gamma).value),
+    np.testing.assert_allclose(float(td_loss(qnet, target, stack_transitions([t]), gamma).value),
                                expected, atol=1e-12)
 
 
 def test_td_loss_empty_batch():
     with pytest.raises(ValueError):
-        td_loss(tiny_qnet(), tiny_qnet(), [], 0.9)
+        td_loss(tiny_qnet(), tiny_qnet(), stack_transitions([]), 0.9)
 
 
 def test_dqn_step_converges_on_frozen_single_transition():
@@ -301,7 +298,7 @@ def test_dqn_step_converges_on_frozen_single_transition():
     target = tiny_qnet(seed=9, hidden=(16, 16))
     sync_target(qnet, target)
     buf = ReplayBuffer(capacity=1)
-    buf.push(transition([0.5, -0.5, 1.0, 0.0], 1, [0.0] * 4, 0.8, terminal=True))
+    buf.push_batch(one_row([0.5, -0.5, 1.0, 0.0], 1, [0.0] * 4, 0.8, terminal=True))
     opt = init_adam(qnet.vars(), lr=0.005, weight_decay=0.0)
     rng = np.random.default_rng(0)
     losses = [dqn_step(qnet, target, buf, opt, 0.9, 1, rng) for _ in range(2000)]
@@ -314,7 +311,7 @@ def test_dqn_step_leaves_target_untouched_and_checks_batch():
     target = tiny_qnet(seed=11)
     before = [v.value.copy() for v in target.vars()]
     buf = ReplayBuffer(capacity=4)
-    buf.push(transition([0.0] * 4, 0, [0.0] * 4, 1.0, terminal=True))
+    buf.push_batch(one_row([0.0] * 4, 0, [0.0] * 4, 1.0, terminal=True))
     opt = init_adam(qnet.vars())
     dqn_step(qnet, target, buf, opt, 0.9, 1, np.random.default_rng(0))
     for b, v in zip(before, target.vars()):
@@ -338,7 +335,7 @@ def test_sync_target_equalises_q_values():
 def test_sync_every_c_updates():
     agent = DqnAgent.create(4, 3, buffer_capacity=8, sync_every=2, seed=1)
     for i in range(4):
-        agent.buffer.push(transition([float(i)] * 4, i % 3, [0.0] * 4, 0.5, terminal=True))
+        agent.buffer.push_batch(one_row([float(i)] * 4, i % 3, [0.0] * 4, 0.5, terminal=True))
     rng = np.random.default_rng(0)
     s = np.ones((1, 4))
     agent.maybe_update(2, rng)
@@ -351,7 +348,7 @@ def test_sync_every_one_means_no_target_lag():
     # c=1 degenerates to Q-learning without a lagging target
     agent = DqnAgent.create(4, 3, buffer_capacity=8, sync_every=1, seed=3)
     for i in range(4):
-        agent.buffer.push(transition([float(i)] * 4, i % 3, [0.0] * 4, 0.5, terminal=True))
+        agent.buffer.push_batch(one_row([float(i)] * 4, i % 3, [0.0] * 4, 0.5, terminal=True))
     rng = np.random.default_rng(0)
     s = np.ones((2, 4))
     for _ in range(3):
@@ -365,7 +362,7 @@ def test_target_holds_initialisation_before_first_sync():
     sync_target(qnet, target)
     init_values = [v.value.copy() for v in target.vars()]
     buf = ReplayBuffer(capacity=4)
-    buf.push(transition([0.0] * 4, 0, [0.0] * 4, 1.0, terminal=True))
+    buf.push_batch(one_row([0.0] * 4, 0, [0.0] * 4, 1.0, terminal=True))
     opt = init_adam(qnet.vars())
     dqn_step(qnet, target, buf, opt, 0.9, 1, np.random.default_rng(0))
     for before, v in zip(init_values, target.vars()):

@@ -10,19 +10,16 @@ from hypothesis import strategies as st
 
 from helpers import (
     ReferenceReplayBuffer,
+    Transition,
+    fifo_rows,
     imdb_like_schema,
     reference_act,
     reference_select_action,
+    stack_transitions,
+    unstack_transitions,
 )
 from rlhgnn import agent
-from rlhgnn.agent import (
-    QNetwork,
-    ReplayBuffer,
-    Transition,
-    TransitionBatch,
-    select_action,
-    td_loss,
-)
+from rlhgnn.agent import QNetwork, ReplayBuffer, TransitionBatch, select_action, td_loss
 from rlhgnn.hin import HinSchema, RelationType, SchemaError, build_graph
 from rlhgnn.metapath import Frontier, action_space_size, valid_actions
 from rlhgnn.pipeline import LegalActionTable, TrainConfig, _act, _fresh_episodes
@@ -55,8 +52,8 @@ def test_batch_select_action_equals_selecting_row_by_row(n, A, eps, data):
     assert got.tolist() == [reference_select_action(q, m, eps, want_rng)
                             for q, m in zip(qvals, masks)]
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    one = select_action(qvals[0], masks[0], eps, got_rng)
-    assert type(one) is int and one == reference_select_action(qvals[0], masks[0], eps, want_rng)
+    one = select_action(qvals[:1], masks[:1], eps, got_rng)
+    assert one.tolist() == [reference_select_action(qvals[0], masks[0], eps, want_rng)]
 
 
 def test_legal_action_table_rows_are_valid_actions():
@@ -94,10 +91,9 @@ def small_graphs(draw):
 
 
 def _assert_same_frontier(a: Frontier, b: Frontier):
-    assert (a.start, a.node_type, a.step, a.step_relations) == \
-        (b.start, b.node_type, b.step, b.step_relations)
-    pairs = [(a.reached, b.reached)] + list(zip(a.levels, b.levels))
-    assert len(a.levels) == len(b.levels) and len(a.step_edges) == len(b.step_edges)
+    assert (a.start, a.node_type, a.step_relations) == (b.start, b.node_type, b.step_relations)
+    pairs = [(a.reached, b.reached)]
+    assert len(a.step_edges) == len(b.step_edges)
     for (pa, ca), (pb, cb) in zip(a.step_edges, b.step_edges):
         pairs += [(pa, pb), (ca, cb)]
     for u, v in pairs:
@@ -129,16 +125,16 @@ def test_batched_act_equals_per_episode_act(g, data):
     new_rng, ref_rng = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
     state_rng = np.random.default_rng(rng_seed + 1)
     for t in range(T + 1):
-        n_active = sum(not e.stopped for e in ref_eps)
-        states = state_rng.normal(size=(n_active, dim))
+        states = state_rng.normal(size=(len(nodes), dim))  # one row per episode
+        active_states = states[[not e.stopped for e in ref_eps]]
         try:
-            ref = reference_act(g, cfg, ref_eps, states, qnet, eps, ref_rng, timestep_for_fixed=t)
+            ref = reference_act(g, cfg, ref_eps, active_states, qnet, eps, ref_rng,
+                                timestep_for_fixed=t)
         except ValueError:
             with pytest.raises(ValueError, match="illegal here"):
-                _act(g, cfg, table, new_eps, states, qnet, eps, new_rng, timestep_for_fixed=t)
+                _act(g, cfg, table, new_eps, states, qnet, eps, new_rng)
             return
-        acting, actions, rows, batch = _act(g, cfg, table, new_eps, states, qnet, eps, new_rng,
-                                            timestep_for_fixed=t)
+        acting, actions, rows, batch = _act(g, cfg, table, new_eps, states, qnet, eps, new_rng)
         ref_acting, ref_actions, ref_pending = ref
         assert (acting, actions) == (ref_acting, ref_actions)
         assert all(type(x) is int for x in acting + actions)
@@ -172,8 +168,7 @@ def _rows(draw, n, dim=3, A=4):
     ) for _ in range(n)]
 
 
-def _assert_same_transitions(got, want):
-    got, want = list(got), list(want)
+def _assert_same_transitions(got: list[Transition], want: list[Transition]):
     assert len(got) == len(want)
     for x, y in zip(got, want):
         assert (x.a, x.r, x.terminal) == (y.a, y.r, y.terminal)
@@ -194,22 +189,20 @@ def _ring_buffer_matches_deque(capacity, data):
     qnet, target = QNetwork(3, 4, hidden=(4,), seed=1), QNetwork(3, 4, hidden=(4,), seed=2)
     for _ in range(data.draw(st.integers(1, 8))):
         rows = _rows(data.draw, data.draw(st.integers(0, 2 * capacity + 1)))
-        if len(rows) == 1 and data.draw(st.booleans()):
-            buf.push(rows[0])
-        else:
-            buf.push_batch(TransitionBatch.stack(rows) if rows else _batch(0, 0.0))
+        buf.push_batch(stack_transitions(rows) if rows else _batch(0, 0.0))
         for t in rows:
             ref.push(t)
         assert len(buf) == len(ref)
-        _assert_same_transitions(buf, ref)
+        _assert_same_transitions(fifo_rows(buf), list(ref))
         if len(ref):
             seed = data.draw(st.integers(0, 99))
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
             n = data.draw(st.integers(1, len(ref)))
             got, want = buf.sample(n, rng_a), ref.sample(n, rng_b)
-            _assert_same_transitions(got, want)
+            _assert_same_transitions(unstack_transitions(got), want)
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
-            assert td_loss(qnet, target, got, 0.9).value == td_loss(qnet, target, want, 0.9).value
+            assert td_loss(qnet, target, got, 0.9).value == \
+                td_loss(qnet, target, stack_transitions(want), 0.9).value
 
 
 def _batch(n: int, r, s_offset: float = 0.0, a0: int = 0, dim: int = 3) -> TransitionBatch:
@@ -222,13 +215,13 @@ def _batch(n: int, r, s_offset: float = 0.0, a0: int = 0, dim: int = 3) -> Trans
 def test_batch_push_with_a_non_finite_reward_writes_nothing():
     buf = ReplayBuffer(capacity=3)
     buf.push_batch(_batch(2, 0.5))
-    before = list(buf)
+    before = fifo_rows(buf)
     for r in ([0.1, np.nan], float("inf")):
         with pytest.raises(ValueError, match="non-finite reward"):
             buf.push_batch(_batch(2, r, s_offset=10, a0=2))
         assert len(buf) == 2
-        _assert_same_transitions(buf, before)
+        _assert_same_transitions(fifo_rows(buf), before)
     buf.push_batch(_batch(2, [0.1, 0.2], s_offset=10, a0=2))  # rows 0..3, keeps 1..3
-    assert [t.a for t in buf] == [1, 2, 3]
+    assert [t.a for t in fifo_rows(buf)] == [1, 2, 3]
     with pytest.raises(ValueError, match="shape"):
         buf.push_batch(_batch(1, 0.0, dim=5))

@@ -73,6 +73,17 @@ def test_train_eval_report_cycle(tmp_path, synth_graph, capsys):
     assert "best round" in printed
 
 
+@pytest.mark.parametrize("flag,name", [("--train-count", "train"), ("--val-count", "validation")])
+def test_train_rejects_a_zero_split_count(tmp_path, synth_graph, flag, name):
+    """A count of 0 is rejected, not replaced by the 40% / 30% default."""
+    counts = {"--train-count": "24", "--val-count": "18", flag: "0"}
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=f"^{name} count must be >= 1, got 0$"):
+        main(["train", "--graph", str(synth_graph), "--config", str(write_config(tmp_path)),
+              "--out", str(out), *[x for kv in counts.items() for x in kv]])
+    assert not (out / "split.json").exists()
+
+
 def test_eval_rejects_a_graph_of_another_schema(tmp_path, synth_graph):
     out = tmp_path / "run"
     assert main(["train", "--graph", str(synth_graph), "--config", str(write_config(tmp_path)),

@@ -1,10 +1,14 @@
 """Graph data model: loading, validation, neighbors, splits, round-trips."""
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import imdb_like_graph, imdb_like_schema, random_hin
+from helpers import imdb_like_graph, imdb_like_schema, random_hin, save_csv_triples
 from rlhgnn.hin import (
     HinSchema,
     RelationType,
@@ -148,6 +152,30 @@ def test_csv_triples_endpoint_type_mismatch(tmp_path):
         load_hin(edges, format="csv-triples")
 
 
+@pytest.mark.parametrize("line,message", [
+    ("X-Y,Movie:0,Actor:1", "g.csv:2: unknown relation 'X-Y'"),
+    ("M-A,Movie:zero,Actor:1", "g.csv:2: node ids must be integers, got 'Movie:zero' and 'Actor:1'"),
+    ("M-A,Movie:0,Actor:", "g.csv:2: node ids must be integers"),
+    ("M-A,Movie:0,Actor:1.5", "g.csv:2: node ids must be integers"),
+], ids=["unknown-relation", "word-id", "missing-id", "fractional-id"])
+def test_csv_triples_names_the_file_and_line_of_a_bad_edge(tmp_path, line, message):
+    schema = {
+        "node_types": ["Movie", "Actor"],
+        "relation_types": [{"name": "M-A", "src": "Movie", "dst": "Actor"}],
+        "target_type": "Movie",
+        "num_classes": 2,
+        "attribute_dims": {"Movie": 1, "Actor": 1},
+    }
+    (tmp_path / "g.schema.json").write_text(json.dumps(schema))
+    (tmp_path / "g.attrs.Movie.csv").write_text("0.1\n0.2\n")
+    (tmp_path / "g.attrs.Actor.csv").write_text("1.0\n2.0\n")
+    edges = tmp_path / "g.csv"
+    edges.write_text(f"M-A,Movie:0,Actor:1\n{line}\n")
+    with pytest.raises(SchemaError) as err:
+        load_hin(edges, format="csv-triples")
+    assert str(err.value).startswith(f"{tmp_path}/{message}")
+
+
 def test_csv_triples_round(tmp_path):
     schema = {
         "node_types": ["Movie", "Actor"],
@@ -253,6 +281,15 @@ def test_split_sizes_and_determinism():
     assert len(np.unique(all_ids)) == 20
 
 
+@pytest.mark.parametrize("counts,name", [
+    ((3, -2), "validation"), ((-1, 3), "train"), ((0, 3), "train"), ((3, 0), "validation"),
+], ids=["3,-2", "-1,3", "0,3", "3,0"])
+def test_split_rejects_counts_below_one(counts, name):
+    g = imdb_like_graph()  # 8 labelled nodes
+    with pytest.raises(ValueError, match=f"^{name} count must be >= 1, got {min(counts)}$"):
+        split_nodes(g, counts, seed=0)
+
+
 def test_split_insufficient_labelled():
     g = imdb_like_graph(n_m=6)
     with pytest.raises(ValueError):
@@ -264,6 +301,11 @@ def test_json_round_trip(tmp_path):
         g = random_hin(seed)
         path = tmp_path / f"rt{seed}.json"
         save_hin(g, path)
+        for r in g.schema.relation_types:  # CSR order, one [src, dst] pair per edge
+            indptr, indices = g.edges[r.name]
+            want = [[src, int(dst)] for src in range(len(indptr) - 1)
+                    for dst in indices[indptr[src]:indptr[src + 1]]]
+            assert json.loads(path.read_text())["edges"][r.name] == want
         g2 = load_hin(path)
         assert g2.schema == g.schema
         assert g2.num_nodes == g.num_nodes
@@ -273,3 +315,49 @@ def test_json_round_trip(tmp_path):
         for r in g.schema.relation_types:
             np.testing.assert_array_equal(g2.edges[r.name][0], g.edges[r.name][0])
             np.testing.assert_array_equal(g2.edges[r.name][1], g.edges[r.name][1])
+
+
+@st.composite
+def small_hins(draw):
+    """Graphs with empty types, empty relations, parallel edges, self-loops,
+    unlabelled nodes and awkward floats (-0.0, subnormals, 1e308)."""
+    types = tuple(draw(st.permutations(["A", "B", "C"]))[:draw(st.integers(1, 3))])
+    counts = {t: draw(st.integers(0, 6)) for t in types}
+    dims = {t: draw(st.integers(1, 3)) for t in types}
+    rels = tuple(RelationType(f"r{i}", draw(st.sampled_from(types)), draw(st.sampled_from(types)))
+                 for i in range(draw(st.integers(0, 4))))
+    edge_lists = {
+        r.name: draw(st.lists(st.tuples(st.integers(0, counts[r.src] - 1),
+                                        st.integers(0, counts[r.dst] - 1)), max_size=12))
+        if counts[r.src] and counts[r.dst] else []
+        for r in rels
+    }
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    attrs = {t: np.asarray(draw(st.lists(floats, min_size=counts[t] * dims[t],
+                                         max_size=counts[t] * dims[t])),
+                           dtype=np.float64).reshape(counts[t], dims[t]) for t in types}
+    num_classes = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.integers(-1, num_classes - 1),
+                           min_size=counts[types[0]], max_size=counts[types[0]]))
+    return build_graph(HinSchema(types, rels, dims), counts, edge_lists, attrs, types[0],
+                       num_classes, np.asarray(labels, dtype=np.int64))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(small_hins(), st.sampled_from(["json-graph", "csv-triples"]))
+def test_save_load_round_trip_keeps_every_array(g, format):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / ("g.json" if format == "json-graph" else "g.csv")
+        if format == "json-graph":
+            save_hin(g, path)
+        else:
+            save_csv_triples(g, path)
+        g2 = load_hin(path, format)
+    assert (g2.schema, g2.num_nodes, g2.target_type, g2.num_classes) == \
+        (g.schema, g.num_nodes, g.target_type, g.num_classes)
+    for a, b in [(g2.labels, g.labels)] + [(g2.attributes[t], g.attributes[t])
+                                          for t in g.schema.node_types]:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    for r in g.schema.relation_types:
+        for a, b in zip(g2.edges[r.name], g.edges[r.name]):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()

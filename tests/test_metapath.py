@@ -11,7 +11,6 @@ from rlhgnn.metapath import (
     arrived_mean,
     expand_frontier,
     extend_path,
-    legal_action_names,
     stop_index,
     valid_actions,
 )
@@ -27,6 +26,13 @@ def academic_schema():
         ),
         attribute_dims={"Author": 2, "Paper": 2},
     )
+
+
+def legal_action_names(schema: HinSchema, mask: np.ndarray) -> set[str]:
+    names = {r.name for i, r in enumerate(schema.relation_types) if mask[i]}
+    if mask[stop_index(schema)]:
+        names.add("STOP")
+    return names
 
 
 def test_valid_actions_imdb_movie():
@@ -103,7 +109,7 @@ def test_expand_frontier_single_chain():
     f = Frontier.initial(("Author", 0))
     f2 = expand_frontier(g, f, "Cite")
     assert f2.reached.tolist() == [1]
-    assert f2.step == 1
+    assert len(f2.step_edges) == 1
     np.testing.assert_allclose(arrived_mean(g, f2), [0.0, 1.0])
 
 
@@ -167,8 +173,8 @@ def test_arrived_mean_examples():
 
 
 def test_expand_matches_brute_force_instance_projection():
-    """Uncapped frontier levels equal the projected node sets of exhaustive
-    instance enumeration."""
+    """Uncapped frontier levels (the distinct children of each step) equal the
+    projected node sets of exhaustive instance enumeration."""
     from rlhgnn.aggplan import enumerate_instances
     from rlhgnn.pipeline import random_legal_episodes
 
@@ -185,7 +191,7 @@ def test_expand_matches_brute_force_instance_projection():
                 expected = sorted({inst[level] for inst in insts})
                 # frontier levels may include dead branches; the instance
                 # projection must be a subset reaching equality at the leaves
-                got = ep.frontier.levels[level].tolist()
+                got = np.unique(ep.frontier.step_edges[level - 1][1]).tolist()
                 assert set(expected) <= set(got)
                 if level == n:
                     assert expected == got

@@ -2,13 +2,13 @@
 import numpy as np
 import pytest
 
-from helpers import imdb_like_graph, random_hin, reference_forward
+from helpers import attention_coefficients, imdb_like_graph, random_hin, reference_forward
 from rlhgnn import autodiff as ad
 from rlhgnn.aggplan import Episode, build_plan, naive_plan
 from rlhgnn.hin import HinSchema, RelationType, build_graph
 from rlhgnn.metapath import Frontier, MetaPath, expand_frontier
 from rlhgnn.model import (
-    attention_coefficients,
+    _layer_compute,
     backward,
     classify,
     cross_entropy,
@@ -113,6 +113,34 @@ def test_attention_empty_sources_error():
     p = small_params(g)
     with pytest.raises(ValueError):
         attention_coefficients(p, 1, 0, np.zeros((0, 8)), np.zeros(8))
+
+
+@pytest.mark.parametrize("messages_from_target", [False, True])
+def test_layer_compute_is_relu_of_the_mean_attention_weighted_message(messages_from_target):
+    """Each step of the training forward equals relu(mean_j alpha_hj (X_j W_h))
+    per head h, with alpha from the reference attention and X the source rows
+    (or the target row): the attention the tests check is the one that trains."""
+    g = imdb_like_graph()
+    lengths = np.array([1, 3, 2, 4])
+    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    for seed in range(4):
+        p = small_params(g, T=2, d=8, heads=2, seed=seed)
+        rng = np.random.default_rng(seed)
+        S = rng.normal(size=(lengths.sum(), 8))
+        S[2] = S[1]  # a source reached through two edges appears twice
+        targets = rng.normal(size=(len(lengths), 8))
+        T0 = np.repeat(targets, lengths, axis=0)
+        for layer in (1, 2):
+            got = _layer_compute(p, layer, ad.const(S), ad.const(T0), starts, lengths,
+                                 messages_from_target).value
+            W, hd = p.layer_w[layer - 1].value, p.head_dim
+            for k, (a, n) in enumerate(zip(starts, lengths)):
+                X = T0[a:a + n] if messages_from_target else S[a:a + n]
+                for h in range(p.heads):
+                    alpha = attention_coefficients(p, layer, h, S[a:a + n], targets[k])
+                    msgs = X @ W[:, h * hd:(h + 1) * hd]
+                    want = np.maximum((alpha[:, None] * msgs).mean(axis=0), 0.0)
+                    np.testing.assert_allclose(got[k, h * hd:(h + 1) * hd], want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 """Training loops, metrics, reports and benchmarks."""
+import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -97,6 +99,38 @@ def test_config_rejects_out_of_range_field(field, value):
     runner = run_rl_hgnn if cfg.variant == "rl-hgnn" else run_rl_hgnn_pp
     with pytest.raises(ValueError, match=f"^{field} must be "):
         runner(cfg, g, split)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("hidden_dim", 32.0),
+    ("max_timesteps", True),
+    ("node_batch", "48"),
+    ("rounds", 8.0),
+    ("fan_out_cap", 2.5),
+    ("seed", False),
+    ("gamma", True),
+    ("dropout", "0.1"),
+    ("learning_rate", None),
+    ("weight_decay", [0.0]),
+    ("fixed_path", "M-A"),
+    ("fixed_path", ["M-A", 2]),
+    ("messages_from_target", 1),
+])
+def test_config_rejects_a_field_of_the_wrong_type(field, value):
+    doc = small_cfg().to_dict()
+    doc[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be .*, got {re.escape(repr(value))}$"):
+        TrainConfig.from_dict(doc)
+    g, split = generate_planted_hin(planted_spec_1hop())
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        run_rl_hgnn_pp(small_cfg(**{field: value}), g, split)
+
+
+def test_config_keeps_valid_values_as_given():
+    """Integers in float fields are accepted and not converted, so config.json
+    keeps the bytes of the config it came from."""
+    doc = small_cfg(gamma=1, dropout=0, learning_rate=1, fixed_path=("M-A",)).to_dict()
+    assert json.dumps(TrainConfig.from_dict(doc).to_dict()) == json.dumps(doc)
 
 
 def test_config_rejects_unknown_keys():
@@ -237,7 +271,8 @@ def test_cloned_params_share_no_arrays():
 def test_snapshots_keep_their_values_across_later_optimizer_steps():
     """optimizer_step updates values in place: the best-params clone and a
     synced DQN target network must not follow the parameters they copied."""
-    from rlhgnn.agent import QNetwork, ReplayBuffer, Transition, dqn_step, sync_target
+    from helpers import Transition, stack_transitions
+    from rlhgnn.agent import QNetwork, ReplayBuffer, dqn_step, sync_target
     from rlhgnn.model import init_adam, init_params, optimizer_step
     from rlhgnn.pipeline import _clone_params
 
@@ -256,8 +291,8 @@ def test_snapshots_keep_their_values_across_later_optimizer_steps():
     sync_target(qnet, target)
     synced = [v.value.copy() for v in target.vars()]
     buf = ReplayBuffer(capacity=2)
-    buf.push(Transition(s=np.ones(4), a=1, s_next=np.zeros(4), r=1.0, terminal=True,
-                        next_mask=np.ones(3, dtype=bool)))
+    buf.push_batch(stack_transitions([Transition(s=np.ones(4), a=1, s_next=np.zeros(4), r=1.0,
+                                                 terminal=True, next_mask=np.ones(3, dtype=bool))]))
     q_opt = init_adam(qnet.vars())
     for _ in range(3):
         dqn_step(qnet, target, buf, q_opt, 0.9, 1, np.random.default_rng(0))
