@@ -33,7 +33,7 @@ from .metapath import Frontier, MetaPath, neighbors_local
 Key = Hashable
 
 
-@dataclass
+@dataclass(frozen=True)
 class Episode:
     """One designed meta-path with its expansion trace."""
 

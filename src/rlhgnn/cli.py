@@ -22,7 +22,7 @@ def _load_config(path: str | None, variant: str | None) -> pl.TrainConfig:
     if path:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    if variant:
+    if variant and isinstance(doc, dict):  # from_dict names any other JSON value
         doc["variant"] = variant
     return pl.TrainConfig.from_dict(doc)
 

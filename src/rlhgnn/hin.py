@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from operator import index
 from pathlib import Path
 
 import numpy as np
@@ -342,16 +343,19 @@ def _load_json_graph(path: Path) -> HinGraph:
                     f"attribute row count {a.shape[0]} != node count {num_nodes[t]} for type {t!r}"
                 )
             attributes[t] = a
-    edge_lists = {
-        rel: [(int(s), int(d)) for s, d in pairs]
-        for rel, pairs in doc.get("edges", {}).items()
-    }
-    for rel in edge_lists:
+    edge_lists = {}
+    for rel, pairs in doc.get("edges", {}).items():
         try:
             schema.relation(rel)
+            edge_lists[rel] = [(index(s), index(d)) for s, d in pairs]
         except KeyError:
             raise SchemaError(f"edges declared for unknown relation {rel!r}") from None
-    labels = {int(k): int(v) for k, v in doc.get("labels", {}).items()}
+        except (TypeError, ValueError):
+            raise SchemaError(f"{path}: relation {rel!r}: edges must be integer pairs") from None
+    try:
+        labels = {int(k): index(v) for k, v in doc.get("labels", {}).items()}
+    except (TypeError, ValueError):
+        raise SchemaError(f"{path}: labels must map integer node ids to integers") from None
     return build_graph(schema, num_nodes, edge_lists, attributes, target_type, num_classes, labels)
 
 
@@ -402,9 +406,12 @@ def _load_csv_triples(path: Path) -> HinGraph:
         if attr_path.exists():
             rows = []
             with open(attr_path, "r", encoding="utf-8") as f:
-                for line in csv.reader(f):
-                    if line:
-                        rows.append([float(x) for x in line])
+                for lineno, line in enumerate(csv.reader(f), start=1):
+                    try:
+                        if line:
+                            rows.append([float(x) for x in line])
+                    except ValueError:
+                        raise SchemaError(f"{attr_path}:{lineno}: expected numbers") from None
             a = np.asarray(rows, dtype=np.float64)
             if a.size == 0:
                 a = a.reshape(0, schema.attribute_dims[t])
@@ -446,8 +453,12 @@ def _load_csv_triples(path: Path) -> HinGraph:
     labels_path = Path(f"{stem}.labels.csv")
     if labels_path.exists():
         with open(labels_path, "r", encoding="utf-8") as f:
-            for line in csv.reader(f):
-                if line:
-                    labels[int(line[0])] = int(line[1])
+            for lineno, line in enumerate(csv.reader(f), start=1):
+                try:
+                    if line:
+                        node, cls = line
+                        labels[int(node)] = int(cls)
+                except ValueError:
+                    raise SchemaError(f"{labels_path}:{lineno}: expected node_id,class") from None
 
     return build_graph(schema, num_nodes, edge_lists, attributes, target_type, num_classes, labels)

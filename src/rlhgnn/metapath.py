@@ -88,7 +88,7 @@ def extend_path(path: MetaPath, relation: str, schema: HinSchema) -> MetaPath:
     return MetaPath(path.start_type, path.relations + (relation,))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Frontier:
     """Nodes one episode reached at its current step, plus the edges it
     traversed at every step.

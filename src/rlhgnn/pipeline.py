@@ -25,13 +25,12 @@ from . import agent as rl
 from . import autodiff as ad
 from . import model as nn
 from .aggplan import AggregationDag, AggregationStats, Episode, build_plan, naive_plan, plan_stats
-from .hin import DataSplit, HinGraph, HinSchema, NodeId, SchemaError
+from .hin import DataSplit, HinGraph, HinSchema, SchemaError
 from .metapath import (
     Frontier,
     MetaPath,
     action_space_size,
     expand_frontier,
-    extend_path,
     stop_index,
     valid_actions,
 )
@@ -106,6 +105,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"TrainConfig must be a JSON object, got {type(doc).__name__}")
         unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown TrainConfig field(s): {', '.join(unknown)}")
@@ -269,25 +270,19 @@ def evaluate_f1(predictions: np.ndarray, labels: np.ndarray, nodes: np.ndarray) 
 # Episode bookkeeping shared by both loops
 
 
-@dataclass
-class _Ep:
-    node: NodeId
-    path: MetaPath
-    frontier: Frontier
-    stopped: bool = False
+def _fresh_episodes(g: HinGraph, nodes: np.ndarray) -> list[Episode]:
+    starts = [(g.target_type, int(local)) for local in nodes]
+    return [Episode(s, MetaPath(s[0]), Frontier.initial(s)) for s in starts]
 
 
-def _fresh_episodes(g: HinGraph, nodes: np.ndarray) -> list[_Ep]:
-    out = []
-    t = g.target_type
-    for local in nodes:
-        node = (t, int(local))
-        out.append(_Ep(node=node, path=MetaPath(t), frontier=Frontier.initial(node)))
-    return out
-
-
-def _episodes_for_plan(eps: list[_Ep]) -> list[Episode]:
-    return [Episode(e.node, e.path, e.frontier) for e in eps]
+def _extend(g: HinGraph, ep: Episode, rel: str, fan_out_cap: int | None,
+            seed: int) -> Episode | None:
+    """`ep` one relation further, or None at a dead end (no node reached)."""
+    nxt = expand_frontier(g, ep.frontier, rel, fan_out_cap, seed)
+    if len(nxt.reached) == 0:
+        return None
+    # expand_frontier checked rel against the frontier's type, the path's end
+    return Episode(ep.start, MetaPath(ep.path.start_type, ep.path.relations + (rel,)), nxt)
 
 
 def _derive_seed(*parts: int) -> int:
@@ -350,24 +345,25 @@ def _act(
     g: HinGraph,
     cfg: TrainConfig,
     table: LegalActionTable,
-    episodes: list[_Ep],
+    episodes: list[Episode],
+    stopped: np.ndarray,
     states: np.ndarray,
     qnet: rl.QNetwork,
     eps: float,
     rng: np.random.Generator,
-) -> tuple[list[int], list[int], np.ndarray, rl.TransitionBatch]:
-    """Select one action for every active episode at once, then apply each.
-
-    `states` holds one row per episode; the rows of stopped episodes are not
-    read. Returns (acting locals, actions, rows, transitions): transition i
+) -> tuple[np.ndarray, rl.TransitionBatch]:
+    """Select one action for every episode not yet stopped at once, then
+    apply each: an extended episode replaces its entry of `episodes`, and a
+    terminal one is marked in `stopped`. `states` holds one row per episode;
+    stopped rows are not read. Returns (rows, transitions): transition i
     belongs to episode rows[i]. Its reward is NaN and its s_next equals s
     until the loop fills them in. Extension to an empty frontier force-stops
     the episode with its state unchanged.
     """
     schema = g.schema
     stop = stop_index(schema)
-    rows = np.asarray([i for i, e in enumerate(episodes) if not e.stopped], dtype=np.intp)
-    active = [episodes[i] for i in rows]
+    rows = np.flatnonzero(~stopped)
+    active = [episodes[r] for r in rows]
     keys = np.array([table.row(e.frontier.node_type, len(e.path) >= cfg.max_timesteps)
                      for e in active], dtype=np.intp)
     masks = table.masks[keys]
@@ -386,30 +382,26 @@ def _act(
     terminal = actions == stop
     next_keys = keys.copy()  # a terminal transition keeps the mask of its state
     for i in np.flatnonzero(~terminal):
-        e = active[i]
-        rel = schema.relation_types[actions[i]].name
-        nxt = expand_frontier(g, e.frontier, rel, cfg.fan_out_cap, cfg.seed)
-        if len(nxt.reached) == 0:
+        nxt = _extend(g, active[i], schema.relation_types[actions[i]].name,
+                      cfg.fan_out_cap, cfg.seed)
+        if nxt is None:
             terminal[i] = True  # dead end: force-stop at the previous step
             continue
-        # legal by the mask, so extend_path's schema check is not repeated
-        e.path = MetaPath(e.path.start_type, e.path.relations + (rel,))
-        e.frontier = nxt
-        next_keys[i] = table.row(nxt.node_type, len(e.path) >= cfg.max_timesteps)
-    for i in np.flatnonzero(terminal):
-        active[i].stopped = True
+        episodes[rows[i]] = nxt
+        next_keys[i] = table.row(nxt.frontier.node_type, len(nxt.path) >= cfg.max_timesteps)
+    stopped[rows[terminal]] = True
     batch = rl.TransitionBatch(s=s, a=actions, r=np.full(len(active), np.nan), s_next=s.copy(),
                                terminal=terminal, next_mask=table.masks[next_keys])
-    return [e.node[1] for e in active], actions.tolist(), rows, batch
+    return rows, batch
 
 
-def _initial_static_states(g: HinGraph, episodes: list[_Ep], state_dim: int) -> np.ndarray:
+def _initial_static_states(g: HinGraph, episodes: list[Episode], state_dim: int) -> np.ndarray:
     """Static-variant states at timestep 0, row i for episode i."""
-    return np.array([rl.initial_state_static(g, e.node, state_dim) for e in episodes],
+    return np.array([rl.initial_state_static(g, e.start, state_dim) for e in episodes],
                     dtype=np.float64).reshape(len(episodes), state_dim)
 
 
-def _advance_static_states(g: HinGraph, episodes: list[_Ep], states: np.ndarray,
+def _advance_static_states(g: HinGraph, episodes: list[Episode], states: np.ndarray,
                            rows: np.ndarray, batch: rl.TransitionBatch) -> None:
     """Static-variant state update of every non-terminal transition: the
     episode's new state row, which is also the transition's s_next."""
@@ -500,7 +492,7 @@ class _Loop:
         return self.agent.maybe_update(self.cfg.dqn_batch, self.rng_dqn)
 
     def end_round(self, round: int, val_metric: float, ep_nodes: np.ndarray,
-                  episodes: list[_Ep], params: nn.HgnnParams) -> None:
+                  episodes: list[Episode], params: nn.HgnnParams) -> None:
         self.report.rounds.append(RoundRecord(
             round=round, val_metric=val_metric,
             nodes=[int(n) for n in ep_nodes],
@@ -548,16 +540,17 @@ def run_rl_hgnn(cfg: TrainConfig, g: HinGraph, split: DataSplit):
         reinits += 1
         ep_nodes, train_rows = loop.draw_batch()
         episodes = _fresh_episodes(g, ep_nodes)
+        stopped = np.zeros(len(episodes), dtype=bool)
         states = _initial_static_states(g, episodes, agent.qnet.input_dim)
         last_micro = 0.0
 
         for t in range(T + 1):
             step_t0 = time.perf_counter()
             eps = _eps_at(cfg, step_counter, total_steps)
-            acting, actions, rows, batch = _act(g, cfg, loop.table, episodes, states,
-                                                agent.qnet, eps, loop.rng_eps)
+            rows, batch = _act(g, cfg, loop.table, episodes, stopped, states,
+                               agent.qnet, eps, loop.rng_eps)
             _advance_static_states(g, episodes, states, rows, batch)
-            plan = build_plan(g, _episodes_for_plan(episodes))
+            plan = build_plan(g, list(episodes))
             hgnn_loss = None
             for beta in range(cfg.inner_rounds):
                 loss = _train_loss(params, g, plan, ep_nodes, train_rows, cfg,
@@ -572,7 +565,7 @@ def run_rl_hgnn(cfg: TrainConfig, g: HinGraph, split: DataSplit):
             q_loss = loop.dqn_update(batch, reward)
             step_counter += 1
             loop.report.steps.append(StepRecord(
-                round=k, timestep=t, acting_nodes=acting, actions=actions,
+                round=k, timestep=t, acting_nodes=ep_nodes[rows].tolist(), actions=batch.a.tolist(),
                 reward=reward, micro_f1=micro, macro_f1=macro,
                 q_loss=q_loss, hgnn_loss=hgnn_loss,
                 wall_ms=1000 * (time.perf_counter() - step_t0),
@@ -598,26 +591,21 @@ def run_rl_hgnn_pp(cfg: TrainConfig, g: HinGraph, split: DataSplit):
     opt = nn.init_adam(params.all_vars(), cfg.learning_rate, cfg.weight_decay)
     hgnn_steps = 0
 
-    episodes: list[_Ep] = []
-    ep_nodes = np.zeros(0, dtype=np.int64)
-    train_rows = np.zeros(0, dtype=np.intp)
-    norm_states: np.ndarray | None = None  # per-episode state used at the current round
-    cycle_t0 = 0.0
-
     for k in range(K):
         t = (k % T) + 1
         step_t0 = time.perf_counter()
-        if t == 1:
+        if t == 1:  # a new cycle, as at k = 0, so the cycle's state is set before any read
             cycle_t0 = step_t0
             ep_nodes, train_rows = loop.draw_batch()
             episodes = _fresh_episodes(g, ep_nodes)
+            stopped = np.zeros(len(episodes), dtype=bool)
             # row i of the projected batch aligns with episode i
             reps = nn.project_attributes(params, g, [(g.target_type, ep_nodes)]).value
-            norm_states = agent.normalizer.transform(reps)
+            norm_states = agent.normalizer.transform(reps)  # per-episode states of the round
         eps = _eps_at(cfg, k, K)
-        acting, actions, rows, batch = _act(g, cfg, loop.table, episodes, norm_states,
-                                            agent.qnet, eps, loop.rng_eps)
-        plan = build_plan(g, _episodes_for_plan(episodes))
+        rows, batch = _act(g, cfg, loop.table, episodes, stopped, norm_states,
+                           agent.qnet, eps, loop.rng_eps)
+        plan = build_plan(g, list(episodes))
 
         # recorded pass for the optimizer step; clean pass for states/metrics
         loss = _train_loss(params, g, plan, ep_nodes, train_rows, cfg,
@@ -638,7 +626,7 @@ def run_rl_hgnn_pp(cfg: TrainConfig, g: HinGraph, split: DataSplit):
         hgnn_steps += 1
 
         loop.report.steps.append(StepRecord(
-            round=k, timestep=t, acting_nodes=acting, actions=actions,
+            round=k, timestep=t, acting_nodes=ep_nodes[rows].tolist(), actions=batch.a.tolist(),
             reward=reward, micro_f1=micro, macro_f1=macro,
             q_loss=q_loss, hgnn_loss=float(loss.value),
             wall_ms=1000 * (time.perf_counter() - step_t0),
@@ -667,28 +655,28 @@ def design_episodes_greedy(
 ) -> list[Episode]:
     """Design meta-paths for `nodes` with the greedy policy (no exploration)."""
     episodes = _fresh_episodes(g, nodes)
-    frozen = replace(cfg, eps_start=0.0, eps_end=0.0)
+    stopped = np.zeros(len(episodes), dtype=bool)
     rng = np.random.default_rng(0)
     table = LegalActionTable.build(g.schema)
     if cfg.variant == "rl-hgnn":
         states = _initial_static_states(g, episodes, rl.static_state_dim(g))
         for _ in range(cfg.max_timesteps + 1):
-            if all(e.stopped for e in episodes):
+            if stopped.all():
                 break
-            _, _, rows, batch = _act(g, frozen, table, episodes, states, agent.qnet, 0.0, rng)
+            rows, batch = _act(g, cfg, table, episodes, stopped, states, agent.qnet, 0.0, rng)
             _advance_static_states(g, episodes, states, rows, batch)
     else:
         reps = nn.project_attributes(params, g, [(g.target_type, nodes)]).value
         for _ in range(cfg.max_timesteps):
-            if all(e.stopped for e in episodes):
+            if stopped.all():
                 break
             states = agent.normalizer.apply(reps) if agent.normalizer else reps
-            _act(g, frozen, table, episodes, states, agent.qnet, 0.0, rng)
-            plan = build_plan(g, _episodes_for_plan(episodes))
+            _act(g, cfg, table, episodes, stopped, states, agent.qnet, 0.0, rng)
+            plan = build_plan(g, list(episodes))
             fwd = nn.hgnn_forward(params, g, plan, mode="eval",
                                   messages_from_target=cfg.messages_from_target)
             reps = fwd.outputs.value
-    return _episodes_for_plan(episodes)
+    return episodes
 
 
 def predict(
@@ -764,22 +752,17 @@ def random_legal_episodes(
 ) -> list[Episode]:
     """Uniform random legal meta-paths of (up to) the given length."""
     rng = np.random.default_rng(seed)
-    episodes = []
-    for local in nodes:
-        node = (g.target_type, int(local))
-        path = MetaPath(g.target_type)
-        frontier = Frontier.initial(node)
+    episodes = _fresh_episodes(g, nodes)
+    for i, ep in enumerate(episodes):
         for _ in range(length):
-            legal = g.schema.relations_from(path.end_type(g.schema))
+            legal = g.schema.relations_from(ep.frontier.node_type)
             if not legal:
                 break
-            rel = legal[int(rng.integers(len(legal)))].name
-            nxt = expand_frontier(g, frontier, rel, fan_out_cap, seed)
-            if len(nxt.reached) == 0:
+            nxt = _extend(g, ep, legal[int(rng.integers(len(legal)))].name, fan_out_cap, seed)
+            if nxt is None:
                 break
-            path = extend_path(path, rel, g.schema)
-            frontier = nxt
-        episodes.append(Episode(node, path, frontier))
+            ep = nxt
+        episodes[i] = ep
     return episodes
 
 

@@ -506,9 +506,10 @@ def fifo_rows(buf: ReplayBuffer) -> list[Transition]:
 
 
 # ---------------------------------------------------------------------------
-# Reference agent step: the per-episode action selection, `_act` and deque
-# replay buffer as they were before the agent step was batched. The
-# equivalence tests require the batched step to give equal actions,
+# Reference agent step: the per-episode action selection, `_act` on mutable
+# episode records and the deque replay buffer as they were before the agent
+# step was batched, and the random legal episodes' own extension loop. The
+# equivalence tests require the current code to give equal actions, paths,
 # frontiers, transitions and generator state.
 
 
@@ -523,8 +524,28 @@ def reference_select_action(qvals: np.ndarray, legal_mask: np.ndarray, eps: floa
     return int(np.argmax(q))
 
 
-def reference_act(g: HinGraph, cfg, episodes, states: np.ndarray, qnet, eps: float,
-                  rng: np.random.Generator, timestep_for_fixed: int | None = None):
+@dataclass
+class ReferenceEpisode:
+    """The loops' mutable episode record before episodes became frozen
+    values; reference_act updates it in place."""
+
+    node: NodeId
+    path: MetaPath
+    frontier: Frontier
+    stopped: bool = False
+
+
+def reference_fresh_episodes(g: HinGraph, nodes: np.ndarray) -> list[ReferenceEpisode]:
+    out = []
+    t = g.target_type
+    for local in nodes:
+        node = (t, int(local))
+        out.append(ReferenceEpisode(node=node, path=MetaPath(t), frontier=Frontier.initial(node)))
+    return out
+
+
+def reference_act(g: HinGraph, cfg, episodes: list[ReferenceEpisode], states: np.ndarray, qnet,
+                  eps: float, rng: np.random.Generator, timestep_for_fixed: int | None = None):
     """(acting locals, actions, pending transition dicts), per episode."""
     schema = g.schema
     stop = stop_index(schema)
@@ -566,6 +587,30 @@ def reference_act(g: HinGraph, cfg, episodes, states: np.ndarray, qnet, eps: flo
         pending.append(dict(ep=e, s=s_before, a=a, s_next=None, terminal=False,
                             next_mask=next_mask))
     return acting, actions, pending
+
+
+def reference_random_legal_episodes(g: HinGraph, nodes: np.ndarray, length: int, seed: int,
+                                    fan_out_cap: int | None = None) -> list[Episode]:
+    """pipeline.random_legal_episodes with its own extension loop, as it was
+    before episodes became frozen values."""
+    rng = np.random.default_rng(seed)
+    episodes = []
+    for local in nodes:
+        node = (g.target_type, int(local))
+        path = MetaPath(g.target_type)
+        frontier = Frontier.initial(node)
+        for _ in range(length):
+            legal = g.schema.relations_from(path.end_type(g.schema))
+            if not legal:
+                break
+            rel = legal[int(rng.integers(len(legal)))].name
+            nxt = expand_frontier(g, frontier, rel, fan_out_cap, seed)
+            if len(nxt.reached) == 0:
+                break
+            path = extend_path(path, rel, g.schema)
+            frontier = nxt
+        episodes.append(Episode(node, path, frontier))
+    return episodes
 
 
 class ReferenceReplayBuffer:

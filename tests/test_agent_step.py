@@ -1,6 +1,8 @@
 """The batched agent step against the per-episode step it replaced: legal-action
 table, whole-batch epsilon-greedy, the `_act` transition batch and the
-block-allocated ring replay buffer."""
+block-allocated ring replay buffer. Also the frozen episode values and the
+random legal episodes against the loop they replaced."""
+from dataclasses import FrozenInstanceError
 from unittest.mock import patch
 
 import numpy as np
@@ -14,15 +16,24 @@ from helpers import (
     fifo_rows,
     imdb_like_schema,
     reference_act,
+    reference_fresh_episodes,
+    reference_random_legal_episodes,
     reference_select_action,
     stack_transitions,
     unstack_transitions,
 )
 from rlhgnn import agent
 from rlhgnn.agent import QNetwork, ReplayBuffer, TransitionBatch, select_action, td_loss
+from rlhgnn.aggplan import Episode
 from rlhgnn.hin import HinSchema, RelationType, SchemaError, build_graph
-from rlhgnn.metapath import Frontier, action_space_size, valid_actions
-from rlhgnn.pipeline import LegalActionTable, TrainConfig, _act, _fresh_episodes
+from rlhgnn.metapath import Frontier, MetaPath, action_space_size, valid_actions
+from rlhgnn.pipeline import (
+    LegalActionTable,
+    TrainConfig,
+    _act,
+    _fresh_episodes,
+    random_legal_episodes,
+)
 
 
 def test_rng_choice_equals_indexed_integers_draw():
@@ -120,7 +131,8 @@ def test_batched_act_equals_per_episode_act(g, data):
         for v in qnet.vars():
             v.value = np.zeros_like(v.value)
     table = LegalActionTable.build(g.schema)
-    new_eps, ref_eps = _fresh_episodes(g, nodes), _fresh_episodes(g, nodes)
+    new_eps, ref_eps = _fresh_episodes(g, nodes), reference_fresh_episodes(g, nodes)
+    stopped = np.zeros(len(nodes), dtype=bool)
     rng_seed = data.draw(st.integers(0, 2**16))
     new_rng, ref_rng = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
     state_rng = np.random.default_rng(rng_seed + 1)
@@ -132,9 +144,11 @@ def test_batched_act_equals_per_episode_act(g, data):
                                 timestep_for_fixed=t)
         except ValueError:
             with pytest.raises(ValueError, match="illegal here"):
-                _act(g, cfg, table, new_eps, states, qnet, eps, new_rng)
+                _act(g, cfg, table, new_eps, stopped, states, qnet, eps, new_rng)
             return
-        acting, actions, rows, batch = _act(g, cfg, table, new_eps, states, qnet, eps, new_rng)
+        rows, batch = _act(g, cfg, table, new_eps, stopped, states, qnet, eps, new_rng)
+        # what the loops record as the step's acting nodes and actions
+        acting, actions = nodes[rows].tolist(), batch.a.tolist()
         ref_acting, ref_actions, ref_pending = ref
         assert (acting, actions) == (ref_acting, ref_actions)
         assert all(type(x) is int for x in acting + actions)
@@ -148,9 +162,35 @@ def test_batched_act_equals_per_episode_act(g, data):
             np.testing.assert_array_equal(batch.next_mask[i], p["next_mask"])
             if p["terminal"]:
                 np.testing.assert_array_equal(batch.s_next[i], p["s_next"])
-        for e, r in zip(new_eps, ref_eps):
-            assert (e.node, e.path, e.stopped) == (r.node, r.path, r.stopped)
+        for e, done, r in zip(new_eps, stopped.tolist(), ref_eps, strict=True):
+            assert (e.start, e.path, done) == (r.node, r.path, r.stopped)
             _assert_same_frontier(e.frontier, r.frontier)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_graphs(), st.integers(0, 3), st.integers(0, 2**16), st.data())
+def test_random_legal_episodes_equal_the_loop_they_replaced(g, length, seed, data):
+    n_target = g.num_nodes[g.target_type]
+    nodes = np.asarray(data.draw(st.lists(st.integers(0, n_target - 1), max_size=6)),
+                       dtype=np.int64)
+    for cap in (None, data.draw(st.integers(1, 3))):
+        got = random_legal_episodes(g, nodes, length, seed, fan_out_cap=cap)
+        want = reference_random_legal_episodes(g, nodes, length, seed, fan_out_cap=cap)
+        assert len(got) == len(want)
+        for e, r in zip(got, want):
+            assert (e.start, e.path) == (r.start, r.path)
+            _assert_same_frontier(e.frontier, r.frontier)
+            for (pa, ca), (pb, cb) in zip(e.frontier.step_edges, r.frontier.step_edges):
+                assert (pa.tobytes(), ca.tobytes()) == (pb.tobytes(), cb.tobytes())
+
+
+def test_episodes_and_frontiers_are_frozen():
+    f = Frontier.initial(("A", 0))
+    ep = Episode(("A", 0), MetaPath("A"), f)
+    with pytest.raises(FrozenInstanceError):
+        f.reached = np.zeros(0, dtype=np.int64)
+    with pytest.raises(FrozenInstanceError):
+        ep.path = MetaPath("A", ("r0",))
 
 
 # ---------------------------------------------------------------------------

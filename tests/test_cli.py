@@ -118,6 +118,18 @@ def test_variant_flag_overrides_config(tmp_path, synth_graph, capsys):
     assert saved["variant"] == "rl-hgnn"
 
 
+@pytest.mark.parametrize("variant", [[], ["--variant", "rl-hgnn"]], ids=["config", "override"])
+@pytest.mark.parametrize("text,kind", [("[1]", "list"), ("null", "NoneType"), ('"abc"', "str")])
+def test_train_rejects_a_config_that_is_not_a_json_object(tmp_path, text, kind, variant):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=f"^TrainConfig must be a JSON object, got {kind}$"):
+        main(["train", "--graph", str(tmp_path / "never-read.json"), "--config", str(cfg_path),
+              *variant, "--out", str(out)])
+    assert not out.exists()
+
+
 def test_bench_agg_cli(tmp_path, synth_graph, capsys):
     export = tmp_path / "plans.json"
     rc = main(["bench-agg", "--graph", str(synth_graph), "--timesteps", "1,2",

@@ -176,6 +176,56 @@ def test_csv_triples_names_the_file_and_line_of_a_bad_edge(tmp_path, line, messa
     assert str(err.value).startswith(f"{tmp_path}/{message}")
 
 
+@pytest.mark.parametrize("sidecar,text,message", [
+    ("attrs.Movie", "0.1\nx\n", "g.attrs.Movie.csv:2: expected numbers"),
+    ("attrs.Movie", "0.1\n0.2,\n", "g.attrs.Movie.csv:2: expected numbers"),
+    ("labels", "0,1\na,1\n", "g.labels.csv:2: expected node_id,class"),
+    ("labels", "0,1\n\n1\n", "g.labels.csv:3: expected node_id,class"),
+    ("labels", "0,1\n1,0,2\n", "g.labels.csv:2: expected node_id,class"),
+], ids=["word-attribute", "empty-attribute", "word-id", "one-field", "three-fields"])
+def test_csv_triples_names_the_file_and_line_of_a_bad_sidecar_row(tmp_path, sidecar, text,
+                                                                  message):
+    schema = {
+        "node_types": ["Movie", "Actor"],
+        "relation_types": [{"name": "M-A", "src": "Movie", "dst": "Actor"}],
+        "target_type": "Movie",
+        "num_classes": 2,
+        "attribute_dims": {"Movie": 1, "Actor": 1},
+    }
+    (tmp_path / "g.schema.json").write_text(json.dumps(schema))
+    (tmp_path / "g.attrs.Movie.csv").write_text("0.1\n0.2\n")
+    (tmp_path / "g.attrs.Actor.csv").write_text("1.0\n2.0\n")
+    (tmp_path / "g.labels.csv").write_text("0,1\n1,0\n")
+    (tmp_path / f"g.{sidecar}.csv").write_text(text)
+    edges = tmp_path / "g.csv"
+    edges.write_text("M-A,Movie:0,Actor:1\n")
+    with pytest.raises(SchemaError) as err:
+        load_hin(edges, format="csv-triples")
+    assert str(err.value) == f"{tmp_path}/{message}"
+
+
+@pytest.mark.parametrize("part,key,value,message", [
+    ("edges", "M-A", [0, "b"], "relation 'M-A': edges must be integer pairs"),
+    ("edges", "M-A", [0], "relation 'M-A': edges must be integer pairs"),
+    ("edges", "M-A", [0, 1, 2], "relation 'M-A': edges must be integer pairs"),
+    ("edges", "A-M", [1.5, 0], "relation 'A-M': edges must be integer pairs"),
+    ("labels", "a", 1, "labels must map integer node ids to integers"),
+    ("labels", "0", {"a": 1}, "labels must map integer node ids to integers"),
+    ("labels", "0", "1", "labels must map integer node ids to integers"),
+], ids=["word-id", "one-id", "three-ids", "fractional-id", "word-node", "object-class",
+        "string-class"])
+def test_json_graph_names_the_file_of_a_bad_edge_or_label(tmp_path, part, key, value, message):
+    path, doc = imdb_like_json(tmp_path)
+    if part == "edges":
+        doc["edges"][key].append(value)
+    else:
+        doc["labels"][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as err:
+        load_hin(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_csv_triples_round(tmp_path):
     schema = {
         "node_types": ["Movie", "Actor"],

@@ -133,6 +133,13 @@ def test_config_keeps_valid_values_as_given():
     assert json.dumps(TrainConfig.from_dict(doc).to_dict()) == json.dumps(doc)
 
 
+@pytest.mark.parametrize("doc,kind", [([1], "list"), (None, "NoneType"), ("abc", "str"),
+                                      (3, "int")])
+def test_config_rejects_a_json_value_that_is_not_an_object(doc, kind):
+    with pytest.raises(ValueError, match=f"^TrainConfig must be a JSON object, got {kind}$"):
+        TrainConfig.from_dict(doc)
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown TrainConfig field\\(s\\): hiden_dim, max_timestep"):
         TrainConfig.from_dict({"hiden_dim": 16, "max_timestep": 2, "seed": 1})

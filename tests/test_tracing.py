@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from helpers import imdb_like_graph
 from rlhgnn import pipeline
@@ -67,3 +68,27 @@ def test_traced_run_and_predict_record_every_agent_step_span():
     # a greedy policy may stop every node before expanding any frontier
     for span in ("agent.select_action", "metapath.valid_actions"):
         assert summary[span].calls > 0, span
+
+
+@pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
+def test_every_captured_plan_matches_the_episodes_it_was_built_from(variant):
+    """perfbench recounts the naive steps and runs the exactness oracles on
+    build_plan's captured argument after run() returns. The episodes in it
+    must still be the ones the plan was built from, so the loops and the
+    greedy designer hand build_plan a list that no later step changes."""
+    g, split = generate_planted_hin(SyntheticSpec(
+        node_counts={"Movie": 40, "Actor": 12}, target_type="Movie",
+        relations=[("M-A", "Movie", "Actor"), ("A-M", "Actor", "Movie")],
+        out_degree={"M-A": 2, "A-M": 2}, planted_path=("M-A",),
+        train_count=16, val_count=12))
+    cfg = TrainConfig(variant=variant, rounds=3, inner_rounds=2, node_batch=16, hidden_dim=8,
+                      heads=2)
+    tracer = _load_tracing().Tracer()
+    with tracer.installed():
+        params, agent, _ = pipeline.run(cfg, g, split)
+        pipeline.predict(params, agent, g, cfg, split.test)
+    captured = tracer.captured["aggplan.build_plan"]
+    assert len(captured) > (9 if variant == "rl-hgnn" else 3)  # run()'s plans, then predict()'s
+    assert any(len(e.path) == 2 for episodes, _ in captured for e in episodes)
+    for episodes, plan in captured:
+        assert plan.episodes_sig == [(e.start, e.path.relations) for e in episodes]
