@@ -3,10 +3,13 @@
 Every Var holds a float64 ndarray. Ops record a closure that maps the output
 gradient to per-parent gradients; backward() walks the tape once, in reverse
 topological order, leaves .grad on every leaf and releases each interior
-node as soon as its closure has run. No broadcasting beyond what the ops
-below implement.
+node as soon as its closure has run. Inside no_grad() ops record nothing.
+No broadcasting beyond what the ops below implement.
 """
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -18,6 +21,28 @@ def _as_f64(x) -> Array:
     return a
 
 
+class _Recording(threading.local):
+    on = True  # every thread starts out recording
+
+
+_recording = _Recording()
+
+
+@contextmanager
+def no_grad():
+    """Compute values only: inside the block, on the calling thread, every
+    Var an op returns has no parents and no closure, so nothing can be
+    backpropagated through it and each intermediate is freed as soon as the
+    caller drops it. Blocks nest; on exit, also by an exception, the state
+    before the block is restored. Other threads keep recording."""
+    before = _recording.on
+    _recording.on = False
+    try:
+        yield
+    finally:
+        _recording.on = before
+
+
 class Var:
     """A node in the computation graph."""
 
@@ -25,8 +50,11 @@ class Var:
 
     def __init__(self, value, parents=(), bw=None):
         self.value = _as_f64(value)
-        self.parents: tuple[Var, ...] = parents
-        self.bw = bw  # callable(grad_out) -> tuple of parent grads
+        if _recording.on:
+            self.parents: tuple[Var, ...] = parents
+            self.bw = bw  # callable(grad_out) -> tuple of parent grads
+        else:
+            self.parents, self.bw = (), None
         self.grad: Array | None = None
 
     @property
@@ -59,125 +87,113 @@ def _unbroadcast(grad: Array, shape) -> Array:
 
 
 def add(a: Var, b: Var) -> Var:
-    out = Var(a.value + b.value, (a, b))
-    out.bw = lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape))
-    return out
+    return Var(a.value + b.value, (a, b),
+               lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)))
 
 
 def sub(a: Var, b: Var) -> Var:
-    out = Var(a.value - b.value, (a, b))
-    out.bw = lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape))
-    return out
+    return Var(a.value - b.value, (a, b),
+               lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)))
 
 
 def mul(a: Var, b: Var) -> Var:
-    out = Var(a.value * b.value, (a, b))
-    out.bw = lambda g: (
+    return Var(a.value * b.value, (a, b), lambda g: (
         _unbroadcast(g * b.value, a.value.shape),
         _unbroadcast(g * a.value, b.value.shape),
-    )
-    return out
+    ))
 
 
 def div(a: Var, b: Var) -> Var:
-    out = Var(a.value / b.value, (a, b))
-    out.bw = lambda g: (
+    return Var(a.value / b.value, (a, b), lambda g: (
         _unbroadcast(g / b.value, a.value.shape),
         _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape),
-    )
-    return out
+    ))
 
 
 def scale(a: Var, s: float) -> Var:
-    out = Var(a.value * s, (a,))
-    out.bw = lambda g: (g * s,)
-    return out
+    return Var(a.value * s, (a,), lambda g: (g * s,))
 
 
 def mul_const(a: Var, c) -> Var:
-    """Multiply by a constant array (e.g. a dropout mask); no grad for c."""
+    """Multiply by a constant array; no grad for c."""
     c = _as_f64(c)
-    out = Var(a.value * c, (a,))
-    out.bw = lambda g: (_unbroadcast(g * c, a.value.shape),)
-    return out
+    return Var(a.value * c, (a,), lambda g: (_unbroadcast(g * c, a.value.shape),))
 
 
 def add_const(a: Var, c) -> Var:
     c = _as_f64(c)
-    out = Var(a.value + c, (a,))
-    out.bw = lambda g: (_unbroadcast(g, a.value.shape),)
-    return out
+    return Var(a.value + c, (a,), lambda g: (_unbroadcast(g, a.value.shape),))
 
 
 def matmul(a: Var, b: Var) -> Var:
-    out = Var(a.value @ b.value, (a, b))
-    out.bw = lambda g: (g @ b.value.T, a.value.T @ g)
-    return out
+    return Var(a.value @ b.value, (a, b), lambda g: (g @ b.value.T, a.value.T @ g))
 
 
 def relu(a: Var) -> Var:
     mask = a.value > 0
-    out = Var(a.value * mask, (a,))
-    out.bw = lambda g: (g * mask,)
-    return out
+    return Var(a.value * mask, (a,), lambda g: (g * mask,))
 
 
 def leaky_relu(a: Var, slope: float = 0.2) -> Var:
     mask = a.value > 0
-    out = Var(np.where(mask, a.value, slope * a.value), (a,))
-    out.bw = lambda g: (np.where(mask, g, slope * g),)
-    return out
+    return Var(np.where(mask, a.value, slope * a.value), (a,),
+               lambda g: (np.where(mask, g, slope * g),))
 
 
 def exp(a: Var) -> Var:
     v = np.exp(a.value)
-    out = Var(v, (a,))
-    out.bw = lambda g: (g * v,)
-    return out
+    return Var(v, (a,), lambda g: (g * v,))
 
 
 def log(a: Var) -> Var:
-    out = Var(np.log(a.value), (a,))
-    out.bw = lambda g: (g / a.value,)
-    return out
+    return Var(np.log(a.value), (a,), lambda g: (g / a.value,))
 
 
 def total_sum(a: Var) -> Var:
-    out = Var(a.value.sum(), (a,))
-    out.bw = lambda g: (np.full_like(a.value, float(g)),)
-    return out
+    return Var(a.value.sum(), (a,), lambda g: (np.full_like(a.value, float(g)),))
 
 
 def total_mean(a: Var) -> Var:
     n = a.value.size
-    out = Var(a.value.sum() / n, (a,))
-    out.bw = lambda g: (np.full_like(a.value, float(g) / n),)
-    return out
+    return Var(a.value.sum() / n, (a,), lambda g: (np.full_like(a.value, float(g) / n),))
 
 
 def sum_cols(a: Var) -> Var:
     """Row-wise sum: (n, k) -> (n,)."""
-    out = Var(a.value.sum(axis=1), (a,))
-    out.bw = lambda g: (np.repeat(g[:, None], a.value.shape[1], axis=1),)
-    return out
+    return Var(a.value.sum(axis=1), (a,),
+               lambda g: (np.repeat(g[:, None], a.value.shape[1], axis=1),))
 
 
 def head_dot(x: Var, a: Var) -> Var:
     """Per-head dot product: (n, H, k) . (H, k) -> (n, H)."""
-    out = Var((x.value * a.value).sum(axis=2), (x, a))
-    out.bw = lambda g: (g[:, :, None] * a.value, (g[:, :, None] * x.value).sum(axis=0))
-    return out
+    return Var((x.value * a.value).sum(axis=2), (x, a),
+               lambda g: (g[:, :, None] * a.value, (g[:, :, None] * x.value).sum(axis=0)))
 
 
-def gather_rows(a: Var, idx) -> Var:
+def gather_rows(a: Var, idx, mask: Array | None = None, keep: float = 1.0) -> Var:
+    """Rows `idx` of a, repeats allowed.
+
+    With a bool `mask` of the gathered shape the rows are also dropped out:
+    the value is a[idx] * (mask / keep), and the backward scales g by the
+    same mask / keep before the scatter, the bits of mul_const over a plain
+    gather. The tape then holds the mask's bits only, neither the rows
+    before dropout nor a float mask.
+    """
     idx = np.asarray(idx, dtype=np.intp)
     n, k = len(a.value), int(np.prod(a.value.shape[1:]))
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ValueError(f"gather_rows indices must lie in [0, {n}), "
                          f"got {idx.min()}..{idx.max()}")
-    out = Var(a.value[idx], (a,))
+    value = a.value[idx]
+    if mask is not None:
+        if mask.dtype != bool or mask.shape != value.shape:
+            raise ValueError(f"gather_rows mask must be bool of shape {value.shape}, "
+                             f"got {mask.dtype} {mask.shape}")
+        value *= mask / keep
 
     def bw(g):
+        if mask is not None:
+            g = g * (mask / keep)
         # One key per output element. bincount adds each key's weights in
         # input order from 0.0, as np.add.at does, so the sums are bit-equal;
         # with no keys it returns int64 zeros.
@@ -185,8 +201,7 @@ def gather_rows(a: Var, idx) -> Var:
         ga = np.bincount(keys, weights=g.reshape(-1), minlength=n * k)
         return (ga.astype(np.float64, copy=False).reshape(a.value.shape),)
 
-    out.bw = bw
-    return out
+    return Var(value, (a,), bw)
 
 
 def _segment_ends(lengths: Array) -> Array:
@@ -209,44 +224,34 @@ def segment_sum(a: Var, starts, lengths) -> Var:
         raise ValueError("segment starts must be the exclusive cumsum of lengths, "
                          "and the lengths must sum to the row count")
     v = np.add.reduceat(a.value, starts, axis=0) if len(starts) else np.zeros((0,) + a.value.shape[1:])
-    out = Var(v, (a,))
-    out.bw = lambda g: (np.repeat(g, lengths, axis=0),)
-    return out
+    return Var(v, (a,), lambda g: (np.repeat(g, lengths, axis=0),))
 
 
 def repeat_rows(a: Var, lengths) -> Var:
     """Repeat row i lengths[i] >= 1 times (inverse layout of segment_sum)."""
     lengths = np.asarray(lengths, dtype=np.intp)
     starts = _segment_ends(lengths) - lengths
-    out = Var(np.repeat(a.value, lengths, axis=0), (a,))
 
     def bw(g):
         if len(starts) == 0:
             return (np.zeros_like(a.value),)
         return (np.add.reduceat(g, starts, axis=0),)
 
-    out.bw = bw
-    return out
+    return Var(np.repeat(a.value, lengths, axis=0), (a,), bw)
 
 
 def vstack(parts: list[Var]) -> Var:
-    sizes = [p.value.shape[0] for p in parts]
-    out = Var(np.concatenate([p.value for p in parts], axis=0), tuple(parts))
-    offs = np.concatenate(([0], np.cumsum(sizes)))
-    out.bw = lambda g: tuple(g[offs[i]:offs[i + 1]] for i in range(len(parts)))
-    return out
+    offs = np.concatenate(([0], np.cumsum([p.value.shape[0] for p in parts])))
+    return Var(np.concatenate([p.value for p in parts], axis=0), tuple(parts),
+               lambda g: tuple(g[offs[i]:offs[i + 1]] for i in range(len(parts))))
 
 
 def reshape(a: Var, shape) -> Var:
-    out = Var(a.value.reshape(shape), (a,))
-    out.bw = lambda g: (g.reshape(a.value.shape),)
-    return out
+    return Var(a.value.reshape(shape), (a,), lambda g: (g.reshape(a.value.shape),))
 
 
 def square(a: Var) -> Var:
-    out = Var(a.value * a.value, (a,))
-    out.bw = lambda g: (2.0 * g * a.value,)
-    return out
+    return Var(a.value * a.value, (a,), lambda g: (2.0 * g * a.value,))
 
 
 def _topo(root: Var) -> list[Var]:

@@ -335,9 +335,15 @@ def _load_json_graph(path: Path) -> HinGraph:
     for t in schema.node_types:
         rows = doc.get("attributes", {}).get(t)
         if rows is not None:
+            dim = schema.attribute_dims[t]
+            for i, row in enumerate(rows):
+                if not isinstance(row, list) or len(row) != dim:
+                    got = len(row) if isinstance(row, list) else f"a {type(row).__name__}"
+                    raise SchemaError(f"{path}: attributes of type {t!r}, row {i}: "
+                                      f"expected {dim} numbers, got {got}")
             a = np.asarray(rows, dtype=np.float64)
             if a.size == 0:
-                a = a.reshape(0, schema.attribute_dims[t])
+                a = a.reshape(0, dim)
             if a.shape[0] != num_nodes[t]:
                 raise SchemaError(
                     f"attribute row count {a.shape[0]} != node count {num_nodes[t]} for type {t!r}"
@@ -405,6 +411,7 @@ def _load_csv_triples(path: Path) -> HinGraph:
         attr_path = Path(f"{stem}.attrs.{t}.csv")
         if attr_path.exists():
             rows = []
+            dim = schema.attribute_dims[t]
             with open(attr_path, "r", encoding="utf-8") as f:
                 for lineno, line in enumerate(csv.reader(f), start=1):
                     try:
@@ -412,9 +419,12 @@ def _load_csv_triples(path: Path) -> HinGraph:
                             rows.append([float(x) for x in line])
                     except ValueError:
                         raise SchemaError(f"{attr_path}:{lineno}: expected numbers") from None
+                    if line and len(line) != dim:
+                        raise SchemaError(f"{attr_path}:{lineno}: expected {dim} numbers, "
+                                          f"got {len(line)}")
             a = np.asarray(rows, dtype=np.float64)
             if a.size == 0:
-                a = a.reshape(0, schema.attribute_dims[t])
+                a = a.reshape(0, dim)
             attributes[t] = a
             num_nodes[t] = a.shape[0]
         else:

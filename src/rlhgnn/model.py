@@ -184,18 +184,18 @@ def hgnn_forward(
     if len(dag.index) > params.T:
         raise ValueError(f"plan has {len(dag.index)} aggregation layers but the model "
                          f"has T={params.T} aggregator parameter sets")
-    train = mode == "train"
     keep = 1.0 - params.dropout
-    rng = np.random.default_rng([seed]) if train else None
+    rng = np.random.default_rng([seed]) if mode == "train" and params.dropout > 0 else None
 
     h0 = project_attributes(params, g, dag.h0_groups)
     matrices = [h0]  # matrices[l] = layer-l outputs, one row per step
     for layer, ix in enumerate(dag.index, start=1):
-        S = ad.gather_rows(matrices[-1], ix.src_rows)
-        T0 = ad.gather_rows(h0, ix.tgt_rows)
-        if train and params.dropout > 0:
-            S = ad.mul_const(S, (rng.random(S.value.shape) < keep) / keep)
-            T0 = ad.mul_const(T0, (rng.random(T0.value.shape) < keep) / keep)
+        mask_s = mask_t = None
+        if rng is not None:  # inverted dropout on the gathered rows, S's mask first
+            mask_s = rng.random((len(ix.src_rows), params.d)) < keep
+            mask_t = rng.random((len(ix.tgt_rows), params.d)) < keep
+        S = ad.gather_rows(matrices[-1], ix.src_rows, mask_s, keep)
+        T0 = ad.gather_rows(h0, ix.tgt_rows, mask_t, keep)
         matrices.append(_layer_compute(params, layer, S, T0, ix.starts, ix.lengths,
                                        messages_from_target))
     stacked = ad.vstack(matrices) if len(matrices) > 1 else h0

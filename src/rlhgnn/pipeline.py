@@ -270,7 +270,7 @@ def evaluate_f1(predictions: np.ndarray, labels: np.ndarray, nodes: np.ndarray) 
 # Episode bookkeeping shared by both loops
 
 
-def _fresh_episodes(g: HinGraph, nodes: np.ndarray) -> list[Episode]:
+def _fresh_episodes(g: HinGraph, nodes: np.ndarray | list[int]) -> list[Episode]:
     starts = [(g.target_type, int(local)) for local in nodes]
     return [Episode(s, MetaPath(s[0]), Frontier.initial(s)) for s in starts]
 
@@ -413,11 +413,12 @@ def _advance_static_states(g: HinGraph, episodes: list[Episode], states: np.ndar
 
 def _eval_pass(params: nn.HgnnParams, g: HinGraph, plan: AggregationDag, nodes: np.ndarray,
                cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Eval-mode pass over the plan of `nodes`: (per-episode representations,
-    predicted class per target-type node id)."""
-    fwd = nn.hgnn_forward(params, g, plan, mode="eval",
-                          messages_from_target=cfg.messages_from_target)
-    probs = nn.classify(params, fwd.outputs)
+    """Eval-mode pass over the plan of `nodes`, recording no tape:
+    (per-episode representations, predicted class per target-type node id)."""
+    with ad.no_grad():
+        fwd = nn.hgnn_forward(params, g, plan, mode="eval",
+                              messages_from_target=cfg.messages_from_target)
+        probs = nn.classify(params, fwd.outputs)
     preds = np.zeros(g.num_nodes[g.target_type], dtype=np.int64)
     preds[nodes] = np.argmax(probs.value, axis=1)
     return fwd.outputs.value, preds
@@ -466,6 +467,7 @@ class _Loop:
         self.rng_dqn = np.random.default_rng(_derive_seed(cfg.seed, 3))
         self.cursor = _BatchCursor(split.train, rng_batch)
         self.table = LegalActionTable.build(g.schema)
+        self.initial: dict[int, Episode] = {}
         self.report = EpisodeReport(variant=cfg.variant, num_actions=action_space_size(g.schema))
         self.best_params: nn.HgnnParams | None = None
         self.best_metric = -1.0
@@ -480,6 +482,14 @@ class _Loop:
         node_row = {int(n): i for i, n in enumerate(ep_nodes)}
         train_rows = np.asarray([node_row[int(n)] for n in batch], dtype=np.intp)
         return ep_nodes, train_rows
+
+    def fresh_episodes(self, g: HinGraph, ep_nodes: np.ndarray) -> list[Episode]:
+        """Every node's timestep-0 episode, each built once per run: episodes
+        are frozen, so all batches that draw a node share its one."""
+        made, nodes = self.initial, ep_nodes.tolist()
+        missing = [n for n in nodes if n not in made]
+        made.update(zip(missing, _fresh_episodes(g, missing)))
+        return [made[n] for n in nodes]
 
     def dqn_update(self, batch: rl.TransitionBatch, reward: float) -> float | None:
         """Store the round's transitions with their reward and run one DQN
@@ -539,7 +549,7 @@ def run_rl_hgnn(cfg: TrainConfig, g: HinGraph, split: DataSplit):
         opt = nn.init_adam(params.all_vars(), cfg.learning_rate, cfg.weight_decay)
         reinits += 1
         ep_nodes, train_rows = loop.draw_batch()
-        episodes = _fresh_episodes(g, ep_nodes)
+        episodes = loop.fresh_episodes(g, ep_nodes)
         stopped = np.zeros(len(episodes), dtype=bool)
         states = _initial_static_states(g, episodes, agent.qnet.input_dim)
         last_micro = 0.0
@@ -597,7 +607,7 @@ def run_rl_hgnn_pp(cfg: TrainConfig, g: HinGraph, split: DataSplit):
         if t == 1:  # a new cycle, as at k = 0, so the cycle's state is set before any read
             cycle_t0 = step_t0
             ep_nodes, train_rows = loop.draw_batch()
-            episodes = _fresh_episodes(g, ep_nodes)
+            episodes = loop.fresh_episodes(g, ep_nodes)
             stopped = np.zeros(len(episodes), dtype=bool)
             # row i of the projected batch aligns with episode i
             reps = nn.project_attributes(params, g, [(g.target_type, ep_nodes)]).value
@@ -607,9 +617,11 @@ def run_rl_hgnn_pp(cfg: TrainConfig, g: HinGraph, split: DataSplit):
                            agent.qnet, eps, loop.rng_eps)
         plan = build_plan(g, list(episodes))
 
-        # recorded pass for the optimizer step; clean pass for states/metrics
+        # recorded pass for the optimizer step, walked and released before the
+        # clean pass for states/metrics; the step waits until after that pass
         loss = _train_loss(params, g, plan, ep_nodes, train_rows, cfg,
                            seed=_derive_seed(cfg.seed, 31, k))
+        grads = nn.backward(loss, params.all_vars())
         reps, preds = _eval_pass(params, g, plan, ep_nodes, cfg)
         micro, macro = evaluate_f1(preds, g.labels, split.validation)
         reward = rl.compute_reward(agent.history, micro)
@@ -620,8 +632,6 @@ def run_rl_hgnn_pp(cfg: TrainConfig, g: HinGraph, split: DataSplit):
         if t == T:
             batch.terminal[:] = True
         q_loss = loop.dqn_update(batch, reward)
-
-        grads = nn.backward(loss, params.all_vars())
         nn.optimizer_step(params.all_vars(), grads, opt)
         hgnn_steps += 1
 
@@ -653,7 +663,8 @@ def design_episodes_greedy(
     cfg: TrainConfig,
     nodes: np.ndarray,
 ) -> list[Episode]:
-    """Design meta-paths for `nodes` with the greedy policy (no exploration)."""
+    """Design meta-paths for `nodes` with the greedy policy (no exploration);
+    the forward passes that give the states record no tape."""
     episodes = _fresh_episodes(g, nodes)
     stopped = np.zeros(len(episodes), dtype=bool)
     rng = np.random.default_rng(0)
@@ -665,7 +676,8 @@ def design_episodes_greedy(
                 break
             rows, batch = _act(g, cfg, table, episodes, stopped, states, agent.qnet, 0.0, rng)
             _advance_static_states(g, episodes, states, rows, batch)
-    else:
+        return episodes
+    with ad.no_grad():
         reps = nn.project_attributes(params, g, [(g.target_type, nodes)]).value
         for _ in range(cfg.max_timesteps):
             if stopped.all():
@@ -673,9 +685,8 @@ def design_episodes_greedy(
             states = agent.normalizer.apply(reps) if agent.normalizer else reps
             _act(g, cfg, table, episodes, stopped, states, agent.qnet, 0.0, rng)
             plan = build_plan(g, list(episodes))
-            fwd = nn.hgnn_forward(params, g, plan, mode="eval",
-                                  messages_from_target=cfg.messages_from_target)
-            reps = fwd.outputs.value
+            reps = nn.hgnn_forward(params, g, plan, mode="eval",
+                                   messages_from_target=cfg.messages_from_target).outputs.value
     return episodes
 
 
@@ -799,10 +810,13 @@ def bench_runtime(cfg: TrainConfig, g: HinGraph, split: DataSplit, repeats: int 
 
     The design phase is everything needed to produce one complete designed
     batch: a full round for the base variant (including its B inner training
-    rounds) and a full T-round cycle for the fast variant.
+    rounds) and a full T-round cycle for the fast variant. Each variant runs
+    once untimed before its `repeats` timed runs, so first-call costs (cold
+    caches, lazy imports, allocator growth) stay out of the means.
     """
     results: dict[str, list[float]] = {"rl-hgnn": [], "rl-hgnn-pp": []}
     for variant in results:
+        run(replace(cfg, variant=variant, seed=_derive_seed(cfg.seed, 0)), g, split)
         for i in range(repeats):
             run_cfg = replace(cfg, variant=variant, seed=_derive_seed(cfg.seed, i))
             _, _, report = run(run_cfg, g, split)

@@ -171,9 +171,10 @@ def graphs_and_episodes(draw):
 
 
 # ---------------------------------------------------------------------------
-# Reference tape: the gather_rows scatter and the reverse walk as they were
-# before the scatter became one bincount and the walk began releasing interior
-# nodes. The tape tests require the current ones to give the same bits.
+# Reference tape: the gather_rows scatter, gather-then-dropout and the reverse
+# walk as they were before the scatter became one bincount, dropout moved
+# into the gather and the walk began releasing interior nodes. The tape tests
+# require the current ones to give the same bits.
 
 
 def reference_scatter_rows(shape, idx, g: np.ndarray) -> np.ndarray:
@@ -181,6 +182,12 @@ def reference_scatter_rows(shape, idx, g: np.ndarray) -> np.ndarray:
     ga = np.zeros(shape)
     np.add.at(ga, np.asarray(idx, dtype=np.intp), g)
     return ga
+
+
+def reference_dropout_rows(a: ad.Var, idx, mask: np.ndarray, keep: float) -> ad.Var:
+    """Gather-then-dropout as two ops, as hgnn_forward recorded it before
+    gather_rows took the mask: the rows, then mul_const by a float mask."""
+    return ad.mul_const(ad.gather_rows(a, idx), mask / keep)
 
 
 def reference_backward(root: ad.Var) -> None:

@@ -1,13 +1,19 @@
 """Gradient checks for every autodiff op against central finite differences,
 and the tape against its reference in tests/helpers.py."""
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import graphs_and_episodes, reference_backward, reference_scatter_rows
+from helpers import (
+    graphs_and_episodes,
+    reference_backward,
+    reference_dropout_rows,
+    reference_scatter_rows,
+)
 from rlhgnn import autodiff as ad
 from rlhgnn.agent import QNetwork, TransitionBatch, td_loss
 from rlhgnn.aggplan import build_plan
@@ -179,6 +185,31 @@ def test_gather_rows_backward_is_bit_equal_to_add_at(case):
     assert ga.tobytes() == ref.tobytes()
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(scatter_cases(), st.data())
+def test_masked_gather_rows_is_bit_equal_to_gather_then_mul_const(case, data):
+    shape, idx, g = case
+    keep = data.draw(st.sampled_from([0.9, 0.7, 0.5, 1 / 3, 0.1]))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=g.size, max_size=g.size)),
+                    dtype=bool).reshape(g.shape)
+    a = ad.param(np.random.default_rng(len(idx)).normal(scale=1e3, size=shape))
+    fused = ad.gather_rows(a, idx, mask, keep)
+    ref = reference_dropout_rows(a, idx, mask, keep)
+    assert fused.parents == (a,)
+    assert fused.value.dtype == ref.value.dtype and fused.value.tobytes() == ref.value.tobytes()
+    (got,) = fused.bw(g)
+    (ref_gather,) = ref.parents
+    (want,) = ref_gather.bw(*ref.bw(g))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_gather_rows_mask_must_be_bool_of_the_gathered_shape():
+    a = ad.param(np.ones((3, 2)))
+    for bad in (np.ones((2, 2)), np.ones((2, 1), dtype=bool), np.ones((3, 2), dtype=bool)):
+        with pytest.raises(ValueError, match=r"mask must be bool of shape \(2, 2\)"):
+            ad.gather_rows(a, [0, 2], bad, 0.5)
+
+
 def test_gather_rows_rejects_indices_outside_the_rows():
     a = ad.param(np.arange(6.0).reshape(3, 2))
     for bad in ([0, -1], [3], [2, 0, 7]):
@@ -256,6 +287,28 @@ def test_hgnn_train_loss_grads_match_reference_tape(case, messages_from_target):
     _assert_same_grads_as_reference(build, params.all_vars())
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(graphs_and_episodes(), st.booleans())
+def test_value_only_forward_is_bit_equal_to_the_recorded_eval_forward(case,
+                                                                       messages_from_target):
+    g, episodes, _ = case
+    params = init_params(g.schema, g.num_classes, 3, d=4, heads=2, dropout=0.3, seed=1)
+    plan = build_plan(g, episodes)
+    outputs = hgnn_forward(params, g, plan, "eval", 0, messages_from_target).outputs
+    probs = classify(params, outputs)
+    with ad.no_grad():
+        quiet = hgnn_forward(params, g, plan, "eval", 0, messages_from_target).outputs
+        quiet_probs = classify(params, quiet)
+    for v in (quiet, quiet_probs):
+        assert v.parents == () and v.bw is None
+    assert quiet.value.tobytes() == outputs.value.tobytes()
+    assert quiet_probs.value.tobytes() == probs.value.tobytes()
+    # outside no_grad the eval forward stays differentiable
+    labels = np.arange(len(episodes)) % g.num_classes
+    grads = backward(cross_entropy(probs, labels, np.arange(len(labels))), params.all_vars())
+    assert any(np.any(gr != 0) for gr in grads)
+
+
 def test_td_loss_grads_match_reference_tape():
     rng = np.random.default_rng(3)
     qnet, target = QNetwork(6, 4, hidden=(8, 5), seed=1), QNetwork(6, 4, hidden=(8, 5), seed=2)
@@ -265,3 +318,103 @@ def test_td_loss_grads_match_reference_tape():
                             terminal=rng.random(n) < 0.3, next_mask=rng.random((n, 4)) < 0.7)
     batch.next_mask[:, 3] = True  # Stop is always legal
     _assert_same_grads_as_reference(lambda: td_loss(qnet, target, batch, 0.9), qnet.vars())
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+
+
+def _ops(x, w):
+    """One of every op kind the models record."""
+    h = ad.relu(ad.matmul(ad.gather_rows(x, [2, 0, 2], np.ones((3, 3), dtype=bool), 0.5), w))
+    z = ad.exp(ad.leaky_relu(ad.segment_sum(ad.repeat_rows(h, [1, 2, 1]), [0, 2], [2, 2])))
+    y = ad.div(ad.mul(z, z), ad.add_const(ad.scale(z, 2.0), 1.0))
+    y = ad.sub(ad.add(y, ad.mul_const(y, 3.0)), ad.square(y))
+    y = ad.vstack([y, ad.reshape(ad.log(ad.add_const(ad.square(y), 1.0)), (2, 3))])
+    hd = ad.head_dot(ad.reshape(y, (4, 1, 3)), ad.const(np.ones((1, 3))))
+    return ad.total_mean(ad.add(ad.sum_cols(hd), ad.total_sum(hd)))
+
+
+def test_no_grad_records_no_parents_or_closures():
+    rng = np.random.default_rng(0)
+    x, w = ad.param(rng.normal(size=(3, 3))), ad.param(rng.normal(size=(3, 3)))
+    made = []
+    real_init = ad.Var.__init__
+
+    def spy(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        made.append(self)
+
+    ad.Var.__init__ = spy
+    try:
+        with ad.no_grad():
+            quiet = _ops(x, w)
+        n_quiet = len(made)
+        loud = _ops(x, w)
+    finally:
+        ad.Var.__init__ = real_init
+    assert n_quiet > 20 and len(made) == 2 * n_quiet
+    assert all(v.parents == () and v.bw is None for v in made[:n_quiet])
+    assert all(v.bw is not None for v in made[n_quiet:] if v.parents)
+    assert quiet.value.tobytes() == loud.value.tobytes()
+    ad.backward(loud)
+    assert x.grad is not None and w.grad is not None
+
+
+def test_no_grad_nests_and_restores_its_state_after_an_exception():
+    a = ad.param(np.arange(3.0))
+
+    def recorded() -> bool:
+        return ad.square(a).parents == (a,)
+
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not recorded()
+        assert not recorded()  # the inner block restores "off", not "on"
+    assert recorded()
+    with pytest.raises(RuntimeError, match="inside"):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    assert recorded()
+    with ad.no_grad():
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("nested")
+        assert not recorded()
+    assert recorded()
+
+
+def test_no_grad_leaves_other_threads_recording():
+    a = ad.param(np.arange(3.0))
+    entered, checked = threading.Event(), threading.Event()
+    seen = {}
+
+    def quiet():
+        with ad.no_grad():
+            entered.set()
+            checked.wait(timeout=30)
+            seen["quiet"] = ad.square(a).parents
+
+            def child():
+                seen["child"] = ad.square(a).parents
+
+            t = threading.Thread(target=child)
+            t.start()
+            t.join()
+
+    t = threading.Thread(target=quiet)
+    t.start()
+    assert entered.wait(timeout=30)
+    seen["main"] = ad.square(a).parents  # while the other thread is inside its block
+    checked.set()
+    t.join()
+    assert seen == {"main": (a,), "quiet": (), "child": (a,)}
+
+
+def test_a_loss_recorded_under_no_grad_cannot_be_backpropagated():
+    rng = np.random.default_rng(1)
+    x, w = ad.param(rng.normal(size=(3, 3))), ad.param(rng.normal(size=(3, 3)))
+    with ad.no_grad():
+        loss = _ops(x, w)
+    with pytest.raises(ValueError, match="loss carries no recording"):
+        backward(loss, [x, w])

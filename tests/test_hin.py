@@ -204,6 +204,45 @@ def test_csv_triples_names_the_file_and_line_of_a_bad_sidecar_row(tmp_path, side
     assert str(err.value) == f"{tmp_path}/{message}"
 
 
+@pytest.mark.parametrize("text,message", [
+    ("0.1,0.0\n0.2\n", "g.attrs.Movie.csv:2: expected 2 numbers, got 1"),
+    ("0.1,0.0\n\n0.2,0.3,0.4\n", "g.attrs.Movie.csv:3: expected 2 numbers, got 3"),
+    ("0.1\n0.2,0.3\n", "g.attrs.Movie.csv:1: expected 2 numbers, got 1"),
+], ids=["short-row", "long-row-after-blank-line", "short-first-row"])
+def test_csv_triples_names_the_line_of_a_ragged_attribute_row(tmp_path, text, message):
+    schema = {
+        "node_types": ["Movie", "Actor"],
+        "relation_types": [{"name": "M-A", "src": "Movie", "dst": "Actor"}],
+        "target_type": "Movie",
+        "num_classes": 2,
+        "attribute_dims": {"Movie": 2, "Actor": 1},
+    }
+    (tmp_path / "g.schema.json").write_text(json.dumps(schema))
+    (tmp_path / "g.attrs.Movie.csv").write_text(text)
+    (tmp_path / "g.attrs.Actor.csv").write_text("1.0\n2.0\n")
+    edges = tmp_path / "g.csv"
+    edges.write_text("M-A,Movie:0,Actor:1\n")
+    with pytest.raises(SchemaError) as err:
+        load_hin(edges, format="csv-triples")
+    assert str(err.value) == f"{tmp_path}/{message}"
+
+
+@pytest.mark.parametrize("row,value,got", [
+    (3, [1.0], "1"),
+    (2, [1.0, 2.0, 3.0], "3"),
+    (4, 1.0, "a float"),
+], ids=["short-row", "long-row", "number-for-row"])
+def test_json_graph_names_the_file_type_and_row_of_a_ragged_attribute_row(tmp_path, row,
+                                                                          value, got):
+    path, doc = imdb_like_json(tmp_path)
+    doc["attributes"]["Movie"][row] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as err:
+        load_hin(path)
+    assert str(err.value) == (f"{path}: attributes of type 'Movie', row {row}: "
+                              f"expected 2 numbers, got {got}")
+
+
 @pytest.mark.parametrize("part,key,value,message", [
     ("edges", "M-A", [0, "b"], "relation 'M-A': edges must be integer pairs"),
     ("edges", "M-A", [0], "relation 'M-A': edges must be integer pairs"),

@@ -474,6 +474,78 @@ def test_bench_runtime_equal_seed_rerun_spread_under_20_percent():
     assert spread < 0.2, f"equal-seed benchmark rerun spread {spread:.3f}"
 
 
+@pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
+def test_only_the_train_forward_records_a_tape(variant, monkeypatch):
+    """The eval passes of both loops and predict's greedy designer compute
+    values only; the train forward is the one the backward walks."""
+    from rlhgnn import model
+
+    seen = []
+    real_forward = model.hgnn_forward
+
+    def spy(params, g, dag, mode="eval", *args, **kwargs):
+        fwd = real_forward(params, g, dag, mode, *args, **kwargs)
+        seen.append((mode, fwd.outputs.parents != ()))
+        return fwd
+
+    monkeypatch.setattr(model, "hgnn_forward", spy)
+    g, split = generate_planted_hin(planted_spec_1hop())
+    cfg = TrainConfig(variant=variant, max_timesteps=2, rounds=4, inner_rounds=2,
+                      node_batch=16, hidden_dim=8, heads=2)
+    params, agent, _ = run(cfg, g, split)
+    predict(params, agent, g, cfg, split.test)
+    assert {mode for mode, _ in seen} == {"train", "eval"}
+    assert all(recorded == (mode == "train") for mode, recorded in seen)
+
+
+def test_bench_runtime_runs_each_variant_once_untimed_first(monkeypatch):
+    from rlhgnn import pipeline
+
+    calls = []
+    real_run = pipeline.run
+
+    def counted(cfg, g, split):
+        calls.append((cfg.variant, cfg.seed))
+        return real_run(cfg, g, split)
+
+    monkeypatch.setattr(pipeline, "run", counted)
+    g, split = generate_planted_hin(planted_spec_1hop())
+    cfg = TrainConfig(max_timesteps=1, rounds=2, inner_rounds=2, node_batch=8, hidden_dim=8,
+                      heads=2, seed=3)
+    res = pipeline.bench_runtime(cfg, g, split, repeats=2)
+    seeds = [pipeline._derive_seed(3, i) for i in range(2)]
+    assert calls == [(v, s) for v in ("rl-hgnn", "rl-hgnn-pp") for s in [seeds[0]] + seeds]
+    assert len(res["rl-hgnn_ms"]) == len(res["rl-hgnn-pp_ms"]) == 2
+
+
+@pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
+def test_loops_build_each_start_nodes_initial_episode_once_per_run(variant, monkeypatch):
+    from rlhgnn import pipeline
+
+    made = []
+    real_fresh = pipeline._fresh_episodes
+
+    def counted(g, nodes):
+        made.extend(nodes)
+        return real_fresh(g, nodes)
+
+    monkeypatch.setattr(pipeline, "_fresh_episodes", counted)
+    g, split = generate_planted_hin(planted_spec_1hop())
+    cfg = TrainConfig(variant=variant, max_timesteps=2, rounds=8, inner_rounds=2,
+                      node_batch=16, hidden_dim=8, heads=2)
+    _, _, report = run(cfg, g, split)
+    drawn = {n for r in report.rounds for n in r.nodes}
+    assert len(report.rounds) >= 4 and sorted(made) == sorted(drawn)
+
+    loop = pipeline._Loop(cfg, g, split, variant)
+    first = loop.fresh_episodes(g, split.validation)
+    again = loop.fresh_episodes(g, split.validation[::-1].copy())
+    assert all(a is b for a, b in zip(first, again[::-1]))
+    assert [(e.start, e.path, e.frontier.step_relations) for e in first] == [
+        (e.start, e.path, e.frontier.step_relations)
+        for e in real_fresh(g, split.validation)]
+
+
 def test_bench_aggregation_ratio_grows_with_T_and_matches_enumeration():
     from rlhgnn.aggplan import build_plan, count_steps_by_enumeration, naive_plan
     from rlhgnn.pipeline import random_legal_episodes

@@ -92,3 +92,22 @@ def test_every_captured_plan_matches_the_episodes_it_was_built_from(variant):
     assert any(len(e.path) == 2 for episodes, _ in captured for e in episodes)
     for episodes, plan in captured:
         assert plan.episodes_sig == [(e.start, e.path.relations) for e in episodes]
+
+
+def test_fast_loop_walks_the_train_tape_before_the_eval_pass_and_steps_last():
+    """Each rl-hgnn-pp round frees its train tape before the eval forward
+    runs, and the optimizer step comes after that forward, so the eval pass
+    sees the parameters from before the step."""
+    g, split = generate_planted_hin(SyntheticSpec(
+        node_counts={"Movie": 40, "Actor": 12}, target_type="Movie",
+        relations=[("M-A", "Movie", "Actor"), ("A-M", "Actor", "Movie")],
+        out_degree={"M-A": 2, "A-M": 2}, planted_path=("M-A",),
+        train_count=16, val_count=12))
+    rounds = 5
+    cfg = TrainConfig(rounds=rounds, max_timesteps=2, node_batch=16, hidden_dim=8, heads=2)
+    tracer = _load_tracing().Tracer()
+    with tracer.installed():
+        pipeline.run(cfg, g, split)
+    order = ("model.hgnn_forward.train", "model.backward", "model.hgnn_forward.eval",
+             "model.optimizer_step")
+    assert [n for n in tracer.names if n in order] == list(order) * rounds
