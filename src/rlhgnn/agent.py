@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import read_checkpoint, write_checkpoint
+from .checkpoint import check_arrays, read_checkpoint, write_checkpoint
 from .hin import HinGraph
 from .metapath import Frontier, arrived_mean
 from .model import AdamState, _glorot, backward, init_adam, optimizer_step
@@ -374,9 +374,13 @@ class DqnAgent:
         return loss
 
 
+def _named_vars(agent: DqnAgent) -> list[tuple[str, ad.Var]]:
+    """Checkpoint name of every network parameter, in checkpoint order."""
+    return ([(f"q:{i}", v) for i, v in enumerate(agent.qnet.vars())]
+            + [(f"target:{i}", v) for i, v in enumerate(agent.target_net.vars())])
+
+
 def save_agent(agent: DqnAgent, path, eps_position: float = 0.0) -> None:
-    arrays = [(f"q:{i}", v.value) for i, v in enumerate(agent.qnet.vars())]
-    arrays += [(f"target:{i}", v.value) for i, v in enumerate(agent.target_net.vars())]
     norm = agent.normalizer
     write_checkpoint(path, "dqn-agent", {
         "input_dim": agent.qnet.input_dim,
@@ -395,10 +399,12 @@ def save_agent(agent: DqnAgent, path, eps_position: float = 0.0) -> None:
             "mean": None if norm.mean is None else norm.mean.tolist(),
             "std": None if norm.std is None else norm.std.tolist(),
         },
-    }, arrays)
+    }, [(n, v.value) for n, v in _named_vars(agent)])
 
 
 def load_agent(path) -> DqnAgent:
+    """Raises ValueError naming the file unless it holds exactly the arrays
+    of the networks its header describes, each with its shape."""
     header, arrays = read_checkpoint(path, "dqn-agent")
     agent = DqnAgent.create(
         input_dim=header["input_dim"],
@@ -409,10 +415,10 @@ def load_agent(path) -> DqnAgent:
         reward_window=header["reward_window"],
         hidden=tuple(header["hidden"]),
     )
-    for i, v in enumerate(agent.qnet.vars()):
-        v.value = arrays[f"q:{i}"]
-    for i, v in enumerate(agent.target_net.vars()):
-        v.value = arrays[f"target:{i}"]
+    named = _named_vars(agent)
+    check_arrays(path, arrays, {n: v.value.shape for n, v in named})
+    for n, v in named:
+        v.value = arrays[n]
     agent.update_count = header["update_count"]
     norm = header.get("normalizer")
     if norm is not None:

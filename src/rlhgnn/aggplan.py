@@ -481,7 +481,6 @@ def plan_stats(naive: AggregationDag, merged: AggregationDag) -> AggregationStat
 
 def enumerate_instances(g: HinGraph, start: NodeId, path: MetaPath) -> list[tuple[int, ...]]:
     """All complete meta-path instances as local-id chains (uncapped DFS)."""
-    types = path.node_type_sequence(g.schema)
     out: list[tuple[int, ...]] = []
     chain = [start[1]]
 
@@ -489,7 +488,7 @@ def enumerate_instances(g: HinGraph, start: NodeId, path: MetaPath) -> list[tupl
         if k == len(path.relations):
             out.append(tuple(chain))
             return
-        for c in neighbors_local(g, types[k], chain[-1], path.relations[k]):
+        for c in neighbors_local(g, chain[-1], path.relations[k]):
             chain.append(int(c))
             rec(k + 1)
             chain.pop()

@@ -51,4 +51,21 @@ def read_checkpoint(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
             blob, dtype=np.float64, count=n, offset=off
         ).reshape(spec["shape"]).copy()
         off += 8 * n
+    if len(arrays) != len(sizes):
+        raise ValueError(f"{path}: checkpoint names an array more than once")
     return header, arrays
+
+
+def check_arrays(path, arrays: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> None:
+    """Raise ValueError naming the file unless `arrays` holds exactly the
+    names in `shapes`, each with its shape."""
+    missing = [n for n in shapes if n not in arrays]
+    if missing:
+        raise ValueError(f"{path}: checkpoint lacks array(s) {', '.join(missing)}")
+    extra = [n for n in arrays if n not in shapes]
+    if extra:
+        raise ValueError(f"{path}: checkpoint has unexpected array(s) {', '.join(extra)}")
+    for n, shape in shapes.items():
+        if arrays[n].shape != tuple(shape):
+            raise ValueError(f"{path}: array {n} has shape {arrays[n].shape}, "
+                             f"expected {tuple(shape)}")

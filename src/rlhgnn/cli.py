@@ -114,7 +114,11 @@ def cmd_bench_agg(args) -> int:
     cfg = _load_config(args.config, None)
     if args.uncapped:
         cfg = replace(cfg, fan_out_cap=None)
-    timesteps = [int(x) for x in args.timesteps.split(",")]
+    try:
+        timesteps = [int(x) for x in args.timesteps.split(",")]
+    except ValueError:
+        raise ValueError(f"--timesteps must be comma-separated integers, "
+                         f"got {args.timesteps!r}") from None
     results = pl.bench_aggregation(g, cfg, timesteps, episodes_per_t=args.episodes, seed=args.seed)
     export: dict = {"per_timestep": {}}
     print(f"{'T':>3} {'naive':>10} {'merged':>10} {'reduction':>10}")

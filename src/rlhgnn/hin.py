@@ -305,8 +305,8 @@ def _schema_from_json(doc: dict) -> tuple[HinSchema, str, int]:
     if dims is None:
         dims = {}
         for t in node_types:
-            rows = doc.get("attributes", {}).get(t, [])
-            dims[t] = len(rows[0]) if rows else 0
+            rows = doc.get("attributes", {}).get(t, [])  # _load_json_graph names a non-list row
+            dims[t] = next((len(r) for r in rows if isinstance(r, list)), 0)
     schema = HinSchema(node_types, relations, {t: int(dims[t]) for t in node_types})
     return schema, s["target_type"], int(s["num_classes"])
 
@@ -326,6 +326,23 @@ def load_hin(path: str | Path, format: str = "json-graph") -> HinGraph:
     return g
 
 
+def _number_rows(path: Path, t: str, rows: list[list]) -> np.ndarray:
+    """Equal-length attribute rows as float64; a SchemaError names the first
+    row holding a value that is not a JSON number."""
+    try:  # numpy infers a number dtype unless some value is not a number
+        a = np.asarray(rows)
+        if a.dtype.kind in "biuf":
+            return a.astype(np.float64, copy=False)
+    except ValueError:  # a list in place of a number
+        pass
+    for i, row in enumerate(rows):
+        bad = [x for x in row if not isinstance(x, (int, float))]
+        if bad:
+            raise SchemaError(f"{path}: attributes of type {t!r}, row {i}: "
+                              f"expected numbers, got {bad[0]!r}")
+    return np.asarray(rows, dtype=np.float64)  # ints beyond int64 reach here
+
+
 def _load_json_graph(path: Path) -> HinGraph:
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
@@ -341,7 +358,7 @@ def _load_json_graph(path: Path) -> HinGraph:
                     got = len(row) if isinstance(row, list) else f"a {type(row).__name__}"
                     raise SchemaError(f"{path}: attributes of type {t!r}, row {i}: "
                                       f"expected {dim} numbers, got {got}")
-            a = np.asarray(rows, dtype=np.float64)
+            a = _number_rows(path, t, rows)
             if a.size == 0:
                 a = a.reshape(0, dim)
             if a.shape[0] != num_nodes[t]:

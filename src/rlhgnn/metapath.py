@@ -147,7 +147,7 @@ def expand_frontier(
     parents: list[np.ndarray] = []
     children: list[np.ndarray] = []
     for p in frontier.reached:
-        kids = neighbors_local(g, r.src, int(p), relation)
+        kids = neighbors_local(g, int(p), relation)
         if fan_out_cap is not None and len(kids) > fan_out_cap:
             rng = _child_sample_rng(seed, rel_idx, type_idx, int(p))
             pick = rng.choice(len(kids), size=fan_out_cap, replace=False)
@@ -172,7 +172,7 @@ def expand_frontier(
     )
 
 
-def neighbors_local(g: HinGraph, node_type: str, local: int, relation: str) -> np.ndarray:
+def neighbors_local(g: HinGraph, local: int, relation: str) -> np.ndarray:
     indptr, indices = g.edges[relation]
     return indices[indptr[local]:indptr[local + 1]]
 

@@ -18,27 +18,40 @@ source contribute an identical term.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .aggplan import AggregationDag
-from .checkpoint import read_checkpoint, write_checkpoint
+from .checkpoint import check_arrays, read_checkpoint, write_checkpoint
 from .hin import HinGraph, HinSchema
 
 LEAKY_SLOPE = 0.2
 
 
+def param_shapes(schema: HinSchema, T: int, d: int, heads: int,
+                 num_classes: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every HGNN parameter, in the one order that init
+    draws them, Adam steps them and checkpoints store them: a projection per
+    node type, W, attn_src and attn_dst of each of the T aggregators (head h
+    of W owns columns h*hd:(h+1)*hd), then the classifier."""
+    hd = d // heads
+    shapes = {f"proj:{t}": (schema.attribute_dims[t], d) for t in schema.node_types}
+    for i in range(T):
+        shapes[f"layer{i}:W"] = (d, d)
+        shapes[f"layer{i}:attn_src"] = (heads, hd)
+        shapes[f"layer{i}:attn_dst"] = (heads, hd)
+    shapes["classifier:W"] = (d, num_classes)
+    shapes["classifier:b"] = (1, num_classes)
+    return shapes
+
+
 @dataclass
 class HgnnParams:
     schema: HinSchema
-    projections: dict[str, ad.Var]  # per type: (attr_dim, d)
-    layer_w: list[ad.Var]  # per aggregator: (d, d), head h owns columns h*hd:(h+1)*hd
-    layer_attn_src: list[ad.Var]  # per aggregator: (heads, hd)
-    layer_attn_dst: list[ad.Var]  # per aggregator: (heads, hd)
-    classifier_w: ad.Var  # (d, C)
-    classifier_b: ad.Var  # (1, C)
+    table: dict[str, ad.Var]  # param_shapes' names, in its order
+    T: int
     d: int
     heads: int
     num_classes: int
@@ -46,32 +59,21 @@ class HgnnParams:
     seed: int
 
     @property
-    def T(self) -> int:
-        return len(self.layer_w)
-
-    @property
     def head_dim(self) -> int:
         return self.d // self.heads
 
     def all_vars(self) -> list[ad.Var]:
-        return ([self.projections[t] for t in self.schema.node_types]
-                + self.aggregator_vars() + [self.classifier_w, self.classifier_b])
+        return list(self.table.values())
 
-    def aggregator_vars(self) -> list[ad.Var]:
-        out = []
-        for i in range(self.T):
-            out += [self.layer_w[i], self.layer_attn_src[i], self.layer_attn_dst[i]]
-        return out
+    def clone(self) -> "HgnnParams":
+        """The same parameters with copied values."""
+        return replace(self, table={n: ad.param(v.value.copy()) for n, v in self.table.items()})
 
     def aggregator_param_count(self) -> int:
-        return sum(v.value.size for v in self.aggregator_vars())
+        return sum(v.value.size for n, v in self.table.items() if n.startswith("layer"))
 
     def single_layer_param_count(self) -> int:
-        return (
-            self.layer_w[0].value.size
-            + self.layer_attn_src[0].value.size
-            + self.layer_attn_dst[0].value.size
-        )
+        return sum(v.value.size for n, v in self.table.items() if n.startswith("layer0:"))
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -90,33 +92,16 @@ def init_params(
 ) -> HgnnParams:
     if d % heads != 0:
         raise ValueError("representation dim must be divisible by the head count")
-    hd = d // heads
     rng = np.random.default_rng(seed)
-    projections = {}
-    for t in schema.node_types:
-        lam = schema.attribute_dims[t]
-        projections[t] = ad.param(_glorot(rng, lam, d, (lam, d)))
-    layer_w, a_src, a_dst = [], [], []
-    for _ in range(max_timesteps):
-        layer_w.append(ad.param(_glorot(rng, d, d, (d, d))))
-        a_src.append(ad.param(_glorot(rng, hd, 1, (heads, hd))))
-        a_dst.append(ad.param(_glorot(rng, hd, 1, (heads, hd))))
-    cw = ad.param(_glorot(rng, d, num_classes, (d, num_classes)))
-    cb = ad.param(np.zeros((1, num_classes)))
-    return HgnnParams(
-        schema=schema,
-        projections=projections,
-        layer_w=layer_w,
-        layer_attn_src=a_src,
-        layer_attn_dst=a_dst,
-        classifier_w=cw,
-        classifier_b=cb,
-        d=d,
-        heads=heads,
-        num_classes=num_classes,
-        dropout=dropout,
-        seed=seed,
-    )
+    table = {}
+    for name, shape in param_shapes(schema, max_timesteps, d, heads, num_classes).items():
+        if name == "classifier:b":
+            table[name] = ad.param(np.zeros(shape))
+        else:  # an attention vector's fans are (head dim, 1)
+            fan_in, fan_out = (shape[1], 1) if ":attn_" in name else shape
+            table[name] = ad.param(_glorot(rng, fan_in, fan_out, shape))
+    return HgnnParams(schema=schema, table=table, T=max_timesteps, d=d, heads=heads,
+                      num_classes=num_classes, dropout=dropout, seed=seed)
 
 
 def project_attributes(
@@ -126,10 +111,11 @@ def project_attributes(
     order: H0[i] = x_i . M_type."""
     parts: list[ad.Var] = []
     for t, ids in groups:
-        if t not in params.projections:
+        proj = params.table.get(f"proj:{t}")
+        if proj is None:
             raise ValueError(f"no projection for node type {t!r}")
         X = ad.const(g.attributes[t][np.asarray(ids, dtype=np.intp)])
-        parts.append(ad.matmul(X, params.projections[t]))
+        parts.append(ad.matmul(X, proj))
     if not parts:
         return ad.const(np.zeros((0, params.d)))
     return ad.vstack(parts) if len(parts) > 1 else parts[0]
@@ -147,11 +133,11 @@ def _layer_compute(
     """Aggregate per-traversal rows into per-step outputs with parameter set
     `layer`, all heads at once: head h is column block h*hd:(h+1)*hd."""
     heads, hd = params.heads, params.head_dim
-    W = params.layer_w[layer - 1]
+    W = params.table[f"layer{layer - 1}:W"]
     WS = ad.reshape(ad.matmul(S, W), (-1, heads, hd))
     WT = ad.reshape(ad.matmul(T0, W), (-1, heads, hd))
-    es = ad.head_dot(WS, params.layer_attn_src[layer - 1])  # (n, heads)
-    et = ad.head_dot(WT, params.layer_attn_dst[layer - 1])
+    es = ad.head_dot(WS, params.table[f"layer{layer - 1}:attn_src"])  # (n, heads)
+    et = ad.head_dot(WT, params.table[f"layer{layer - 1}:attn_dst"])
     e = ad.leaky_relu(ad.add(es, et), LEAKY_SLOPE)
     seg_max = np.maximum.reduceat(e.value, starts, axis=0)  # shift-invariant, no grad
     z = ad.exp(ad.add_const(e, -np.repeat(seg_max, lengths, axis=0)))
@@ -206,7 +192,7 @@ def hgnn_forward(
 
 def classify(params: HgnnParams, reps: ad.Var) -> ad.Var:
     """Class probability rows: softmax(reps . W_c + b_c); every row sums to 1."""
-    logits = ad.add(ad.matmul(reps, params.classifier_w), params.classifier_b)
+    logits = ad.add(ad.matmul(reps, params.table["classifier:W"]), params.table["classifier:b"])
     zmax = logits.value.max(axis=1, keepdims=True)  # shift-invariant, no grad
     ez = ad.exp(ad.add_const(logits, -zmax))
     return ad.div(ez, ad.reshape(ad.sum_cols(ez), (-1, 1)))
@@ -346,44 +332,19 @@ def finite_diff_check(
 _HYPER = ("T", "d", "heads", "num_classes", "dropout", "seed")
 
 
-def _named_arrays(params: HgnnParams) -> list[tuple[str, np.ndarray]]:
-    out = [(f"proj:{t}", params.projections[t].value) for t in params.schema.node_types]
-    for i in range(params.T):
-        out.append((f"layer{i}:W", params.layer_w[i].value))
-        out.append((f"layer{i}:attn_src", params.layer_attn_src[i].value))
-        out.append((f"layer{i}:attn_dst", params.layer_attn_dst[i].value))
-    out.append(("classifier:W", params.classifier_w.value))
-    out.append(("classifier:b", params.classifier_b.value))
-    return out
-
-
-def _params_from_arrays(schema: HinSchema, arrays: dict[str, np.ndarray], T: int,
-                        **hyper) -> HgnnParams:
-    """Inverse of _named_arrays, given the _HYPER fields; the arrays are used
-    as they are, not copied."""
-    return HgnnParams(
-        schema=schema,
-        projections={t: ad.param(arrays[f"proj:{t}"]) for t in schema.node_types},
-        layer_w=[ad.param(arrays[f"layer{i}:W"]) for i in range(T)],
-        layer_attn_src=[ad.param(arrays[f"layer{i}:attn_src"]) for i in range(T)],
-        layer_attn_dst=[ad.param(arrays[f"layer{i}:attn_dst"]) for i in range(T)],
-        classifier_w=ad.param(arrays["classifier:W"]),
-        classifier_b=ad.param(arrays["classifier:b"]),
-        **hyper,
-    )
-
-
-def _hyper(params: HgnnParams) -> dict:
-    return {k: getattr(params, k) for k in _HYPER}
-
-
 def save_params(params: HgnnParams, path) -> None:
     write_checkpoint(path, "hgnn-params",
-                     {**_hyper(params), "schema": params.schema.to_json()},
-                     _named_arrays(params))
+                     {**{k: getattr(params, k) for k in _HYPER},
+                      "schema": params.schema.to_json()},
+                     [(n, v.value) for n, v in params.table.items()])
 
 
 def load_params(path) -> HgnnParams:
+    """Raises ValueError naming the file unless it holds exactly the arrays
+    param_shapes gives for its header, each with its shape."""
     header, arrays = read_checkpoint(path, "hgnn-params")
-    return _params_from_arrays(HinSchema.from_json(header["schema"]), arrays,
-                               **{k: header[k] for k in _HYPER})
+    hyper = {k: header[k] for k in _HYPER}
+    schema = HinSchema.from_json(header["schema"])
+    shapes = param_shapes(schema, hyper["T"], hyper["d"], hyper["heads"], hyper["num_classes"])
+    check_arrays(path, arrays, shapes)
+    return HgnnParams(schema=schema, table={n: ad.param(arrays[n]) for n in shapes}, **hyper)

@@ -510,7 +510,7 @@ class _Loop:
         ))
         if val_metric > self.best_metric:
             self.best_metric = val_metric
-            self.best_params = _clone_params(params)
+            self.best_params = params.clone()
 
     def finish(self, counter: str, count: int, final_eps: float
                ) -> tuple[nn.HgnnParams | None, rl.DqnAgent, EpisodeReport]:
@@ -522,11 +522,6 @@ class _Loop:
             "final_eps": final_eps,
         }
         return self.best_params, self.agent, self.report
-
-
-def _clone_params(params: nn.HgnnParams) -> nn.HgnnParams:
-    arrays = {name: a.copy() for name, a in nn._named_arrays(params)}
-    return nn._params_from_arrays(params.schema, arrays, **nn._hyper(params))
 
 
 # ---------------------------------------------------------------------------
@@ -792,12 +787,15 @@ def bench_aggregation(
     merge removes. Counts are per episode batch.
     """
     n_target = g.num_nodes[g.target_type]
-    n = episodes_per_t or cfg.node_batch
+    n = cfg.node_batch if episodes_per_t is None else episodes_per_t
+    if n < 1:
+        raise ValueError(f"episode count must be >= 1, got {n}")
+    for T in timesteps:
+        if T < 1:
+            raise ValueError(f"timesteps must be >= 1, got {T}")
     rng = np.random.default_rng(seed)
     out: dict[int, AggregationStats] = {}
     for T in timesteps:
-        if T < 1:
-            raise ValueError("timesteps must be >= 1")
         starts = np.sort(rng.integers(0, n_target, size=n))
         eps = random_legal_episodes(g, starts, T, seed=_derive_seed(seed, T),
                                     fan_out_cap=cfg.fan_out_cap)
@@ -814,6 +812,8 @@ def bench_runtime(cfg: TrainConfig, g: HinGraph, split: DataSplit, repeats: int 
     once untimed before its `repeats` timed runs, so first-call costs (cold
     caches, lazy imports, allocator growth) stay out of the means.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     results: dict[str, list[float]] = {"rl-hgnn": [], "rl-hgnn-pp": []}
     for variant in results:
         run(replace(cfg, variant=variant, seed=_derive_seed(cfg.seed, 0)), g, split)

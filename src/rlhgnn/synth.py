@@ -38,7 +38,7 @@ class SyntheticSpec:
     relations: list[tuple[str, str, str]]  # (name, src type, dst type)
     out_degree: dict[str, int]  # edges per source node, per relation
     target_type: str
-    planted_path: tuple[str, ...]  # relation names starting at target_type
+    planted_path: tuple[str, ...] = ()  # relation names starting at target_type
     signal_strength: float = 1.0
     num_classes: int = 3
     noise_dims: int = 4
@@ -55,8 +55,39 @@ class SyntheticSpec:
         )
 
     def validate(self) -> None:
-        if not 0.0 <= self.signal_strength <= 1.0:
-            raise ValueError("signal strength must lie in [0, 1]")
+        """Raise ValueError naming the first field of the wrong type or outside
+        its valid range. Values are checked as given, never converted."""
+        def need(ok: bool, name: str, rule: str) -> None:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
+        def is_int(v) -> bool:
+            return isinstance(v, int) and not isinstance(v, bool)
+
+        def is_counts(v) -> bool:
+            return isinstance(v, dict) and all(
+                isinstance(k, str) and is_int(n) and n >= 0 for k, n in v.items())
+
+        def is_names(v) -> bool:
+            return isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v)
+
+        need(is_counts(self.node_counts), "node_counts", "an object of integer counts >= 0")
+        need(isinstance(self.relations, (list, tuple))
+             and all(is_names(r) and len(r) == 3 for r in self.relations),
+             "relations", "a list of [name, src type, dst type] triples")
+        need(is_counts(self.out_degree), "out_degree", "an object of integer counts >= 0")
+        need(isinstance(self.target_type, str), "target_type", "a node type name")
+        need(is_names(self.planted_path), "planted_path", "a list of relation names")
+        need(isinstance(self.signal_strength, (int, float))
+             and not isinstance(self.signal_strength, bool)
+             and 0.0 <= self.signal_strength <= 1.0, "signal_strength", "in [0, 1]")
+        need(is_int(self.num_classes) and self.num_classes >= 1, "num_classes",
+             "an integer >= 1")
+        need(is_int(self.noise_dims) and self.noise_dims >= 0, "noise_dims", "an integer >= 0")
+        for name in ("train_count", "val_count"):
+            v = getattr(self, name)
+            need(v is None or is_int(v), name, "an integer or null")
+        need(is_int(self.seed) and self.seed >= 0, "seed", "an integer >= 0")
         schema = self.schema()
         MetaPath(self.target_type, tuple(self.planted_path)).validate(schema)
         for t in self._planted_types(schema):
@@ -70,34 +101,22 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SyntheticSpec":
-        return cls(
-            node_counts={str(k): int(v) for k, v in doc["node_counts"].items()},
-            relations=[tuple(r) for r in doc["relations"]],
-            out_degree={str(k): int(v) for k, v in doc["out_degree"].items()},
-            target_type=doc["target_type"],
-            planted_path=tuple(doc.get("planted_path", ())),
-            signal_strength=float(doc.get("signal_strength", 1.0)),
-            num_classes=int(doc.get("num_classes", 3)),
-            noise_dims=int(doc.get("noise_dims", 4)),
-            train_count=doc.get("train_count"),
-            val_count=doc.get("val_count"),
-            seed=int(doc.get("seed", 0)),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "node_counts": dict(self.node_counts),
-            "relations": [list(r) for r in self.relations],
-            "out_degree": dict(self.out_degree),
-            "target_type": self.target_type,
-            "planted_path": list(self.planted_path),
-            "signal_strength": self.signal_strength,
-            "num_classes": self.num_classes,
-            "noise_dims": self.noise_dims,
-            "train_count": self.train_count,
-            "val_count": self.val_count,
-            "seed": self.seed,
-        }
+        """Read a JSON spec: an object with the dataclass's fields, checked
+        by validate(); lists become the tuples the dataclass holds."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"SyntheticSpec must be a JSON object, got {type(doc).__name__}")
+        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown SyntheticSpec field(s): {', '.join(unknown)}")
+        missing = [n for n in ("node_counts", "relations", "out_degree", "target_type")
+                   if n not in doc]
+        if missing:
+            raise ValueError(f"SyntheticSpec lacks field(s): {', '.join(missing)}")
+        spec = cls(**doc)
+        spec.validate()
+        spec.relations = [tuple(r) for r in spec.relations]
+        spec.planted_path = tuple(spec.planted_path)
+        return spec
 
 
 def generate_planted_hin(spec: SyntheticSpec) -> tuple[HinGraph, DataSplit]:
@@ -187,7 +206,7 @@ def planted_oracle_predict(g: HinGraph, planted_path: tuple[str, ...], nodes: np
                 raise SchemaError(f"planted path broken at relation {rel!r}")
             nxt: set[int] = set()
             for p in level:
-                nxt.update(int(c) for c in neighbors_local(g, cur_type, p, rel))
+                nxt.update(int(c) for c in neighbors_local(g, p, rel))
             level = nxt
             cur_type = r.dst
         if not level:

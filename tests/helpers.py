@@ -244,7 +244,7 @@ def reference_project_attributes(
     i = 0
     while i < len(nodes):
         t = nodes[i][0]
-        if t not in params.projections:
+        if f"proj:{t}" not in params.table:
             raise ValueError(f"no projection for node type {t!r}")
         j = i
         locals_ = []
@@ -252,7 +252,7 @@ def reference_project_attributes(
             locals_.append(nodes[j][1])
             j += 1
         X = ad.const(g.attributes[t][np.asarray(locals_, dtype=np.intp)])
-        parts.append(ad.matmul(X, params.projections[t]))
+        parts.append(ad.matmul(X, params.table[f"proj:{t}"]))
         for k, n in enumerate(nodes[i:j]):
             rows[n] = i + k
         i = j
@@ -272,11 +272,11 @@ def reference_layer_compute(
 ) -> ad.Var:
     """Aggregate per-traversal rows into per-step outputs with parameter set `layer`."""
     heads, hd = params.heads, params.head_dim
-    W = params.layer_w[layer - 1]
+    W = params.table[f"layer{layer - 1}:W"]
     WS = ad.matmul(S, W)
     WT = ad.matmul(T0, W)
-    a_src = params.layer_attn_src[layer - 1]
-    a_dst = params.layer_attn_dst[layer - 1]
+    a_src = params.table[f"layer{layer - 1}:attn_src"]
+    a_dst = params.table[f"layer{layer - 1}:attn_dst"]
     inv_len = (1.0 / lengths)[:, None]
     outs = []
     for h in range(heads):
@@ -667,10 +667,11 @@ def attention_coefficients(
         raise ValueError("attention over an empty source set")
     hd = params.head_dim
     lo, hi = head * hd, (head + 1) * hd
-    W = params.layer_w[layer - 1].value
+    W = params.table[f"layer{layer - 1}:W"].value
     ws = source_reps @ W[:, lo:hi]
     wt = target_rep @ W[:, lo:hi]
-    e = ws @ params.layer_attn_src[layer - 1].value[head] + wt @ params.layer_attn_dst[layer - 1].value[head]
+    e = (ws @ params.table[f"layer{layer - 1}:attn_src"].value[head]
+         + wt @ params.table[f"layer{layer - 1}:attn_dst"].value[head])
     e = np.where(e > 0, e, LEAKY_SLOPE * e)
     e = e - e.max()
     z = np.exp(e)

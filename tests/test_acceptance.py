@@ -287,7 +287,7 @@ def test_criterion_8_unit_invariants(seed):
     # stop-at-0 output equals the projected attributes
     ep = Episode(("Movie", 2), MetaPath("Movie"), Frontier.initial(("Movie", 2)))
     fwd = hgnn_forward(params, g, build_plan(g, [ep]))
-    expected = g.attributes["Movie"][2] @ params.projections["Movie"].value
+    expected = g.attributes["Movie"][2] @ params.table["proj:Movie"].value
     np.testing.assert_allclose(fwd.outputs.value[0], expected, atol=1e-12)
     if seed == 2:
         _ok(8, "unit invariant suite green under 3 seeds")

@@ -1,10 +1,13 @@
 """The shared checkpoint container behind model.bin and agent.bin: exact
 round trips and a named error for every malformed file."""
+import json
+
 import numpy as np
 import pytest
 
 from helpers import imdb_like_graph
 from rlhgnn.agent import DqnAgent, load_agent, save_agent
+from rlhgnn.checkpoint import read_checkpoint, write_checkpoint
 from rlhgnn.model import init_params, load_params, save_params
 
 
@@ -82,3 +85,43 @@ def test_wrong_kind_is_rejected(tmp_path):
         load_agent(model)
     with pytest.raises(ValueError, match="expected a 'hgnn-params' checkpoint, got kind 'dqn-agent'"):
         load_params(agent)
+
+
+def rewrite_arrays(path, edit):
+    """Write the checkpoint at `path` again, unchanged but for its arrays,
+    which `edit` maps from one (name, array) list to another."""
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    kind = header.pop("kind")
+    del header["dtype"], header["arrays"]
+    _, arrays = read_checkpoint(path, kind)
+    write_checkpoint(path, kind, header, edit(list(arrays.items())))
+
+
+# per kind: a name to drop, and a name with a wrong shape and its real shape
+BAD_ARRAYS = {
+    "model": ("layer1:W", "layer0:W", (4, 4), (8, 8)),
+    "agent": ("target:3", "q:0", (3, 32), (6, 32)),
+}
+
+
+@pytest.mark.parametrize("case", ["missing", "extra", "misshapen", "duplicate"])
+@pytest.mark.parametrize("which", sorted(KINDS))
+def test_arrays_not_matching_the_header_are_rejected_naming_the_file(tmp_path, which, case):
+    save, load, _ = KINDS[which]
+    dropped, reshaped, bad_shape, shape = BAD_ARRAYS[which]
+    path = tmp_path / "c.bin"
+    save(path)
+    edit, message = {
+        "missing": (lambda arrs: [(n, a) for n, a in arrs if n != dropped],
+                    f"checkpoint lacks array(s) {dropped}"),
+        "extra": (lambda arrs: arrs + [("extra", np.zeros((1, 1)))],
+                  "checkpoint has unexpected array(s) extra"),
+        "misshapen": (lambda arrs: [(n, np.zeros(bad_shape) if n == reshaped else a)
+                                    for n, a in arrs],
+                      f"array {reshaped} has shape {bad_shape}, expected {shape}"),
+        "duplicate": (lambda arrs: arrs + arrs[-1:], "checkpoint names an array more than once"),
+    }[case]
+    rewrite_arrays(path, edit)
+    with pytest.raises(ValueError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: {message}"

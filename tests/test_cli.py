@@ -162,6 +162,25 @@ def test_bench_agg_cli_matches_library_seeding(tmp_path, synth_graph, capsys):
         assert doc[str(T)]["naive_plan"] == stats.naive.to_json()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--episodes", "0"], "episode count must be >= 1, got 0"),
+    (["--timesteps", "1,x"], "--timesteps must be comma-separated integers, got '1,x'"),
+    (["--timesteps", "2,0"], "timesteps must be >= 1, got 0"),
+], ids=["zero-episodes", "word-timestep", "zero-timestep"])
+def test_bench_agg_rejects_a_bad_count_by_name(synth_graph, args, message):
+    """--episodes 0 is rejected, not replaced by the node_batch default."""
+    with pytest.raises(ValueError) as err:
+        main(["bench-agg", "--graph", str(synth_graph), *args])
+    assert str(err.value) == message
+
+
+def test_bench_runtime_rejects_zero_repeats(tmp_path):
+    cfg_path = write_config(tmp_path, rounds=2, max_timesteps=1, inner_rounds=3,
+                            node_batch=12, hidden_dim=8)
+    with pytest.raises(ValueError, match="^repeats must be >= 1, got 0$"):
+        main(["bench-runtime", "--config", str(cfg_path), "--repeats", "0"])
+
+
 def test_bench_runtime_cli(tmp_path, synth_graph, capsys):
     cfg_path = write_config(tmp_path, rounds=2, max_timesteps=1, inner_rounds=3,
                             node_batch=12, hidden_dim=8)

@@ -231,7 +231,8 @@ def test_csv_triples_names_the_line_of_a_ragged_attribute_row(tmp_path, text, me
     (3, [1.0], "1"),
     (2, [1.0, 2.0, 3.0], "3"),
     (4, 1.0, "a float"),
-], ids=["short-row", "long-row", "number-for-row"])
+    (0, 1.0, "a float"),
+], ids=["short-row", "long-row", "number-for-row", "number-for-first-row"])
 def test_json_graph_names_the_file_type_and_row_of_a_ragged_attribute_row(tmp_path, row,
                                                                           value, got):
     path, doc = imdb_like_json(tmp_path)
@@ -241,6 +242,29 @@ def test_json_graph_names_the_file_type_and_row_of_a_ragged_attribute_row(tmp_pa
         load_hin(path)
     assert str(err.value) == (f"{path}: attributes of type 'Movie', row {row}: "
                               f"expected 2 numbers, got {got}")
+
+
+@pytest.mark.parametrize("row,value", [
+    (2, ["x", 1.0]),
+    (0, [1.0, None]),
+    (4, [1.0, [2.0]]),
+], ids=["word", "null", "list"])
+def test_json_graph_names_the_file_type_and_row_of_a_non_number_attribute(tmp_path, row, value):
+    path, doc = imdb_like_json(tmp_path)
+    doc["attributes"]["Movie"][row] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as err:
+        load_hin(path)
+    bad = next(x for x in value if not isinstance(x, float))
+    assert str(err.value) == (f"{path}: attributes of type 'Movie', row {row}: "
+                              f"expected numbers, got {bad!r}")
+
+
+def test_json_graph_reads_an_integer_attribute_beyond_int64(tmp_path):
+    path, doc = imdb_like_json(tmp_path)
+    doc["attributes"]["Movie"][1] = [10**20, 1]
+    path.write_text(json.dumps(doc))
+    np.testing.assert_array_equal(load_hin(path).attributes["Movie"][1], [1e20, 1.0])
 
 
 @pytest.mark.parametrize("part,key,value,message", [

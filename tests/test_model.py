@@ -44,10 +44,10 @@ def test_projection_identity_and_zero():
     g = imdb_like_graph()
     p = small_params(g, d=4, heads=2)
     lam = g.schema.attribute_dims["Movie"]
-    p.projections["Movie"].value = np.eye(lam, 4)
+    p.table["proj:Movie"].value = np.eye(lam, 4)
     H = project_attributes(p, g, [("Movie", np.array([0, 1]))])
     np.testing.assert_allclose(H.value[0, :lam][: lam], g.attributes["Movie"][0])
-    p.projections["Movie"].value = np.zeros((lam, 4))
+    p.table["proj:Movie"].value = np.zeros((lam, 4))
     H = project_attributes(p, g, [("Movie", np.array([2]))])
     np.testing.assert_allclose(H.value, 0.0)
 
@@ -58,14 +58,14 @@ def test_projection_matches_direct_product():
     nodes = [("Actor", 1), ("Actor", 3), ("Movie", 0)]
     H = project_attributes(p, g, [("Actor", np.array([1, 3])), ("Movie", np.array([0]))])
     for row, n in enumerate(nodes):
-        expected = g.attributes[n[0]][n[1]] @ p.projections[n[0]].value
+        expected = g.attributes[n[0]][n[1]] @ p.table[f"proj:{n[0]}"].value
         np.testing.assert_allclose(H.value[row], expected, atol=1e-12)
 
 
 def test_projection_missing_type_errors():
     g = imdb_like_graph()
     p = small_params(g)
-    del p.projections["Actor"]
+    del p.table["proj:Actor"]
     with pytest.raises(ValueError):
         project_attributes(p, g, [("Actor", np.array([0]))])
 
@@ -98,8 +98,9 @@ def test_attention_matches_standalone_recomputation():
     tgt = rng.normal(size=8)
     head = 1
     hd = p.head_dim
-    W = p.layer_w[0].value[:, head * hd:(head + 1) * hd]
-    e = (srcs @ W) @ p.layer_attn_src[0].value[head] + (tgt @ W) @ p.layer_attn_dst[0].value[head]
+    W = p.table["layer0:W"].value[:, head * hd:(head + 1) * hd]
+    e = ((srcs @ W) @ p.table["layer0:attn_src"].value[head]
+         + (tgt @ W) @ p.table["layer0:attn_dst"].value[head])
     e = np.where(e > 0, e, 0.2 * e)
     z = np.exp(e - e.max())
     expected = z / z.sum()
@@ -133,7 +134,7 @@ def test_layer_compute_is_relu_of_the_mean_attention_weighted_message(messages_f
         for layer in (1, 2):
             got = _layer_compute(p, layer, ad.const(S), ad.const(T0), starts, lengths,
                                  messages_from_target).value
-            W, hd = p.layer_w[layer - 1].value, p.head_dim
+            W, hd = p.table[f"layer{layer - 1}:W"].value, p.head_dim
             for k, (a, n) in enumerate(zip(starts, lengths)):
                 X = T0[a:a + n] if messages_from_target else S[a:a + n]
                 for h in range(p.heads):
@@ -165,9 +166,9 @@ def test_identity_chain_passes_representation_through():
     aggregated value equals the source's previous representation."""
     g = chain_graph()
     p = small_params(g, T=1, d=4, heads=2)
-    p.projections["A"].value = np.eye(4)
-    p.projections["B"].value = np.eye(4)
-    p.layer_w[0].value = np.eye(4)
+    p.table["proj:A"].value = np.eye(4)
+    p.table["proj:B"].value = np.eye(4)
+    p.table["layer0:W"].value = np.eye(4)
     ep = episode(g, ("A", 0), ("ab",))
     fwd = hgnn_forward(p, g, build_plan(g, [ep]))
     np.testing.assert_allclose(fwd.outputs.value[0], g.attributes["B"][0], atol=1e-12)
@@ -176,9 +177,9 @@ def test_identity_chain_passes_representation_through():
 def test_all_negative_preactivation_gives_zero():
     g = chain_graph()
     p = small_params(g, T=1, d=4, heads=2)
-    p.projections["A"].value = np.eye(4)
-    p.projections["B"].value = -np.eye(4)  # negative source rep
-    p.layer_w[0].value = np.eye(4)
+    p.table["proj:A"].value = np.eye(4)
+    p.table["proj:B"].value = -np.eye(4)  # negative source rep
+    p.table["layer0:W"].value = np.eye(4)
     ep = episode(g, ("A", 0), ("ab",))
     fwd = hgnn_forward(p, g, build_plan(g, [ep]))
     np.testing.assert_allclose(fwd.outputs.value[0], 0.0)
@@ -189,7 +190,7 @@ def test_stop_at_zero_returns_projected_attributes():
     p = small_params(g, d=8, heads=2, seed=2)
     ep = Episode(("Movie", 3), MetaPath("Movie"), Frontier.initial(("Movie", 3)))
     fwd = hgnn_forward(p, g, build_plan(g, [ep]))
-    expected = g.attributes["Movie"][3] @ p.projections["Movie"].value
+    expected = g.attributes["Movie"][3] @ p.table["proj:Movie"].value
     np.testing.assert_allclose(fwd.outputs.value[0], expected, atol=1e-12)
 
 
@@ -301,8 +302,8 @@ def test_plan_deeper_than_model_errors():
 def test_classify_zero_weights_uniform():
     g = imdb_like_graph()
     p = small_params(g, d=8, heads=2)
-    p.classifier_w.value = np.zeros_like(p.classifier_w.value)
-    p.classifier_b.value = np.zeros_like(p.classifier_b.value)
+    p.table["classifier:W"].value = np.zeros_like(p.table["classifier:W"].value)
+    p.table["classifier:b"].value = np.zeros_like(p.table["classifier:b"].value)
     probs = classify(p, ad.const(np.random.default_rng(0).normal(size=(4, 8))))
     np.testing.assert_allclose(probs.value, 1.0 / 3, atol=1e-12)
 
@@ -314,7 +315,7 @@ def test_classify_rows_sum_and_shift_invariance():
     probs = classify(p, reps)
     np.testing.assert_allclose(probs.value.sum(axis=1), 1.0, atol=1e-9)
     arg1 = np.argmax(probs.value, axis=1)
-    p.classifier_b.value = p.classifier_b.value + 3.7  # constant logit shift
+    p.table["classifier:b"].value = p.table["classifier:b"].value + 3.7  # constant logit shift
     arg2 = np.argmax(classify(p, reps).value, axis=1)
     np.testing.assert_array_equal(arg1, arg2)
 
@@ -323,7 +324,7 @@ def test_classify_matches_direct_softmax():
     g = imdb_like_graph()
     p = small_params(g, d=8, heads=2, seed=11)
     X = np.random.default_rng(2).normal(size=(4, 8))
-    logits = X @ p.classifier_w.value + p.classifier_b.value
+    logits = X @ p.table["classifier:W"].value + p.table["classifier:b"].value
     z = np.exp(logits - logits.max(axis=1, keepdims=True))
     expected = z / z.sum(axis=1, keepdims=True)
     np.testing.assert_allclose(classify(p, ad.const(X)).value, expected, atol=1e-12)
@@ -361,7 +362,7 @@ def test_cross_entropy_matches_recomputation():
 def test_constant_loss_zero_gradients():
     g = imdb_like_graph()
     p = small_params(g, d=8, heads=2)
-    loss = ad.scale(ad.total_sum(ad.mul_const(p.classifier_w, 0.0)), 1.0)
+    loss = ad.scale(ad.total_sum(ad.mul_const(p.table["classifier:W"], 0.0)), 1.0)
     grads = backward(loss, p.all_vars())
     for gr in grads:
         np.testing.assert_allclose(gr, 0.0)
@@ -519,7 +520,8 @@ def test_exactly_T_aggregator_sets_total_4u_not_10u():
     assert u == 128 * 128 + 2 * 8 * 16
     assert p.aggregator_param_count() == 4 * u
     assert p.aggregator_param_count() != 10 * u
-    assert len(p.layer_w) == len(p.layer_attn_src) == len(p.layer_attn_dst) == 4
+    assert [n for n in p.table if n.startswith("layer")] == [
+        f"layer{i}:{k}" for i in range(4) for k in ("W", "attn_src", "attn_dst")]
 
 
 def test_checkpoint_round_trip(tmp_path):

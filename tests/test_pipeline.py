@@ -262,11 +262,10 @@ def test_episode_paths_never_exceed_T():
 
 def test_cloned_params_share_no_arrays():
     from rlhgnn.model import init_params
-    from rlhgnn.pipeline import _clone_params
 
     g, _ = generate_planted_hin(planted_spec_1hop())
     p = init_params(g.schema, g.num_classes, 2, d=8, heads=2, dropout=0.3, seed=5)
-    q = _clone_params(p)
+    q = p.clone()
     assert len(q.all_vars()) == len(p.all_vars())
     for a, b in zip(p.all_vars(), q.all_vars()):
         assert a is not b and not np.shares_memory(a.value, b.value)
@@ -281,11 +280,10 @@ def test_snapshots_keep_their_values_across_later_optimizer_steps():
     from helpers import Transition, stack_transitions
     from rlhgnn.agent import QNetwork, ReplayBuffer, dqn_step, sync_target
     from rlhgnn.model import init_adam, init_params, optimizer_step
-    from rlhgnn.pipeline import _clone_params
 
     g, _ = generate_planted_hin(planted_spec_1hop())
     p = init_params(g.schema, g.num_classes, 2, d=8, heads=2, seed=5)
-    best = _clone_params(p)
+    best = p.clone()
     snapshot = [v.value.copy() for v in best.all_vars()]
     opt = init_adam(p.all_vars())
     for _ in range(3):

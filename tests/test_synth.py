@@ -1,4 +1,6 @@
 """Planted-path generator: oracle separability, noise limits, determinism."""
+import json
+
 import numpy as np
 import pytest
 
@@ -112,3 +114,52 @@ def test_invalid_specs_rejected():
         generate_planted_hin(movie_actor_spec(signal_strength=1.5))
     with pytest.raises(ValueError):
         generate_planted_hin(movie_actor_spec(train_count=50, val_count=50))
+
+
+# the README quickstart spec, as JSON
+QUICKSTART_SPEC = {
+    "node_counts": {"Movie": 120, "Actor": 48, "Tag": 12, "Director": 16},
+    "relations": [["M-A", "Movie", "Actor"], ["A-T", "Actor", "Tag"],
+                  ["M-D", "Movie", "Director"]],
+    "out_degree": {"M-A": 2, "A-T": 2, "M-D": 2},
+    "target_type": "Movie",
+    "planted_path": ["M-A", "A-T"],
+    "signal_strength": 1.0,
+    "num_classes": 3,
+    "train_count": 48, "val_count": 36,
+    "seed": 0,
+}
+
+
+def test_json_spec_reads_as_the_spec_it_spells():
+    spec = SyntheticSpec.from_dict(json.loads(json.dumps(QUICKSTART_SPEC)))
+    assert spec == SyntheticSpec(
+        node_counts={"Movie": 120, "Actor": 48, "Tag": 12, "Director": 16},
+        relations=[("M-A", "Movie", "Actor"), ("A-T", "Actor", "Tag"),
+                   ("M-D", "Movie", "Director")],
+        out_degree={"M-A": 2, "A-T": 2, "M-D": 2},
+        target_type="Movie", planted_path=("M-A", "A-T"), signal_strength=1.0,
+        num_classes=3, train_count=48, val_count=36, seed=0)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: [d], "SyntheticSpec must be a JSON object, got list"),
+    (lambda d: {**d, "signal_strenght": 0.5}, "unknown SyntheticSpec field(s): signal_strenght"),
+    (lambda d: {k: v for k, v in d.items() if k != "relations"},
+     "SyntheticSpec lacks field(s): relations"),
+    (lambda d: {**d, "num_classes": 2.7}, "num_classes must be an integer >= 1, got 2.7"),
+    (lambda d: {**d, "seed": "5"}, "seed must be an integer >= 0, got '5'"),
+    (lambda d: {**d, "train_count": "10"}, "train_count must be an integer or null, got '10'"),
+    (lambda d: {**d, "signal_strength": True}, "signal_strength must be in [0, 1], got True"),
+    (lambda d: {**d, "node_counts": {"Movie": 1.5}},
+     "node_counts must be an object of integer counts >= 0, got {'Movie': 1.5}"),
+    (lambda d: {**d, "relations": [["M-A", "Movie"]]},
+     "relations must be a list of [name, src type, dst type] triples, got [['M-A', 'Movie']]"),
+    (lambda d: {**d, "planted_path": "M-A"},
+     "planted_path must be a list of relation names, got 'M-A'"),
+], ids=["not-object", "typo", "missing", "float-count", "string-seed", "string-count",
+        "bool-strength", "float-node-count", "short-relation", "string-path"])
+def test_json_spec_rejects_a_bad_document_by_name(edit, message):
+    with pytest.raises(ValueError) as err:
+        SyntheticSpec.from_dict(edit(json.loads(json.dumps(QUICKSTART_SPEC))))
+    assert str(err.value) == message
