@@ -12,7 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import check_arrays, read_checkpoint, write_checkpoint
+from .checkpoint import (
+    NUMBER,
+    check_arrays,
+    header_fields,
+    int_at_least,
+    numbers,
+    read_checkpoint,
+    write_checkpoint,
+)
 from .hin import HinGraph
 from .metapath import Frontier, arrived_mean
 from .model import AdamState, _glorot, backward, init_adam, optimizer_step
@@ -406,21 +414,40 @@ def load_agent(path) -> DqnAgent:
     """Raises ValueError naming the file unless it holds exactly the arrays
     of the networks its header describes, each with its shape."""
     header, arrays = read_checkpoint(path, "dqn-agent")
+    f = header_fields(path, header, {
+        "input_dim": int_at_least(1),
+        "num_actions": int_at_least(1),
+        "hidden": (lambda v: isinstance(v, list) and all(int_at_least(1)[0](n) for n in v),
+                   "a list of integers >= 1"),
+        "gamma": NUMBER,
+        "sync_every": int_at_least(1),
+        "update_count": int_at_least(0),
+        "reward_window": int_at_least(1),
+        "buffer_capacity": int_at_least(1),
+    })
+    stats = numbers(f["input_dim"])
+    norm = header_fields(path, header, {"normalizer": (
+        lambda v: v is None or (
+            isinstance(v, dict) and set(v) == {"fit_count", "mean", "std"}
+            and int_at_least(1)[0](v["fit_count"])
+            and (v["mean"] is None and v["std"] is None
+                 or stats[0](v["mean"]) and stats[0](v["std"]))),
+        f"null or {{fit_count: an integer >= 1, mean and std: both null or both "
+        f"{stats[1]}}}")})["normalizer"]
     agent = DqnAgent.create(
-        input_dim=header["input_dim"],
-        num_actions=header["num_actions"],
-        buffer_capacity=header["buffer_capacity"],
-        gamma=header["gamma"],
-        sync_every=header["sync_every"],
-        reward_window=header["reward_window"],
-        hidden=tuple(header["hidden"]),
+        input_dim=f["input_dim"],
+        num_actions=f["num_actions"],
+        buffer_capacity=f["buffer_capacity"],
+        gamma=f["gamma"],
+        sync_every=f["sync_every"],
+        reward_window=f["reward_window"],
+        hidden=tuple(f["hidden"]),
     )
     named = _named_vars(agent)
     check_arrays(path, arrays, {n: v.value.shape for n, v in named})
     for n, v in named:
         v.value = arrays[n]
-    agent.update_count = header["update_count"]
-    norm = header.get("normalizer")
+    agent.update_count = f["update_count"]
     if norm is not None:
         agent.normalizer = Normalizer(norm["fit_count"])
         if norm["mean"] is not None:

@@ -77,6 +77,10 @@ class AggregationDag:
 
     The views `layers`, `outputs` and `h0_nodes` are derived on first read
     and cached; threads that derive the same view at once get equal results.
+
+    The arrays are checked once, here, for every pass that reads them: each
+    layer's segments tile its traversals, and every gather row lies inside
+    the matrix it reads.
     """
 
     episodes_sig: list[tuple[NodeId, tuple[str, ...]]]
@@ -85,6 +89,25 @@ class AggregationDag:
     h0_groups: list[tuple[str, np.ndarray]] = field(repr=False)  # (type, local ids) runs
     output_rows: np.ndarray = field(repr=False)  # rows of [H0; layer 1; ...; layer L]
     derive_views: Callable[[], tuple[list[list[PlanStep]], list[Key]]] = field(repr=False)
+
+    def __post_init__(self):
+        h0_rows = sum(len(ids) for _, ids in self.h0_groups)
+        prev_rows = stack_rows = h0_rows
+        for layer, ix in enumerate(self.index, start=1):
+            lengths = ix.lengths
+            if not len(lengths) or lengths.min() < 1:
+                raise ValueError(f"plan layer {layer} needs at least one step, and every step "
+                                 f"at least one traversal")
+            ends = lengths.cumsum()
+            if (ix.starts.shape != lengths.shape or (ix.starts != ends - lengths).any()
+                    or not len(ix.src_rows) == len(ix.tgt_rows) == ends[-1]):
+                raise ValueError(f"plan layer {layer}: segment starts must be the exclusive "
+                                 f"cumsum of the lengths, which must sum to the traversal count")
+            _check_rows(ix.src_rows, prev_rows, f"plan layer {layer} source rows")
+            _check_rows(ix.tgt_rows, h0_rows, f"plan layer {layer} target rows")
+            prev_rows = len(lengths)
+            stack_rows += prev_rows
+        _check_rows(self.output_rows, stack_rows, "plan output rows")
 
     @cached_property
     def _views(self) -> tuple[list[list[PlanStep]], list[Key]]:
@@ -132,6 +155,11 @@ class AggregationDag:
                 for L in self.layers
             ],
         }
+
+
+def _check_rows(rows: np.ndarray, n: int, what: str) -> None:
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise ValueError(f"{what} must lie in [0, {n}), got {rows.min()}..{rows.max()}")
 
 
 @dataclass

@@ -5,6 +5,10 @@ gradient to per-parent gradients; backward() walks the tape once, in reverse
 topological order, leaves .grad on every leaf and releases each interior
 node as soon as its closure has run. Inside no_grad() ops record nothing.
 No broadcasting beyond what the ops below implement.
+
+The ops here are the Q-network's and the HGNN projection's. The HGNN's
+aggregation layers, its classifier and its loss are one Var each, with
+hand-written closures, in rlhgnn.model.
 """
 from __future__ import annotations
 
@@ -43,6 +47,11 @@ def no_grad():
         _recording.on = before
 
 
+def recording() -> bool:
+    """Whether ops on the calling thread record a tape (False inside no_grad)."""
+    return _recording.on
+
+
 class Var:
     """A node in the computation graph."""
 
@@ -76,7 +85,7 @@ def const(value) -> Var:
     return Var(value)
 
 
-def _unbroadcast(grad: Array, shape) -> Array:
+def unbroadcast(grad: Array, shape) -> Array:
     """Sum grad down to `shape` (inverse of numpy broadcasting)."""
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
@@ -88,41 +97,18 @@ def _unbroadcast(grad: Array, shape) -> Array:
 
 def add(a: Var, b: Var) -> Var:
     return Var(a.value + b.value, (a, b),
-               lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)))
+               lambda g: (unbroadcast(g, a.value.shape), unbroadcast(g, b.value.shape)))
 
 
 def sub(a: Var, b: Var) -> Var:
     return Var(a.value - b.value, (a, b),
-               lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)))
-
-
-def mul(a: Var, b: Var) -> Var:
-    return Var(a.value * b.value, (a, b), lambda g: (
-        _unbroadcast(g * b.value, a.value.shape),
-        _unbroadcast(g * a.value, b.value.shape),
-    ))
-
-
-def div(a: Var, b: Var) -> Var:
-    return Var(a.value / b.value, (a, b), lambda g: (
-        _unbroadcast(g / b.value, a.value.shape),
-        _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape),
-    ))
-
-
-def scale(a: Var, s: float) -> Var:
-    return Var(a.value * s, (a,), lambda g: (g * s,))
+               lambda g: (unbroadcast(g, a.value.shape), unbroadcast(-g, b.value.shape)))
 
 
 def mul_const(a: Var, c) -> Var:
     """Multiply by a constant array; no grad for c."""
     c = _as_f64(c)
-    return Var(a.value * c, (a,), lambda g: (_unbroadcast(g * c, a.value.shape),))
-
-
-def add_const(a: Var, c) -> Var:
-    c = _as_f64(c)
-    return Var(a.value + c, (a,), lambda g: (_unbroadcast(g, a.value.shape),))
+    return Var(a.value * c, (a,), lambda g: (unbroadcast(g * c, a.value.shape),))
 
 
 def matmul(a: Var, b: Var) -> Var:
@@ -132,25 +118,6 @@ def matmul(a: Var, b: Var) -> Var:
 def relu(a: Var) -> Var:
     mask = a.value > 0
     return Var(a.value * mask, (a,), lambda g: (g * mask,))
-
-
-def leaky_relu(a: Var, slope: float = 0.2) -> Var:
-    mask = a.value > 0
-    return Var(np.where(mask, a.value, slope * a.value), (a,),
-               lambda g: (np.where(mask, g, slope * g),))
-
-
-def exp(a: Var) -> Var:
-    v = np.exp(a.value)
-    return Var(v, (a,), lambda g: (g * v,))
-
-
-def log(a: Var) -> Var:
-    return Var(np.log(a.value), (a,), lambda g: (g / a.value,))
-
-
-def total_sum(a: Var) -> Var:
-    return Var(a.value.sum(), (a,), lambda g: (np.full_like(a.value, float(g)),))
 
 
 def total_mean(a: Var) -> Var:
@@ -164,90 +131,10 @@ def sum_cols(a: Var) -> Var:
                lambda g: (np.repeat(g[:, None], a.value.shape[1], axis=1),))
 
 
-def head_dot(x: Var, a: Var) -> Var:
-    """Per-head dot product: (n, H, k) . (H, k) -> (n, H)."""
-    return Var((x.value * a.value).sum(axis=2), (x, a),
-               lambda g: (g[:, :, None] * a.value, (g[:, :, None] * x.value).sum(axis=0)))
-
-
-def gather_rows(a: Var, idx, mask: Array | None = None, keep: float = 1.0) -> Var:
-    """Rows `idx` of a, repeats allowed.
-
-    With a bool `mask` of the gathered shape the rows are also dropped out:
-    the value is a[idx] * (mask / keep), and the backward scales g by the
-    same mask / keep before the scatter, the bits of mul_const over a plain
-    gather. The tape then holds the mask's bits only, neither the rows
-    before dropout nor a float mask.
-    """
-    idx = np.asarray(idx, dtype=np.intp)
-    n, k = len(a.value), int(np.prod(a.value.shape[1:]))
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError(f"gather_rows indices must lie in [0, {n}), "
-                         f"got {idx.min()}..{idx.max()}")
-    value = a.value[idx]
-    if mask is not None:
-        if mask.dtype != bool or mask.shape != value.shape:
-            raise ValueError(f"gather_rows mask must be bool of shape {value.shape}, "
-                             f"got {mask.dtype} {mask.shape}")
-        value *= mask / keep
-
-    def bw(g):
-        if mask is not None:
-            g = g * (mask / keep)
-        # One key per output element. bincount adds each key's weights in
-        # input order from 0.0, as np.add.at does, so the sums are bit-equal;
-        # with no keys it returns int64 zeros.
-        keys = (idx.reshape(-1, 1) * k + np.arange(k)).ravel()
-        ga = np.bincount(keys, weights=g.reshape(-1), minlength=n * k)
-        return (ga.astype(np.float64, copy=False).reshape(a.value.shape),)
-
-    return Var(value, (a,), bw)
-
-
-def _segment_ends(lengths: Array) -> Array:
-    if lengths.size and lengths.min() < 1:
-        raise ValueError(f"segment lengths must be >= 1, got {lengths.min()}")
-    return lengths.cumsum()
-
-
-def segment_sum(a: Var, starts, lengths) -> Var:
-    """Sum contiguous row segments: (n, ...) -> (m, ...) with m = len(starts).
-
-    The segments must tile the rows: every length >= 1, starts the exclusive
-    cumsum of lengths, lengths summing to n.
-    """
-    starts = np.asarray(starts, dtype=np.intp)
-    lengths = np.asarray(lengths, dtype=np.intp)
-    ends = _segment_ends(lengths)
-    if (starts.shape != lengths.shape or (ends[-1] if ends.size else 0) != len(a.value)
-            or (starts != ends - lengths).any()):
-        raise ValueError("segment starts must be the exclusive cumsum of lengths, "
-                         "and the lengths must sum to the row count")
-    v = np.add.reduceat(a.value, starts, axis=0) if len(starts) else np.zeros((0,) + a.value.shape[1:])
-    return Var(v, (a,), lambda g: (np.repeat(g, lengths, axis=0),))
-
-
-def repeat_rows(a: Var, lengths) -> Var:
-    """Repeat row i lengths[i] >= 1 times (inverse layout of segment_sum)."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    starts = _segment_ends(lengths) - lengths
-
-    def bw(g):
-        if len(starts) == 0:
-            return (np.zeros_like(a.value),)
-        return (np.add.reduceat(g, starts, axis=0),)
-
-    return Var(np.repeat(a.value, lengths, axis=0), (a,), bw)
-
-
 def vstack(parts: list[Var]) -> Var:
     offs = np.concatenate(([0], np.cumsum([p.value.shape[0] for p in parts])))
     return Var(np.concatenate([p.value for p in parts], axis=0), tuple(parts),
                lambda g: tuple(g[offs[i]:offs[i + 1]] for i in range(len(parts))))
-
-
-def reshape(a: Var, shape) -> Var:
-    return Var(a.value.reshape(shape), (a,), lambda g: (g.reshape(a.value.shape),))
 
 
 def square(a: Var) -> Var:

@@ -8,8 +8,41 @@ and the file must end right after the last one.
 from __future__ import annotations
 
 import json
+from typing import Any, Callable
 
 import numpy as np
+
+# A header field's rule: a test of its JSON value, and what the test asks for.
+Rule = tuple[Callable[[Any], bool], str]
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def int_at_least(lo: int) -> Rule:
+    return (lambda v: _is_int(v) and v >= lo), f"an integer >= {lo}"
+
+
+NUMBER: Rule = (_is_number, "a number")
+OBJECT: Rule = (lambda v: isinstance(v, dict), "a JSON object")
+
+
+def numbers(n: int) -> Rule:
+    return (lambda v: isinstance(v, list) and len(v) == n and all(map(_is_number, v)),
+            f"a list of {n} numbers")
+
+
+_ARRAYS: Rule = (
+    lambda v: isinstance(v, list) and all(
+        isinstance(a, dict) and isinstance(a.get("name"), str) and isinstance(a.get("shape"), list)
+        and all(_is_int(n) and n >= 0 for n in a["shape"]) for a in v),
+    "a list of {name, shape} objects with integer shapes >= 0",
+)
 
 
 def write_checkpoint(path, kind: str, fields: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
@@ -34,9 +67,16 @@ def read_checkpoint(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
         blob = f.read()
     if not line.endswith(b"\n"):
         raise ValueError(f"{path}: checkpoint header line is not terminated by a newline")
-    header = json.loads(line.decode("utf-8"))
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except ValueError as e:  # also UnicodeDecodeError
+        raise ValueError(f"{path}: checkpoint header is not JSON: {e}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: checkpoint header must be a JSON object, "
+                         f"got {type(header).__name__}")
     if header.get("kind") != kind:
         raise ValueError(f"{path}: expected a {kind!r} checkpoint, got kind {header.get('kind')!r}")
+    header_fields(path, header, {"arrays": _ARRAYS})
     sizes = [int(np.prod(spec["shape"])) for spec in header["arrays"]]
     expected = 8 * sum(sizes)
     if len(blob) != expected:
@@ -54,6 +94,19 @@ def read_checkpoint(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     if len(arrays) != len(sizes):
         raise ValueError(f"{path}: checkpoint names an array more than once")
     return header, arrays
+
+
+def header_fields(path, header: dict, rules: dict[str, Rule]) -> dict:
+    """The header's value of each field in `rules`, in their order; raises
+    ValueError naming the file and the first field that is missing or breaks
+    its rule."""
+    for name, (ok, what) in rules.items():
+        if name not in header:
+            raise ValueError(f"{path}: checkpoint header lacks field {name!r}")
+        if not ok(header[name]):
+            raise ValueError(f"{path}: checkpoint header field {name!r} must be {what}, "
+                             f"got {header[name]!r}")
+    return {name: header[name] for name in rules}
 
 
 def check_arrays(path, arrays: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> None:

@@ -15,6 +15,11 @@ update at earlier layers of its own aggregation chain). A degenerate
 variant that aggregates the target's features in place of each source's is
 available via messages_from_target=True for comparison; it makes every
 source contribute an identical term.
+
+The aggregation from H0 to the episode outputs, the classifier and the loss
+each record one autodiff Var whose closure is a hand-written backward, with
+the expressions and summation order of the per-op tape they replaced, which
+the tests keep as their reference.
 """
 from __future__ import annotations
 
@@ -23,8 +28,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .aggplan import AggregationDag
-from .checkpoint import check_arrays, read_checkpoint, write_checkpoint
+from .aggplan import AggregationDag, LayerIndex
+from .checkpoint import (
+    NUMBER,
+    OBJECT,
+    check_arrays,
+    header_fields,
+    int_at_least,
+    read_checkpoint,
+    write_checkpoint,
+)
 from .hin import HinGraph, HinSchema
 
 LEAKY_SLOPE = 0.2
@@ -121,31 +134,126 @@ def project_attributes(
     return ad.vstack(parts) if len(parts) > 1 else parts[0]
 
 
-def _layer_compute(
+def _gather(a: np.ndarray, idx: np.ndarray, mask: np.ndarray | None, keep: float) -> np.ndarray:
+    """Rows idx of a; with a bool mask of the gathered shape, inverted
+    dropout too: a[idx] * (mask / keep)."""
+    rows = a[idx]
+    if mask is not None:
+        rows *= mask / keep
+    return rows
+
+
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """Backward of a[idx] for an (n, k) array a: row r sums g[i] over every
+    i with idx[i] == r."""
+    k = g.shape[1]
+    # One key per output element. bincount adds each key's weights in input
+    # order from 0.0, as np.add.at does, so the sums are bit-equal; with no
+    # keys it returns int64 zeros.
+    keys = (idx.reshape(-1, 1) * k + np.arange(k)).ravel()
+    ga = np.bincount(keys, weights=g.reshape(-1), minlength=n * k)
+    return ga.astype(np.float64, copy=False).reshape(n, k)
+
+
+def _layer_params(params: HgnnParams, layer: int) -> list[ad.Var]:
+    return [params.table[f"layer{layer - 1}:{k}"] for k in ("W", "attn_src", "attn_dst")]
+
+
+def _layer_forward(
     params: HgnnParams,
     layer: int,
-    S: ad.Var,
-    T0: ad.Var,
-    starts: np.ndarray,
-    lengths: np.ndarray,
+    prev: np.ndarray,
+    h0: np.ndarray,
+    ix: LayerIndex,
+    masks: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
     messages_from_target: bool = False,
-) -> ad.Var:
-    """Aggregate per-traversal rows into per-step outputs with parameter set
-    `layer`, all heads at once: head h is column block h*hd:(h+1)*hd."""
-    heads, hd = params.heads, params.head_dim
-    W = params.table[f"layer{layer - 1}:W"]
-    WS = ad.reshape(ad.matmul(S, W), (-1, heads, hd))
-    WT = ad.reshape(ad.matmul(T0, W), (-1, heads, hd))
-    es = ad.head_dot(WS, params.table[f"layer{layer - 1}:attn_src"])  # (n, heads)
-    et = ad.head_dot(WT, params.table[f"layer{layer - 1}:attn_dst"])
-    e = ad.leaky_relu(ad.add(es, et), LEAKY_SLOPE)
-    seg_max = np.maximum.reduceat(e.value, starts, axis=0)  # shift-invariant, no grad
-    z = ad.exp(ad.add_const(e, -np.repeat(seg_max, lengths, axis=0)))
-    alpha = ad.div(z, ad.repeat_rows(ad.segment_sum(z, starts, lengths), lengths))
-    val = WT if messages_from_target else WS
-    weighted = ad.reshape(ad.mul(ad.reshape(alpha, (-1, heads, 1)), val), (-1, params.d))
-    summed = ad.segment_sum(weighted, starts, lengths)
-    return ad.relu(ad.mul_const(summed, (1.0 / lengths)[:, None]))
+) -> tuple[np.ndarray, tuple]:
+    """Aggregate per-traversal rows, S = prev[ix.src_rows] from the sources
+    and T0 = h0[ix.tgt_rows] from the targets, each with inverted dropout by
+    its mask, into per-step outputs with parameter set `layer`, all heads at
+    once: head h is column block h*hd:(h+1)*hd. Returns the outputs and what
+    _layer_backward needs; S and T0 are freed as soon as W has mapped them."""
+    heads, hd, keep = params.heads, params.head_dim, 1.0 - params.dropout
+    W, a_src, a_dst = (v.value for v in _layer_params(params, layer))
+    starts, lengths = ix.starts, ix.lengths
+    WS = (_gather(prev, ix.src_rows, masks[0], keep) @ W).reshape(-1, heads, hd)
+    WT = (_gather(h0, ix.tgt_rows, masks[1], keep) @ W).reshape(-1, heads, hd)
+    s = (WS * a_src).sum(axis=2) + (WT * a_dst).sum(axis=2)  # (n, heads)
+    up = s > 0
+    e = np.where(up, s, LEAKY_SLOPE * s)
+    seg_max = np.maximum.reduceat(e, starts, axis=0)  # shift-invariant, no grad
+    z = np.exp(e + -np.repeat(seg_max, lengths, axis=0))
+    den = np.repeat(np.add.reduceat(z, starts, axis=0), lengths, axis=0)
+    alpha = (z / den).reshape(-1, heads, 1)
+    msgs = (alpha * (WT if messages_from_target else WS)).reshape(-1, params.d)
+    mean = np.add.reduceat(msgs, starts, axis=0) * (1.0 / lengths)[:, None]
+    on = mean > 0
+    return mean * on, (WS, WT, up, z, den, alpha, on)
+
+
+def _layer_backward(
+    params: HgnnParams,
+    layer: int,
+    prev: np.ndarray,
+    h0: np.ndarray,
+    ix: LayerIndex,
+    saves: list[tuple],
+    g: np.ndarray,
+    messages_from_target: bool,
+) -> tuple[np.ndarray, ...]:
+    """Backward of one aggregation layer from g, the gradient of its outputs.
+
+    Pops the layer's saved arrays off `saves`: the dropout masks, W's
+    products and the attention's (traversals, heads) arrays. S and T0 are
+    gathered again from prev and h0 with the same masks, so their bits are
+    the forward's. Each (traversals, d) array is dropped at its last use;
+    the side whose W product carried the messages goes first, so that
+    gradient dies early. Returns the gradients of prev's rows, of h0's rows
+    through the targets, and of W, attn_src and attn_dst."""
+    mask_s, mask_t, WS, WT, up, z, den, alpha, on = saves.pop()
+    heads, hd, d, keep = params.heads, params.head_dim, params.d, 1.0 - params.dropout
+    W, a_src, a_dst = (v.value for v in _layer_params(params, layer))
+    starts, lengths = ix.starts, ix.lengths
+    # relu, the 1/length mean and its segment sum, back to traversals
+    g = np.repeat(g * on * (1.0 / lengths)[:, None], lengths, axis=0).reshape(-1, heads, hd)
+    del on
+    g_alpha = ad.unbroadcast(g * (WT if messages_from_target else WS), alpha.shape)
+    g_msgs = g * alpha
+    del g, alpha
+    # alpha = z / den, den the segment sums of z; z = exp(e - max); leaky e
+    g_alpha = g_alpha.reshape(-1, heads)
+    g_z = g_alpha / den
+    g_z += np.repeat(np.add.reduceat(-g_alpha * z / (den * den), starts, axis=0), lengths, axis=0)
+    g_s = g_z * z
+    g_s = np.where(up, g_s, LEAKY_SLOPE * g_s)[:, :, None]
+    del g_alpha, g_z, z, den, up
+    g_a_src = (g_s * WS).sum(axis=0)
+    del WS
+    g_a_dst = (g_s * WT).sum(axis=0)
+    del WT
+
+    sides = [(prev, ix.src_rows, mask_s, a_src), (h0, ix.tgt_rows, mask_t, a_dst)]
+    if messages_from_target:
+        sides.reverse()
+    del mask_s, mask_t
+    scattered = []
+    for first in (True, False):
+        rows, idx, mask, a = sides.pop(0)
+        g_X = g_s * a  # through the attention logits
+        if first:
+            g_X += g_msgs
+            del g_msgs
+        g_X = g_X.reshape(-1, d)
+        g_W_part = _gather(rows, idx, mask, keep).T @ g_X
+        g_W = g_W_part if first else g_W + g_W_part
+        g_X = g_X @ W.T
+        if mask is not None:
+            g_X *= mask / keep
+        scattered.append(_scatter_rows(g_X, idx, len(rows)))
+        del g_X, mask
+    if messages_from_target:
+        scattered.reverse()
+    return (*scattered, g_W, g_a_src, g_a_dst)
 
 
 @dataclass
@@ -162,7 +270,15 @@ def hgnn_forward(
     messages_from_target: bool = False,
 ) -> ForwardResult:
     """Evaluate the plan's compiled index arrays layer by layer; episodes that
-    stopped at once return their projected attributes directly."""
+    stopped at once return their projected attributes directly.
+
+    Everything from H0 to the outputs is one Var. Its closure walks the
+    layers from the last to the first and frees each layer's saved arrays
+    as it leaves the layer. H0's gradient adds its terms in the order a
+    tape of one Var per op did, for equal bits: the outputs' share first,
+    then layer L's to layer 1's target rows, then layer 1's source rows;
+    with messages_from_target, layer 1's source rows, then layer 1's to
+    layer L's target rows. Under ad.no_grad nothing is saved."""
     if mode not in ("eval", "train"):
         raise ValueError(f"unknown mode {mode!r}")
     if not len(dag.output_rows):
@@ -172,42 +288,90 @@ def hgnn_forward(
                          f"has T={params.T} aggregator parameter sets")
     keep = 1.0 - params.dropout
     rng = np.random.default_rng([seed]) if mode == "train" and params.dropout > 0 else None
+    record = ad.recording()
 
     h0 = project_attributes(params, g, dag.h0_groups)
-    matrices = [h0]  # matrices[l] = layer-l outputs, one row per step
+    matrices = [h0.value]  # matrices[l] = layer-l outputs, one row per step
+    saves: list[tuple] = []  # per layer, what its backward needs
     for layer, ix in enumerate(dag.index, start=1):
-        mask_s = mask_t = None
+        masks = (None, None)
         if rng is not None:  # inverted dropout on the gathered rows, S's mask first
-            mask_s = rng.random((len(ix.src_rows), params.d)) < keep
-            mask_t = rng.random((len(ix.tgt_rows), params.d)) < keep
-        S = ad.gather_rows(matrices[-1], ix.src_rows, mask_s, keep)
-        T0 = ad.gather_rows(h0, ix.tgt_rows, mask_t, keep)
-        matrices.append(_layer_compute(params, layer, S, T0, ix.starts, ix.lengths,
-                                       messages_from_target))
-    stacked = ad.vstack(matrices) if len(matrices) > 1 else h0
-    outputs = ad.gather_rows(stacked, dag.output_rows)
+            masks = (rng.random((len(ix.src_rows), params.d)) < keep,
+                     rng.random((len(ix.tgt_rows), params.d)) < keep)
+        out, saved = _layer_forward(params, layer, matrices[-1], h0.value, ix, masks,
+                                    messages_from_target)
+        if record:
+            saves.append(masks + saved)
+        del masks, saved
+        matrices.append(out)
+    offs = np.cumsum([0] + [len(m) for m in matrices])
+    L = len(dag.index)
+
+    def bw(g_out):
+        g_stack = _scatter_rows(g_out, dag.output_rows, offs[-1])
+        g_h0 = g_stack[:offs[1]]  # H0's terms are summed into g_stack in place
+        g = g_stack[offs[L]:]
+        grads, held = [], []
+        for layer in range(L, 0, -1):
+            g_prev, g_tgt, *layer_grads = _layer_backward(
+                params, layer, matrices[layer - 1], matrices[0], dag.index[layer - 1], saves, g,
+                messages_from_target)
+            grads[:0] = layer_grads
+            if messages_from_target:
+                held.append(g_tgt)
+            else:
+                g_h0 += g_tgt
+            if layer > 1:
+                g = g_stack[offs[layer - 1]:offs[layer]] + g_prev
+            else:
+                g_h0 += g_prev
+            del g_prev, g_tgt
+        for g_tgt in reversed(held):
+            g_h0 += g_tgt
+        return (g_h0, *grads)
+
+    parents = [h0] + [v for layer in range(1, L + 1) for v in _layer_params(params, layer)]
+    outputs = ad.Var(np.concatenate(matrices)[dag.output_rows], tuple(parents), bw)
     outputs.check_finite("episode representations")
     return ForwardResult(outputs=outputs)
 
 
 def classify(params: HgnnParams, reps: ad.Var) -> ad.Var:
-    """Class probability rows: softmax(reps . W_c + b_c); every row sums to 1."""
-    logits = ad.add(ad.matmul(reps, params.table["classifier:W"]), params.table["classifier:b"])
-    zmax = logits.value.max(axis=1, keepdims=True)  # shift-invariant, no grad
-    ez = ad.exp(ad.add_const(logits, -zmax))
-    return ad.div(ez, ad.reshape(ad.sum_cols(ez), (-1, 1)))
+    """Class probability rows: softmax(reps . W_c + b_c); every row sums to
+    1. One Var, with the softmax's backward as its closure."""
+    W, b = params.table["classifier:W"], params.table["classifier:b"]
+    logits = reps.value @ W.value + b.value
+    ez = np.exp(logits + -logits.max(axis=1, keepdims=True))  # shift-invariant, no grad
+    total = ez.sum(axis=1).reshape(-1, 1)
+
+    def bw(g):
+        g_total = ad.unbroadcast(-g * ez / (total * total), total.shape)
+        g_logits = (g / total + np.repeat(g_total, ez.shape[1], axis=1)) * ez
+        return (g_logits @ W.value.T, reps.value.T @ g_logits,
+                ad.unbroadcast(g_logits, b.value.shape))
+
+    return ad.Var(ez / total, (reps, W, b), bw)
 
 
 def cross_entropy(probs: ad.Var, labels: np.ndarray, rows: np.ndarray) -> ad.Var:
-    """-sum over `rows` of log probability of the true class."""
+    """-sum over `rows` of log probability of the true class. One Var."""
     rows = np.asarray(rows, dtype=np.intp)
     if len(rows) == 0:
         raise ValueError("cross entropy over an empty node set")
-    sel = ad.gather_rows(probs, rows)
-    onehot = np.zeros(sel.value.shape)
+    n = len(probs.value)
+    if rows.min() < 0 or rows.max() >= n:
+        raise ValueError(f"cross entropy rows must lie in [0, {n}), "
+                         f"got {rows.min()}..{rows.max()}")
+    onehot = np.zeros((len(rows), probs.value.shape[1]))
     onehot[np.arange(len(rows)), labels[rows]] = 1.0
-    picked = ad.sum_cols(ad.mul_const(sel, onehot))
-    return ad.scale(ad.total_sum(ad.log(picked)), -1.0)
+    picked = (probs.value[rows] * onehot).sum(axis=1)
+
+    def bw(g):
+        g_picked = np.full_like(picked, float(g * -1.0)) / picked
+        return (_scatter_rows(np.repeat(g_picked[:, None], onehot.shape[1], axis=1) * onehot,
+                              rows, n),)
+
+    return ad.Var(np.log(picked).sum() * -1.0, (probs,), bw)
 
 
 def backward(loss: ad.Var, params: list[ad.Var]) -> list[np.ndarray]:
@@ -329,7 +493,14 @@ def finite_diff_check(
 
 
 # header fields besides the schema, in header order
-_HYPER = ("T", "d", "heads", "num_classes", "dropout", "seed")
+_HYPER = {
+    "T": int_at_least(1),
+    "d": int_at_least(1),
+    "heads": int_at_least(1),
+    "num_classes": int_at_least(1),
+    "dropout": (lambda v: NUMBER[0](v) and 0.0 <= v < 1.0, "a number in [0, 1)"),
+    "seed": int_at_least(0),
+}
 
 
 def save_params(params: HgnnParams, path) -> None:
@@ -343,8 +514,16 @@ def load_params(path) -> HgnnParams:
     """Raises ValueError naming the file unless it holds exactly the arrays
     param_shapes gives for its header, each with its shape."""
     header, arrays = read_checkpoint(path, "hgnn-params")
-    hyper = {k: header[k] for k in _HYPER}
-    schema = HinSchema.from_json(header["schema"])
+    hyper = header_fields(path, header, _HYPER)
+    if hyper["d"] % hyper["heads"]:
+        raise ValueError(f"{path}: checkpoint header field 'd' ({hyper['d']}) must be "
+                         f"divisible by field 'heads' ({hyper['heads']})")
+    doc = header_fields(path, header, {"schema": OBJECT})["schema"]
+    try:
+        schema = HinSchema.from_json(doc)
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise ValueError(f"{path}: checkpoint header field 'schema' is not a graph "
+                         f"schema: {e!r}") from None
     shapes = param_shapes(schema, hyper["T"], hyper["d"], hyper["heads"], hyper["num_classes"])
     check_arrays(path, arrays, shapes)
     return HgnnParams(schema=schema, table={n: ad.param(arrays[n]) for n in shapes}, **hyper)

@@ -76,6 +76,11 @@ class SyntheticSpec:
              and all(is_names(r) and len(r) == 3 for r in self.relations),
              "relations", "a list of [name, src type, dst type] triples")
         need(is_counts(self.out_degree), "out_degree", "an object of integer counts >= 0")
+        names = [r[0] for r in self.relations]
+        unknown = [k for k in self.out_degree if k not in names]
+        if unknown:
+            raise ValueError(f"out_degree names no relation: {', '.join(map(repr, unknown))} "
+                             f"(relations: {', '.join(map(repr, names))})")
         need(isinstance(self.target_type, str), "target_type", "a node type name")
         need(is_names(self.planted_path), "planted_path", "a list of relation names")
         need(isinstance(self.signal_strength, (int, float))

@@ -30,7 +30,7 @@ from rlhgnn.metapath import (
     stop_index,
     valid_actions,
 )
-from rlhgnn.model import LEAKY_SLOPE, HgnnParams
+from rlhgnn.model import LEAKY_SLOPE, HgnnParams, project_attributes
 
 
 def imdb_like_schema(dim_m=4, dim_d=3, dim_a=3) -> HinSchema:
@@ -171,6 +171,217 @@ def graphs_and_episodes(draw):
 
 
 # ---------------------------------------------------------------------------
+# Per-op tape ops: the autodiff ops that only the references below record,
+# as they were in rlhgnn.autodiff before the HGNN's aggregation, classifier
+# and loss became one Var each.
+
+
+def mul(a: ad.Var, b: ad.Var) -> ad.Var:
+    return ad.Var(a.value * b.value, (a, b), lambda g: (
+        ad.unbroadcast(g * b.value, a.value.shape),
+        ad.unbroadcast(g * a.value, b.value.shape),
+    ))
+
+
+def div(a: ad.Var, b: ad.Var) -> ad.Var:
+    return ad.Var(a.value / b.value, (a, b), lambda g: (
+        ad.unbroadcast(g / b.value, a.value.shape),
+        ad.unbroadcast(-g * a.value / (b.value * b.value), b.value.shape),
+    ))
+
+
+def scale(a: ad.Var, s: float) -> ad.Var:
+    return ad.Var(a.value * s, (a,), lambda g: (g * s,))
+
+
+def add_const(a: ad.Var, c) -> ad.Var:
+    c = np.asarray(c, dtype=np.float64)
+    return ad.Var(a.value + c, (a,), lambda g: (ad.unbroadcast(g, a.value.shape),))
+
+
+def leaky_relu(a: ad.Var, slope: float = 0.2) -> ad.Var:
+    mask = a.value > 0
+    return ad.Var(np.where(mask, a.value, slope * a.value), (a,),
+                  lambda g: (np.where(mask, g, slope * g),))
+
+
+def exp(a: ad.Var) -> ad.Var:
+    v = np.exp(a.value)
+    return ad.Var(v, (a,), lambda g: (g * v,))
+
+
+def log(a: ad.Var) -> ad.Var:
+    return ad.Var(np.log(a.value), (a,), lambda g: (g / a.value,))
+
+
+def total_sum(a: ad.Var) -> ad.Var:
+    return ad.Var(a.value.sum(), (a,), lambda g: (np.full_like(a.value, float(g)),))
+
+
+def head_dot(x: ad.Var, a: ad.Var) -> ad.Var:
+    """Per-head dot product: (n, H, k) . (H, k) -> (n, H)."""
+    return ad.Var((x.value * a.value).sum(axis=2), (x, a),
+                  lambda g: (g[:, :, None] * a.value, (g[:, :, None] * x.value).sum(axis=0)))
+
+
+def gather_rows(a: ad.Var, idx, mask: np.ndarray | None = None, keep: float = 1.0) -> ad.Var:
+    """Rows `idx` of a, repeats allowed.
+
+    With a bool `mask` of the gathered shape the rows are also dropped out:
+    the value is a[idx] * (mask / keep), and the backward scales g by the
+    same mask / keep before the scatter, the bits of mul_const over a plain
+    gather.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    n, k = len(a.value), int(np.prod(a.value.shape[1:]))
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"gather_rows indices must lie in [0, {n}), "
+                         f"got {idx.min()}..{idx.max()}")
+    value = a.value[idx]
+    if mask is not None:
+        if mask.dtype != bool or mask.shape != value.shape:
+            raise ValueError(f"gather_rows mask must be bool of shape {value.shape}, "
+                             f"got {mask.dtype} {mask.shape}")
+        value *= mask / keep
+
+    def bw(g):
+        if mask is not None:
+            g = g * (mask / keep)
+        keys = (idx.reshape(-1, 1) * k + np.arange(k)).ravel()
+        ga = np.bincount(keys, weights=g.reshape(-1), minlength=n * k)
+        return (ga.astype(np.float64, copy=False).reshape(a.value.shape),)
+
+    return ad.Var(value, (a,), bw)
+
+
+def _segment_ends(lengths: np.ndarray) -> np.ndarray:
+    if lengths.size and lengths.min() < 1:
+        raise ValueError(f"segment lengths must be >= 1, got {lengths.min()}")
+    return lengths.cumsum()
+
+
+def segment_sum(a: ad.Var, starts, lengths) -> ad.Var:
+    """Sum contiguous row segments: (n, ...) -> (m, ...) with m = len(starts).
+
+    The segments must tile the rows: every length >= 1, starts the exclusive
+    cumsum of lengths, lengths summing to n.
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    ends = _segment_ends(lengths)
+    if (starts.shape != lengths.shape or (ends[-1] if ends.size else 0) != len(a.value)
+            or (starts != ends - lengths).any()):
+        raise ValueError("segment starts must be the exclusive cumsum of lengths, "
+                         "and the lengths must sum to the row count")
+    v = (np.add.reduceat(a.value, starts, axis=0) if len(starts)
+         else np.zeros((0,) + a.value.shape[1:]))
+    return ad.Var(v, (a,), lambda g: (np.repeat(g, lengths, axis=0),))
+
+
+def repeat_rows(a: ad.Var, lengths) -> ad.Var:
+    """Repeat row i lengths[i] >= 1 times (inverse layout of segment_sum)."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    starts = _segment_ends(lengths) - lengths
+
+    def bw(g):
+        if len(starts) == 0:
+            return (np.zeros_like(a.value),)
+        return (np.add.reduceat(g, starts, axis=0),)
+
+    return ad.Var(np.repeat(a.value, lengths, axis=0), (a,), bw)
+
+
+def reshape(a: ad.Var, shape) -> ad.Var:
+    return ad.Var(a.value.reshape(shape), (a,), lambda g: (g.reshape(a.value.shape),))
+
+
+# ---------------------------------------------------------------------------
+# Reference per-op tape of the HGNN: hgnn_forward, classify and
+# cross_entropy as they recorded one Var per op, about twenty per
+# aggregation layer, before each became one Var with a hand-written
+# backward. The oracle tests require the fused nodes to give the same bits,
+# in values and in every parameter gradient.
+
+
+def per_op_layer_compute(
+    params: HgnnParams,
+    layer: int,
+    S: ad.Var,
+    T0: ad.Var,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    messages_from_target: bool = False,
+) -> ad.Var:
+    """Aggregate per-traversal rows into per-step outputs with parameter set
+    `layer`, all heads at once: head h is column block h*hd:(h+1)*hd."""
+    heads, hd = params.heads, params.head_dim
+    W = params.table[f"layer{layer - 1}:W"]
+    WS = reshape(ad.matmul(S, W), (-1, heads, hd))
+    WT = reshape(ad.matmul(T0, W), (-1, heads, hd))
+    es = head_dot(WS, params.table[f"layer{layer - 1}:attn_src"])  # (n, heads)
+    et = head_dot(WT, params.table[f"layer{layer - 1}:attn_dst"])
+    e = leaky_relu(ad.add(es, et), LEAKY_SLOPE)
+    seg_max = np.maximum.reduceat(e.value, starts, axis=0)  # shift-invariant, no grad
+    z = exp(add_const(e, -np.repeat(seg_max, lengths, axis=0)))
+    alpha = div(z, repeat_rows(segment_sum(z, starts, lengths), lengths))
+    val = WT if messages_from_target else WS
+    weighted = reshape(mul(reshape(alpha, (-1, heads, 1)), val), (-1, params.d))
+    summed = segment_sum(weighted, starts, lengths)
+    return ad.relu(ad.mul_const(summed, (1.0 / lengths)[:, None]))
+
+
+def per_op_forward(
+    params: HgnnParams,
+    g: HinGraph,
+    dag: AggregationDag,
+    mode: str = "eval",
+    seed: int = 0,
+    messages_from_target: bool = False,
+) -> ad.Var:
+    """Evaluate the plan's compiled index arrays layer by layer, one Var per op."""
+    if mode not in ("eval", "train"):
+        raise ValueError(f"unknown mode {mode!r}")
+    keep = 1.0 - params.dropout
+    rng = np.random.default_rng([seed]) if mode == "train" and params.dropout > 0 else None
+
+    h0 = project_attributes(params, g, dag.h0_groups)
+    matrices = [h0]  # matrices[l] = layer-l outputs, one row per step
+    for layer, ix in enumerate(dag.index, start=1):
+        mask_s = mask_t = None
+        if rng is not None:  # inverted dropout on the gathered rows, S's mask first
+            mask_s = rng.random((len(ix.src_rows), params.d)) < keep
+            mask_t = rng.random((len(ix.tgt_rows), params.d)) < keep
+        S = gather_rows(matrices[-1], ix.src_rows, mask_s, keep)
+        T0 = gather_rows(h0, ix.tgt_rows, mask_t, keep)
+        matrices.append(per_op_layer_compute(params, layer, S, T0, ix.starts, ix.lengths,
+                                             messages_from_target))
+    stacked = ad.vstack(matrices) if len(matrices) > 1 else h0
+    outputs = gather_rows(stacked, dag.output_rows)
+    outputs.check_finite("episode representations")
+    return outputs
+
+
+def per_op_classify(params: HgnnParams, reps: ad.Var) -> ad.Var:
+    """Class probability rows: softmax(reps . W_c + b_c)."""
+    logits = ad.add(ad.matmul(reps, params.table["classifier:W"]), params.table["classifier:b"])
+    zmax = logits.value.max(axis=1, keepdims=True)  # shift-invariant, no grad
+    ez = exp(add_const(logits, -zmax))
+    return div(ez, reshape(ad.sum_cols(ez), (-1, 1)))
+
+
+def per_op_cross_entropy(probs: ad.Var, labels: np.ndarray, rows: np.ndarray) -> ad.Var:
+    """-sum over `rows` of log probability of the true class."""
+    rows = np.asarray(rows, dtype=np.intp)
+    if len(rows) == 0:
+        raise ValueError("cross entropy over an empty node set")
+    sel = gather_rows(probs, rows)
+    onehot = np.zeros(sel.value.shape)
+    onehot[np.arange(len(rows)), labels[rows]] = 1.0
+    picked = ad.sum_cols(ad.mul_const(sel, onehot))
+    return scale(total_sum(log(picked)), -1.0)
+
+
+# ---------------------------------------------------------------------------
 # Reference tape: the gather_rows scatter, gather-then-dropout and the reverse
 # walk as they were before the scatter became one bincount, dropout moved
 # into the gather and the walk began releasing interior nodes. The tape tests
@@ -187,7 +398,7 @@ def reference_scatter_rows(shape, idx, g: np.ndarray) -> np.ndarray:
 def reference_dropout_rows(a: ad.Var, idx, mask: np.ndarray, keep: float) -> ad.Var:
     """Gather-then-dropout as two ops, as hgnn_forward recorded it before
     gather_rows took the mask: the rows, then mul_const by a float mask."""
-    return ad.mul_const(ad.gather_rows(a, idx), mask / keep)
+    return ad.mul_const(gather_rows(a, idx), mask / keep)
 
 
 def reference_backward(root: ad.Var) -> None:
@@ -283,17 +494,17 @@ def reference_layer_compute(
         lo, hi = h * hd, (h + 1) * hd
         WS_h = slice_cols(WS, lo, hi)
         WT_h = slice_cols(WT, lo, hi)
-        a_s = ad.gather_rows(a_src, [h])  # (1, hd)
-        a_d = ad.gather_rows(a_dst, [h])
-        es = ad.reshape(ad.sum_cols(ad.mul(WS_h, a_s)), (-1, 1))
-        et = ad.reshape(ad.sum_cols(ad.mul(WT_h, a_d)), (-1, 1))
-        e = ad.leaky_relu(ad.add(es, et), LEAKY_SLOPE)
+        a_s = gather_rows(a_src, [h])  # (1, hd)
+        a_d = gather_rows(a_dst, [h])
+        es = reshape(ad.sum_cols(mul(WS_h, a_s)), (-1, 1))
+        et = reshape(ad.sum_cols(mul(WT_h, a_d)), (-1, 1))
+        e = leaky_relu(ad.add(es, et), LEAKY_SLOPE)
         seg_max = np.maximum.reduceat(e.value[:, 0], starts)  # shift-invariant, no grad
-        z = ad.exp(ad.add_const(e, -np.repeat(seg_max, lengths)[:, None]))
-        denom = ad.repeat_rows(ad.segment_sum(z, starts, lengths), lengths)
-        alpha = ad.div(z, denom)
+        z = exp(add_const(e, -np.repeat(seg_max, lengths)[:, None]))
+        denom = repeat_rows(segment_sum(z, starts, lengths), lengths)
+        alpha = div(z, denom)
         val = WT_h if messages_from_target else WS_h
-        summed = ad.segment_sum(ad.mul(alpha, val), starts, lengths)
+        summed = segment_sum(mul(alpha, val), starts, lengths)
         outs.append(ad.mul_const(summed, inv_len))
     return ad.relu(hstack(outs))
 
@@ -344,8 +555,8 @@ def reference_forward(
             tgt_rows.extend([t_row] * cnt)
             lengths[si] = cnt
         starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        S = ad.gather_rows(prev, np.asarray(src_rows, dtype=np.intp))
-        T0 = ad.gather_rows(h0_var, np.asarray(tgt_rows, dtype=np.intp))
+        S = gather_rows(prev, np.asarray(src_rows, dtype=np.intp))
+        T0 = gather_rows(h0_var, np.asarray(tgt_rows, dtype=np.intp))
         if train and params.dropout > 0:
             S = ad.mul_const(S, (rng.random(S.value.shape) < keep) / keep)
             T0 = ad.mul_const(T0, (rng.random(T0.value.shape) < keep) / keep)
@@ -366,11 +577,11 @@ def reference_forward(
     parts = []
     for owner in sorted(by_matrix):
         offsets[owner] = off
-        parts.append(ad.gather_rows(matrices[owner], np.asarray(by_matrix[owner], dtype=np.intp)))
+        parts.append(gather_rows(matrices[owner], np.asarray(by_matrix[owner], dtype=np.intp)))
         off += len(by_matrix[owner])
     stacked = ad.vstack(parts) if len(parts) > 1 else parts[0]
     perm = np.asarray([offsets[o] + i for o, i in positions], dtype=np.intp)
-    outputs = ad.gather_rows(stacked, perm)
+    outputs = gather_rows(stacked, perm)
     outputs.check_finite("episode representations")
     return outputs
 

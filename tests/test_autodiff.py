@@ -1,4 +1,5 @@
-"""Gradient checks for every autodiff op against central finite differences,
+"""Gradient checks for every autodiff op, and for the per-op tape ops the
+references in tests/helpers.py record, against central finite differences;
 and the tape against its reference in tests/helpers.py."""
 import math
 import threading
@@ -9,15 +10,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    add_const,
+    div,
+    exp,
+    gather_rows,
     graphs_and_episodes,
+    head_dot,
+    leaky_relu,
+    log,
+    mul,
     reference_backward,
     reference_dropout_rows,
     reference_scatter_rows,
+    repeat_rows,
+    reshape,
+    scale,
+    segment_sum,
+    total_sum,
 )
 from rlhgnn import autodiff as ad
 from rlhgnn.agent import QNetwork, TransitionBatch, td_loss
 from rlhgnn.aggplan import build_plan
-from rlhgnn.model import backward, classify, cross_entropy, hgnn_forward, init_params
+from rlhgnn.model import (
+    _gather,
+    _scatter_rows,
+    backward,
+    classify,
+    cross_entropy,
+    hgnn_forward,
+    init_params,
+)
 
 
 def fd_grad(f, x: np.ndarray, eps=1e-6) -> np.ndarray:
@@ -48,85 +70,85 @@ def check(build, *leaf_shapes, seed=0, tol=1e-6):
 
 
 def test_add_sub_mul_div():
-    check(lambda a, b: ad.total_sum(ad.mul(ad.add(a, b), ad.sub(a, b))), (3, 4), (3, 4))
-    check(lambda a, b: ad.total_sum(ad.div(a, ad.add_const(ad.square(b), 2.0))), (3, 4), (3, 4))
+    check(lambda a, b: total_sum(mul(ad.add(a, b), ad.sub(a, b))), (3, 4), (3, 4))
+    check(lambda a, b: total_sum(div(a, add_const(ad.square(b), 2.0))), (3, 4), (3, 4))
 
 
 def test_broadcasting_grads():
-    check(lambda a, b: ad.total_sum(ad.mul(a, b)), (5, 3), (1, 3))
-    check(lambda a, b: ad.total_sum(ad.add(a, b)), (5, 3), (5, 1))
-    check(lambda a, b: ad.total_sum(ad.div(a, ad.add_const(ad.square(b), 1.0))), (4, 3), (4, 1))
+    check(lambda a, b: total_sum(mul(a, b)), (5, 3), (1, 3))
+    check(lambda a, b: total_sum(ad.add(a, b)), (5, 3), (5, 1))
+    check(lambda a, b: total_sum(div(a, add_const(ad.square(b), 1.0))), (4, 3), (4, 1))
 
 
 def test_matmul():
-    check(lambda a, b: ad.total_sum(ad.matmul(a, b)), (4, 3), (3, 5))
+    check(lambda a, b: total_sum(ad.matmul(a, b)), (4, 3), (3, 5))
 
 
 def test_activations():
-    check(lambda a: ad.total_sum(ad.relu(a)), (6, 4), seed=3)
-    check(lambda a: ad.total_sum(ad.leaky_relu(a, 0.2)), (6, 4), seed=3)
+    check(lambda a: total_sum(ad.relu(a)), (6, 4), seed=3)
+    check(lambda a: total_sum(leaky_relu(a, 0.2)), (6, 4), seed=3)
 
 
 def test_exp_log():
-    check(lambda a: ad.total_sum(ad.exp(a)), (3, 3))
-    check(lambda a: ad.total_sum(ad.log(ad.add_const(ad.square(a), 1.0))), (3, 3))
+    check(lambda a: total_sum(exp(a)), (3, 3))
+    check(lambda a: total_sum(log(add_const(ad.square(a), 1.0))), (3, 3))
 
 
 def test_reductions_and_reshape():
     check(lambda a: ad.total_mean(ad.square(a)), (4, 5))
-    check(lambda a: ad.total_sum(ad.square(ad.sum_cols(a))), (4, 5))
-    check(lambda a: ad.total_sum(ad.square(ad.reshape(a, (2, 10)))), (4, 5))
+    check(lambda a: total_sum(ad.square(ad.sum_cols(a))), (4, 5))
+    check(lambda a: total_sum(ad.square(reshape(a, (2, 10)))), (4, 5))
 
 
 def test_gather_rows_accumulates_repeats():
     idx = np.array([0, 2, 2, 1])
-    check(lambda a: ad.total_sum(ad.square(ad.gather_rows(a, idx))), (3, 4))
+    check(lambda a: total_sum(ad.square(gather_rows(a, idx))), (3, 4))
 
 
 def test_segment_and_repeat():
     starts = np.array([0, 2, 5])
     lengths = np.array([2, 3, 1])
-    check(lambda a: ad.total_sum(ad.square(ad.segment_sum(a, starts, lengths))), (6, 3))
-    check(lambda a: ad.total_sum(ad.square(ad.repeat_rows(a, lengths))), (3, 4))
+    check(lambda a: total_sum(ad.square(segment_sum(a, starts, lengths))), (6, 3))
+    check(lambda a: total_sum(ad.square(repeat_rows(a, lengths))), (3, 4))
 
 
 def test_head_dot():
-    check(lambda x, a: ad.total_sum(ad.square(ad.head_dot(x, a))), (5, 3, 4), (3, 4))
-    check(lambda x, a: ad.total_sum(ad.square(ad.head_dot(x, a))), (1, 1, 2), (1, 2))
+    check(lambda x, a: total_sum(ad.square(head_dot(x, a))), (5, 3, 4), (3, 4))
+    check(lambda x, a: total_sum(ad.square(head_dot(x, a))), (1, 1, 2), (1, 2))
     x, a = np.arange(24.0).reshape(2, 3, 4), np.arange(12.0).reshape(3, 4)
-    np.testing.assert_array_equal(ad.head_dot(ad.const(x), ad.const(a)).value,
+    np.testing.assert_array_equal(head_dot(ad.const(x), ad.const(a)).value,
                                   (x * a).sum(axis=2))
 
 
 def test_segments_must_tile_the_rows():
     a = ad.param(np.arange(6.0).reshape(3, 2))
     with pytest.raises(ValueError, match="lengths must be >= 1"):
-        ad.segment_sum(a, [0, 1, 1], [1, 0, 2])  # reduceat would return row 1
+        segment_sum(a, [0, 1, 1], [1, 0, 2])  # reduceat would return row 1
     with pytest.raises(ValueError, match="exclusive cumsum"):
-        ad.segment_sum(a, [0, 2], [1, 2])
+        segment_sum(a, [0, 2], [1, 2])
     with pytest.raises(ValueError, match="exclusive cumsum"):
-        ad.segment_sum(a, [0, 1], [1, 1])  # last row left out
+        segment_sum(a, [0, 1], [1, 1])  # last row left out
     with pytest.raises(ValueError, match="lengths must be >= 1"):
-        ad.repeat_rows(a, [1, 0, 2])
+        repeat_rows(a, [1, 0, 2])
     with pytest.raises(ValueError, match="lengths must be >= 1"):
-        ad.repeat_rows(a, [1, -1, 2])
-    np.testing.assert_array_equal(ad.segment_sum(a, [0, 1], [1, 2]).value, [[0, 1], [6, 8]])
+        repeat_rows(a, [1, -1, 2])
+    np.testing.assert_array_equal(segment_sum(a, [0, 1], [1, 2]).value, [[0, 1], [6, 8]])
 
 
 def test_stacks_and_slices():
-    check(lambda a, b: ad.total_sum(ad.square(ad.vstack([a, b]))), (2, 3), (4, 3))
+    check(lambda a, b: total_sum(ad.square(ad.vstack([a, b]))), (2, 3), (4, 3))
 
 
 def test_mul_const_and_scale():
     mask = np.array([[1.0, 0.0, 2.0]])
-    check(lambda a: ad.total_sum(ad.mul_const(a, mask)), (4, 3))
-    check(lambda a: ad.total_sum(ad.scale(a, -2.5)), (4, 3))
+    check(lambda a: total_sum(ad.mul_const(a, mask)), (4, 3))
+    check(lambda a: total_sum(scale(a, -2.5)), (4, 3))
 
 
 def test_shared_subexpression_grad_accumulates():
     # y = sum(a*a + a) -> dy/da = 2a + 1
     a = ad.param(np.array([1.0, -2.0, 3.0]))
-    loss = ad.total_sum(ad.add(ad.mul(a, a), a))
+    loss = total_sum(ad.add(mul(a, a), a))
     ad.backward(loss)
     np.testing.assert_allclose(a.grad, 2 * a.value + 1)
 
@@ -141,20 +163,20 @@ def test_softmax_composition_matches_closed_form():
     rng = np.random.default_rng(1)
     x = ad.param(rng.normal(size=(5, 4)))
     zmax = x.value.max(axis=1, keepdims=True)
-    ez = ad.exp(ad.add_const(x, -zmax))
-    probs = ad.div(ez, ad.reshape(ad.sum_cols(ez), (-1, 1)))
+    ez = exp(add_const(x, -zmax))
+    probs = div(ez, reshape(ad.sum_cols(ez), (-1, 1)))
     np.testing.assert_allclose(probs.value.sum(axis=1), np.ones(5), atol=1e-12)
     onehot = np.zeros((5, 4))
     onehot[np.arange(5), [0, 1, 2, 3, 0]] = 1.0
-    loss = ad.scale(ad.total_sum(ad.log(ad.sum_cols(ad.mul_const(probs, onehot)))), -1.0)
+    loss = scale(total_sum(log(ad.sum_cols(ad.mul_const(probs, onehot)))), -1.0)
     ad.backward(loss)
     # d(-log softmax)/dlogits = probs - onehot
     np.testing.assert_allclose(x.grad, probs.value - onehot, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
-# gather_rows' scatter and the releasing tape, against the references in
-# tests/helpers.py
+# gather_rows' scatter, the HGNN's gather and scatter, and the releasing tape,
+# against the references in tests/helpers.py
 
 
 @st.composite
@@ -179,10 +201,12 @@ def scatter_cases(draw):
 @given(scatter_cases())
 def test_gather_rows_backward_is_bit_equal_to_add_at(case):
     shape, idx, g = case
-    (ga,) = ad.gather_rows(ad.param(np.zeros(shape)), idx).bw(g)
+    (ga,) = gather_rows(ad.param(np.zeros(shape)), idx).bw(g)
     ref = reference_scatter_rows(shape, idx, g)
     assert ga.dtype == ref.dtype and ga.shape == ref.shape
     assert ga.tobytes() == ref.tobytes()
+    k = math.prod(shape[1:])  # the HGNN's own scatter, on rows of k values
+    assert _scatter_rows(g.reshape(len(idx), k), idx, shape[0]).tobytes() == ref.tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -193,10 +217,11 @@ def test_masked_gather_rows_is_bit_equal_to_gather_then_mul_const(case, data):
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=g.size, max_size=g.size)),
                     dtype=bool).reshape(g.shape)
     a = ad.param(np.random.default_rng(len(idx)).normal(scale=1e3, size=shape))
-    fused = ad.gather_rows(a, idx, mask, keep)
+    fused = gather_rows(a, idx, mask, keep)
     ref = reference_dropout_rows(a, idx, mask, keep)
     assert fused.parents == (a,)
     assert fused.value.dtype == ref.value.dtype and fused.value.tobytes() == ref.value.tobytes()
+    assert _gather(a.value, idx, mask, keep).tobytes() == ref.value.tobytes()
     (got,) = fused.bw(g)
     (ref_gather,) = ref.parents
     (want,) = ref_gather.bw(*ref.bw(g))
@@ -207,17 +232,17 @@ def test_gather_rows_mask_must_be_bool_of_the_gathered_shape():
     a = ad.param(np.ones((3, 2)))
     for bad in (np.ones((2, 2)), np.ones((2, 1), dtype=bool), np.ones((3, 2), dtype=bool)):
         with pytest.raises(ValueError, match=r"mask must be bool of shape \(2, 2\)"):
-            ad.gather_rows(a, [0, 2], bad, 0.5)
+            gather_rows(a, [0, 2], bad, 0.5)
 
 
 def test_gather_rows_rejects_indices_outside_the_rows():
     a = ad.param(np.arange(6.0).reshape(3, 2))
     for bad in ([0, -1], [3], [2, 0, 7]):
         with pytest.raises(ValueError, match=r"gather_rows indices must lie in \[0, 3\)"):
-            ad.gather_rows(a, bad)
+            gather_rows(a, bad)
     with pytest.raises(ValueError, match=r"\[0, 0\)"):
-        ad.gather_rows(ad.param(np.zeros((0, 2))), [0])
-    assert ad.gather_rows(a, []).shape == (0, 2)
+        gather_rows(ad.param(np.zeros((0, 2))), [0])
+    assert gather_rows(a, []).shape == (0, 2)
 
 
 def _assert_same_grads_as_reference(build, leaves):
@@ -246,12 +271,12 @@ def test_leaf_gradients_never_share_memory():
     x, y, z = (ad.param(rng.normal(size=(2, 3))) for _ in range(3))
     w = ad.param(rng.normal(size=(6,)))
     cases = [
-        lambda: ad.total_sum(ad.square(ad.add(x, x))),
-        lambda: ad.total_sum(ad.square(ad.add(x, y))),
-        lambda: ad.total_sum(ad.mul(ad.add(x, y), ad.add(y, z))),
-        lambda: ad.total_sum(ad.square(ad.vstack([x, y, x, z]))),
-        lambda: ad.total_sum(ad.square(ad.add(ad.reshape(w, (2, 3)), x))),
-        lambda: ad.total_sum(ad.reshape(ad.add(x, y), (6,))),
+        lambda: total_sum(ad.square(ad.add(x, x))),
+        lambda: total_sum(ad.square(ad.add(x, y))),
+        lambda: total_sum(mul(ad.add(x, y), ad.add(y, z))),
+        lambda: total_sum(ad.square(ad.vstack([x, y, x, z]))),
+        lambda: total_sum(ad.square(ad.add(reshape(w, (2, 3)), x))),
+        lambda: total_sum(reshape(ad.add(x, y), (6,))),
     ]
     for build in cases:
         _assert_same_grads_as_reference(build, [x, y, z, w])
@@ -260,7 +285,7 @@ def test_leaf_gradients_never_share_memory():
 def test_a_released_tape_cannot_be_walked_again():
     a = ad.param(np.arange(4.0))
     shared = ad.square(a)
-    loss = ad.total_sum(shared)
+    loss = total_sum(shared)
     backward(loss, [a])
     with pytest.raises(ValueError, match="released by an earlier backward"):
         ad.backward(loss)
@@ -326,13 +351,13 @@ def test_td_loss_grads_match_reference_tape():
 
 def _ops(x, w):
     """One of every op kind the models record."""
-    h = ad.relu(ad.matmul(ad.gather_rows(x, [2, 0, 2], np.ones((3, 3), dtype=bool), 0.5), w))
-    z = ad.exp(ad.leaky_relu(ad.segment_sum(ad.repeat_rows(h, [1, 2, 1]), [0, 2], [2, 2])))
-    y = ad.div(ad.mul(z, z), ad.add_const(ad.scale(z, 2.0), 1.0))
+    h = ad.relu(ad.matmul(gather_rows(x, [2, 0, 2], np.ones((3, 3), dtype=bool), 0.5), w))
+    z = exp(leaky_relu(segment_sum(repeat_rows(h, [1, 2, 1]), [0, 2], [2, 2])))
+    y = div(mul(z, z), add_const(scale(z, 2.0), 1.0))
     y = ad.sub(ad.add(y, ad.mul_const(y, 3.0)), ad.square(y))
-    y = ad.vstack([y, ad.reshape(ad.log(ad.add_const(ad.square(y), 1.0)), (2, 3))])
-    hd = ad.head_dot(ad.reshape(y, (4, 1, 3)), ad.const(np.ones((1, 3))))
-    return ad.total_mean(ad.add(ad.sum_cols(hd), ad.total_sum(hd)))
+    y = ad.vstack([y, reshape(log(add_const(ad.square(y), 1.0)), (2, 3))])
+    hd = head_dot(reshape(y, (4, 1, 3)), ad.const(np.ones((1, 3))))
+    return ad.total_mean(ad.add(ad.sum_cols(hd), total_sum(hd)))
 
 
 def test_no_grad_records_no_parents_or_closures():

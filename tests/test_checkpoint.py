@@ -125,3 +125,69 @@ def test_arrays_not_matching_the_header_are_rejected_naming_the_file(tmp_path, w
     with pytest.raises(ValueError) as err:
         load(path)
     assert str(err.value) == f"{path}: {message}"
+
+
+def rewrite_header(path, edit):
+    """Replace the header line of the checkpoint at `path` by edit(header)
+    serialized as JSON, or by the bytes edit returns; keep the arrays."""
+    line, blob = path.read_bytes().split(b"\n", 1)
+    new = edit(json.loads(line))
+    path.write_bytes((new if isinstance(new, bytes) else json.dumps(new).encode()) + b"\n" + blob)
+
+
+def without(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+def setting(key, value):
+    return lambda h: {**h, key: value}
+
+
+# per kind: case name -> (header edit, the error message after "<path>: ")
+BAD_HEADERS = {
+    "model": {
+        "not-object": (lambda h: [1, 2], "checkpoint header must be a JSON object, got list"),
+        "not-json": (lambda h: b"{", "checkpoint header is not JSON"),
+        "missing-T": (without("T"), "checkpoint header lacks field 'T'"),
+        "string-T": (setting("T", "2"),
+                     "checkpoint header field 'T' must be an integer >= 1, got '2'"),
+        "zero-heads": (setting("heads", 0),
+                       "checkpoint header field 'heads' must be an integer >= 1, got 0"),
+        "dropout-1": (setting("dropout", 1.0),
+                      "checkpoint header field 'dropout' must be a number in [0, 1)"),
+        "indivisible": (setting("heads", 3), "checkpoint header field 'd' (8) must be "
+                                             "divisible by field 'heads' (3)"),
+        "missing-schema": (without("schema"), "checkpoint header lacks field 'schema'"),
+        "bad-schema": (setting("schema", {"node_types": []}),
+                       "checkpoint header field 'schema' is not a graph schema"),
+        "bad-arrays": (setting("arrays", [{"name": "x"}]),
+                       "checkpoint header field 'arrays' must be a list"),
+    },
+    "agent": {
+        "not-object": (lambda h: "agent", "checkpoint header must be a JSON object, got str"),
+        "missing-input-dim": (without("input_dim"),
+                              "checkpoint header lacks field 'input_dim'"),
+        "bad-hidden": (setting("hidden", [32, "x"]),
+                       "checkpoint header field 'hidden' must be a list of integers >= 1"),
+        "null-gamma": (setting("gamma", None),
+                       "checkpoint header field 'gamma' must be a number, got None"),
+        "missing-normalizer": (without("normalizer"),
+                               "checkpoint header lacks field 'normalizer'"),
+        "short-mean": (lambda h: {**h, "normalizer": {**h["normalizer"], "mean": [0.0]}},
+                       "checkpoint header field 'normalizer' must be null or {fit_count: an "
+                       "integer >= 1, mean and std: both null or both a list of 6 numbers}"),
+    },
+}
+
+
+@pytest.mark.parametrize("which,case", [(w, c) for w in sorted(BAD_HEADERS)
+                                        for c in BAD_HEADERS[w]])
+def test_bad_header_fields_are_rejected_naming_the_file_and_the_field(tmp_path, which, case):
+    save, load, _ = KINDS[which]
+    edit, message = BAD_HEADERS[which][case]
+    path = tmp_path / "c.bin"
+    save(path)
+    rewrite_header(path, edit)
+    with pytest.raises(ValueError) as err:
+        load(path)
+    assert str(err.value).startswith(f"{path}: {message}")

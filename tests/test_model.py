@@ -1,14 +1,31 @@
 """Neural stack: projections, attention, aggregation, losses, Adam, gradients."""
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import attention_coefficients, imdb_like_graph, random_hin, reference_forward
+from helpers import (
+    attention_coefficients,
+    graphs_and_episodes,
+    imdb_like_graph,
+    mul,
+    per_op_classify,
+    per_op_cross_entropy,
+    per_op_forward,
+    random_hin,
+    reference_forward,
+    scale,
+    total_sum,
+)
 from rlhgnn import autodiff as ad
-from rlhgnn.aggplan import Episode, build_plan, naive_plan
+from rlhgnn.aggplan import Episode, LayerIndex, _readonly, build_plan, naive_plan
 from rlhgnn.hin import HinSchema, RelationType, build_graph
 from rlhgnn.metapath import Frontier, MetaPath, expand_frontier
 from rlhgnn.model import (
-    _layer_compute,
+    _layer_forward,
     backward,
     classify,
     cross_entropy,
@@ -132,8 +149,9 @@ def test_layer_compute_is_relu_of_the_mean_attention_weighted_message(messages_f
         targets = rng.normal(size=(len(lengths), 8))
         T0 = np.repeat(targets, lengths, axis=0)
         for layer in (1, 2):
-            got = _layer_compute(p, layer, ad.const(S), ad.const(T0), starts, lengths,
-                                 messages_from_target).value
+            rows = np.arange(len(S))  # S and T0 as they are, with no dropout
+            got, _ = _layer_forward(p, layer, S, T0, LayerIndex(rows, rows, starts, lengths),
+                                    messages_from_target=messages_from_target)
             W, hd = p.table[f"layer{layer - 1}:W"].value, p.head_dim
             for k, (a, n) in enumerate(zip(starts, lengths)):
                 X = T0[a:a + n] if messages_from_target else S[a:a + n]
@@ -267,6 +285,139 @@ def test_forward_matches_per_head_reference_exactly(heads):
     assert cases == 48
 
 
+def _values_and_grads(params, g, plan, mode, mft, forward, classify_, loss_):
+    outputs = forward(params, g, plan, mode, 5, mft)
+    probs = classify_(params, outputs)
+    labels = np.arange(len(outputs.value)) % g.num_classes
+    loss = loss_(probs, labels, np.arange(len(labels)))
+    values = [outputs.value.copy(), probs.value.copy(), loss.value.copy()]
+    return values + backward(loss, params.all_vars())
+
+
+def _assert_fused_nodes_give_the_per_op_bits(params, g, plan, mode, mft):
+    fused = _values_and_grads(params, g, plan, mode, mft,
+                              lambda *a: hgnn_forward(*a).outputs, classify, cross_entropy)
+    ref = _values_and_grads(params, g, plan, mode, mft,
+                            per_op_forward, per_op_classify, per_op_cross_entropy)
+    for got, want in zip(fused, ref):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(graphs_and_episodes(), st.sampled_from(["train", "eval"]), st.booleans(),
+       st.sampled_from([(4, 2), (4, 4), (3, 1)]), st.booleans())
+def test_fused_nodes_give_the_per_op_tapes_bits(case, mode, mft, dims, naive):
+    """hgnn_forward -> classify -> cross_entropy, one Var each, give the bits
+    of the per-op tape in tests/helpers.py: values and every parameter
+    gradient, with 1, 2 and 4 heads of width 1 to 3, on either plan kind."""
+    g, episodes, _ = case
+    d, heads = dims
+    params = init_params(g.schema, g.num_classes, 3, d=d, heads=heads, dropout=0.3, seed=1)
+    plan = (naive_plan if naive else build_plan)(g, episodes)
+    _assert_fused_nodes_give_the_per_op_bits(params, g, plan, mode, mft)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("mft", [False, True])
+def test_fused_nodes_add_h0s_terms_in_the_per_op_tapes_order(seed, mft):
+    """One node type with a self relation and every episode length 0..3 from
+    every node: an H0 row is an output, a target at every layer and a
+    source at layer 1 at once, so its gradient sums many nonzero terms, and
+    only the per-op tape's order gives its bits."""
+    rng = np.random.default_rng(seed)
+    schema = HinSchema(("T",), (RelationType("r", "T", "T"),), {"T": 3})
+    edges = [(s, int(d)) for s in range(5) for d in rng.choice(5, size=3, replace=False)]
+    g = build_graph(schema, {"T": 5}, {"r": edges}, {"T": rng.normal(size=(5, 3))}, "T", 2,
+                    rng.integers(0, 2, size=5))
+    eps = [episode(g, ("T", i), ("r",) * n) for i in range(5) for n in range(4)]
+    params = init_params(g.schema, 2, 3, d=8, heads=2, dropout=0.3, seed=seed)
+    _assert_fused_nodes_give_the_per_op_bits(params, g, build_plan(g, eps), "train", mft)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_a_train_tape_holds_one_node_each_for_aggregation_classifier_and_loss(depth):
+    g = imdb_like_graph(seed=3)
+    eps = [episode(g, ("Movie", i), ("M-A", "A-M", "M-D")[:depth]) for i in range(4)]
+    p = small_params(g, T=3, d=8, heads=2, seed=1, dropout=0.3)
+    outputs = hgnn_forward(p, g, build_plan(g, eps), "train", 2).outputs
+    probs = classify(p, outputs)
+    loss = cross_entropy(probs, g.labels[:4], np.arange(4))
+    h0 = outputs.parents[0]
+    assert outputs.parents[1:] == tuple(p.table[f"layer{i}:{k}"] for i in range(depth)
+                                        for k in ("W", "attn_src", "attn_dst"))
+    assert probs.parents == (outputs, p.table["classifier:W"], p.table["classifier:b"])
+    assert loss.parents == (probs,)
+    recorded = [n for n in ad._topo(loss) if n.parents]
+    projection = [n for n in ad._topo(h0) if n.parents]
+    assert len(recorded) == len(projection) + 3
+    assert all(a is b for a, b in zip(recorded[-3:], (outputs, probs, loss)))
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_fused_tape_peaks_below_the_per_op_tape_and_no_grad_below_recording():
+    """On a fixed 3-layer plan, one train forward plus backward takes less
+    peak memory than the per-op tape, and a forward under no_grad less than a
+    recorded one, which keeps each layer's arrays for its backward."""
+    g = imdb_like_graph(n_m=60, n_d=12, n_a=40, seed=3, edges_per_node=4)
+    eps = [episode(g, ("Movie", i), ("M-A", "A-M", "M-D")) for i in range(40)]
+    p = small_params(g, T=3, d=32, heads=4, seed=2, dropout=0.3)
+    plan = build_plan(g, eps)
+    labels, rows = g.labels[:40], np.arange(40)
+
+    def step(forward, classify_, loss_):
+        return lambda: backward(loss_(classify_(p, forward(p, g, plan, "train", 1)), labels, rows),
+                                p.all_vars())
+
+    fused = _peak_bytes(step(lambda *a: hgnn_forward(*a).outputs, classify, cross_entropy))
+    per_op = _peak_bytes(step(per_op_forward, per_op_classify, per_op_cross_entropy))
+    assert fused < 0.85 * per_op
+
+    def quiet():
+        with ad.no_grad():
+            hgnn_forward(p, g, plan, "train", 1)
+
+    recorded = _peak_bytes(lambda: hgnn_forward(p, g, plan, "train", 1))
+    assert _peak_bytes(quiet) < 0.8 * recorded
+
+
+def test_a_plan_checks_its_index_arrays_once_when_built():
+    g = imdb_like_graph(seed=7)
+    plan = build_plan(g, [episode(g, ("Movie", i), ("M-A", "A-M")) for i in range(3)])
+    ix = plan.index[1]
+    n_prev, n_h0 = len(plan.index[0].lengths), len(plan.h0_nodes)
+    n_stack = n_h0 + plan.step_count
+
+    def with_layer(**arrays):
+        return replace(plan, index=[plan.index[0], replace(ix, **{
+            k: _readonly(v) for k, v in arrays.items()})])
+
+    bad = {
+        r"layer 2 source rows must lie in \[0, %d\)" % n_prev:
+            lambda: with_layer(src_rows=np.append(ix.src_rows[:-1], n_prev)),
+        r"layer 2 target rows must lie in \[0, %d\)" % n_h0:
+            lambda: with_layer(tgt_rows=np.append(ix.tgt_rows[:-1], -1)),
+        "at least one traversal":
+            lambda: with_layer(lengths=np.append(ix.lengths[:-1], 0)),
+        "exclusive cumsum": lambda: with_layer(starts=ix.starts + 1),
+        "sum to the traversal count": lambda: with_layer(src_rows=ix.src_rows[:-1]),
+        r"output rows must lie in \[0, %d\)" % n_stack:
+            lambda: replace(plan, output_rows=_readonly(np.append(plan.output_rows[1:], n_stack))),
+    }
+    for message, make in bad.items():
+        with pytest.raises(ValueError, match=message):
+            make()
+    assert replace(plan).index == plan.index
+
+
 def test_one_plan_serves_every_pass_and_is_read_only():
     g = imdb_like_graph(seed=7)
     eps = [episode(g, ("Movie", i), rels) for i, rels in
@@ -353,6 +504,9 @@ def test_cross_entropy_matches_recomputation():
     np.testing.assert_allclose(float(loss.value), expected, atol=1e-12)
     with pytest.raises(ValueError):
         cross_entropy(ad.const(probs), labels, np.array([], dtype=int))
+    for bad in ([0, 6], [-1, 2]):
+        with pytest.raises(ValueError, match=r"cross entropy rows must lie in \[0, 6\)"):
+            cross_entropy(ad.const(probs), labels, np.array(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +516,7 @@ def test_cross_entropy_matches_recomputation():
 def test_constant_loss_zero_gradients():
     g = imdb_like_graph()
     p = small_params(g, d=8, heads=2)
-    loss = ad.scale(ad.total_sum(ad.mul_const(p.table["classifier:W"], 0.0)), 1.0)
+    loss = scale(total_sum(ad.mul_const(p.table["classifier:W"], 0.0)), 1.0)
     grads = backward(loss, p.all_vars())
     for gr in grads:
         np.testing.assert_allclose(gr, 0.0)
@@ -373,9 +527,9 @@ def test_backward_clears_stale_gradients_of_unused_params():
     even if an earlier backward pass filled its .grad."""
     a = ad.param(np.ones(3))
     b = ad.param(np.ones(3))
-    backward(ad.total_sum(ad.mul(a, b)), [a, b])
+    backward(total_sum(mul(a, b)), [a, b])
     assert np.all(a.grad == 1.0) and np.all(b.grad == 1.0)
-    grads = backward(ad.total_sum(ad.square(a)), [a, b])  # b unused now
+    grads = backward(total_sum(ad.square(a)), [a, b])  # b unused now
     np.testing.assert_allclose(grads[0], 2.0)
     np.testing.assert_allclose(grads[1], 0.0)
 
@@ -386,7 +540,7 @@ def test_linear_network_closed_form_gradient():
     X = rng.normal(size=(5, 3))
     G = rng.normal(size=(5, 2))
     W = ad.param(rng.normal(size=(3, 2)))
-    loss = ad.total_sum(ad.mul_const(ad.matmul(ad.const(X), W), G))
+    loss = total_sum(ad.mul_const(ad.matmul(ad.const(X), W), G))
     (grad,) = backward(loss, [W])
     np.testing.assert_allclose(grad, X.T @ G, atol=1e-12)
 
@@ -430,7 +584,7 @@ def test_finite_diff_check_quadratic_and_bad_eps():
     w = ad.param(np.array([1.0, -2.0, 0.5]))
 
     def loss_fn():
-        return ad.total_sum(ad.square(w))
+        return total_sum(ad.square(w))
 
     err = finite_diff_check([w], loss_fn, eps=1e-5, num_coords=3)
     assert err < 1e-8
