@@ -2,7 +2,8 @@
 selection, reward baseline, replay memory, target network and the TD update.
 
 The Q head is fixed per schema: one slot per relation type plus a trailing
-Stop slot. TD learning reads raw action values.
+Stop slot. TD learning reads raw action values; the TD loss is one
+autodiff Var with the MLP's hand-written backward.
 """
 from __future__ import annotations
 
@@ -49,25 +50,23 @@ class QNetwork:
             out += [w, b]
         return out
 
-    def forward(self, states: np.ndarray) -> ad.Var:
-        """Recorded forward pass over a batch of states."""
-        x = ad.const(np.atleast_2d(states))
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = ad.add(ad.matmul(x, w), b)
-            if i < len(self.weights) - 1:
-                x = ad.relu(x)
-        return x
-
-    def values(self, states: np.ndarray) -> np.ndarray:
-        """Raw action values without recording."""
+    def _activations(self, states: np.ndarray) -> list[np.ndarray]:
+        """The MLP forward over a batch of states: each layer's input, then
+        the raw action values."""
         x = np.atleast_2d(np.asarray(states, dtype=np.float64))
         if x.shape[1] != self.input_dim:
             raise ValueError(f"state dim {x.shape[1]} != network input {self.input_dim}")
+        xs = [x]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             x = x @ w.value + b.value
             if i < len(self.weights) - 1:
                 x = np.maximum(x, 0.0)
-        return x
+            xs.append(x)
+        return xs
+
+    def values(self, states: np.ndarray) -> np.ndarray:
+        """Raw action values without recording."""
+        return self._activations(states)[-1]
 
 
 def select_action(qvals: np.ndarray, legal_mask: np.ndarray, eps: float,
@@ -295,19 +294,31 @@ def compute_reward(history: RewardHistory, current: float) -> float:
 
 def td_loss(qnet: QNetwork, target_net: QNetwork, batch: TransitionBatch,
             gamma: float) -> ad.Var:
-    """Mean squared TD error; the max over next actions respects legality."""
+    """Mean squared TD error; the max over next actions respects legality.
+    One Var over qnet.vars(), whose closure has the per-op tape's
+    expressions, for equal bits; the states get no gradient."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    tq = target_net.values(batch.s_next)
-    tq = np.where(batch.next_mask, tq, -np.inf)
-    max_next = tq.max(axis=1)
-    max_next = np.where(batch.terminal, 0.0, max_next)
+    tq = np.where(batch.next_mask, target_net._activations(batch.s_next)[-1], -np.inf)
+    max_next = np.where(batch.terminal, 0.0, tq.max(axis=1))
     y = batch.r + gamma * max_next * (~batch.terminal)
-    Q = qnet.forward(batch.s)
+    xs = qnet._activations(batch.s)
     onehot = np.zeros((len(batch), qnet.num_actions))
     onehot[np.arange(len(batch)), batch.a] = 1.0
-    picked = ad.sum_cols(ad.mul_const(Q, onehot))
-    return ad.total_mean(ad.square(ad.sub(ad.const(y), picked)))
+    diff = y - (xs.pop() * onehot).sum(axis=1)
+
+    def bw(g):
+        # the mean, the square, y - picked, the row sum and the one-hot mask
+        g = -(2.0 * np.full_like(diff, float(g) / diff.size) * diff)
+        g = np.repeat(g[:, None], onehot.shape[1], axis=1) * onehot
+        grads = []
+        for i in range(len(xs) - 1, -1, -1):  # x @ W + b, then the relu below it
+            grads[:0] = [xs[i].T @ g, ad.unbroadcast(g, qnet.biases[i].value.shape)]
+            if i:
+                g = (g @ qnet.weights[i].value.T) * (xs[i] > 0)
+        return tuple(grads)
+
+    return ad.Var((diff * diff).sum() / diff.size, tuple(qnet.vars()), bw)
 
 
 def dqn_step(

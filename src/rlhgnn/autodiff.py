@@ -1,14 +1,15 @@
-"""Reverse-mode autodiff over numpy arrays, limited to the ops the models need.
+"""Reverse-mode autodiff over numpy arrays: the tape and nothing else.
 
-Every Var holds a float64 ndarray. Ops record a closure that maps the output
-gradient to per-parent gradients; backward() walks the tape once, in reverse
-topological order, leaves .grad on every leaf and releases each interior
-node as soon as its closure has run. Inside no_grad() ops record nothing.
-No broadcasting beyond what the ops below implement.
+Every Var holds a float64 ndarray. A recorded Var keeps its parents and a
+closure that maps its output gradient to one gradient per parent;
+backward() walks the tape once, in reverse topological order, leaves .grad
+on every leaf and releases each interior node as soon as its closure has
+run. Inside no_grad() a Var records nothing.
 
-The ops here are the Q-network's and the HGNN projection's. The HGNN's
-aggregation layers, its classifier and its loss are one Var each, with
-hand-written closures, in rlhgnn.model.
+This module defines no ops. Each recorded node is a whole model stage with
+a hand-written closure: the HGNN's aggregation (from the projections to the
+episode outputs), its classifier and its loss in rlhgnn.model, and the
+Q-network's TD loss in rlhgnn.agent.
 """
 from __future__ import annotations
 
@@ -16,14 +17,6 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-
-Array = np.ndarray
-
-
-def _as_f64(x) -> Array:
-    a = np.asarray(x, dtype=np.float64)
-    return a
-
 
 class _Recording(threading.local):
     on = True  # every thread starts out recording
@@ -35,10 +28,10 @@ _recording = _Recording()
 @contextmanager
 def no_grad():
     """Compute values only: inside the block, on the calling thread, every
-    Var an op returns has no parents and no closure, so nothing can be
-    backpropagated through it and each intermediate is freed as soon as the
-    caller drops it. Blocks nest; on exit, also by an exception, the state
-    before the block is restored. Other threads keep recording."""
+    Var made has no parents and no closure, so nothing can be backpropagated
+    through it and each intermediate is freed as soon as the caller drops it.
+    Blocks nest; on exit, also by an exception, the state before the block is
+    restored. Other threads keep recording."""
     before = _recording.on
     _recording.on = False
     try:
@@ -48,7 +41,7 @@ def no_grad():
 
 
 def recording() -> bool:
-    """Whether ops on the calling thread record a tape (False inside no_grad)."""
+    """Whether Vars made on the calling thread record a tape (False inside no_grad)."""
     return _recording.on
 
 
@@ -58,17 +51,13 @@ class Var:
     __slots__ = ("value", "grad", "parents", "bw")
 
     def __init__(self, value, parents=(), bw=None):
-        self.value = _as_f64(value)
+        self.value = np.asarray(value, dtype=np.float64)
         if _recording.on:
             self.parents: tuple[Var, ...] = parents
             self.bw = bw  # callable(grad_out) -> tuple of parent grads
         else:
             self.parents, self.bw = (), None
-        self.grad: Array | None = None
-
-    @property
-    def shape(self):
-        return self.value.shape
+        self.grad: np.ndarray | None = None
 
     def check_finite(self, what: str = "tensor") -> "Var":
         if not np.all(np.isfinite(self.value)):
@@ -81,11 +70,7 @@ def param(value) -> Var:
     return Var(value)
 
 
-def const(value) -> Var:
-    return Var(value)
-
-
-def unbroadcast(grad: Array, shape) -> Array:
+def unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     """Sum grad down to `shape` (inverse of numpy broadcasting)."""
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
@@ -93,52 +78,6 @@ def unbroadcast(grad: Array, shape) -> Array:
         if n == 1 and grad.shape[ax] != 1:
             grad = grad.sum(axis=ax, keepdims=True)
     return grad
-
-
-def add(a: Var, b: Var) -> Var:
-    return Var(a.value + b.value, (a, b),
-               lambda g: (unbroadcast(g, a.value.shape), unbroadcast(g, b.value.shape)))
-
-
-def sub(a: Var, b: Var) -> Var:
-    return Var(a.value - b.value, (a, b),
-               lambda g: (unbroadcast(g, a.value.shape), unbroadcast(-g, b.value.shape)))
-
-
-def mul_const(a: Var, c) -> Var:
-    """Multiply by a constant array; no grad for c."""
-    c = _as_f64(c)
-    return Var(a.value * c, (a,), lambda g: (unbroadcast(g * c, a.value.shape),))
-
-
-def matmul(a: Var, b: Var) -> Var:
-    return Var(a.value @ b.value, (a, b), lambda g: (g @ b.value.T, a.value.T @ g))
-
-
-def relu(a: Var) -> Var:
-    mask = a.value > 0
-    return Var(a.value * mask, (a,), lambda g: (g * mask,))
-
-
-def total_mean(a: Var) -> Var:
-    n = a.value.size
-    return Var(a.value.sum() / n, (a,), lambda g: (np.full_like(a.value, float(g) / n),))
-
-
-def sum_cols(a: Var) -> Var:
-    """Row-wise sum: (n, k) -> (n,)."""
-    return Var(a.value.sum(axis=1), (a,),
-               lambda g: (np.repeat(g[:, None], a.value.shape[1], axis=1),))
-
-
-def vstack(parts: list[Var]) -> Var:
-    offs = np.concatenate(([0], np.cumsum([p.value.shape[0] for p in parts])))
-    return Var(np.concatenate([p.value for p in parts], axis=0), tuple(parts),
-               lambda g: tuple(g[offs[i]:offs[i + 1]] for i in range(len(parts))))
-
-
-def square(a: Var) -> Var:
-    return Var(a.value * a.value, (a,), lambda g: (2.0 * g * a.value,))
 
 
 def _topo(root: Var) -> list[Var]:

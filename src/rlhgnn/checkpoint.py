@@ -12,35 +12,29 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .hin import is_int, is_number
+
 # A header field's rule: a test of its JSON value, and what the test asks for.
 Rule = tuple[Callable[[Any], bool], str]
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def int_at_least(lo: int) -> Rule:
-    return (lambda v: _is_int(v) and v >= lo), f"an integer >= {lo}"
+    return (lambda v: is_int(v) and v >= lo), f"an integer >= {lo}"
 
 
-NUMBER: Rule = (_is_number, "a number")
+NUMBER: Rule = (is_number, "a number")
 OBJECT: Rule = (lambda v: isinstance(v, dict), "a JSON object")
 
 
 def numbers(n: int) -> Rule:
-    return (lambda v: isinstance(v, list) and len(v) == n and all(map(_is_number, v)),
+    return (lambda v: isinstance(v, list) and len(v) == n and all(map(is_number, v)),
             f"a list of {n} numbers")
 
 
 _ARRAYS: Rule = (
     lambda v: isinstance(v, list) and all(
         isinstance(a, dict) and isinstance(a.get("name"), str) and isinstance(a.get("shape"), list)
-        and all(_is_int(n) and n >= 0 for n in a["shape"]) for a in v),
+        and all(is_int(n) and n >= 0 for n in a["shape"]) for a in v),
     "a list of {name, shape} objects with integer shapes >= 0",
 )
 

@@ -13,7 +13,7 @@ import numpy as np
 from . import agent as rl
 from . import model as nn
 from . import pipeline as pl
-from .hin import DataSplit, HinGraph, load_hin, save_hin, split_nodes
+from .hin import DataSplit, HinGraph, is_int, load_hin, save_hin, split_nodes
 from .synth import SyntheticSpec, generate_planted_hin
 
 
@@ -27,26 +27,30 @@ def _load_config(path: str | None, variant: str | None) -> pl.TrainConfig:
     return pl.TrainConfig.from_dict(doc)
 
 
+_SPLIT_KEYS = ("train", "validation", "test")  # DataSplit's fields, in split.json
+
+
 def _save_split(split: DataSplit, path: Path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(
-            {
-                "train": split.train.tolist(),
-                "validation": split.validation.tolist(),
-                "test": split.test.tolist(),
-            },
-            f,
-        )
+        json.dump({k: getattr(split, k).tolist() for k in _SPLIT_KEYS}, f)
 
 
-def _load_split(path: Path) -> DataSplit:
+def _load_split(path: Path, n: int) -> DataSplit:
+    """Raises ValueError naming the file and the key unless it holds train,
+    validation and test lists of node ids in [0, n)."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    return DataSplit(
-        train=np.asarray(doc["train"], dtype=np.int64),
-        validation=np.asarray(doc["validation"], dtype=np.int64),
-        test=np.asarray(doc["test"], dtype=np.int64),
-    )
+    lists = {}
+    for key in _SPLIT_KEYS:
+        if not isinstance(doc, dict) or key not in doc:
+            raise ValueError(f"{path}: split lacks key {key!r}")
+        ids = doc[key]
+        bad = [i for i in ids if not (is_int(i) and 0 <= i < n)] if isinstance(ids, list) else [ids]
+        if bad:
+            raise ValueError(f"{path}: split key {key!r} must be a list of integer node ids "
+                             f"in [0, {n}), got {bad[0]!r}")
+        lists[key] = np.asarray(ids, dtype=np.int64)
+    return DataSplit(**lists)
 
 
 def _split(g: HinGraph, seed: int, n_train: int | None = None,
@@ -91,7 +95,7 @@ def cmd_eval(args) -> int:
         cfg = pl.TrainConfig.from_dict(json.load(f))
     params = nn.load_params(run_dir / "model.bin")
     agent = rl.load_agent(run_dir / "agent.bin")
-    split = _load_split(run_dir / "split.json")
+    split = _load_split(run_dir / "split.json", g.num_nodes[g.target_type])
     nodes = split.test if len(split.test) else g.labelled_nodes()
     preds = pl.predict(params, agent, g, cfg, nodes)
     micro, macro = pl.evaluate_f1(preds, g.labels, nodes)

@@ -22,6 +22,24 @@ class SchemaError(ValueError):
     """Raised when a graph or file violates its declared schema."""
 
 
+# Value predicates of the JSON boundaries (graph files, configs, specs and
+# checkpoint headers), which take values as given: a bool is not a number.
+
+
+def is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def need_field(obj, ok: bool, name: str, rule: str) -> None:
+    """Raise ValueError naming obj's field and its value unless ok."""
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {getattr(obj, name)!r}")
+
+
 @dataclass(frozen=True)
 class RelationType:
     name: str
@@ -297,18 +315,46 @@ def split_nodes(g: HinGraph, counts: tuple[int, int], seed: int) -> DataSplit:
 # File formats
 
 
-def _schema_from_json(doc: dict) -> tuple[HinSchema, str, int]:
-    s = doc["schema"]
-    node_types = tuple(s["node_types"])
-    relations = tuple(RelationType(r["name"], r["src"], r["dst"]) for r in s["relation_types"])
-    dims = s.get("attribute_dims")
-    if dims is None:
-        dims = {}
-        for t in node_types:
-            rows = doc.get("attributes", {}).get(t, [])  # _load_json_graph names a non-list row
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer >= 0"}
+
+
+def _field(path, doc, name: str, kind: type, where: str = "", default=None):
+    """doc[name], which must be a `kind` (one of _KINDS); a field that is
+    missing, also from a doc that is not an object, gives `default`, or is
+    an error when that is None. A SchemaError names the file and the field,
+    with its parents' names in `where`."""
+    if not isinstance(doc, dict) or name not in doc:
+        if default is None:
+            raise SchemaError(f"{path}: missing field {where + name!r}")
+        return default
+    v = doc[name]
+    if not (is_int(v) and v >= 0 if kind is int else isinstance(v, kind)):
+        raise SchemaError(f"{path}: field {where + name!r} must be {_KINDS[kind]}, "
+                          f"got {v!r:.60}")  # a long value's repr is cut
+    return v
+
+
+def _schema_from_json(path, s: dict, attributes: dict,
+                      where: str) -> tuple[HinSchema, str, int]:
+    """The schema object `s` of a graph file; a type missing from its
+    attribute_dims takes the length of its first attribute row, or 0."""
+    relations = tuple(
+        RelationType(*(_field(path, r, k, str, f"{where}relation_types[{i}].")
+                       for k in ("name", "src", "dst")))
+        for i, r in enumerate(_field(path, s, "relation_types", list, where)))
+    types = _field(path, s, "node_types", list, where)
+    if not all(isinstance(t, str) for t in types):
+        raise SchemaError(f"{path}: field {where + 'node_types'!r} must list type names")
+    dims = dict(_field(path, s, "attribute_dims", dict, where, default={}))
+    for t in types:
+        if t in dims:
+            _field(path, dims, t, int, where + "attribute_dims.")
+        else:  # _load_json_graph names a row that is not a list
+            rows = attributes.get(t) if isinstance(attributes.get(t), list) else []
             dims[t] = next((len(r) for r in rows if isinstance(r, list)), 0)
-    schema = HinSchema(node_types, relations, {t: int(dims[t]) for t in node_types})
-    return schema, s["target_type"], int(s["num_classes"])
+    schema = HinSchema(tuple(types), relations, {t: dims[t] for t in types})
+    return (schema, _field(path, s, "target_type", str, where),
+            _field(path, s, "num_classes", int, where))
 
 
 def load_hin(path: str | Path, format: str = "json-graph") -> HinGraph:
@@ -346,12 +392,15 @@ def _number_rows(path: Path, t: str, rows: list[list]) -> np.ndarray:
 def _load_json_graph(path: Path) -> HinGraph:
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    schema, target_type, num_classes = _schema_from_json(doc)
-    num_nodes = {t: int(doc["nodes"].get(t, 0)) for t in schema.node_types}
+    attrs = _field(path, doc, "attributes", dict, default={})
+    schema, target_type, num_classes = _schema_from_json(
+        path, _field(path, doc, "schema", dict), attrs, "schema.")
+    counts = _field(path, doc, "nodes", dict)
+    num_nodes = {t: _field(path, counts, t, int, "nodes.", default=0) for t in schema.node_types}
     attributes = {}
     for t in schema.node_types:
-        rows = doc.get("attributes", {}).get(t)
-        if rows is not None:
+        if t in attrs:
+            rows = _field(path, attrs, t, list, "attributes.")
             dim = schema.attribute_dims[t]
             for i, row in enumerate(rows):
                 if not isinstance(row, list) or len(row) != dim:
@@ -367,7 +416,7 @@ def _load_json_graph(path: Path) -> HinGraph:
                 )
             attributes[t] = a
     edge_lists = {}
-    for rel, pairs in doc.get("edges", {}).items():
+    for rel, pairs in _field(path, doc, "edges", dict, default={}).items():
         try:
             schema.relation(rel)
             edge_lists[rel] = [(index(s), index(d)) for s, d in pairs]
@@ -375,10 +424,14 @@ def _load_json_graph(path: Path) -> HinGraph:
             raise SchemaError(f"edges declared for unknown relation {rel!r}") from None
         except (TypeError, ValueError):
             raise SchemaError(f"{path}: relation {rel!r}: edges must be integer pairs") from None
+    labels = _field(path, doc, "labels", dict, default={})
     try:
-        labels = {int(k): index(v) for k, v in doc.get("labels", {}).items()}
+        labels = {int(k): index(v) for k, v in labels.items()}
     except (TypeError, ValueError):
         raise SchemaError(f"{path}: labels must map integer node ids to integers") from None
+    for k, c in labels.items():
+        if c < 0:
+            raise SchemaError(f"{path}: labels: node {k} has class {c}, expected an integer >= 0")
     return build_graph(schema, num_nodes, edge_lists, attributes, target_type, num_classes, labels)
 
 
@@ -419,8 +472,8 @@ def _load_csv_triples(path: Path) -> HinGraph:
     if not schema_path.exists():
         raise SchemaError(f"missing schema sidecar {schema_path}")
     with open(schema_path, "r", encoding="utf-8") as f:
-        doc = {"schema": json.load(f)}
-    schema, target_type, num_classes = _schema_from_json(doc)
+        doc = json.load(f)
+    schema, target_type, num_classes = _schema_from_json(schema_path, doc, {}, "")
 
     attributes: dict[str, np.ndarray] = {}
     num_nodes: dict[str, int] = {}

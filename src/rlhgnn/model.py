@@ -16,10 +16,11 @@ variant that aggregates the target's features in place of each source's is
 available via messages_from_target=True for comparison; it makes every
 source contribute an identical term.
 
-The aggregation from H0 to the episode outputs, the classifier and the loss
-each record one autodiff Var whose closure is a hand-written backward, with
-the expressions and summation order of the per-op tape they replaced, which
-the tests keep as their reference.
+The aggregation from the type projections to the episode outputs, the
+classifier and the loss each record one autodiff Var whose closure is a
+hand-written backward, with the expressions and summation order of the
+per-op tape they replaced, which the tests keep as their reference.
+project_attributes itself records nothing: it returns H0 as a plain array.
 """
 from __future__ import annotations
 
@@ -119,19 +120,19 @@ def init_params(
 
 def project_attributes(
     params: HgnnParams, g: HinGraph, groups: list[tuple[str, np.ndarray]]
-) -> ad.Var:
+) -> np.ndarray:
     """H0 rows for runs of (node type, local ids), run after run in the given
-    order: H0[i] = x_i . M_type."""
-    parts: list[ad.Var] = []
+    order: H0[i] = x_i . M_type. A plain array; hgnn_forward's Var takes
+    each run's projection as a parent."""
+    parts: list[np.ndarray] = []
     for t, ids in groups:
         proj = params.table.get(f"proj:{t}")
         if proj is None:
             raise ValueError(f"no projection for node type {t!r}")
-        X = ad.const(g.attributes[t][np.asarray(ids, dtype=np.intp)])
-        parts.append(ad.matmul(X, proj))
+        parts.append(g.attributes[t][np.asarray(ids, dtype=np.intp)] @ proj.value)
     if not parts:
-        return ad.const(np.zeros((0, params.d)))
-    return ad.vstack(parts) if len(parts) > 1 else parts[0]
+        return np.zeros((0, params.d))
+    return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
 def _gather(a: np.ndarray, idx: np.ndarray, mask: np.ndarray | None, keep: float) -> np.ndarray:
@@ -272,13 +273,15 @@ def hgnn_forward(
     """Evaluate the plan's compiled index arrays layer by layer; episodes that
     stopped at once return their projected attributes directly.
 
-    Everything from H0 to the outputs is one Var. Its closure walks the
-    layers from the last to the first and frees each layer's saved arrays
-    as it leaves the layer. H0's gradient adds its terms in the order a
-    tape of one Var per op did, for equal bits: the outputs' share first,
-    then layer L's to layer 1's target rows, then layer 1's source rows;
-    with messages_from_target, layer 1's source rows, then layer 1's to
-    layer L's target rows. Under ad.no_grad nothing is saved."""
+    Everything from the type projections to the outputs is one Var. Its
+    closure walks the layers from the last to the first and frees each
+    layer's saved arrays as it leaves the layer. H0's gradient adds its
+    terms in the order a tape of one Var per op did, for equal bits: the
+    outputs' share first, then layer L's to layer 1's target rows, then
+    layer 1's source rows; with messages_from_target, layer 1's source rows,
+    then layer 1's to layer L's target rows. Each run of H0 rows then gives
+    its projection the gradient X_t.T @ g_H0[run]. Under ad.no_grad nothing
+    is saved."""
     if mode not in ("eval", "train"):
         raise ValueError(f"unknown mode {mode!r}")
     if not len(dag.output_rows):
@@ -291,14 +294,14 @@ def hgnn_forward(
     record = ad.recording()
 
     h0 = project_attributes(params, g, dag.h0_groups)
-    matrices = [h0.value]  # matrices[l] = layer-l outputs, one row per step
+    matrices = [h0]  # matrices[l] = layer-l outputs, one row per step
     saves: list[tuple] = []  # per layer, what its backward needs
     for layer, ix in enumerate(dag.index, start=1):
         masks = (None, None)
         if rng is not None:  # inverted dropout on the gathered rows, S's mask first
             masks = (rng.random((len(ix.src_rows), params.d)) < keep,
                      rng.random((len(ix.tgt_rows), params.d)) < keep)
-        out, saved = _layer_forward(params, layer, matrices[-1], h0.value, ix, masks,
+        out, saved = _layer_forward(params, layer, matrices[-1], h0, ix, masks,
                                     messages_from_target)
         if record:
             saves.append(masks + saved)
@@ -306,6 +309,7 @@ def hgnn_forward(
         matrices.append(out)
     offs = np.cumsum([0] + [len(m) for m in matrices])
     L = len(dag.index)
+    projections = [(params.table[f"proj:{t}"], g.attributes[t], ids) for t, ids in dag.h0_groups]
 
     def bw(g_out):
         g_stack = _scatter_rows(g_out, dag.output_rows, offs[-1])
@@ -328,9 +332,12 @@ def hgnn_forward(
             del g_prev, g_tgt
         for g_tgt in reversed(held):
             g_h0 += g_tgt
-        return (g_h0, *grads)
+        runs = np.cumsum([0] + [len(ids) for _, _, ids in projections])
+        return (*(X[ids].T @ g_h0[runs[i]:runs[i + 1]]
+                  for i, (_, X, ids) in enumerate(projections)), *grads)
 
-    parents = [h0] + [v for layer in range(1, L + 1) for v in _layer_params(params, layer)]
+    parents = ([proj for proj, _, _ in projections]
+               + [v for layer in range(1, L + 1) for v in _layer_params(params, layer)])
     outputs = ad.Var(np.concatenate(matrices)[dag.output_rows], tuple(parents), bw)
     outputs.check_finite("episode representations")
     return ForwardResult(outputs=outputs)

@@ -18,6 +18,7 @@ import io
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from . import agent as rl
 from . import autodiff as ad
 from . import model as nn
 from .aggplan import AggregationDag, AggregationStats, Episode, build_plan, naive_plan, plan_stats
-from .hin import DataSplit, HinGraph, HinSchema, SchemaError
+from .hin import DataSplit, HinGraph, HinSchema, SchemaError, is_int, is_number, need_field
 from .metapath import (
     Frontier,
     MetaPath,
@@ -69,16 +70,7 @@ class TrainConfig:
     def validate(self) -> None:
         """Raise ValueError naming the first field of the wrong type or outside
         its valid range. Values are checked as given, never converted."""
-        def need(ok: bool, name: str, rule: str) -> None:
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-
-        def is_int(v) -> bool:
-            return isinstance(v, int) and not isinstance(v, bool)
-
-        def is_num(v) -> bool:
-            return isinstance(v, (int, float)) and not isinstance(v, bool)
-
+        need = partial(need_field, self)
         need(self.variant in ("rl-hgnn", "rl-hgnn-pp"), "variant", "rl-hgnn or rl-hgnn-pp")
         for name in ("max_timesteps", "inner_rounds", "node_batch", "target_sync_every",
                      "reward_window", "memory_multiplier", "dqn_batch", "hidden_dim", "heads"):
@@ -89,11 +81,11 @@ class TrainConfig:
         need(self.hidden_dim % self.heads == 0, "hidden_dim", "divisible by heads")
         for name in ("gamma", "eps_start", "eps_end", "eps_fraction"):
             v = getattr(self, name)
-            need(is_num(v) and 0.0 <= v <= 1.0, name, "in [0, 1]")
-        need(is_num(self.dropout) and 0.0 <= self.dropout < 1.0, "dropout", "in [0, 1)")
-        need(is_num(self.learning_rate) and 0.0 < self.learning_rate < math.inf,
+            need(is_number(v) and 0.0 <= v <= 1.0, name, "in [0, 1]")
+        need(is_number(self.dropout) and 0.0 <= self.dropout < 1.0, "dropout", "in [0, 1)")
+        need(is_number(self.learning_rate) and 0.0 < self.learning_rate < math.inf,
              "learning_rate", "> 0 and finite")
-        need(is_num(self.weight_decay) and 0.0 <= self.weight_decay < math.inf,
+        need(is_number(self.weight_decay) and 0.0 <= self.weight_decay < math.inf,
              "weight_decay", ">= 0 and finite")
         need(self.fan_out_cap is None or is_int(self.fan_out_cap) and self.fan_out_cap >= 1,
              "fan_out_cap", "an integer >= 1 or null")
@@ -605,7 +597,7 @@ def run_rl_hgnn_pp(cfg: TrainConfig, g: HinGraph, split: DataSplit):
             episodes = loop.fresh_episodes(g, ep_nodes)
             stopped = np.zeros(len(episodes), dtype=bool)
             # row i of the projected batch aligns with episode i
-            reps = nn.project_attributes(params, g, [(g.target_type, ep_nodes)]).value
+            reps = nn.project_attributes(params, g, [(g.target_type, ep_nodes)])
             norm_states = agent.normalizer.transform(reps)  # per-episode states of the round
         eps = _eps_at(cfg, k, K)
         rows, batch = _act(g, cfg, loop.table, episodes, stopped, norm_states,
@@ -673,7 +665,7 @@ def design_episodes_greedy(
             _advance_static_states(g, episodes, states, rows, batch)
         return episodes
     with ad.no_grad():
-        reps = nn.project_attributes(params, g, [(g.target_type, nodes)]).value
+        reps = nn.project_attributes(params, g, [(g.target_type, nodes)])
         for _ in range(cfg.max_timesteps):
             if stopped.all():
                 break

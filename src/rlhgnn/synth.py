@@ -15,6 +15,7 @@ specs should avoid that shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +26,9 @@ from .hin import (
     RelationType,
     SchemaError,
     build_graph,
+    is_int,
+    is_number,
+    need_field,
     split_nodes,
 )
 from .metapath import MetaPath, neighbors_local
@@ -57,12 +61,7 @@ class SyntheticSpec:
     def validate(self) -> None:
         """Raise ValueError naming the first field of the wrong type or outside
         its valid range. Values are checked as given, never converted."""
-        def need(ok: bool, name: str, rule: str) -> None:
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-
-        def is_int(v) -> bool:
-            return isinstance(v, int) and not isinstance(v, bool)
+        need = partial(need_field, self)
 
         def is_counts(v) -> bool:
             return isinstance(v, dict) and all(
@@ -83,9 +82,8 @@ class SyntheticSpec:
                              f"(relations: {', '.join(map(repr, names))})")
         need(isinstance(self.target_type, str), "target_type", "a node type name")
         need(is_names(self.planted_path), "planted_path", "a list of relation names")
-        need(isinstance(self.signal_strength, (int, float))
-             and not isinstance(self.signal_strength, bool)
-             and 0.0 <= self.signal_strength <= 1.0, "signal_strength", "in [0, 1]")
+        need(is_number(self.signal_strength) and 0.0 <= self.signal_strength <= 1.0,
+             "signal_strength", "in [0, 1]")
         need(is_int(self.num_classes) and self.num_classes >= 1, "num_classes",
              "an integer >= 1")
         need(is_int(self.noise_dims) and self.noise_dims >= 0, "noise_dims", "an integer >= 0")

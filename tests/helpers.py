@@ -30,7 +30,7 @@ from rlhgnn.metapath import (
     stop_index,
     valid_actions,
 )
-from rlhgnn.model import LEAKY_SLOPE, HgnnParams, project_attributes
+from rlhgnn.model import LEAKY_SLOPE, HgnnParams
 
 
 def imdb_like_schema(dim_m=4, dim_d=3, dim_a=3) -> HinSchema:
@@ -172,8 +172,58 @@ def graphs_and_episodes(draw):
 
 # ---------------------------------------------------------------------------
 # Per-op tape ops: the autodiff ops that only the references below record,
-# as they were in rlhgnn.autodiff before the HGNN's aggregation, classifier
-# and loss became one Var each.
+# as they were in rlhgnn.autodiff before every recorded node in the program
+# became a whole stage with a hand-written backward.
+
+
+def const(value) -> ad.Var:
+    return ad.Var(value)
+
+
+def add(a: ad.Var, b: ad.Var) -> ad.Var:
+    return ad.Var(a.value + b.value, (a, b), lambda g: (
+        ad.unbroadcast(g, a.value.shape), ad.unbroadcast(g, b.value.shape)))
+
+
+def sub(a: ad.Var, b: ad.Var) -> ad.Var:
+    return ad.Var(a.value - b.value, (a, b), lambda g: (
+        ad.unbroadcast(g, a.value.shape), ad.unbroadcast(-g, b.value.shape)))
+
+
+def mul_const(a: ad.Var, c) -> ad.Var:
+    """Multiply by a constant array; no grad for c."""
+    c = np.asarray(c, dtype=np.float64)
+    return ad.Var(a.value * c, (a,), lambda g: (ad.unbroadcast(g * c, a.value.shape),))
+
+
+def matmul(a: ad.Var, b: ad.Var) -> ad.Var:
+    return ad.Var(a.value @ b.value, (a, b), lambda g: (g @ b.value.T, a.value.T @ g))
+
+
+def relu(a: ad.Var) -> ad.Var:
+    mask = a.value > 0
+    return ad.Var(a.value * mask, (a,), lambda g: (g * mask,))
+
+
+def total_mean(a: ad.Var) -> ad.Var:
+    n = a.value.size
+    return ad.Var(a.value.sum() / n, (a,), lambda g: (np.full_like(a.value, float(g) / n),))
+
+
+def sum_cols(a: ad.Var) -> ad.Var:
+    """Row-wise sum: (n, k) -> (n,)."""
+    return ad.Var(a.value.sum(axis=1), (a,),
+                  lambda g: (np.repeat(g[:, None], a.value.shape[1], axis=1),))
+
+
+def vstack(parts: list[ad.Var]) -> ad.Var:
+    offs = np.concatenate(([0], np.cumsum([p.value.shape[0] for p in parts])))
+    return ad.Var(np.concatenate([p.value for p in parts], axis=0), tuple(parts),
+                  lambda g: tuple(g[offs[i]:offs[i + 1]] for i in range(len(parts))))
+
+
+def square(a: ad.Var) -> ad.Var:
+    return ad.Var(a.value * a.value, (a,), lambda g: (2.0 * g * a.value,))
 
 
 def mul(a: ad.Var, b: ad.Var) -> ad.Var:
@@ -296,11 +346,12 @@ def reshape(a: ad.Var, shape) -> ad.Var:
 
 
 # ---------------------------------------------------------------------------
-# Reference per-op tape of the HGNN: hgnn_forward, classify and
+# Reference per-op tapes: the HGNN's projection, hgnn_forward, classify and
 # cross_entropy as they recorded one Var per op, about twenty per
-# aggregation layer, before each became one Var with a hand-written
-# backward. The oracle tests require the fused nodes to give the same bits,
-# in values and in every parameter gradient.
+# aggregation layer, and the TD loss with its Q-network forward, before each
+# became one Var with a hand-written backward. The oracle tests require the
+# fused nodes to give the same bits, in values and in every parameter
+# gradient.
 
 
 def per_op_layer_compute(
@@ -316,18 +367,34 @@ def per_op_layer_compute(
     `layer`, all heads at once: head h is column block h*hd:(h+1)*hd."""
     heads, hd = params.heads, params.head_dim
     W = params.table[f"layer{layer - 1}:W"]
-    WS = reshape(ad.matmul(S, W), (-1, heads, hd))
-    WT = reshape(ad.matmul(T0, W), (-1, heads, hd))
+    WS = reshape(matmul(S, W), (-1, heads, hd))
+    WT = reshape(matmul(T0, W), (-1, heads, hd))
     es = head_dot(WS, params.table[f"layer{layer - 1}:attn_src"])  # (n, heads)
     et = head_dot(WT, params.table[f"layer{layer - 1}:attn_dst"])
-    e = leaky_relu(ad.add(es, et), LEAKY_SLOPE)
+    e = leaky_relu(add(es, et), LEAKY_SLOPE)
     seg_max = np.maximum.reduceat(e.value, starts, axis=0)  # shift-invariant, no grad
     z = exp(add_const(e, -np.repeat(seg_max, lengths, axis=0)))
     alpha = div(z, repeat_rows(segment_sum(z, starts, lengths), lengths))
     val = WT if messages_from_target else WS
     weighted = reshape(mul(reshape(alpha, (-1, heads, 1)), val), (-1, params.d))
     summed = segment_sum(weighted, starts, lengths)
-    return ad.relu(ad.mul_const(summed, (1.0 / lengths)[:, None]))
+    return relu(mul_const(summed, (1.0 / lengths)[:, None]))
+
+
+def per_op_project_attributes(
+    params: HgnnParams, g: HinGraph, groups: list[tuple[str, np.ndarray]]
+) -> ad.Var:
+    """H0 rows for runs of (node type, local ids), run after run in the given
+    order: H0[i] = x_i . M_type, one matmul per run and a vstack."""
+    parts: list[ad.Var] = []
+    for t, ids in groups:
+        proj = params.table.get(f"proj:{t}")
+        if proj is None:
+            raise ValueError(f"no projection for node type {t!r}")
+        parts.append(matmul(const(g.attributes[t][np.asarray(ids, dtype=np.intp)]), proj))
+    if not parts:
+        return const(np.zeros((0, params.d)))
+    return vstack(parts) if len(parts) > 1 else parts[0]
 
 
 def per_op_forward(
@@ -344,7 +411,7 @@ def per_op_forward(
     keep = 1.0 - params.dropout
     rng = np.random.default_rng([seed]) if mode == "train" and params.dropout > 0 else None
 
-    h0 = project_attributes(params, g, dag.h0_groups)
+    h0 = per_op_project_attributes(params, g, dag.h0_groups)
     matrices = [h0]  # matrices[l] = layer-l outputs, one row per step
     for layer, ix in enumerate(dag.index, start=1):
         mask_s = mask_t = None
@@ -355,7 +422,7 @@ def per_op_forward(
         T0 = gather_rows(h0, ix.tgt_rows, mask_t, keep)
         matrices.append(per_op_layer_compute(params, layer, S, T0, ix.starts, ix.lengths,
                                              messages_from_target))
-    stacked = ad.vstack(matrices) if len(matrices) > 1 else h0
+    stacked = vstack(matrices) if len(matrices) > 1 else h0
     outputs = gather_rows(stacked, dag.output_rows)
     outputs.check_finite("episode representations")
     return outputs
@@ -363,10 +430,10 @@ def per_op_forward(
 
 def per_op_classify(params: HgnnParams, reps: ad.Var) -> ad.Var:
     """Class probability rows: softmax(reps . W_c + b_c)."""
-    logits = ad.add(ad.matmul(reps, params.table["classifier:W"]), params.table["classifier:b"])
+    logits = add(matmul(reps, params.table["classifier:W"]), params.table["classifier:b"])
     zmax = logits.value.max(axis=1, keepdims=True)  # shift-invariant, no grad
     ez = exp(add_const(logits, -zmax))
-    return div(ez, reshape(ad.sum_cols(ez), (-1, 1)))
+    return div(ez, reshape(sum_cols(ez), (-1, 1)))
 
 
 def per_op_cross_entropy(probs: ad.Var, labels: np.ndarray, rows: np.ndarray) -> ad.Var:
@@ -377,8 +444,28 @@ def per_op_cross_entropy(probs: ad.Var, labels: np.ndarray, rows: np.ndarray) ->
     sel = gather_rows(probs, rows)
     onehot = np.zeros(sel.value.shape)
     onehot[np.arange(len(rows)), labels[rows]] = 1.0
-    picked = ad.sum_cols(ad.mul_const(sel, onehot))
+    picked = sum_cols(mul_const(sel, onehot))
     return scale(total_sum(log(picked)), -1.0)
+
+
+def per_op_td_loss(qnet, target_net, batch: TransitionBatch, gamma: float) -> ad.Var:
+    """Mean squared TD error with the Q-network's forward recorded op by op."""
+    if len(batch) == 0:
+        raise ValueError("empty batch")
+    tq = target_net.values(batch.s_next)
+    tq = np.where(batch.next_mask, tq, -np.inf)
+    max_next = tq.max(axis=1)
+    max_next = np.where(batch.terminal, 0.0, max_next)
+    y = batch.r + gamma * max_next * (~batch.terminal)
+    Q = const(np.atleast_2d(batch.s))
+    for i, (w, b) in enumerate(zip(qnet.weights, qnet.biases)):
+        Q = add(matmul(Q, w), b)
+        if i < len(qnet.weights) - 1:
+            Q = relu(Q)
+    onehot = np.zeros((len(batch), qnet.num_actions))
+    onehot[np.arange(len(batch)), batch.a] = 1.0
+    picked = sum_cols(mul_const(Q, onehot))
+    return total_mean(square(sub(const(y), picked)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +485,7 @@ def reference_scatter_rows(shape, idx, g: np.ndarray) -> np.ndarray:
 def reference_dropout_rows(a: ad.Var, idx, mask: np.ndarray, keep: float) -> ad.Var:
     """Gather-then-dropout as two ops, as hgnn_forward recorded it before
     gather_rows took the mask: the rows, then mul_const by a float mask."""
-    return ad.mul_const(gather_rows(a, idx), mask / keep)
+    return mul_const(gather_rows(a, idx), mask / keep)
 
 
 def reference_backward(root: ad.Var) -> None:
@@ -450,26 +537,9 @@ def reference_project_attributes(
     params: HgnnParams, g: HinGraph, nodes: list[NodeId]
 ) -> tuple[ad.Var, dict[NodeId, int]]:
     """H0 rows for `nodes` (kept in the given order): H0[i] = x_i . M_type."""
-    parts: list[ad.Var] = []
-    rows: dict[NodeId, int] = {}
-    i = 0
-    while i < len(nodes):
-        t = nodes[i][0]
-        if f"proj:{t}" not in params.table:
-            raise ValueError(f"no projection for node type {t!r}")
-        j = i
-        locals_ = []
-        while j < len(nodes) and nodes[j][0] == t:
-            locals_.append(nodes[j][1])
-            j += 1
-        X = ad.const(g.attributes[t][np.asarray(locals_, dtype=np.intp)])
-        parts.append(ad.matmul(X, params.table[f"proj:{t}"]))
-        for k, n in enumerate(nodes[i:j]):
-            rows[n] = i + k
-        i = j
-    if not parts:
-        return ad.const(np.zeros((0, params.d))), {}
-    return ad.vstack(parts) if len(parts) > 1 else parts[0], rows
+    groups = [(t, [n for _, n in run]) for t, run in groupby(nodes, key=lambda n: n[0])]
+    return (per_op_project_attributes(params, g, groups),
+            {n: i for i, n in enumerate(nodes)})
 
 
 def reference_layer_compute(
@@ -484,8 +554,8 @@ def reference_layer_compute(
     """Aggregate per-traversal rows into per-step outputs with parameter set `layer`."""
     heads, hd = params.heads, params.head_dim
     W = params.table[f"layer{layer - 1}:W"]
-    WS = ad.matmul(S, W)
-    WT = ad.matmul(T0, W)
+    WS = matmul(S, W)
+    WT = matmul(T0, W)
     a_src = params.table[f"layer{layer - 1}:attn_src"]
     a_dst = params.table[f"layer{layer - 1}:attn_dst"]
     inv_len = (1.0 / lengths)[:, None]
@@ -496,17 +566,17 @@ def reference_layer_compute(
         WT_h = slice_cols(WT, lo, hi)
         a_s = gather_rows(a_src, [h])  # (1, hd)
         a_d = gather_rows(a_dst, [h])
-        es = reshape(ad.sum_cols(mul(WS_h, a_s)), (-1, 1))
-        et = reshape(ad.sum_cols(mul(WT_h, a_d)), (-1, 1))
-        e = leaky_relu(ad.add(es, et), LEAKY_SLOPE)
+        es = reshape(sum_cols(mul(WS_h, a_s)), (-1, 1))
+        et = reshape(sum_cols(mul(WT_h, a_d)), (-1, 1))
+        e = leaky_relu(add(es, et), LEAKY_SLOPE)
         seg_max = np.maximum.reduceat(e.value[:, 0], starts)  # shift-invariant, no grad
         z = exp(add_const(e, -np.repeat(seg_max, lengths)[:, None]))
         denom = repeat_rows(segment_sum(z, starts, lengths), lengths)
         alpha = div(z, denom)
         val = WT_h if messages_from_target else WS_h
         summed = segment_sum(mul(alpha, val), starts, lengths)
-        outs.append(ad.mul_const(summed, inv_len))
-    return ad.relu(hstack(outs))
+        outs.append(mul_const(summed, inv_len))
+    return relu(hstack(outs))
 
 
 def reference_forward(
@@ -558,8 +628,8 @@ def reference_forward(
         S = gather_rows(prev, np.asarray(src_rows, dtype=np.intp))
         T0 = gather_rows(h0_var, np.asarray(tgt_rows, dtype=np.intp))
         if train and params.dropout > 0:
-            S = ad.mul_const(S, (rng.random(S.value.shape) < keep) / keep)
-            T0 = ad.mul_const(T0, (rng.random(T0.value.shape) < keep) / keep)
+            S = mul_const(S, (rng.random(S.value.shape) < keep) / keep)
+            T0 = mul_const(T0, (rng.random(T0.value.shape) < keep) / keep)
         out = reference_layer_compute(params, layer_idx, S, T0, starts, lengths, messages_from_target)
         for si, step in enumerate(steps):
             key_rows[step.target] = (layer_idx, si)
@@ -579,7 +649,7 @@ def reference_forward(
         offsets[owner] = off
         parts.append(gather_rows(matrices[owner], np.asarray(by_matrix[owner], dtype=np.intp)))
         off += len(by_matrix[owner])
-    stacked = ad.vstack(parts) if len(parts) > 1 else parts[0]
+    stacked = vstack(parts) if len(parts) > 1 else parts[0]
     perm = np.asarray([offsets[o] + i for o, i in positions], dtype=np.intp)
     outputs = gather_rows(stacked, perm)
     outputs.check_finite("episode representations")

@@ -8,12 +8,12 @@ import pytest
 from helpers import (
     Transition,
     attention_coefficients,
+    const,
     fifo_rows,
     imdb_like_graph,
     random_hin,
     stack_transitions,
 )
-from rlhgnn import autodiff as ad
 from rlhgnn.aggplan import (
     Episode,
     build_plan,
@@ -269,15 +269,15 @@ def test_criterion_8_unit_invariants(seed):
     w = attention_coefficients(params, 1, 0, srcs, rng.normal(size=8))
     assert abs(w.sum() - 1.0) < 1e-9
     # classifier softmax rows sum to one
-    probs = classify(params, ad.const(rng.normal(size=(7, 8))))
+    probs = classify(params, const(rng.normal(size=(7, 8))))
     np.testing.assert_allclose(probs.value.sum(axis=1), 1.0, atol=1e-9)
     # cross-entropy closed forms
     onehot = np.eye(3)[[0, 1, 2]]
-    assert abs(float(cross_entropy(ad.const(onehot), np.array([0, 1, 2]),
+    assert abs(float(cross_entropy(const(onehot), np.array([0, 1, 2]),
                                    np.arange(3)).value)) < 1e-9
     uni = np.full((4, 3), 1 / 3)
     np.testing.assert_allclose(
-        float(cross_entropy(ad.const(uni), np.zeros(4, dtype=int), np.arange(4)).value),
+        float(cross_entropy(const(uni), np.zeros(4, dtype=int), np.arange(4)).value),
         4 * np.log(3), atol=1e-12)
     # reward window arithmetic
     h = RewardHistory(window=3)

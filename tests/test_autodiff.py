@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    add,
     add_const,
+    const,
     div,
     exp,
     gather_rows,
@@ -18,15 +20,24 @@ from helpers import (
     head_dot,
     leaky_relu,
     log,
+    matmul,
     mul,
+    mul_const,
+    per_op_td_loss,
     reference_backward,
     reference_dropout_rows,
     reference_scatter_rows,
+    relu,
     repeat_rows,
     reshape,
     scale,
     segment_sum,
+    square,
+    sub,
+    sum_cols,
+    total_mean,
     total_sum,
+    vstack,
 )
 from rlhgnn import autodiff as ad
 from rlhgnn.agent import QNetwork, TransitionBatch, td_loss
@@ -70,53 +81,53 @@ def check(build, *leaf_shapes, seed=0, tol=1e-6):
 
 
 def test_add_sub_mul_div():
-    check(lambda a, b: total_sum(mul(ad.add(a, b), ad.sub(a, b))), (3, 4), (3, 4))
-    check(lambda a, b: total_sum(div(a, add_const(ad.square(b), 2.0))), (3, 4), (3, 4))
+    check(lambda a, b: total_sum(mul(add(a, b), sub(a, b))), (3, 4), (3, 4))
+    check(lambda a, b: total_sum(div(a, add_const(square(b), 2.0))), (3, 4), (3, 4))
 
 
 def test_broadcasting_grads():
     check(lambda a, b: total_sum(mul(a, b)), (5, 3), (1, 3))
-    check(lambda a, b: total_sum(ad.add(a, b)), (5, 3), (5, 1))
-    check(lambda a, b: total_sum(div(a, add_const(ad.square(b), 1.0))), (4, 3), (4, 1))
+    check(lambda a, b: total_sum(add(a, b)), (5, 3), (5, 1))
+    check(lambda a, b: total_sum(div(a, add_const(square(b), 1.0))), (4, 3), (4, 1))
 
 
 def test_matmul():
-    check(lambda a, b: total_sum(ad.matmul(a, b)), (4, 3), (3, 5))
+    check(lambda a, b: total_sum(matmul(a, b)), (4, 3), (3, 5))
 
 
 def test_activations():
-    check(lambda a: total_sum(ad.relu(a)), (6, 4), seed=3)
+    check(lambda a: total_sum(relu(a)), (6, 4), seed=3)
     check(lambda a: total_sum(leaky_relu(a, 0.2)), (6, 4), seed=3)
 
 
 def test_exp_log():
     check(lambda a: total_sum(exp(a)), (3, 3))
-    check(lambda a: total_sum(log(add_const(ad.square(a), 1.0))), (3, 3))
+    check(lambda a: total_sum(log(add_const(square(a), 1.0))), (3, 3))
 
 
 def test_reductions_and_reshape():
-    check(lambda a: ad.total_mean(ad.square(a)), (4, 5))
-    check(lambda a: total_sum(ad.square(ad.sum_cols(a))), (4, 5))
-    check(lambda a: total_sum(ad.square(reshape(a, (2, 10)))), (4, 5))
+    check(lambda a: total_mean(square(a)), (4, 5))
+    check(lambda a: total_sum(square(sum_cols(a))), (4, 5))
+    check(lambda a: total_sum(square(reshape(a, (2, 10)))), (4, 5))
 
 
 def test_gather_rows_accumulates_repeats():
     idx = np.array([0, 2, 2, 1])
-    check(lambda a: total_sum(ad.square(gather_rows(a, idx))), (3, 4))
+    check(lambda a: total_sum(square(gather_rows(a, idx))), (3, 4))
 
 
 def test_segment_and_repeat():
     starts = np.array([0, 2, 5])
     lengths = np.array([2, 3, 1])
-    check(lambda a: total_sum(ad.square(segment_sum(a, starts, lengths))), (6, 3))
-    check(lambda a: total_sum(ad.square(repeat_rows(a, lengths))), (3, 4))
+    check(lambda a: total_sum(square(segment_sum(a, starts, lengths))), (6, 3))
+    check(lambda a: total_sum(square(repeat_rows(a, lengths))), (3, 4))
 
 
 def test_head_dot():
-    check(lambda x, a: total_sum(ad.square(head_dot(x, a))), (5, 3, 4), (3, 4))
-    check(lambda x, a: total_sum(ad.square(head_dot(x, a))), (1, 1, 2), (1, 2))
+    check(lambda x, a: total_sum(square(head_dot(x, a))), (5, 3, 4), (3, 4))
+    check(lambda x, a: total_sum(square(head_dot(x, a))), (1, 1, 2), (1, 2))
     x, a = np.arange(24.0).reshape(2, 3, 4), np.arange(12.0).reshape(3, 4)
-    np.testing.assert_array_equal(head_dot(ad.const(x), ad.const(a)).value,
+    np.testing.assert_array_equal(head_dot(const(x), const(a)).value,
                                   (x * a).sum(axis=2))
 
 
@@ -136,19 +147,19 @@ def test_segments_must_tile_the_rows():
 
 
 def test_stacks_and_slices():
-    check(lambda a, b: total_sum(ad.square(ad.vstack([a, b]))), (2, 3), (4, 3))
+    check(lambda a, b: total_sum(square(vstack([a, b]))), (2, 3), (4, 3))
 
 
 def test_mul_const_and_scale():
     mask = np.array([[1.0, 0.0, 2.0]])
-    check(lambda a: total_sum(ad.mul_const(a, mask)), (4, 3))
+    check(lambda a: total_sum(mul_const(a, mask)), (4, 3))
     check(lambda a: total_sum(scale(a, -2.5)), (4, 3))
 
 
 def test_shared_subexpression_grad_accumulates():
     # y = sum(a*a + a) -> dy/da = 2a + 1
     a = ad.param(np.array([1.0, -2.0, 3.0]))
-    loss = total_sum(ad.add(mul(a, a), a))
+    loss = total_sum(add(mul(a, a), a))
     ad.backward(loss)
     np.testing.assert_allclose(a.grad, 2 * a.value + 1)
 
@@ -156,7 +167,7 @@ def test_shared_subexpression_grad_accumulates():
 def test_backward_requires_scalar():
     a = ad.param(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        ad.backward(ad.square(a))
+        ad.backward(square(a))
 
 
 def test_softmax_composition_matches_closed_form():
@@ -164,11 +175,11 @@ def test_softmax_composition_matches_closed_form():
     x = ad.param(rng.normal(size=(5, 4)))
     zmax = x.value.max(axis=1, keepdims=True)
     ez = exp(add_const(x, -zmax))
-    probs = div(ez, reshape(ad.sum_cols(ez), (-1, 1)))
+    probs = div(ez, reshape(sum_cols(ez), (-1, 1)))
     np.testing.assert_allclose(probs.value.sum(axis=1), np.ones(5), atol=1e-12)
     onehot = np.zeros((5, 4))
     onehot[np.arange(5), [0, 1, 2, 3, 0]] = 1.0
-    loss = scale(total_sum(log(ad.sum_cols(ad.mul_const(probs, onehot)))), -1.0)
+    loss = scale(total_sum(log(sum_cols(mul_const(probs, onehot)))), -1.0)
     ad.backward(loss)
     # d(-log softmax)/dlogits = probs - onehot
     np.testing.assert_allclose(x.grad, probs.value - onehot, atol=1e-10)
@@ -242,7 +253,7 @@ def test_gather_rows_rejects_indices_outside_the_rows():
             gather_rows(a, bad)
     with pytest.raises(ValueError, match=r"\[0, 0\)"):
         gather_rows(ad.param(np.zeros((0, 2))), [0])
-    assert gather_rows(a, []).shape == (0, 2)
+    assert gather_rows(a, []).value.shape == (0, 2)
 
 
 def _assert_same_grads_as_reference(build, leaves):
@@ -271,12 +282,12 @@ def test_leaf_gradients_never_share_memory():
     x, y, z = (ad.param(rng.normal(size=(2, 3))) for _ in range(3))
     w = ad.param(rng.normal(size=(6,)))
     cases = [
-        lambda: total_sum(ad.square(ad.add(x, x))),
-        lambda: total_sum(ad.square(ad.add(x, y))),
-        lambda: total_sum(mul(ad.add(x, y), ad.add(y, z))),
-        lambda: total_sum(ad.square(ad.vstack([x, y, x, z]))),
-        lambda: total_sum(ad.square(ad.add(reshape(w, (2, 3)), x))),
-        lambda: total_sum(reshape(ad.add(x, y), (6,))),
+        lambda: total_sum(square(add(x, x))),
+        lambda: total_sum(square(add(x, y))),
+        lambda: total_sum(mul(add(x, y), add(y, z))),
+        lambda: total_sum(square(vstack([x, y, x, z]))),
+        lambda: total_sum(square(add(reshape(w, (2, 3)), x))),
+        lambda: total_sum(reshape(add(x, y), (6,))),
     ]
     for build in cases:
         _assert_same_grads_as_reference(build, [x, y, z, w])
@@ -284,7 +295,7 @@ def test_leaf_gradients_never_share_memory():
 
 def test_a_released_tape_cannot_be_walked_again():
     a = ad.param(np.arange(4.0))
-    shared = ad.square(a)
+    shared = square(a)
     loss = total_sum(shared)
     backward(loss, [a])
     with pytest.raises(ValueError, match="released by an earlier backward"):
@@ -294,7 +305,7 @@ def test_a_released_tape_cannot_be_walked_again():
     # another loss over a released node names the error instead of
     # treating the node as a constant
     with pytest.raises(ValueError, match="released by an earlier backward"):
-        ad.backward(ad.total_mean(shared))
+        ad.backward(total_mean(shared))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -345,19 +356,64 @@ def test_td_loss_grads_match_reference_tape():
     _assert_same_grads_as_reference(lambda: td_loss(qnet, target, batch, 0.9), qnet.vars())
 
 
+@st.composite
+def qnets_and_batches(draw):
+    dim, actions = draw(st.integers(1, 5)), draw(st.integers(2, 5))
+    hidden = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=5)))
+    qnet = QNetwork(dim, actions, hidden, seed=draw(st.integers(0, 99)))
+    target = QNetwork(dim, actions, hidden, seed=draw(st.integers(0, 99)))
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    next_mask = rng.random((n, actions)) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    next_mask[:, -1] = True  # Stop is always legal
+    batch = TransitionBatch(s=rng.normal(size=(n, dim)), a=rng.integers(0, actions, size=n),
+                            r=rng.normal(size=n), s_next=rng.normal(size=(n, dim)),
+                            terminal=rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0])),
+                            next_mask=next_mask)
+    return qnet, target, batch, draw(st.sampled_from([0.0, 0.9]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(qnets_and_batches())
+def test_the_td_loss_node_gives_the_per_op_tapes_bits(case):
+    """td_loss, one Var over qnet.vars(), gives the value and every weight
+    and bias gradient of the per-op tape in tests/helpers.py, bit for bit,
+    with 1 to 5 hidden layers, terminal rows and partly illegal next
+    actions."""
+    qnet, target, batch, gamma = case
+    fused = td_loss(qnet, target, batch, gamma)
+    assert fused.parents == tuple(qnet.vars())
+    assert [n for n in ad._topo(fused) if n.parents] == [fused]
+    ref = per_op_td_loss(qnet, target, batch, gamma)
+    want = [ref.value.copy()] + backward(ref, qnet.vars())
+    got = [fused.value.copy()] + backward(fused, qnet.vars())
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_td_loss_checks_the_state_width():
+    qnet = QNetwork(3, 2, hidden=(4,), seed=0)
+    batch = TransitionBatch(s=np.zeros((2, 4)), a=np.zeros(2, dtype=np.int64), r=np.zeros(2),
+                            s_next=np.zeros((2, 3)), terminal=np.zeros(2, dtype=bool),
+                            next_mask=np.ones((2, 2), dtype=bool))
+    with pytest.raises(ValueError, match="state dim 4 != network input 3"):
+        td_loss(qnet, qnet, batch, 0.9)
+
+
 # ---------------------------------------------------------------------------
 # no_grad
 
 
 def _ops(x, w):
     """One of every op kind the models record."""
-    h = ad.relu(ad.matmul(gather_rows(x, [2, 0, 2], np.ones((3, 3), dtype=bool), 0.5), w))
+    h = relu(matmul(gather_rows(x, [2, 0, 2], np.ones((3, 3), dtype=bool), 0.5), w))
     z = exp(leaky_relu(segment_sum(repeat_rows(h, [1, 2, 1]), [0, 2], [2, 2])))
     y = div(mul(z, z), add_const(scale(z, 2.0), 1.0))
-    y = ad.sub(ad.add(y, ad.mul_const(y, 3.0)), ad.square(y))
-    y = ad.vstack([y, reshape(log(add_const(ad.square(y), 1.0)), (2, 3))])
-    hd = head_dot(reshape(y, (4, 1, 3)), ad.const(np.ones((1, 3))))
-    return ad.total_mean(ad.add(ad.sum_cols(hd), total_sum(hd)))
+    y = sub(add(y, mul_const(y, 3.0)), square(y))
+    y = vstack([y, reshape(log(add_const(square(y), 1.0)), (2, 3))])
+    hd = head_dot(reshape(y, (4, 1, 3)), const(np.ones((1, 3))))
+    return total_mean(add(sum_cols(hd), total_sum(hd)))
 
 
 def test_no_grad_records_no_parents_or_closures():
@@ -390,7 +446,7 @@ def test_no_grad_nests_and_restores_its_state_after_an_exception():
     a = ad.param(np.arange(3.0))
 
     def recorded() -> bool:
-        return ad.square(a).parents == (a,)
+        return square(a).parents == (a,)
 
     with ad.no_grad():
         with ad.no_grad():
@@ -418,10 +474,10 @@ def test_no_grad_leaves_other_threads_recording():
         with ad.no_grad():
             entered.set()
             checked.wait(timeout=30)
-            seen["quiet"] = ad.square(a).parents
+            seen["quiet"] = square(a).parents
 
             def child():
-                seen["child"] = ad.square(a).parents
+                seen["child"] = square(a).parents
 
             t = threading.Thread(target=child)
             t.start()
@@ -430,7 +486,7 @@ def test_no_grad_leaves_other_threads_recording():
     t = threading.Thread(target=quiet)
     t.start()
     assert entered.wait(timeout=30)
-    seen["main"] = ad.square(a).parents  # while the other thread is inside its block
+    seen["main"] = square(a).parents  # while the other thread is inside its block
     checked.set()
     t.join()
     assert seen == {"main": (a,), "quiet": (), "child": (a,)}

@@ -1,5 +1,6 @@
 """End-to-end CLI runs in a temp dir: gen-synth, train, eval, reports, benches."""
 import json
+import re
 
 import pytest
 
@@ -94,6 +95,36 @@ def test_eval_rejects_a_graph_of_another_schema(tmp_path, synth_graph):
     other.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="schema is not the graph's"):
         main(["eval", "--checkpoint", str(out), "--graph", str(other)])
+
+
+def test_eval_rejects_a_bad_split_naming_the_file_and_the_key(tmp_path, synth_graph):
+    """A key that is missing, or a list holding an id that is not an integer
+    node id of the target type, is named before any node is predicted."""
+    out = tmp_path / "run"
+    assert main(["train", "--graph", str(synth_graph), "--config", str(write_config(tmp_path)),
+                 "--out", str(out), "--train-count", "24", "--val-count", "18"]) == 0
+    split_path = out / "split.json"
+    good = json.loads(split_path.read_text())
+    n = 60  # Movie nodes in synth_graph
+    bad = {
+        "lacks key 'test'": {k: v for k, v in good.items() if k != "test"},
+        "lacks key 'validation'": {k: v for k, v in good.items() if k != "validation"},
+        "key 'test' must be a list of integer node ids in \\[0, 60\\), got 999":
+            {**good, "test": good["test"] + [999]},
+        "key 'validation' must be .* got -1": {**good, "validation": [-1]},
+        "key 'test' must be .* got 1.5": {**good, "test": [1.5]},
+        "key 'train' must be .* got True": {**good, "train": [True]},
+        "key 'train' must be .* got '3'": {**good, "train": ["3"]},
+        "key 'test' must be .* got 3": {**good, "test": 3},
+        "key 'test' must be .* got 60": {**good, "test": [n]},
+        "lacks key 'train'": [good["train"]],
+    }
+    for message, doc in bad.items():
+        split_path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{re.escape(str(split_path))}: .*{message}"):
+            main(["eval", "--checkpoint", str(out), "--graph", str(synth_graph)])
+    split_path.write_text(json.dumps({**good, "test": []}))  # empty: all labelled nodes
+    assert main(["eval", "--checkpoint", str(out), "--graph", str(synth_graph)]) == 0
 
 
 def test_train_twice_identical_report_bytes(tmp_path, synth_graph):

@@ -289,6 +289,76 @@ def test_json_graph_names_the_file_of_a_bad_edge_or_label(tmp_path, part, key, v
     assert str(err.value) == f"{path}: {message}"
 
 
+def _without(doc: dict, *keys) -> dict:
+    """A copy of doc without the field at the path of keys."""
+    doc = json.loads(json.dumps(doc))
+    *outer, last = keys
+    inner = doc
+    for k in outer:
+        inner = inner[k]
+    del inner[last]
+    return doc
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda d: _without(d, "schema"), "missing field 'schema'"),
+    (lambda d: _without(d, "nodes"), "missing field 'nodes'"),
+    (lambda d: _without(d, "schema", "target_type"), "missing field 'schema.target_type'"),
+    (lambda d: _without(d, "schema", "num_classes"), "missing field 'schema.num_classes'"),
+    (lambda d: _without(d, "schema", "node_types"), "missing field 'schema.node_types'"),
+    (lambda d: _without(d, "schema", "relation_types", 1, "dst"),
+     "missing field 'schema.relation_types[1].dst'"),
+    (lambda d: {**d, "attributes": []}, "field 'attributes' must be an object, got []"),
+    (lambda d: {**d, "edges": []}, "field 'edges' must be an object, got []"),
+    (lambda d: {**d, "labels": [1]}, "field 'labels' must be an object, got [1]"),
+    (lambda d: {**d, "schema": []}, "field 'schema' must be an object, got []"),
+    (lambda d: {**d, "nodes": {**d["nodes"], "Actor": "x"}},
+     "field 'nodes.Actor' must be an integer >= 0, got 'x'"),
+    (lambda d: {**d, "nodes": {**d["nodes"], "Actor": -1}}, "field 'nodes.Actor' must be an integer >= 0, got -1"),
+    (lambda d: {**d, "attributes": {**d["attributes"], "Actor": 5}},
+     "field 'attributes.Actor' must be a list, got 5"),
+    (lambda d: {**d, "labels": {**d["labels"], "0": -7}},
+     "labels: node 0 has class -7, expected an integer >= 0"),
+    (lambda d: {**d, "schema": {**d["schema"], "num_classes": "3"}},
+     "field 'schema.num_classes' must be an integer >= 0, got '3'"),
+    (lambda d: {**d, "schema": {**d["schema"], "attribute_dims": {"Movie": 2.0}}},
+     "field 'schema.attribute_dims.Movie' must be an integer >= 0, got 2.0"),
+    (lambda d: {**d, "schema": {**d["schema"], "relation_types": [["M-D", "Movie", "Actor"]]}},
+     "missing field 'schema.relation_types[0].name'"),
+    (lambda d: [d], "missing field 'schema'"),
+    (lambda d: {**d, "schema": {**d["schema"], "node_types": ["Movie", ["Actor"]]}},
+     "field 'schema.node_types' must list type names"),
+], ids=["no-schema", "no-nodes", "no-target-type", "no-num-classes", "no-node-types",
+        "no-relation-dst", "attributes-list", "edges-list", "labels-list", "schema-list",
+        "word-count", "negative-count", "number-for-rows", "negative-label", "string-classes",
+        "float-dim", "list-relation", "list-document", "list-type"])
+def test_json_graph_names_the_file_and_field_of_a_structural_error(tmp_path, change, message):
+    path, doc = imdb_like_json(tmp_path)
+    path.write_text(json.dumps(change(doc)))
+    with pytest.raises(SchemaError) as err:
+        load_hin(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_json_graph_infers_the_dims_missing_from_attribute_dims(tmp_path):
+    path, doc = imdb_like_json(tmp_path)
+    doc["schema"]["attribute_dims"] = {"Movie": 2}
+    path.write_text(json.dumps(doc))
+    assert load_hin(path).schema.attribute_dims == {"Movie": 2, "Director": 1, "Actor": 3}
+
+
+def test_csv_triples_names_the_schema_sidecar_and_field(tmp_path):
+    g = imdb_like_graph()
+    path = tmp_path / "g.csv"
+    save_csv_triples(g, path)
+    sidecar = tmp_path / "g.schema.json"
+    schema = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps(_without(schema, "relation_types", 0, "src")))
+    with pytest.raises(SchemaError) as err:
+        load_hin(path, "csv-triples")
+    assert str(err.value) == f"{sidecar}: missing field 'relation_types[0].src'"
+
+
 def test_csv_triples_round(tmp_path):
     schema = {
         "node_types": ["Movie", "Actor"],

@@ -9,15 +9,19 @@ from hypothesis import strategies as st
 
 from helpers import (
     attention_coefficients,
+    const,
     graphs_and_episodes,
     imdb_like_graph,
+    matmul,
     mul,
+    mul_const,
     per_op_classify,
     per_op_cross_entropy,
     per_op_forward,
     random_hin,
     reference_forward,
     scale,
+    square,
     total_sum,
 )
 from rlhgnn import autodiff as ad
@@ -63,10 +67,10 @@ def test_projection_identity_and_zero():
     lam = g.schema.attribute_dims["Movie"]
     p.table["proj:Movie"].value = np.eye(lam, 4)
     H = project_attributes(p, g, [("Movie", np.array([0, 1]))])
-    np.testing.assert_allclose(H.value[0, :lam][: lam], g.attributes["Movie"][0])
+    np.testing.assert_allclose(H[0, :lam][: lam], g.attributes["Movie"][0])
     p.table["proj:Movie"].value = np.zeros((lam, 4))
     H = project_attributes(p, g, [("Movie", np.array([2]))])
-    np.testing.assert_allclose(H.value, 0.0)
+    np.testing.assert_allclose(H, 0.0)
 
 
 def test_projection_matches_direct_product():
@@ -74,9 +78,11 @@ def test_projection_matches_direct_product():
     p = small_params(g, d=6, heads=2, seed=5)
     nodes = [("Actor", 1), ("Actor", 3), ("Movie", 0)]
     H = project_attributes(p, g, [("Actor", np.array([1, 3])), ("Movie", np.array([0]))])
+    assert type(H) is np.ndarray and H.shape == (3, 6)
     for row, n in enumerate(nodes):
         expected = g.attributes[n[0]][n[1]] @ p.table[f"proj:{n[0]}"].value
-        np.testing.assert_allclose(H.value[row], expected, atol=1e-12)
+        np.testing.assert_allclose(H[row], expected, atol=1e-12)
+    assert project_attributes(p, g, []).shape == (0, 6)
 
 
 def test_projection_missing_type_errors():
@@ -337,21 +343,27 @@ def test_fused_nodes_add_h0s_terms_in_the_per_op_tapes_order(seed, mft):
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
 def test_a_train_tape_holds_one_node_each_for_aggregation_classifier_and_loss(depth):
+    """The train tape is exactly three recorded nodes; the aggregation's
+    parents are the projection of each H0 run's type and the layers'
+    parameters."""
     g = imdb_like_graph(seed=3)
     eps = [episode(g, ("Movie", i), ("M-A", "A-M", "M-D")[:depth]) for i in range(4)]
     p = small_params(g, T=3, d=8, heads=2, seed=1, dropout=0.3)
-    outputs = hgnn_forward(p, g, build_plan(g, eps), "train", 2).outputs
+    plan = build_plan(g, eps)
+    outputs = hgnn_forward(p, g, plan, "train", 2).outputs
     probs = classify(p, outputs)
     loss = cross_entropy(probs, g.labels[:4], np.arange(4))
-    h0 = outputs.parents[0]
-    assert outputs.parents[1:] == tuple(p.table[f"layer{i}:{k}"] for i in range(depth)
-                                        for k in ("W", "attn_src", "attn_dst"))
+    types = ("Movie", "Actor", "Movie", "Director")[:depth + 1]
+    assert [t for t, _ in plan.h0_groups] == sorted(set(types))
+    assert outputs.parents == (
+        tuple(p.table[f"proj:{t}"] for t in sorted(set(types)))
+        + tuple(p.table[f"layer{i}:{k}"] for i in range(depth)
+                for k in ("W", "attn_src", "attn_dst")))
     assert probs.parents == (outputs, p.table["classifier:W"], p.table["classifier:b"])
     assert loss.parents == (probs,)
     recorded = [n for n in ad._topo(loss) if n.parents]
-    projection = [n for n in ad._topo(h0) if n.parents]
-    assert len(recorded) == len(projection) + 3
-    assert all(a is b for a, b in zip(recorded[-3:], (outputs, probs, loss)))
+    assert len(recorded) == 3
+    assert all(a is b for a, b in zip(recorded, (outputs, probs, loss)))
 
 
 def _peak_bytes(fn) -> int:
@@ -455,14 +467,14 @@ def test_classify_zero_weights_uniform():
     p = small_params(g, d=8, heads=2)
     p.table["classifier:W"].value = np.zeros_like(p.table["classifier:W"].value)
     p.table["classifier:b"].value = np.zeros_like(p.table["classifier:b"].value)
-    probs = classify(p, ad.const(np.random.default_rng(0).normal(size=(4, 8))))
+    probs = classify(p, const(np.random.default_rng(0).normal(size=(4, 8))))
     np.testing.assert_allclose(probs.value, 1.0 / 3, atol=1e-12)
 
 
 def test_classify_rows_sum_and_shift_invariance():
     g = imdb_like_graph()
     p = small_params(g, d=8, heads=2, seed=9)
-    reps = ad.const(np.random.default_rng(1).normal(size=(5, 8)))
+    reps = const(np.random.default_rng(1).normal(size=(5, 8)))
     probs = classify(p, reps)
     np.testing.assert_allclose(probs.value.sum(axis=1), 1.0, atol=1e-9)
     arg1 = np.argmax(probs.value, axis=1)
@@ -478,16 +490,16 @@ def test_classify_matches_direct_softmax():
     logits = X @ p.table["classifier:W"].value + p.table["classifier:b"].value
     z = np.exp(logits - logits.max(axis=1, keepdims=True))
     expected = z / z.sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(classify(p, ad.const(X)).value, expected, atol=1e-12)
+    np.testing.assert_allclose(classify(p, const(X)).value, expected, atol=1e-12)
 
 
 def test_cross_entropy_closed_forms():
     onehot = np.eye(3)[[0, 1, 2, 0]]
-    probs = ad.const(onehot * (1 - 1e-15) + 1e-15 / 3)
+    probs = const(onehot * (1 - 1e-15) + 1e-15 / 3)
     labels = np.array([0, 1, 2, 0])
     loss = cross_entropy(probs, labels, np.arange(4))
     assert abs(float(loss.value)) < 1e-12
-    uniform = ad.const(np.full((5, 4), 0.25))
+    uniform = const(np.full((5, 4), 0.25))
     labels = np.zeros(5, dtype=int)
     loss = cross_entropy(uniform, labels, np.arange(5))
     np.testing.assert_allclose(float(loss.value), 5 * np.log(4), atol=1e-12)
@@ -499,14 +511,14 @@ def test_cross_entropy_matches_recomputation():
     probs = raw / raw.sum(axis=1, keepdims=True)
     labels = rng.integers(0, 3, size=6)
     rows = np.array([0, 2, 4])
-    loss = cross_entropy(ad.const(probs), labels, rows)
+    loss = cross_entropy(const(probs), labels, rows)
     expected = -sum(np.log(probs[r, labels[r]]) for r in rows)
     np.testing.assert_allclose(float(loss.value), expected, atol=1e-12)
     with pytest.raises(ValueError):
-        cross_entropy(ad.const(probs), labels, np.array([], dtype=int))
+        cross_entropy(const(probs), labels, np.array([], dtype=int))
     for bad in ([0, 6], [-1, 2]):
         with pytest.raises(ValueError, match=r"cross entropy rows must lie in \[0, 6\)"):
-            cross_entropy(ad.const(probs), labels, np.array(bad))
+            cross_entropy(const(probs), labels, np.array(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +528,7 @@ def test_cross_entropy_matches_recomputation():
 def test_constant_loss_zero_gradients():
     g = imdb_like_graph()
     p = small_params(g, d=8, heads=2)
-    loss = scale(total_sum(ad.mul_const(p.table["classifier:W"], 0.0)), 1.0)
+    loss = scale(total_sum(mul_const(p.table["classifier:W"], 0.0)), 1.0)
     grads = backward(loss, p.all_vars())
     for gr in grads:
         np.testing.assert_allclose(gr, 0.0)
@@ -529,7 +541,7 @@ def test_backward_clears_stale_gradients_of_unused_params():
     b = ad.param(np.ones(3))
     backward(total_sum(mul(a, b)), [a, b])
     assert np.all(a.grad == 1.0) and np.all(b.grad == 1.0)
-    grads = backward(total_sum(ad.square(a)), [a, b])  # b unused now
+    grads = backward(total_sum(square(a)), [a, b])  # b unused now
     np.testing.assert_allclose(grads[0], 2.0)
     np.testing.assert_allclose(grads[1], 0.0)
 
@@ -540,7 +552,7 @@ def test_linear_network_closed_form_gradient():
     X = rng.normal(size=(5, 3))
     G = rng.normal(size=(5, 2))
     W = ad.param(rng.normal(size=(3, 2)))
-    loss = total_sum(ad.mul_const(ad.matmul(ad.const(X), W), G))
+    loss = total_sum(mul_const(matmul(const(X), W), G))
     (grad,) = backward(loss, [W])
     np.testing.assert_allclose(grad, X.T @ G, atol=1e-12)
 
@@ -584,7 +596,7 @@ def test_finite_diff_check_quadratic_and_bad_eps():
     w = ad.param(np.array([1.0, -2.0, 0.5]))
 
     def loss_fn():
-        return total_sum(ad.square(w))
+        return total_sum(square(w))
 
     err = finite_diff_check([w], loss_fn, eps=1e-5, num_coords=3)
     assert err < 1e-8

@@ -111,3 +111,28 @@ def test_fast_loop_walks_the_train_tape_before_the_eval_pass_and_steps_last():
     order = ("model.hgnn_forward.train", "model.backward", "model.hgnn_forward.eval",
              "model.optimizer_step")
     assert [n for n in tracer.names if n in order] == list(order) * rounds
+
+
+@pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
+def test_a_traced_run_records_the_projection_both_backwards_and_one_q_pass_per_act(variant):
+    """perfbench reads model.project_attributes, autodiff.backward.hgnn
+    (under model.backward) and autodiff.backward.dqn (under agent.dqn_step)
+    from a traced run(), and agent.QNetwork.values as the agent step's
+    forward: one call per action selection, none for a DQN update."""
+    g, split = generate_planted_hin(SyntheticSpec(
+        node_counts={"Movie": 40, "Actor": 12}, target_type="Movie",
+        relations=[("M-A", "Movie", "Actor"), ("A-M", "Actor", "Movie")],
+        out_degree={"M-A": 2, "A-M": 2}, planted_path=("M-A",),
+        train_count=16, val_count=12))
+    cfg = TrainConfig(variant=variant, rounds=6, inner_rounds=2, node_batch=16, hidden_dim=8,
+                      heads=2, dqn_batch=4)
+    tracer = _load_tracing().Tracer()
+    with tracer.installed():
+        pipeline.run(cfg, g, split)
+    summary = tracer.summarize()
+    for span in ("model.project_attributes", "autodiff.backward.hgnn",
+                 "autodiff.backward.dqn", "agent.dqn_step"):
+        assert summary[span].calls > 0, span
+    assert "autodiff.backward.other" not in summary
+    assert summary["autodiff.backward.dqn"].calls == summary["agent.dqn_step"].calls
+    assert summary["agent.QNetwork.values"].calls == summary["agent.select_action"].calls
