@@ -375,14 +375,17 @@ def load_hin(path: str | Path, format: str = "json-graph") -> HinGraph:
 def _number_rows(path: Path, t: str, rows: list[list]) -> np.ndarray:
     """Equal-length attribute rows as float64; a SchemaError names the first
     row holding a value that is not a JSON number."""
-    try:  # numpy infers a number dtype unless some value is not a number
-        a = np.asarray(rows)
-        if a.dtype.kind in "biuf":
-            return a.astype(np.float64, copy=False)
-    except ValueError:  # a list in place of a number
-        pass
+    # numpy infers a number dtype unless some value is not a number; it would
+    # also take a bool, alone or beside floats, so any bool skips the fast path
+    if not any(type(x) is bool for row in rows for x in row):
+        try:
+            a = np.asarray(rows)
+            if a.dtype.kind in "iuf":
+                return a.astype(np.float64, copy=False)
+        except ValueError:  # a list in place of a number
+            pass
     for i, row in enumerate(rows):
-        bad = [x for x in row if not isinstance(x, (int, float))]
+        bad = [x for x in row if not is_number(x)]
         if bad:
             raise SchemaError(f"{path}: attributes of type {t!r}, row {i}: "
                               f"expected numbers, got {bad[0]!r}")
@@ -534,11 +537,16 @@ def _load_csv_triples(path: Path) -> HinGraph:
     if labels_path.exists():
         with open(labels_path, "r", encoding="utf-8") as f:
             for lineno, line in enumerate(csv.reader(f), start=1):
+                if not line:
+                    continue
                 try:
-                    if line:
-                        node, cls = line
-                        labels[int(node)] = int(cls)
+                    node, cls = line
+                    node, cls = int(node), int(cls)
                 except ValueError:
                     raise SchemaError(f"{labels_path}:{lineno}: expected node_id,class") from None
+                if cls < 0:
+                    raise SchemaError(f"{labels_path}:{lineno}: node {node} has class {cls}, "
+                                      "expected an integer >= 0")
+                labels[node] = cls
 
     return build_graph(schema, num_nodes, edge_lists, attributes, target_type, num_classes, labels)

@@ -410,18 +410,30 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int
+    # (4, parameter count): rows 0 and 1 hold the moments that m and v view,
+    # rows 2 and 3 are a step's work rows; `step` views row 2 per parameter
+    rows: np.ndarray
+    step: list[np.ndarray]
 
 
 def init_adam(params: list[ad.Var], lr: float = 0.005, weight_decay: float = 0.0001) -> AdamState:
+    bounds = np.cumsum([0] + [p.value.size for p in params])
+    rows = np.zeros((4, bounds[-1]))
+
+    def views(row: np.ndarray) -> list[np.ndarray]:
+        return [row[a:b].reshape(p.value.shape) for p, a, b in zip(params, bounds, bounds[1:])]
+
     return AdamState(
         lr=lr,
         weight_decay=weight_decay,
         beta1=0.9,
         beta2=0.999,
         eps=1e-8,
-        m=[np.zeros_like(p.value) for p in params],
-        v=[np.zeros_like(p.value) for p in params],
+        m=views(rows[0]),
+        v=views(rows[1]),
         t=0,
+        rows=rows,
+        step=views(rows[2]),
     )
 
 
@@ -429,26 +441,36 @@ def optimizer_step(params: list[ad.Var], grads: list[np.ndarray], state: AdamSta
     """Adaptive-moment update with bias correction and decoupled weight decay.
 
     The moments and the parameter values are updated in place, so an array
-    that must keep a parameter's old value has to be a copy."""
+    that must keep a parameter's old value has to be a copy. The update runs
+    once over all parameters laid end to end, and allocates no array."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("parameter/gradient/state count mismatch")
-    state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g in zip(params, grads):
         if g.shape != p.value.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.value.shape}")
-        # same operations in the same order as m = b1*m + (1-b1)*g, ...,
-        # value -= lr * (mh / (sqrt(vh) + eps) + wd * value): bit-identical
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        denom = np.sqrt(v / (1 - b2 ** state.t))
-        denom += state.eps
-        step = m / (1 - b1 ** state.t)
-        step /= denom
-        step += state.weight_decay * p.value
-        step *= state.lr
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    m, v, g, tmp = state.rows
+    np.concatenate([x.ravel() for x in grads], out=g)
+    # same operations in the same order as m = b1*m + (1-b1)*g, ...,
+    # value -= lr * (mh / (sqrt(vh) + eps) + wd * value): bit-identical
+    m *= b1
+    np.multiply(1 - b1, g, out=tmp)
+    m += tmp
+    v *= b2
+    np.multiply(1 - b2, g, out=tmp)
+    tmp *= g
+    v += tmp
+    np.divide(v, 1 - b2 ** state.t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps  # the denominator
+    np.divide(m, 1 - b1 ** state.t, out=g)  # g is dead: the step from here on
+    g /= tmp
+    np.concatenate([p.value.ravel() for p in params], out=tmp)
+    np.multiply(state.weight_decay, tmp, out=tmp)
+    g += tmp
+    g *= state.lr
+    for p, step in zip(params, state.step):
         p.value -= step
 
 

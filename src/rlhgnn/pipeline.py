@@ -26,7 +26,7 @@ from . import agent as rl
 from . import autodiff as ad
 from . import model as nn
 from .aggplan import AggregationDag, AggregationStats, Episode, build_plan, naive_plan, plan_stats
-from .hin import DataSplit, HinGraph, HinSchema, SchemaError, is_int, is_number, need_field
+from .hin import DataSplit, HinGraph, HinSchema, NodeId, SchemaError, is_int, is_number, need_field
 from .metapath import (
     Frontier,
     MetaPath,
@@ -277,6 +277,12 @@ def _extend(g: HinGraph, ep: Episode, rel: str, fan_out_cap: int | None,
     return Episode(ep.start, MetaPath(ep.path.start_type, ep.path.relations + (rel,)), nxt)
 
 
+# Episodes of one run (or one greedy design) by (start node, relations); None
+# marks a dead end. An expansion depends only on the graph, the frontier, the
+# relation, fan_out_cap and the run seed, so a key always names one episode.
+EpisodeMemo = dict[tuple[NodeId, tuple[str, ...]], Episode | None]
+
+
 def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
@@ -343,6 +349,7 @@ def _act(
     qnet: rl.QNetwork,
     eps: float,
     rng: np.random.Generator,
+    memo: EpisodeMemo | None = None,
 ) -> tuple[np.ndarray, rl.TransitionBatch]:
     """Select one action for every episode not yet stopped at once, then
     apply each: an extended episode replaces its entry of `episodes`, and a
@@ -351,7 +358,12 @@ def _act(
     belongs to episode rows[i]. Its reward is NaN and its s_next equals s
     until the loop fills them in. Extension to an empty frontier force-stops
     the episode with its state unchanged.
+
+    An extension is looked up in `memo` first and stored there when built, so
+    a run builds each (start node, relations) episode once; without a memo
+    the call uses a fresh one.
     """
+    memo = {} if memo is None else memo
     schema = g.schema
     stop = stop_index(schema)
     rows = np.flatnonzero(~stopped)
@@ -374,8 +386,12 @@ def _act(
     terminal = actions == stop
     next_keys = keys.copy()  # a terminal transition keeps the mask of its state
     for i in np.flatnonzero(~terminal):
-        nxt = _extend(g, active[i], schema.relation_types[actions[i]].name,
-                      cfg.fan_out_cap, cfg.seed)
+        ep, rel = active[i], schema.relation_types[actions[i]].name
+        key = (ep.start, ep.path.relations + (rel,))
+        if key in memo:
+            nxt = memo[key]
+        else:
+            nxt = memo[key] = _extend(g, ep, rel, cfg.fan_out_cap, cfg.seed)
         if nxt is None:
             terminal[i] = True  # dead end: force-stop at the previous step
             continue
@@ -459,7 +475,7 @@ class _Loop:
         self.rng_dqn = np.random.default_rng(_derive_seed(cfg.seed, 3))
         self.cursor = _BatchCursor(split.train, rng_batch)
         self.table = LegalActionTable.build(g.schema)
-        self.initial: dict[int, Episode] = {}
+        self.memo: EpisodeMemo = {}
         self.report = EpisodeReport(variant=cfg.variant, num_actions=action_space_size(g.schema))
         self.best_params: nn.HgnnParams | None = None
         self.best_metric = -1.0
@@ -478,10 +494,10 @@ class _Loop:
     def fresh_episodes(self, g: HinGraph, ep_nodes: np.ndarray) -> list[Episode]:
         """Every node's timestep-0 episode, each built once per run: episodes
         are frozen, so all batches that draw a node share its one."""
-        made, nodes = self.initial, ep_nodes.tolist()
-        missing = [n for n in nodes if n not in made]
-        made.update(zip(missing, _fresh_episodes(g, missing)))
-        return [made[n] for n in nodes]
+        memo, t, nodes = self.memo, g.target_type, ep_nodes.tolist()
+        missing = [n for n in nodes if ((t, n), ()) not in memo]
+        memo.update(((e.start, ()), e) for e in _fresh_episodes(g, missing))
+        return [memo[(t, n), ()] for n in nodes]
 
     def dqn_update(self, batch: rl.TransitionBatch, reward: float) -> float | None:
         """Store the round's transitions with their reward and run one DQN
@@ -545,7 +561,7 @@ def run_rl_hgnn(cfg: TrainConfig, g: HinGraph, split: DataSplit):
             step_t0 = time.perf_counter()
             eps = _eps_at(cfg, step_counter, total_steps)
             rows, batch = _act(g, cfg, loop.table, episodes, stopped, states,
-                               agent.qnet, eps, loop.rng_eps)
+                               agent.qnet, eps, loop.rng_eps, loop.memo)
             _advance_static_states(g, episodes, states, rows, batch)
             plan = build_plan(g, list(episodes))
             hgnn_loss = None
@@ -601,7 +617,7 @@ def run_rl_hgnn_pp(cfg: TrainConfig, g: HinGraph, split: DataSplit):
             norm_states = agent.normalizer.transform(reps)  # per-episode states of the round
         eps = _eps_at(cfg, k, K)
         rows, batch = _act(g, cfg, loop.table, episodes, stopped, norm_states,
-                           agent.qnet, eps, loop.rng_eps)
+                           agent.qnet, eps, loop.rng_eps, loop.memo)
         plan = build_plan(g, list(episodes))
 
         # recorded pass for the optimizer step, walked and released before the
@@ -656,12 +672,14 @@ def design_episodes_greedy(
     stopped = np.zeros(len(episodes), dtype=bool)
     rng = np.random.default_rng(0)
     table = LegalActionTable.build(g.schema)
+    memo: EpisodeMemo = {}  # nodes repeated in `nodes` share their extensions
     if cfg.variant == "rl-hgnn":
         states = _initial_static_states(g, episodes, rl.static_state_dim(g))
         for _ in range(cfg.max_timesteps + 1):
             if stopped.all():
                 break
-            rows, batch = _act(g, cfg, table, episodes, stopped, states, agent.qnet, 0.0, rng)
+            rows, batch = _act(g, cfg, table, episodes, stopped, states, agent.qnet, 0.0, rng,
+                               memo)
             _advance_static_states(g, episodes, states, rows, batch)
         return episodes
     with ad.no_grad():
@@ -670,7 +688,7 @@ def design_episodes_greedy(
             if stopped.all():
                 break
             states = agent.normalizer.apply(reps) if agent.normalizer else reps
-            _act(g, cfg, table, episodes, stopped, states, agent.qnet, 0.0, rng)
+            _act(g, cfg, table, episodes, stopped, states, agent.qnet, 0.0, rng, memo)
             plan = build_plan(g, list(episodes))
             reps = nn.hgnn_forward(params, g, plan, mode="eval",
                                    messages_from_target=cfg.messages_from_target).outputs.value

@@ -124,19 +124,31 @@ def test_batched_act_equals_per_episode_act(g, data):
     cfg = TrainConfig(max_timesteps=T, fan_out_cap=data.draw(st.sampled_from([None, 1, 2, 3])),
                       seed=data.draw(st.integers(0, 3)), fixed_path=fixed)
     n_target = g.num_nodes[g.target_type]
-    nodes = np.asarray(sorted(data.draw(st.sets(st.integers(0, n_target - 1), min_size=1))))
-    dim, A = 3, action_space_size(g.schema)
-    qnet = QNetwork(dim, A, hidden=(4,), seed=data.draw(st.integers(0, 99)))
+    qnet = QNetwork(3, action_space_size(g.schema), hidden=(4,),
+                    seed=data.draw(st.integers(0, 99)))
     if data.draw(st.booleans()):  # all-equal Q-values: ties break to the lowest legal action
         for v in qnet.vars():
             v.value = np.zeros_like(v.value)
     table = LegalActionTable.build(g.schema)
-    new_eps, ref_eps = _fresh_episodes(g, nodes), reference_fresh_episodes(g, nodes)
-    stopped = np.zeros(len(nodes), dtype=bool)
     rng_seed = data.draw(st.integers(0, 2**16))
     new_rng, ref_rng = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
     state_rng = np.random.default_rng(rng_seed + 1)
-    for t in range(T + 1):
+    memo = {}  # one run's: later rounds revisit start nodes and paths
+    for _ in range(data.draw(st.integers(1, 3))):
+        nodes = np.asarray(sorted(data.draw(st.sets(st.integers(0, n_target - 1), min_size=1))))
+        if not _act_round_equals_reference(g, cfg, table, nodes, qnet, eps, new_rng, ref_rng,
+                                           state_rng, memo):
+            return
+
+
+def _act_round_equals_reference(g, cfg, table, nodes, qnet, eps, new_rng, ref_rng, state_rng,
+                                memo) -> bool:
+    """Walk one round of `nodes` through timesteps 0..T with `_act` on `memo`
+    and with the reference; False once both raised for an illegal fixed step."""
+    dim = qnet.input_dim
+    new_eps, ref_eps = _fresh_episodes(g, nodes), reference_fresh_episodes(g, nodes)
+    stopped = np.zeros(len(nodes), dtype=bool)
+    for t in range(cfg.max_timesteps + 1):
         states = state_rng.normal(size=(len(nodes), dim))  # one row per episode
         active_states = states[[not e.stopped for e in ref_eps]]
         try:
@@ -145,8 +157,8 @@ def test_batched_act_equals_per_episode_act(g, data):
         except ValueError:
             with pytest.raises(ValueError, match="illegal here"):
                 _act(g, cfg, table, new_eps, stopped, states, qnet, eps, new_rng)
-            return
-        rows, batch = _act(g, cfg, table, new_eps, stopped, states, qnet, eps, new_rng)
+            return False
+        rows, batch = _act(g, cfg, table, new_eps, stopped, states, qnet, eps, new_rng, memo)
         # what the loops record as the step's acting nodes and actions
         acting, actions = nodes[rows].tolist(), batch.a.tolist()
         ref_acting, ref_actions, ref_pending = ref
@@ -165,6 +177,30 @@ def test_batched_act_equals_per_episode_act(g, data):
         for e, done, r in zip(new_eps, stopped.tolist(), ref_eps, strict=True):
             assert (e.start, e.path, done) == (r.node, r.path, r.stopped)
             _assert_same_frontier(e.frontier, r.frontier)
+    return True
+
+
+def test_a_dead_end_stays_none_in_the_memo_on_every_later_lookup(monkeypatch):
+    from rlhgnn import pipeline
+
+    schema = HinSchema(("A", "B"), (RelationType("ab", "A", "B"),), {"A": 1, "B": 1})
+    g = build_graph(schema, {"A": 2, "B": 1}, {"ab": [(0, 0)]},
+                    {"A": np.zeros((2, 1)), "B": np.zeros((1, 1))}, "A", 2)
+    cfg = TrainConfig(max_timesteps=1, fixed_path=("ab",))
+    table, qnet = LegalActionTable.build(schema), QNetwork(1, 2, hidden=(4,))
+    states, rng, memo = np.zeros((2, 1)), np.random.default_rng(0), {}
+    calls = []
+    real_expand = pipeline.expand_frontier
+    monkeypatch.setattr(pipeline, "expand_frontier",
+                        lambda *args: calls.append(args) or real_expand(*args))
+    for _ in range(3):  # rounds of one run: only the first expands
+        episodes, stopped = _fresh_episodes(g, [0, 1]), np.zeros(2, dtype=bool)
+        _, batch = _act(g, cfg, table, episodes, stopped, states, qnet, 0.0, rng, memo)
+        assert batch.terminal.tolist() == [False, True] and stopped.tolist() == [False, True]
+        assert episodes[1].path.relations == ()
+        assert memo[(("A", 1), ("ab",))] is None
+        assert memo[(("A", 0), ("ab",))] is episodes[0]
+        assert len(calls) == 2
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -182,7 +182,10 @@ def test_csv_triples_names_the_file_and_line_of_a_bad_edge(tmp_path, line, messa
     ("labels", "0,1\na,1\n", "g.labels.csv:2: expected node_id,class"),
     ("labels", "0,1\n\n1\n", "g.labels.csv:3: expected node_id,class"),
     ("labels", "0,1\n1,0,2\n", "g.labels.csv:2: expected node_id,class"),
-], ids=["word-attribute", "empty-attribute", "word-id", "one-field", "three-fields"])
+    ("labels", "1,0\n0,-7\n",
+     "g.labels.csv:2: node 0 has class -7, expected an integer >= 0"),
+], ids=["word-attribute", "empty-attribute", "word-id", "one-field", "three-fields",
+        "negative-class"])
 def test_csv_triples_names_the_file_and_line_of_a_bad_sidecar_row(tmp_path, sidecar, text,
                                                                   message):
     schema = {
@@ -248,7 +251,9 @@ def test_json_graph_names_the_file_type_and_row_of_a_ragged_attribute_row(tmp_pa
     (2, ["x", 1.0]),
     (0, [1.0, None]),
     (4, [1.0, [2.0]]),
-], ids=["word", "null", "list"])
+    (0, [True, 1.0]),
+    (3, [1.0, False]),
+], ids=["word", "null", "list", "bool-beside-float", "bool-after-float"])
 def test_json_graph_names_the_file_type_and_row_of_a_non_number_attribute(tmp_path, row, value):
     path, doc = imdb_like_json(tmp_path)
     doc["attributes"]["Movie"][row] = value

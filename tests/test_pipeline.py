@@ -544,6 +544,63 @@ def test_loops_build_each_start_nodes_initial_episode_once_per_run(variant, monk
         for e in real_fresh(g, split.validation)]
 
 
+def _counted_expansions(monkeypatch, variant, memo):
+    """(report CSV, the (start, relations) key of every expand_frontier call)
+    of a small run; memo=False makes every `_act` use a fresh memo."""
+    from rlhgnn import pipeline
+
+    keys = []
+    real_expand, real_act = pipeline.expand_frontier, pipeline._act
+
+    def counted(g, frontier, relation, *args):
+        keys.append((frontier.start, frontier.step_relations + (relation,)))
+        return real_expand(g, frontier, relation, *args)
+
+    monkeypatch.setattr(pipeline, "expand_frontier", counted)
+    if not memo:
+        monkeypatch.setattr(pipeline, "_act", lambda *args: real_act(*args[:9]))
+    g, split = generate_planted_hin(planted_spec_1hop())
+    cfg = TrainConfig(variant=variant, max_timesteps=2, rounds=12, inner_rounds=2,
+                      node_batch=16, hidden_dim=8, heads=2)
+    _, _, report = run(cfg, g, split)
+    monkeypatch.undo()
+    return report.to_csv(), keys
+
+
+@pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
+def test_loops_expand_each_start_and_path_once_per_run(variant, monkeypatch):
+    want_csv, every = _counted_expansions(monkeypatch, variant, memo=False)
+    got_csv, once = _counted_expansions(monkeypatch, variant, memo=True)
+    assert got_csv == want_csv
+    assert len(once) == len(set(once)) and set(once) == set(every)
+    assert len(every) > len(once)  # the run revisits some of its episodes
+
+
+@pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
+def test_a_repeated_start_and_path_is_one_episode_object_across_rounds(variant, monkeypatch):
+    from rlhgnn import pipeline
+
+    rounds = []
+    real_end = pipeline._Loop.end_round
+
+    def kept(self, round, val_metric, ep_nodes, episodes, params):
+        rounds.append(list(episodes))
+        return real_end(self, round, val_metric, ep_nodes, episodes, params)
+
+    monkeypatch.setattr(pipeline._Loop, "end_round", kept)
+    g, split = generate_planted_hin(planted_spec_1hop())
+    cfg = TrainConfig(variant=variant, max_timesteps=2, rounds=12, inner_rounds=2,
+                      node_batch=16, hidden_dim=8, heads=2)
+    run(cfg, g, split)
+    seen: dict = {}
+    for k, episodes in enumerate(rounds):
+        for e in episodes:
+            seen.setdefault((e.start, e.path.relations), []).append((k, e))
+    repeated = [v for key, v in seen.items() if key[1] and len({k for k, _ in v}) > 1]
+    assert repeated
+    assert all(e is v[0][1] for v in seen.values() for _, e in v)
+
+
 def test_bench_aggregation_ratio_grows_with_T_and_matches_enumeration():
     from rlhgnn.aggplan import build_plan, count_steps_by_enumeration, naive_plan
     from rlhgnn.pipeline import random_legal_episodes
