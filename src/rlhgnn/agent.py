@@ -13,16 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import (
-    NUMBER,
-    check_arrays,
-    header_fields,
-    int_at_least,
-    numbers,
-    read_checkpoint,
-    write_checkpoint,
-)
-from .hin import HinGraph
+from .checkpoint import check_arrays, header_fields, read_checkpoint, write_checkpoint
+from .hin import NUMBER, HinGraph, Rule, at_least, list_of, number
 from .metapath import Frontier, arrived_mean
 from .model import AdamState, _glorot, backward, init_adam, optimizer_step
 
@@ -399,6 +391,26 @@ def _named_vars(agent: DqnAgent) -> list[tuple[str, ad.Var]]:
             + [(f"target:{i}", v) for i, v in enumerate(agent.target_net.vars())])
 
 
+# header fields besides the normalizer
+_HEADER = {
+    **dict.fromkeys(("input_dim", "num_actions", "sync_every", "reward_window",
+                     "buffer_capacity"), at_least(1)),
+    "hidden": list_of(at_least(1), "a list of integers >= 1"),
+    "gamma": NUMBER,
+    "update_count": at_least(0),
+    "eps_position": number(lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
+}
+
+
+def _normalizer_rule(n: int) -> Rule:
+    """null, or the fit count and the mean and std of n features (null until fitted)."""
+    stats, fit = list_of(NUMBER, f"a list of {n} numbers", n), at_least(1)
+    return Rule(lambda v: v is None or (
+        isinstance(v, dict) and set(v) == {"fit_count", "mean", "std"} and fit.ok(v["fit_count"])
+        and (v["mean"] is None and v["std"] is None or stats.ok(v["mean"]) and stats.ok(v["std"]))),
+        f"null or {{fit_count: {fit.what}, mean and std: both null or both {stats.what}}}")
+
+
 def save_agent(agent: DqnAgent, path, eps_position: float = 0.0) -> None:
     norm = agent.normalizer
     write_checkpoint(path, "dqn-agent", {
@@ -425,26 +437,9 @@ def load_agent(path) -> DqnAgent:
     """Raises ValueError naming the file unless it holds exactly the arrays
     of the networks its header describes, each with its shape."""
     header, arrays = read_checkpoint(path, "dqn-agent")
-    f = header_fields(path, header, {
-        "input_dim": int_at_least(1),
-        "num_actions": int_at_least(1),
-        "hidden": (lambda v: isinstance(v, list) and all(int_at_least(1)[0](n) for n in v),
-                   "a list of integers >= 1"),
-        "gamma": NUMBER,
-        "sync_every": int_at_least(1),
-        "update_count": int_at_least(0),
-        "reward_window": int_at_least(1),
-        "buffer_capacity": int_at_least(1),
-    })
-    stats = numbers(f["input_dim"])
-    norm = header_fields(path, header, {"normalizer": (
-        lambda v: v is None or (
-            isinstance(v, dict) and set(v) == {"fit_count", "mean", "std"}
-            and int_at_least(1)[0](v["fit_count"])
-            and (v["mean"] is None and v["std"] is None
-                 or stats[0](v["mean"]) and stats[0](v["std"]))),
-        f"null or {{fit_count: an integer >= 1, mean and std: both null or both "
-        f"{stats[1]}}}")})["normalizer"]
+    f = header_fields(path, header, _HEADER)
+    norm = header_fields(path, header,
+                         {"normalizer": _normalizer_rule(f["input_dim"])})["normalizer"]
     agent = DqnAgent.create(
         input_dim=f["input_dim"],
         num_actions=f["num_actions"],

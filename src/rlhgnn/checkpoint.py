@@ -8,35 +8,19 @@ and the file must end right after the last one.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable
 
 import numpy as np
 
-from .hin import is_int, is_number
+from .hin import COUNT, STRING, Rule, check_fields, list_of
 
-# A header field's rule: a test of its JSON value, and what the test asks for.
-Rule = tuple[Callable[[Any], bool], str]
-
-
-def int_at_least(lo: int) -> Rule:
-    return (lambda v: is_int(v) and v >= lo), f"an integer >= {lo}"
-
-
-NUMBER: Rule = (is_number, "a number")
-OBJECT: Rule = (lambda v: isinstance(v, dict), "a JSON object")
-
-
-def numbers(n: int) -> Rule:
-    return (lambda v: isinstance(v, list) and len(v) == n and all(map(is_number, v)),
-            f"a list of {n} numbers")
-
-
-_ARRAYS: Rule = (
-    lambda v: isinstance(v, list) and all(
-        isinstance(a, dict) and isinstance(a.get("name"), str) and isinstance(a.get("shape"), list)
-        and all(is_int(n) and n >= 0 for n in a["shape"]) for a in v),
-    "a list of {name, shape} objects with integer shapes >= 0",
-)
+_SHAPE = list_of(COUNT, "a list of integers >= 0")
+# the container's own header fields, besides kind
+_CONTAINER = {
+    "dtype": Rule(lambda v: v == "float64", '"float64"'),
+    "arrays": list_of(Rule(lambda a: isinstance(a, dict) and STRING.ok(a.get("name"))
+                           and _SHAPE.ok(a.get("shape")), "a {name, shape} object"),
+                      "a list of {name, shape} objects with integer shapes >= 0"),
+}
 
 
 def write_checkpoint(path, kind: str, fields: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
@@ -70,7 +54,7 @@ def read_checkpoint(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
                          f"got {type(header).__name__}")
     if header.get("kind") != kind:
         raise ValueError(f"{path}: expected a {kind!r} checkpoint, got kind {header.get('kind')!r}")
-    header_fields(path, header, {"arrays": _ARRAYS})
+    header_fields(path, header, _CONTAINER)
     sizes = [int(np.prod(spec["shape"])) for spec in header["arrays"]]
     expected = 8 * sum(sizes)
     if len(blob) != expected:
@@ -91,16 +75,9 @@ def read_checkpoint(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def header_fields(path, header: dict, rules: dict[str, Rule]) -> dict:
-    """The header's value of each field in `rules`, in their order; raises
-    ValueError naming the file and the first field that is missing or breaks
-    its rule."""
-    for name, (ok, what) in rules.items():
-        if name not in header:
-            raise ValueError(f"{path}: checkpoint header lacks field {name!r}")
-        if not ok(header[name]):
-            raise ValueError(f"{path}: checkpoint header field {name!r} must be {what}, "
-                             f"got {header[name]!r}")
-    return {name: header[name] for name in rules}
+    """check_fields with a ValueError naming the file and the field."""
+    return check_fields(header, rules, lambda n: f"{path}: checkpoint header field {n!r}",
+                        lambda n: f"{path}: checkpoint header lacks field {n!r}")
 
 
 def check_arrays(path, arrays: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> None:

@@ -13,7 +13,8 @@ import numpy as np
 from . import agent as rl
 from . import model as nn
 from . import pipeline as pl
-from .hin import DataSplit, HinGraph, is_int, load_hin, save_hin, split_nodes
+from .hin import (DataSplit, HinGraph, Rule, check_fields, is_int, list_of, load_hin, save_hin,
+                  split_nodes)
 from .synth import SyntheticSpec, generate_planted_hin
 
 
@@ -37,20 +38,24 @@ def _save_split(split: DataSplit, path: Path) -> None:
 
 def _load_split(path: Path, n: int) -> DataSplit:
     """Raises ValueError naming the file and the key unless it holds train,
-    validation and test lists of node ids in [0, n)."""
+    validation and test lists of distinct node ids in [0, n), no id in two
+    of them."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    lists = {}
-    for key in _SPLIT_KEYS:
-        if not isinstance(doc, dict) or key not in doc:
-            raise ValueError(f"{path}: split lacks key {key!r}")
-        ids = doc[key]
-        bad = [i for i in ids if not (is_int(i) and 0 <= i < n)] if isinstance(ids, list) else [ids]
-        if bad:
-            raise ValueError(f"{path}: split key {key!r} must be a list of integer node ids "
-                             f"in [0, {n}), got {bad[0]!r}")
-        lists[key] = np.asarray(ids, dtype=np.int64)
-    return DataSplit(**lists)
+    node = Rule(lambda i: is_int(i) and 0 <= i < n, "a node id")
+    lists = check_fields(
+        doc, dict.fromkeys(_SPLIT_KEYS, list_of(node, f"a list of integer node ids in [0, {n})")),
+        lambda k: f"{path}: split key {k!r}", lambda k: f"{path}: split lacks key {k!r}",
+        shown=lambda ids: repr(next(i for i in ids if not node.ok(i))
+                               if isinstance(ids, list) else ids))
+    owner: dict[int, str] = {}
+    for key, ids in lists.items():
+        for i in ids:
+            if i in owner:
+                raise ValueError(f"{path}: split key {key!r} repeats node id {i} "
+                                 f"of key {owner[i]!r}")
+            owner[i] = key
+    return DataSplit(**{k: np.asarray(ids, dtype=np.int64) for k, ids in lists.items()})
 
 
 def _split(g: HinGraph, seed: int, n_train: int | None = None,

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from operator import index
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -22,8 +23,8 @@ class SchemaError(ValueError):
     """Raised when a graph or file violates its declared schema."""
 
 
-# Value predicates of the JSON boundaries (graph files, configs, specs and
-# checkpoint headers), which take values as given: a bool is not a number.
+# Value predicates and rules of the JSON boundaries (graph files, configs, specs,
+# checkpoint headers and split.json), which take values as given: a bool is not a number.
 
 
 def is_int(v) -> bool:
@@ -34,10 +35,82 @@ def is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def need_field(obj, ok: bool, name: str, rule: str) -> None:
-    """Raise ValueError naming obj's field and its value unless ok."""
-    if not ok:
-        raise ValueError(f"{name} must be {rule}, got {getattr(obj, name)!r}")
+class Rule(NamedTuple):
+    """A test of a JSON value, and the words naming what it asks for."""
+
+    ok: Callable[[Any], bool]
+    what: str
+
+    def or_null(self) -> "Rule":
+        return Rule(lambda v: v is None or self.ok(v), f"{self.what} or null")
+
+
+def check_fields(doc, rules: dict[str, Rule], subject: Callable[[str], str],
+                 lacks: Callable[[str], str] = lambda n: f"lacks field {n!r}",
+                 error: type[ValueError] = ValueError,
+                 shown: Callable[[Any], str] = repr, defaults: dict = {}) -> dict:
+    """doc's value of each field in `rules`, in their order: the one check of
+    every JSON boundary. A field missing, also from a doc that is not an
+    object, takes its value in `defaults` or raises error(lacks(name)); a
+    value that breaks its rule, error("<subject(name)> must be <what>, got
+    <shown(value)>")."""
+    out = {}
+    for name, rule in rules.items():
+        if isinstance(doc, dict) and name in doc:
+            v = out[name] = doc[name]
+            if not rule.ok(v):
+                raise error(f"{subject(name)} must be {rule.what}, got {shown(v)}")
+        elif name in defaults:
+            out[name] = defaults[name]
+        else:
+            raise error(lacks(name))
+    return out
+
+
+def at_least(lo: int) -> Rule:
+    return Rule(lambda v: is_int(v) and v >= lo, f"an integer >= {lo}")
+
+
+def number(test: Callable[[Any], bool], what: str) -> Rule:
+    return Rule(lambda v: is_number(v) and test(v), what)
+
+
+def list_of(item: Rule, what: str, length: int | None = None) -> Rule:
+    """A list (or tuple) of values that each pass `item`, of `length` if given."""
+    return Rule(lambda v: isinstance(v, (list, tuple))
+                and (length is None or len(v) == length) and all(map(item.ok, v)), what)
+
+
+COUNT = at_least(0)
+NUMBER = Rule(is_number, "a number")
+STRING = Rule(lambda v: isinstance(v, str), "a string")
+LIST = Rule(lambda v: isinstance(v, list), "a list")
+OBJECT = Rule(lambda v: isinstance(v, dict), "an object")
+COUNTS = Rule(lambda v: isinstance(v, dict) and all(
+    isinstance(k, str) and COUNT.ok(n) for k, n in v.items()), "an object of integer counts >= 0")
+TRIPLES = list_of(list_of(STRING, "[name, src type, dst type]", 3),
+                  "a list of [name, src type, dst type] triples")
+UNIT = number(lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+TYPE_NAMES = list_of(STRING, "a list of type names")
+RELATION_NAMES = list_of(STRING, "a list of relation names")
+
+
+def read_object(cls, doc):
+    """cls(**doc), validated: doc must be a JSON object naming only fields
+    of the dataclass cls, and every field that has no default."""
+    name, fields = cls.__name__, cls.__dataclass_fields__
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise ValueError(f"unknown {name} field(s): {', '.join(unknown)}")
+    missing = [n for n, f in fields.items() if n not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{name} lacks field(s): {', '.join(missing)}")
+    obj = cls(**doc)
+    obj.validate()
+    return obj
 
 
 @dataclass(frozen=True)
@@ -80,6 +153,14 @@ class HinSchema:
                 return i
         raise KeyError(f"unknown relation type {name!r}")
 
+    def need_relations(self, field: str, names) -> None:
+        """Raise SchemaError unless each of `names`, field's value, names a relation."""
+        known = [r.name for r in self.relation_types]
+        unknown = [n for n in names if n not in known]
+        if unknown:
+            raise SchemaError(f"{field} names no relation: {', '.join(map(repr, unknown))} "
+                              f"(relations: {', '.join(map(repr, known))})")
+
     def relations_from(self, node_type: str) -> list[RelationType]:
         if node_type not in self.node_types:
             raise SchemaError(f"unknown node type {node_type!r}")
@@ -96,11 +177,9 @@ class HinSchema:
 
     @classmethod
     def from_json(cls, doc: dict) -> "HinSchema":
-        return cls(
-            node_types=tuple(doc["node_types"]),
-            relation_types=tuple(RelationType(*r) for r in doc["relation_types"]),
-            attribute_dims={k: int(v) for k, v in doc["attribute_dims"].items()},
-        )
+        """Inverse of to_json; a SchemaError names the first bad field."""
+        types, relations, dims = _fields("", doc, _SCHEMA_JSON).values()
+        return cls(tuple(types), tuple(RelationType(*r) for r in relations), dict(dims))
 
 
 @dataclass
@@ -315,46 +394,45 @@ def split_nodes(g: HinGraph, counts: tuple[int, int], seed: int) -> DataSplit:
 # File formats
 
 
-_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer >= 0"}
+# json-graph fields: the document's, its schema object's (also the csv-triples
+# schema sidecar's) and one relation's; the optional ones default to {}
+_GRAPH = {"schema": OBJECT, "nodes": OBJECT, "attributes": OBJECT, "edges": OBJECT,
+          "labels": OBJECT}
+_SCHEMA = {"relation_types": LIST, "node_types": LIST, "attribute_dims": OBJECT,
+           "target_type": STRING, "num_classes": COUNT}
+_RELATION = {"name": STRING, "src": STRING, "dst": STRING}
+_OPTIONAL = dict.fromkeys(("attributes", "edges", "labels", "attribute_dims"), {})
+# HinSchema.to_json's list form, in checkpoints
+_SCHEMA_JSON = {"node_types": TYPE_NAMES, "relation_types": TRIPLES, "attribute_dims": COUNTS}
 
 
-def _field(path, doc, name: str, kind: type, where: str = "", default=None):
-    """doc[name], which must be a `kind` (one of _KINDS); a field that is
-    missing, also from a doc that is not an object, gives `default`, or is
-    an error when that is None. A SchemaError names the file and the field,
-    with its parents' names in `where`."""
-    if not isinstance(doc, dict) or name not in doc:
-        if default is None:
-            raise SchemaError(f"{path}: missing field {where + name!r}")
-        return default
-    v = doc[name]
-    if not (is_int(v) and v >= 0 if kind is int else isinstance(v, kind)):
-        raise SchemaError(f"{path}: field {where + name!r} must be {_KINDS[kind]}, "
-                          f"got {v!r:.60}")  # a long value's repr is cut
-    return v
+def _fields(path, doc, rules: dict[str, Rule], where: str = "", defaults: dict = {}) -> dict:
+    """check_fields with a SchemaError that names the file (unless path is
+    empty) and the field, with its parents' names in `where`."""
+    at = f"{path}: " if path else ""
+    return check_fields(doc, rules, lambda n: f"{at}field {where + n!r}",
+                        lambda n: f"{at}missing field {where + n!r}", SchemaError,
+                        lambda v: f"{v!r:.60}", defaults)  # a long value's repr is cut
 
 
 def _schema_from_json(path, s: dict, attributes: dict,
                       where: str) -> tuple[HinSchema, str, int]:
     """The schema object `s` of a graph file; a type missing from its
     attribute_dims takes the length of its first attribute row, or 0."""
-    relations = tuple(
-        RelationType(*(_field(path, r, k, str, f"{where}relation_types[{i}].")
-                       for k in ("name", "src", "dst")))
-        for i, r in enumerate(_field(path, s, "relation_types", list, where)))
-    types = _field(path, s, "node_types", list, where)
-    if not all(isinstance(t, str) for t in types):
+    f = _fields(path, s, _SCHEMA, where, defaults=_OPTIONAL)
+    relations = tuple(RelationType(**_fields(path, r, _RELATION, f"{where}relation_types[{i}]."))
+                      for i, r in enumerate(f["relation_types"]))
+    types = f["node_types"]
+    if not TYPE_NAMES.ok(types):
         raise SchemaError(f"{path}: field {where + 'node_types'!r} must list type names")
-    dims = dict(_field(path, s, "attribute_dims", dict, where, default={}))
+    dims = _fields(path, f["attribute_dims"], {t: COUNT for t in types if t in f["attribute_dims"]},
+                   where + "attribute_dims.")
     for t in types:
-        if t in dims:
-            _field(path, dims, t, int, where + "attribute_dims.")
-        else:  # _load_json_graph names a row that is not a list
+        if t not in dims:  # _load_json_graph names a row that is not a list
             rows = attributes.get(t) if isinstance(attributes.get(t), list) else []
             dims[t] = next((len(r) for r in rows if isinstance(r, list)), 0)
     schema = HinSchema(tuple(types), relations, {t: dims[t] for t in types})
-    return (schema, _field(path, s, "target_type", str, where),
-            _field(path, s, "num_classes", int, where))
+    return schema, f["target_type"], f["num_classes"]
 
 
 def load_hin(path: str | Path, format: str = "json-graph") -> HinGraph:
@@ -395,31 +473,31 @@ def _number_rows(path: Path, t: str, rows: list[list]) -> np.ndarray:
 def _load_json_graph(path: Path) -> HinGraph:
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    attrs = _field(path, doc, "attributes", dict, default={})
-    schema, target_type, num_classes = _schema_from_json(
-        path, _field(path, doc, "schema", dict), attrs, "schema.")
-    counts = _field(path, doc, "nodes", dict)
-    num_nodes = {t: _field(path, counts, t, int, "nodes.", default=0) for t in schema.node_types}
+    top = _fields(path, doc, _GRAPH, defaults=_OPTIONAL)
+    attrs = top["attributes"]
+    schema, target_type, num_classes = _schema_from_json(path, top["schema"], attrs, "schema.")
+    types = schema.node_types
+    num_nodes = _fields(path, top["nodes"], dict.fromkeys(types, COUNT), "nodes.",
+                        dict.fromkeys(types, 0))
     attributes = {}
-    for t in schema.node_types:
-        if t in attrs:
-            rows = _field(path, attrs, t, list, "attributes.")
-            dim = schema.attribute_dims[t]
-            for i, row in enumerate(rows):
-                if not isinstance(row, list) or len(row) != dim:
-                    got = len(row) if isinstance(row, list) else f"a {type(row).__name__}"
-                    raise SchemaError(f"{path}: attributes of type {t!r}, row {i}: "
-                                      f"expected {dim} numbers, got {got}")
-            a = _number_rows(path, t, rows)
-            if a.size == 0:
-                a = a.reshape(0, dim)
-            if a.shape[0] != num_nodes[t]:
-                raise SchemaError(
-                    f"attribute row count {a.shape[0]} != node count {num_nodes[t]} for type {t!r}"
-                )
-            attributes[t] = a
+    for t, rows in _fields(path, attrs, {t: LIST for t in types if t in attrs},
+                           "attributes.").items():
+        dim = schema.attribute_dims[t]
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != dim:
+                got = len(row) if isinstance(row, list) else f"a {type(row).__name__}"
+                raise SchemaError(f"{path}: attributes of type {t!r}, row {i}: "
+                                  f"expected {dim} numbers, got {got}")
+        a = _number_rows(path, t, rows)
+        if a.size == 0:
+            a = a.reshape(0, dim)
+        if a.shape[0] != num_nodes[t]:
+            raise SchemaError(
+                f"attribute row count {a.shape[0]} != node count {num_nodes[t]} for type {t!r}"
+            )
+        attributes[t] = a
     edge_lists = {}
-    for rel, pairs in _field(path, doc, "edges", dict, default={}).items():
+    for rel, pairs in top["edges"].items():
         try:
             schema.relation(rel)
             edge_lists[rel] = [(index(s), index(d)) for s, d in pairs]
@@ -427,9 +505,8 @@ def _load_json_graph(path: Path) -> HinGraph:
             raise SchemaError(f"edges declared for unknown relation {rel!r}") from None
         except (TypeError, ValueError):
             raise SchemaError(f"{path}: relation {rel!r}: edges must be integer pairs") from None
-    labels = _field(path, doc, "labels", dict, default={})
     try:
-        labels = {int(k): index(v) for k, v in labels.items()}
+        labels = {int(k): index(v) for k, v in top["labels"].items()}
     except (TypeError, ValueError):
         raise SchemaError(f"{path}: labels must map integer node ids to integers") from None
     for k, c in labels.items():

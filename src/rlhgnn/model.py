@@ -30,16 +30,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .aggplan import AggregationDag, LayerIndex
-from .checkpoint import (
-    NUMBER,
-    OBJECT,
-    check_arrays,
-    header_fields,
-    int_at_least,
-    read_checkpoint,
-    write_checkpoint,
-)
-from .hin import HinGraph, HinSchema
+from .checkpoint import check_arrays, header_fields, read_checkpoint, write_checkpoint
+from .hin import OBJECT, HinGraph, HinSchema, Rule, SchemaError, at_least, number
 
 LEAKY_SLOPE = 0.2
 
@@ -522,14 +514,8 @@ def finite_diff_check(
 
 
 # header fields besides the schema, in header order
-_HYPER = {
-    "T": int_at_least(1),
-    "d": int_at_least(1),
-    "heads": int_at_least(1),
-    "num_classes": int_at_least(1),
-    "dropout": (lambda v: NUMBER[0](v) and 0.0 <= v < 1.0, "a number in [0, 1)"),
-    "seed": int_at_least(0),
-}
+_HYPER = {**dict.fromkeys(("T", "d", "heads", "num_classes"), at_least(1)),
+          "dropout": number(lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"), "seed": at_least(0)}
 
 
 def save_params(params: HgnnParams, path) -> None:
@@ -547,10 +533,10 @@ def load_params(path) -> HgnnParams:
     if hyper["d"] % hyper["heads"]:
         raise ValueError(f"{path}: checkpoint header field 'd' ({hyper['d']}) must be "
                          f"divisible by field 'heads' ({hyper['heads']})")
-    doc = header_fields(path, header, {"schema": OBJECT})["schema"]
+    doc = header_fields(path, header, {"schema": Rule(OBJECT.ok, "a JSON object")})["schema"]
     try:
         schema = HinSchema.from_json(doc)
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
+    except SchemaError as e:
         raise ValueError(f"{path}: checkpoint header field 'schema' is not a graph "
                          f"schema: {e!r}") from None
     shapes = param_shapes(schema, hyper["T"], hyper["d"], hyper["heads"], hyper["num_classes"])

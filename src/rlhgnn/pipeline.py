@@ -18,7 +18,6 @@ import io
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -26,7 +25,8 @@ from . import agent as rl
 from . import autodiff as ad
 from . import model as nn
 from .aggplan import AggregationDag, AggregationStats, Episode, build_plan, naive_plan, plan_stats
-from .hin import DataSplit, HinGraph, HinSchema, NodeId, SchemaError, is_int, is_number, need_field
+from .hin import (RELATION_NAMES, UNIT, DataSplit, HinGraph, HinSchema, NodeId, Rule, SchemaError,
+                  at_least, check_fields, number, read_object)
 from .metapath import (
     Frontier,
     MetaPath,
@@ -70,40 +70,13 @@ class TrainConfig:
     def validate(self) -> None:
         """Raise ValueError naming the first field of the wrong type or outside
         its valid range. Values are checked as given, never converted."""
-        need = partial(need_field, self)
-        need(self.variant in ("rl-hgnn", "rl-hgnn-pp"), "variant", "rl-hgnn or rl-hgnn-pp")
-        for name in ("max_timesteps", "inner_rounds", "node_batch", "target_sync_every",
-                     "reward_window", "memory_multiplier", "dqn_batch", "hidden_dim", "heads"):
-            v = getattr(self, name)
-            need(is_int(v) and v >= 1, name, "an integer >= 1")
-        need(self.rounds is None or is_int(self.rounds) and self.rounds >= 1,
-             "rounds", "an integer >= 1 or null")
-        need(self.hidden_dim % self.heads == 0, "hidden_dim", "divisible by heads")
-        for name in ("gamma", "eps_start", "eps_end", "eps_fraction"):
-            v = getattr(self, name)
-            need(is_number(v) and 0.0 <= v <= 1.0, name, "in [0, 1]")
-        need(is_number(self.dropout) and 0.0 <= self.dropout < 1.0, "dropout", "in [0, 1)")
-        need(is_number(self.learning_rate) and 0.0 < self.learning_rate < math.inf,
-             "learning_rate", "> 0 and finite")
-        need(is_number(self.weight_decay) and 0.0 <= self.weight_decay < math.inf,
-             "weight_decay", ">= 0 and finite")
-        need(self.fan_out_cap is None or is_int(self.fan_out_cap) and self.fan_out_cap >= 1,
-             "fan_out_cap", "an integer >= 1 or null")
-        need(is_int(self.seed) and self.seed >= 0, "seed", "an integer >= 0")
-        need(self.fixed_path is None or isinstance(self.fixed_path, (list, tuple))
-             and all(isinstance(r, str) for r in self.fixed_path),
-             "fixed_path", "a list of relation names or null")
-        need(isinstance(self.messages_from_target, bool), "messages_from_target", "true or false")
+        check_fields(vars(self), _CONFIG_RULES, str)
+        if self.hidden_dim % self.heads:
+            raise ValueError(f"hidden_dim must be divisible by heads, got {self.hidden_dim!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        if not isinstance(doc, dict):
-            raise ValueError(f"TrainConfig must be a JSON object, got {type(doc).__name__}")
-        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown TrainConfig field(s): {', '.join(unknown)}")
-        cfg = cls(**doc)
-        cfg.validate()
+        cfg = read_object(cls, doc)
         if cfg.fixed_path is not None:
             cfg.fixed_path = tuple(cfg.fixed_path)
         return cfg
@@ -113,6 +86,23 @@ class TrainConfig:
         if out["fixed_path"] is not None:
             out["fixed_path"] = list(out["fixed_path"])
         return out
+
+
+# TrainConfig's fields, each with the rule its value must pass
+_CONFIG_RULES = {
+    "variant": Rule(lambda v: v in ("rl-hgnn", "rl-hgnn-pp"), "rl-hgnn or rl-hgnn-pp"),
+    **dict.fromkeys(("max_timesteps", "inner_rounds", "node_batch", "target_sync_every",
+                     "reward_window", "memory_multiplier", "dqn_batch", "hidden_dim", "heads"),
+                    at_least(1)),
+    **dict.fromkeys(("rounds", "fan_out_cap"), at_least(1).or_null()),
+    **dict.fromkeys(("gamma", "eps_start", "eps_end", "eps_fraction"), UNIT),
+    "dropout": number(lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "learning_rate": number(lambda v: 0.0 < v < math.inf, "> 0 and finite"),
+    "weight_decay": number(lambda v: 0.0 <= v < math.inf, ">= 0 and finite"),
+    "seed": at_least(0),
+    "fixed_path": RELATION_NAMES.or_null(),
+    "messages_from_target": Rule(lambda v: isinstance(v, bool), "true or false"),
+}
 
 
 @dataclass
@@ -465,6 +455,7 @@ class _Loop:
         cfg.validate()
         if cfg.variant != variant:
             raise ValueError(f"config variant must be {variant}")
+        g.schema.need_relations("fixed_path", cfg.fixed_path or ())
         fast = variant == "rl-hgnn-pp"
         self.cfg, self.split = cfg, split
         self.agent = _make_agent(g, cfg, split,
@@ -704,9 +695,9 @@ def predict(
 ) -> np.ndarray:
     """Greedy-designed episodes + eval-mode forward; predictions per node id.
 
-    Raises ValueError when the model's schema or the agent's action count
-    does not fit the graph; a state width that does not fit is named by
-    QNetwork.values."""
+    Raises ValueError when the model's schema, the agent's action count or
+    cfg.fixed_path does not fit the graph; a state width that does not fit
+    is named by QNetwork.values."""
     if params.schema != g.schema:
         raise ValueError("the model's schema is not the graph's: the checkpoint was trained "
                          "on another graph schema")
@@ -714,6 +705,7 @@ def predict(
     if agent.qnet.num_actions != num_actions:
         raise ValueError(f"the agent has {agent.qnet.num_actions} actions, but the graph's "
                          f"schema has {num_actions} (one per relation type, plus Stop)")
+    g.schema.need_relations("fixed_path", cfg.fixed_path or ())
     nodes = np.asarray(nodes)
     episodes = design_episodes_greedy(params, agent, g, cfg, nodes)
     return _eval_pass(params, g, build_plan(g, episodes), nodes, cfg)[1]

@@ -15,22 +15,12 @@ specs should avoid that shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .hin import (
-    DataSplit,
-    HinGraph,
-    HinSchema,
-    RelationType,
-    SchemaError,
-    build_graph,
-    is_int,
-    is_number,
-    need_field,
-    split_nodes,
-)
+from .hin import (COUNTS, RELATION_NAMES, STRING, TRIPLES, UNIT, DataSplit, HinGraph,
+                  HinSchema, RelationType, Rule, SchemaError, at_least, build_graph, check_fields,
+                  is_int, read_object, split_nodes)
 from .metapath import MetaPath, neighbors_local
 
 _NOISE_AMP = 0.2
@@ -61,37 +51,10 @@ class SyntheticSpec:
     def validate(self) -> None:
         """Raise ValueError naming the first field of the wrong type or outside
         its valid range. Values are checked as given, never converted."""
-        need = partial(need_field, self)
-
-        def is_counts(v) -> bool:
-            return isinstance(v, dict) and all(
-                isinstance(k, str) and is_int(n) and n >= 0 for k, n in v.items())
-
-        def is_names(v) -> bool:
-            return isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v)
-
-        need(is_counts(self.node_counts), "node_counts", "an object of integer counts >= 0")
-        need(isinstance(self.relations, (list, tuple))
-             and all(is_names(r) and len(r) == 3 for r in self.relations),
-             "relations", "a list of [name, src type, dst type] triples")
-        need(is_counts(self.out_degree), "out_degree", "an object of integer counts >= 0")
-        names = [r[0] for r in self.relations]
-        unknown = [k for k in self.out_degree if k not in names]
-        if unknown:
-            raise ValueError(f"out_degree names no relation: {', '.join(map(repr, unknown))} "
-                             f"(relations: {', '.join(map(repr, names))})")
-        need(isinstance(self.target_type, str), "target_type", "a node type name")
-        need(is_names(self.planted_path), "planted_path", "a list of relation names")
-        need(is_number(self.signal_strength) and 0.0 <= self.signal_strength <= 1.0,
-             "signal_strength", "in [0, 1]")
-        need(is_int(self.num_classes) and self.num_classes >= 1, "num_classes",
-             "an integer >= 1")
-        need(is_int(self.noise_dims) and self.noise_dims >= 0, "noise_dims", "an integer >= 0")
-        for name in ("train_count", "val_count"):
-            v = getattr(self, name)
-            need(v is None or is_int(v), name, "an integer or null")
-        need(is_int(self.seed) and self.seed >= 0, "seed", "an integer >= 0")
+        check_fields(vars(self), _SPEC_RULES, str)
         schema = self.schema()
+        schema.need_relations("out_degree", self.out_degree)
+        schema.need_relations("planted_path", self.planted_path)
         MetaPath(self.target_type, tuple(self.planted_path)).validate(schema)
         for t in self._planted_types(schema):
             if self.node_counts[t] < self.num_classes:
@@ -106,20 +69,24 @@ class SyntheticSpec:
     def from_dict(cls, doc: dict) -> "SyntheticSpec":
         """Read a JSON spec: an object with the dataclass's fields, checked
         by validate(); lists become the tuples the dataclass holds."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"SyntheticSpec must be a JSON object, got {type(doc).__name__}")
-        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown SyntheticSpec field(s): {', '.join(unknown)}")
-        missing = [n for n in ("node_counts", "relations", "out_degree", "target_type")
-                   if n not in doc]
-        if missing:
-            raise ValueError(f"SyntheticSpec lacks field(s): {', '.join(missing)}")
-        spec = cls(**doc)
-        spec.validate()
+        spec = read_object(cls, doc)
         spec.relations = [tuple(r) for r in spec.relations]
         spec.planted_path = tuple(spec.planted_path)
         return spec
+
+
+# SyntheticSpec's fields, each with the rule its value must pass
+_SPEC_RULES = {
+    **dict.fromkeys(("node_counts", "out_degree"), COUNTS),
+    "relations": TRIPLES,
+    "target_type": Rule(STRING.ok, "a node type name"),
+    "planted_path": RELATION_NAMES,
+    "signal_strength": UNIT,
+    "num_classes": at_least(1),
+    "noise_dims": at_least(0),
+    **dict.fromkeys(("train_count", "val_count"), Rule(is_int, "an integer").or_null()),
+    "seed": at_least(0),
+}
 
 
 def generate_planted_hin(spec: SyntheticSpec) -> tuple[HinGraph, DataSplit]:

@@ -143,6 +143,12 @@ def setting(key, value):
     return lambda h: {**h, key: value}
 
 
+def with_movie_dim(value):
+    """Set the Movie attribute dim of the header's schema to value."""
+    return lambda h: {**h, "schema": {**h["schema"], "attribute_dims": {
+        **h["schema"]["attribute_dims"], "Movie": value}}}
+
+
 # per kind: case name -> (header edit, the error message after "<path>: ")
 BAD_HEADERS = {
     "model": {
@@ -162,6 +168,14 @@ BAD_HEADERS = {
                        "checkpoint header field 'schema' is not a graph schema"),
         "bad-arrays": (setting("arrays", [{"name": "x"}]),
                        "checkpoint header field 'arrays' must be a list"),
+        "float-dim": (with_movie_dim(2.5),
+                      "checkpoint header field 'schema' is not a graph schema"),
+        "bool-dim": (with_movie_dim(True),
+                     "checkpoint header field 'schema' is not a graph schema"),
+        "string-dim": (with_movie_dim("2"),
+                       "checkpoint header field 'schema' is not a graph schema"),
+        "float32": (setting("dtype", "float32"),
+                    "checkpoint header field 'dtype' must be \"float64\", got 'float32'"),
     },
     "agent": {
         "not-object": (lambda h: "agent", "checkpoint header must be a JSON object, got str"),
@@ -176,6 +190,14 @@ BAD_HEADERS = {
         "short-mean": (lambda h: {**h, "normalizer": {**h["normalizer"], "mean": [0.0]}},
                        "checkpoint header field 'normalizer' must be null or {fit_count: an "
                        "integer >= 1, mean and std: both null or both a list of 6 numbers}"),
+        "float32": (setting("dtype", "float32"),
+                    "checkpoint header field 'dtype' must be \"float64\", got 'float32'"),
+        "missing-eps-position": (without("eps_position"),
+                                 "checkpoint header lacks field 'eps_position'"),
+        "eps-position-above-1": (setting("eps_position", 1.5), "checkpoint header field "
+                                 "'eps_position' must be a number in [0, 1], got 1.5"),
+        "string-eps-position": (setting("eps_position", "0.4"), "checkpoint header field "
+                                "'eps_position' must be a number in [0, 1], got '0.4'"),
     },
 }
 

@@ -98,8 +98,9 @@ def test_eval_rejects_a_graph_of_another_schema(tmp_path, synth_graph):
 
 
 def test_eval_rejects_a_bad_split_naming_the_file_and_the_key(tmp_path, synth_graph):
-    """A key that is missing, or a list holding an id that is not an integer
-    node id of the target type, is named before any node is predicted."""
+    """A key that is missing, a list holding an id that is not an integer
+    node id of the target type, or an id held twice, in one key or in two,
+    is named before any node is predicted."""
     out = tmp_path / "run"
     assert main(["train", "--graph", str(synth_graph), "--config", str(write_config(tmp_path)),
                  "--out", str(out), "--train-count", "24", "--val-count", "18"]) == 0
@@ -118,6 +119,11 @@ def test_eval_rejects_a_bad_split_naming_the_file_and_the_key(tmp_path, synth_gr
         "key 'test' must be .* got 3": {**good, "test": 3},
         "key 'test' must be .* got 60": {**good, "test": [n]},
         "lacks key 'train'": [good["train"]],
+        "key 'test' repeats node id 0 of key 'train'":
+            {"train": [0, 1], "validation": [2], "test": [0, 0, 1]},
+        "key 'test' repeats node id 5 of key 'test'": {**good, "test": [5, 5]},
+        f"key 'validation' repeats node id {good['train'][0]} of key 'train'":
+            {**good, "validation": good["validation"] + good["train"][:1]},
     }
     for message, doc in bad.items():
         split_path.write_text(json.dumps(doc))
@@ -125,6 +131,15 @@ def test_eval_rejects_a_bad_split_naming_the_file_and_the_key(tmp_path, synth_gr
             main(["eval", "--checkpoint", str(out), "--graph", str(synth_graph)])
     split_path.write_text(json.dumps({**good, "test": []}))  # empty: all labelled nodes
     assert main(["eval", "--checkpoint", str(out), "--graph", str(synth_graph)]) == 0
+
+
+def test_gen_synth_names_an_unknown_planted_relation(tmp_path):
+    spec = {"node_counts": {"Movie": 6, "Actor": 3}, "relations": [["M-A", "Movie", "Actor"]],
+            "out_degree": {"M-A": 1}, "target_type": "Movie", "planted_path": ["M-X"]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    with pytest.raises(ValueError, match=r"^planted_path names no relation: 'M-X' \(relations: 'M-A'\)$"):
+        main(["gen-synth", "--spec", str(spec_path), "--out", str(tmp_path / "g.json")])
 
 
 def test_train_twice_identical_report_bytes(tmp_path, synth_graph):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rlhgnn import pipeline
 from rlhgnn.hin import HinSchema, RelationType, build_graph
 from rlhgnn.pipeline import (
     TrainConfig,
@@ -431,6 +432,19 @@ def test_predict_rejects_a_model_of_another_schema():
     g2, split2 = generate_planted_hin(replace(planted_spec_1hop(), relations=swapped))
     with pytest.raises(ValueError, match="schema is not the graph's"):
         predict(params, agent, g2, cfg, split2.test)
+
+
+@pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
+def test_a_fixed_path_naming_no_relation_is_rejected_before_any_round(variant, monkeypatch):
+    g, split = generate_planted_hin(planted_spec_1hop())
+    cfg = small_cfg(variant=variant, rounds=2, inner_rounds=2, fixed_path=("M-A", "A-X"))
+    message = r"^fixed_path names no relation: 'A-X' \(relations: 'M-A', 'M-D'\)$"
+    params, agent, _ = run(replace(cfg, fixed_path=("M-A",)), g, split)
+    with pytest.raises(ValueError, match=message):
+        predict(params, agent, g, cfg, split.test)
+    monkeypatch.setattr(pipeline, "_act", None)  # no round may start
+    with pytest.raises(ValueError, match=message):
+        run(cfg, g, split)
 
 
 # ---------------------------------------------------------------------------

@@ -159,9 +159,11 @@ def test_json_spec_reads_as_the_spec_it_spells():
      "planted_path must be a list of relation names, got 'M-A'"),
     (lambda d: {**d, "out_degree": {"M-A": 2, "M-a": 1, "X-Y": 3}},
      "out_degree names no relation: 'M-a', 'X-Y' (relations: 'M-A', 'A-T', 'M-D')"),
+    (lambda d: {**d, "planted_path": ["M-A", "A-X"]},
+     "planted_path names no relation: 'A-X' (relations: 'M-A', 'A-T', 'M-D')"),
 ], ids=["not-object", "typo", "missing", "float-count", "string-seed", "string-count",
         "bool-strength", "float-node-count", "short-relation", "string-path",
-        "unknown-degree-key"])
+        "unknown-degree-key", "unknown-path-relation"])
 def test_json_spec_rejects_a_bad_document_by_name(edit, message):
     with pytest.raises(ValueError) as err:
         SyntheticSpec.from_dict(edit(json.loads(json.dumps(QUICKSTART_SPEC))))
