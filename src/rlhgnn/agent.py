@@ -440,6 +440,11 @@ def load_agent(path) -> DqnAgent:
     f = header_fields(path, header, _HEADER)
     norm = header_fields(path, header,
                          {"normalizer": _normalizer_rule(f["input_dim"])})["normalizer"]
+    # _named_vars' shapes from the header, checked before any network is built
+    dims = [f["input_dim"], *f["hidden"], f["num_actions"]]
+    shapes = [s for m, n in zip(dims, dims[1:]) for s in ((m, n), (1, n))]
+    check_arrays(path, arrays, {f"{net}:{j}": s for net in ("q", "target")
+                                for j, s in enumerate(shapes)})
     agent = DqnAgent.create(
         input_dim=f["input_dim"],
         num_actions=f["num_actions"],
@@ -449,9 +454,7 @@ def load_agent(path) -> DqnAgent:
         reward_window=f["reward_window"],
         hidden=tuple(f["hidden"]),
     )
-    named = _named_vars(agent)
-    check_arrays(path, arrays, {n: v.value.shape for n, v in named})
-    for n, v in named:
+    for n, v in _named_vars(agent):
         v.value = arrays[n]
     agent.update_count = f["update_count"]
     if norm is not None:

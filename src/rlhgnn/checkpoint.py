@@ -8,6 +8,7 @@ and the file must end right after the last one.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -55,7 +56,7 @@ def read_checkpoint(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     if header.get("kind") != kind:
         raise ValueError(f"{path}: expected a {kind!r} checkpoint, got kind {header.get('kind')!r}")
     header_fields(path, header, _CONTAINER)
-    sizes = [int(np.prod(spec["shape"])) for spec in header["arrays"]]
+    sizes = [math.prod(spec["shape"]) for spec in header["arrays"]]
     expected = 8 * sum(sizes)
     if len(blob) != expected:
         raise ValueError(

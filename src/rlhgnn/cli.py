@@ -13,8 +13,7 @@ import numpy as np
 from . import agent as rl
 from . import model as nn
 from . import pipeline as pl
-from .hin import (DataSplit, HinGraph, Rule, check_fields, is_int, list_of, load_hin, save_hin,
-                  split_nodes)
+from .hin import DataSplit, Rule, check_fields, is_int, list_of, load_hin, save_hin, split_nodes
 from .synth import SyntheticSpec, generate_planted_hin
 
 
@@ -58,21 +57,12 @@ def _load_split(path: Path, n: int) -> DataSplit:
     return DataSplit(**{k: np.asarray(ids, dtype=np.int64) for k, ids in lists.items()})
 
 
-def _split(g: HinGraph, seed: int, n_train: int | None = None,
-           n_val: int | None = None) -> DataSplit:
-    """Train/validation counts default to 40% / 30% of the labelled nodes."""
-    labelled = len(g.labelled_nodes())
-    n_train = max(1, int(0.4 * labelled)) if n_train is None else n_train
-    n_val = max(1, int(0.3 * labelled)) if n_val is None else n_val
-    return split_nodes(g, (n_train, n_val), seed)
-
-
 def cmd_train(args) -> int:
     cfg = _load_config(args.config, args.variant)
     g = load_hin(args.graph, args.format)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    split = _split(g, args.split_seed, args.train_count, args.val_count)
+    split = split_nodes(g, (args.train_count, args.val_count), args.split_seed)
     params, agent, report = pl.run(cfg, g, split)
     nn.save_params(params, out / "model.bin")
     rl.save_agent(agent, out / "agent.bin", eps_position=report.meta.get("final_eps", 0.0))
@@ -166,7 +156,7 @@ def cmd_bench_runtime(args) -> int:
     cfg = _load_config(args.config, None)
     if args.graph:
         g = load_hin(args.graph, args.format)
-        split = _split(g, cfg.seed)
+        split = split_nodes(g, (None, None), cfg.seed)
     else:
         g, split = _default_bench_graph(cfg.seed)
     result = pl.bench_runtime(cfg, g, split, repeats=args.repeats)

@@ -370,13 +370,16 @@ def neighbors(g: HinGraph, node: NodeId, relation: str) -> np.ndarray:
     return indices[indptr[local]:indptr[local + 1]]
 
 
-def split_nodes(g: HinGraph, counts: tuple[int, int], seed: int) -> DataSplit:
-    """Uniform disjoint draw of (train, validation) labelled nodes; rest is test."""
-    n_train, n_val = counts
+def split_nodes(g: HinGraph, counts: tuple[int | None, int | None], seed: int) -> DataSplit:
+    """Uniform disjoint draw of (train, validation) labelled nodes; rest is
+    test. A count of None is 40% (train) or 30% (validation) of the labelled
+    nodes, at least 1."""
+    labelled = g.labelled_nodes()
+    n_train, n_val = (max(1, int(share * len(labelled))) if n is None else n
+                      for n, share in zip(counts, (0.4, 0.3)))
     for name, n in (("train", n_train), ("validation", n_val)):
         if n < 1:
             raise ValueError(f"{name} count must be >= 1, got {n}")
-    labelled = g.labelled_nodes()
     if n_train + n_val > len(labelled):
         raise ValueError(
             f"requested {n_train}+{n_val} nodes but only {len(labelled)} are labelled"
@@ -496,13 +499,11 @@ def _load_json_graph(path: Path) -> HinGraph:
                 f"attribute row count {a.shape[0]} != node count {num_nodes[t]} for type {t!r}"
             )
         attributes[t] = a
+    schema.need_relations(f"{path}: field 'edges'", top["edges"])
     edge_lists = {}
     for rel, pairs in top["edges"].items():
         try:
-            schema.relation(rel)
             edge_lists[rel] = [(index(s), index(d)) for s, d in pairs]
-        except KeyError:
-            raise SchemaError(f"edges declared for unknown relation {rel!r}") from None
         except (TypeError, ValueError):
             raise SchemaError(f"{path}: relation {rel!r}: edges must be integer pairs") from None
     try:

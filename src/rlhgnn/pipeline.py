@@ -650,42 +650,6 @@ def run(cfg: TrainConfig, g: HinGraph, split: DataSplit):
 # Greedy inference with a trained agent
 
 
-def design_episodes_greedy(
-    params: nn.HgnnParams,
-    agent: rl.DqnAgent,
-    g: HinGraph,
-    cfg: TrainConfig,
-    nodes: np.ndarray,
-) -> list[Episode]:
-    """Design meta-paths for `nodes` with the greedy policy (no exploration);
-    the forward passes that give the states record no tape."""
-    episodes = _fresh_episodes(g, nodes)
-    stopped = np.zeros(len(episodes), dtype=bool)
-    rng = np.random.default_rng(0)
-    table = LegalActionTable.build(g.schema)
-    memo: EpisodeMemo = {}  # nodes repeated in `nodes` share their extensions
-    if cfg.variant == "rl-hgnn":
-        states = _initial_static_states(g, episodes, rl.static_state_dim(g))
-        for _ in range(cfg.max_timesteps + 1):
-            if stopped.all():
-                break
-            rows, batch = _act(g, cfg, table, episodes, stopped, states, agent.qnet, 0.0, rng,
-                               memo)
-            _advance_static_states(g, episodes, states, rows, batch)
-        return episodes
-    with ad.no_grad():
-        reps = nn.project_attributes(params, g, [(g.target_type, nodes)])
-        for _ in range(cfg.max_timesteps):
-            if stopped.all():
-                break
-            states = agent.normalizer.apply(reps) if agent.normalizer else reps
-            _act(g, cfg, table, episodes, stopped, states, agent.qnet, 0.0, rng, memo)
-            plan = build_plan(g, list(episodes))
-            reps = nn.hgnn_forward(params, g, plan, mode="eval",
-                                   messages_from_target=cfg.messages_from_target).outputs.value
-    return episodes
-
-
 def predict(
     params: nn.HgnnParams,
     agent: rl.DqnAgent,
@@ -693,7 +657,10 @@ def predict(
     cfg: TrainConfig,
     nodes: np.ndarray,
 ) -> np.ndarray:
-    """Greedy-designed episodes + eval-mode forward; predictions per node id.
+    """Design meta-paths for `nodes` with the greedy policy (no exploration)
+    and classify each node from its designed episode; predictions per node id.
+    In rl-hgnn-pp the last step's eval pass gives both the state and the
+    prediction, so the final plan is built and forwarded once.
 
     Raises ValueError when the model's schema, the agent's action count or
     cfg.fixed_path does not fit the graph; a state width that does not fit
@@ -707,8 +674,31 @@ def predict(
                          f"schema has {num_actions} (one per relation type, plus Stop)")
     g.schema.need_relations("fixed_path", cfg.fixed_path or ())
     nodes = np.asarray(nodes)
-    episodes = design_episodes_greedy(params, agent, g, cfg, nodes)
-    return _eval_pass(params, g, build_plan(g, episodes), nodes, cfg)[1]
+    episodes = _fresh_episodes(g, nodes)
+    stopped = np.zeros(len(episodes), dtype=bool)
+    rng = np.random.default_rng(0)
+    table = LegalActionTable.build(g.schema)
+    memo: EpisodeMemo = {}  # nodes repeated in `nodes` share their extensions
+    preds = None
+    if cfg.variant == "rl-hgnn":
+        states = _initial_static_states(g, episodes, rl.static_state_dim(g))
+        for _ in range(cfg.max_timesteps + 1):
+            if stopped.all():
+                break
+            rows, batch = _act(g, cfg, table, episodes, stopped, states, agent.qnet, 0.0, rng,
+                               memo)
+            _advance_static_states(g, episodes, states, rows, batch)
+    else:
+        reps = nn.project_attributes(params, g, [(g.target_type, nodes)])
+        for _ in range(cfg.max_timesteps):
+            if stopped.all():
+                break
+            states = agent.normalizer.apply(reps) if agent.normalizer else reps
+            _act(g, cfg, table, episodes, stopped, states, agent.qnet, 0.0, rng, memo)
+            reps, preds = _eval_pass(params, g, build_plan(g, list(episodes)), nodes, cfg)
+    if preds is None:  # rl-hgnn, or rl-hgnn-pp over no nodes (build_plan names that)
+        preds = _eval_pass(params, g, build_plan(g, episodes), nodes, cfg)[1]
+    return preds
 
 
 # ---------------------------------------------------------------------------

@@ -154,12 +154,7 @@ def generate_planted_hin(spec: SyntheticSpec) -> tuple[HinGraph, DataSplit]:
         labels,
     )
 
-    n_train = spec.train_count if spec.train_count is not None else max(1, int(0.4 * n_target))
-    n_val = spec.val_count if spec.val_count is not None else max(1, int(0.3 * n_target))
-    if n_train + n_val > n_target:
-        raise ValueError("train_count + val_count exceeds target node count")
-    split = split_nodes(g, (n_train, n_val), spec.seed)
-    return g, split
+    return g, split_nodes(g, (spec.train_count, spec.val_count), spec.seed)
 
 
 def planted_oracle_predict(g: HinGraph, planted_path: tuple[str, ...], nodes: np.ndarray) -> np.ndarray:

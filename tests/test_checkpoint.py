@@ -1,6 +1,7 @@
 """The shared checkpoint container behind model.bin and agent.bin: exact
 round trips and a named error for every malformed file."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,24 @@ def test_arrays_not_matching_the_header_are_rejected_naming_the_file(tmp_path, w
     assert str(err.value) == f"{path}: {message}"
 
 
+def test_agent_arrays_are_checked_against_the_header_before_any_network_is_built(tmp_path):
+    """A 6-feature agent whose header claims 20,000 features is rejected
+    without allocating the two Q-networks and Adam state the header
+    describes (~30 MiB)."""
+    path = tmp_path / "agent.bin"
+    save_agent(DqnAgent.create(6, 4, buffer_capacity=20, seed=2), path, eps_position=0.0)
+    rewrite_header(path, setting("input_dim", 20000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            load_agent(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"{path}: array q:0 has shape (6, 32), expected (20000, 32)"
+    assert peak < 4 * 2**20
+
+
 def rewrite_header(path, edit):
     """Replace the header line of the checkpoint at `path` by edit(header)
     serialized as JSON, or by the bytes edit returns; keep the arrays."""
@@ -147,6 +166,11 @@ def with_movie_dim(value):
     """Set the Movie attribute dim of the header's schema to value."""
     return lambda h: {**h, "schema": {**h["schema"], "attribute_dims": {
         **h["schema"]["attribute_dims"], "Movie": value}}}
+
+
+def with_array(shape):
+    """Add an array entry of that shape to the header's list."""
+    return lambda h: {**h, "arrays": h["arrays"] + [{"name": "x", "shape": shape}]}
 
 
 # per kind: case name -> (header edit, the error message after "<path>: ")
@@ -176,6 +200,7 @@ BAD_HEADERS = {
                        "checkpoint header field 'schema' is not a graph schema"),
         "float32": (setting("dtype", "float32"),
                     "checkpoint header field 'dtype' must be \"float64\", got 'float32'"),
+        "int64-wrapping-shape": (with_array([2**32, 2**32]), "checkpoint arrays need exactly"),
     },
     "agent": {
         "not-object": (lambda h: "agent", "checkpoint header must be a JSON object, got str"),
@@ -198,6 +223,7 @@ BAD_HEADERS = {
                                  "'eps_position' must be a number in [0, 1], got 1.5"),
         "string-eps-position": (setting("eps_position", "0.4"), "checkpoint header field "
                                 "'eps_position' must be a number in [0, 1], got '0.4'"),
+        "int64-wrapping-shape": (with_array([2**32, 2**32]), "checkpoint arrays need exactly"),
     },
 }
 

@@ -333,10 +333,12 @@ def _without(doc: dict, *keys) -> dict:
     (lambda d: [d], "missing field 'schema'"),
     (lambda d: {**d, "schema": {**d["schema"], "node_types": ["Movie", ["Actor"]]}},
      "field 'schema.node_types' must list type names"),
+    (lambda d: {**d, "edges": {**d["edges"], "X-Y": [[0, 1]]}},
+     "field 'edges' names no relation: 'X-Y' (relations: 'M-D', 'D-M', 'M-A', 'A-M')"),
 ], ids=["no-schema", "no-nodes", "no-target-type", "no-num-classes", "no-node-types",
         "no-relation-dst", "attributes-list", "edges-list", "labels-list", "schema-list",
         "word-count", "negative-count", "number-for-rows", "negative-label", "string-classes",
-        "float-dim", "list-relation", "list-document", "list-type"])
+        "float-dim", "list-relation", "list-document", "list-type", "unknown-edge-relation"])
 def test_json_graph_names_the_file_and_field_of_a_structural_error(tmp_path, change, message):
     path, doc = imdb_like_json(tmp_path)
     path.write_text(json.dumps(change(doc)))
@@ -476,6 +478,14 @@ def test_split_rejects_counts_below_one(counts, name):
     g = imdb_like_graph()  # 8 labelled nodes
     with pytest.raises(ValueError, match=f"^{name} count must be >= 1, got {min(counts)}$"):
         split_nodes(g, counts, seed=0)
+
+
+def test_split_counts_of_none_default_to_40_and_30_percent_of_the_labelled_nodes():
+    g = imdb_like_graph(n_m=20)
+    g.labels[[3, 7]] = -1  # 18 labelled nodes: 7 train, 5 validation
+    default, explicit = split_nodes(g, (None, None), seed=5), split_nodes(g, (7, 5), seed=5)
+    for key in ("train", "validation", "test"):
+        np.testing.assert_array_equal(getattr(default, key), getattr(explicit, key))
 
 
 def test_split_insufficient_labelled():

@@ -136,3 +136,28 @@ def test_a_traced_run_records_the_projection_both_backwards_and_one_q_pass_per_a
     assert "autodiff.backward.other" not in summary
     assert summary["autodiff.backward.dqn"].calls == summary["agent.dqn_step"].calls
     assert summary["agent.QNetwork.values"].calls == summary["agent.select_action"].calls
+
+
+@pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
+def test_predict_forwards_each_plan_it_builds_once(variant):
+    """In rl-hgnn-pp, predict's greedy steps each build a plan and run one
+    eval pass over it: the pass gives the next step's states and, at the last
+    step, the predictions, so the final plan is not forwarded twice. rl-hgnn
+    designs on static states and then builds and forwards one plan."""
+    g, split = generate_planted_hin(SyntheticSpec(
+        node_counts={"Movie": 40, "Actor": 12}, target_type="Movie",
+        relations=[("M-A", "Movie", "Actor"), ("A-M", "Actor", "Movie")],
+        out_degree={"M-A": 2, "A-M": 2}, planted_path=("M-A",),
+        train_count=16, val_count=12))
+    cfg = TrainConfig(variant=variant, rounds=3, inner_rounds=2, node_batch=16, hidden_dim=8,
+                      heads=2)
+    params, agent, _ = pipeline.run(cfg, g, split)
+    tracer = _load_tracing().Tracer()
+    with tracer.installed():
+        pipeline.predict(params, agent, g, cfg, split.test)
+    summary = tracer.summarize()
+    plans = summary["aggplan.build_plan"].calls
+    assert summary["model.hgnn_forward.eval"].calls == plans
+    assert plans == (1 if variant == "rl-hgnn" else summary["agent.select_action"].calls)
+    with pytest.raises(ValueError, match="^plan has no episodes$"):
+        pipeline.predict(params, agent, g, cfg, np.zeros(0, dtype=np.int64))
