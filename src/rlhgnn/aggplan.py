@@ -162,6 +162,65 @@ def _check_rows(rows: np.ndarray, n: int, what: str) -> None:
         raise ValueError(f"{what} must lie in [0, {n}), got {rows.min()}..{rows.max()}")
 
 
+@dataclass(frozen=True, eq=False)
+class Restriction:
+    """The part of a compiled plan that the outputs of some of its episodes
+    read. H0 keeps the plan's rows. Layer l keeps, in the plan's order, the
+    steps that are a kept episode's output or a source of a step kept at
+    layer l + 1, and their traversals; so the kept layers run from 1 to the
+    longest kept episode. The restriction to every episode is the plan."""
+
+    plan: AggregationDag
+    episodes: np.ndarray  # kept episodes, ascending
+    index: list[LayerIndex]  # per kept layer, over its kept steps
+    traversals: list[np.ndarray]  # per kept layer, the plan's traversals it keeps, ascending
+    output_rows: np.ndarray  # per kept episode, its row of [H0; kept layer 1; ...]
+
+
+def restrict(plan: AggregationDag, episodes: np.ndarray | None = None) -> Restriction:
+    """`plan` restricted to the given episodes (rows of its output_rows), or
+    to all of them. Walks back from their output rows, layer L down to 1, by
+    index selection on the compiled arrays."""
+    if episodes is None:
+        return Restriction(plan, _readonly(np.arange(len(plan.output_rows))), plan.index,
+                           [_readonly(np.arange(len(ix.src_rows))) for ix in plan.index],
+                           plan.output_rows)
+    episodes = np.unique(np.asarray(episodes, dtype=np.intp))
+    _check_rows(episodes, len(plan.output_rows), "restricted episodes")
+    rows = plan.output_rows[episodes]
+    # bounds[l]: first row of layer l + 1 in the stack [H0; layer 1; ...; layer L]
+    bounds = np.cumsum([sum(len(ids) for _, ids in plan.h0_groups)]
+                       + [len(ix.lengths) for ix in plan.index])
+    kept, read = [], np.zeros(0, dtype=np.intp)  # read: steps the kept layer above reads
+    for layer in range(len(plan.index), 0, -1):
+        ix, lo = plan.index[layer - 1], bounds[layer - 1]
+        steps = np.union1d(rows[(rows >= lo) & (rows < bounds[layer])] - lo, read)
+        lengths = ix.lengths[steps]
+        ends = np.cumsum(lengths)
+        traversals = np.arange(ends[-1] if len(ends) else 0) + np.repeat(
+            ix.starts[steps] - (ends - lengths), lengths)
+        read = ix.src_rows[traversals]
+        kept.append((steps, traversals))
+    kept.reverse()
+    depth = sum(len(steps) > 0 for steps, _ in kept)  # the kept layers are 1..depth
+    new_row = np.arange(bounds[-1])  # stack row -> restricted stack row, where kept
+    index, base = [], bounds[0]
+    for layer, (steps, traversals) in enumerate(kept[:depth], start=1):
+        ix = plan.index[layer - 1]
+        src = ix.src_rows[traversals]
+        if layer > 1:  # the source's position among the kept steps below
+            src = np.searchsorted(kept[layer - 2][0], src)
+        lengths = ix.lengths[steps]
+        index.append(LayerIndex(src_rows=_readonly(src),
+                                tgt_rows=_readonly(ix.tgt_rows[traversals]),
+                                starts=_readonly(np.cumsum(lengths) - lengths),
+                                lengths=_readonly(lengths)))
+        new_row[bounds[layer - 1] + steps] = base + np.arange(len(steps))
+        base += len(steps)
+    return Restriction(plan, _readonly(episodes), index,
+                       [_readonly(t) for _, t in kept[:depth]], _readonly(new_row[rows]))
+
+
 @dataclass
 class AggregationStats:
     step_count_naive: int

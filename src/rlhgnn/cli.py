@@ -35,12 +35,13 @@ def _save_split(split: DataSplit, path: Path) -> None:
         json.dump({k: getattr(split, k).tolist() for k in _SPLIT_KEYS}, f)
 
 
-def _load_split(path: Path, n: int) -> DataSplit:
+def _load_split(path: Path, labels: np.ndarray) -> DataSplit:
     """Raises ValueError naming the file and the key unless it holds train,
-    validation and test lists of distinct node ids in [0, n), no id in two
-    of them."""
+    validation and test lists of distinct node ids in [0, len(labels)), no
+    id in two of them, each of them labelled."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
+    n = len(labels)
     node = Rule(lambda i: is_int(i) and 0 <= i < n, "a node id")
     lists = check_fields(
         doc, dict.fromkeys(_SPLIT_KEYS, list_of(node, f"a list of integer node ids in [0, {n})")),
@@ -54,7 +55,9 @@ def _load_split(path: Path, n: int) -> DataSplit:
                 raise ValueError(f"{path}: split key {key!r} repeats node id {i} "
                                  f"of key {owner[i]!r}")
             owner[i] = key
-    return DataSplit(**{k: np.asarray(ids, dtype=np.int64) for k, ids in lists.items()})
+    split = DataSplit(**{k: np.asarray(ids, dtype=np.int64) for k, ids in lists.items()})
+    split.need_labels(labels, where=f"{path}: ")
+    return split
 
 
 def cmd_train(args) -> int:
@@ -90,7 +93,7 @@ def cmd_eval(args) -> int:
         cfg = pl.TrainConfig.from_dict(json.load(f))
     params = nn.load_params(run_dir / "model.bin")
     agent = rl.load_agent(run_dir / "agent.bin")
-    split = _load_split(run_dir / "split.json", g.num_nodes[g.target_type])
+    split = _load_split(run_dir / "split.json", g.labels)
     nodes = split.test if len(split.test) else g.labelled_nodes()
     preds = pl.predict(params, agent, g, cfg, nodes)
     micro, macro = pl.evaluate_f1(preds, g.labels, nodes)

@@ -232,6 +232,22 @@ class DataSplit:
     validation: np.ndarray
     test: np.ndarray
 
+    def need_labels(self, labels: np.ndarray, keys=("train", "validation", "test"),
+                    where: str = "") -> None:
+        """Raise ValueError naming the key and the first id under `keys` that
+        is no row of `labels`, or whose node has no label (-1)."""
+        n = len(labels)
+        for key in keys:
+            ids = getattr(self, key)
+            outside = ids[(ids < 0) | (ids >= n)]
+            if len(outside):
+                raise ValueError(f"{where}split key {key!r} holds node id {outside[0]}, "
+                                 f"which is no node id in [0, {n})")
+            unlabelled = ids[labels[ids] < 0]
+            if len(unlabelled):
+                raise ValueError(f"{where}split key {key!r} holds node id {unlabelled[0]}, "
+                                 f"which has no label")
+
 
 def build_graph(
     schema: HinSchema,

@@ -21,6 +21,30 @@ classifier and the loss each record one autodiff Var whose closure is a
 hand-written backward, with the expressions and summation order of the
 per-op tape they replaced, which the tests keep as their reference.
 project_attributes itself records nothing: it returns H0 as a plain array.
+
+A train pass may run over a plan restricted to the loss's episodes
+(aggplan.restrict). The loss and every gradient keep the bits of the pass
+over the whole plan, by these rules:
+- H0 keeps the whole plan's rows, so the projection and its gradients
+  X_t.T @ g_H0 are unchanged.
+- Each episode outside the loss gets a zero output row, so the classifier
+  and the loss keep their code and their row counts.
+- Each layer's dropout masks are drawn for all of the whole plan's
+  traversals, the sources' first, and then the kept rows are selected, so
+  the random stream is unchanged.
+- A[idx] @ W keeps the row bits of A @ W for 2 or more rows. A lone row
+  goes to another kernel, so where the whole layer has more rows it is
+  multiplied as two rows.
+- The backward's S.T @ g_X and g_X @ W.T run over all of the whole layer's
+  traversals, with zero rows outside the kept ones: with fewer rows, BLAS
+  blocks or dispatches the products otherwise and their bits change. Only
+  the kept rows of g_X @ W.T are used.
+- Every other operation is per row, per step or a sum in which the left-out
+  traversals would add zeros.
+tests/test_restricted_pass.py pins these BLAS behaviours for layers of 2
+to 7,000 traversals, which covers the largest layers of the scale-pp
+benchmark workload (6,658); where one fails, the restriction changes bits
+there.
 """
 from __future__ import annotations
 
@@ -29,7 +53,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .aggplan import AggregationDag, LayerIndex
+from .aggplan import AggregationDag, LayerIndex, Restriction, restrict
 from .checkpoint import check_arrays, header_fields, read_checkpoint, write_checkpoint
 from .hin import OBJECT, HinGraph, HinSchema, Rule, SchemaError, at_least, number
 
@@ -152,6 +176,30 @@ def _layer_params(params: HgnnParams, layer: int) -> list[ad.Var]:
     return [params.table[f"layer{layer - 1}:{k}"] for k in ("W", "attn_src", "attn_dst")]
 
 
+def _kept(a: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Rows `kept` (ascending) of a; a itself when every row is kept."""
+    return a if len(kept) == len(a) else a[kept]
+
+
+def _spread(a: np.ndarray, kept: np.ndarray, n: int) -> np.ndarray:
+    """a's rows placed at rows `kept` of n rows of zeros; a itself when it
+    has n rows."""
+    if len(a) == n:
+        return a
+    out = np.zeros((n,) + a.shape[1:])
+    out[kept] = a
+    return out
+
+
+def _times(a: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """a @ w for rows of an n-row matrix, with the bits those rows have in
+    the n-row product: a lone row is multiplied as two rows, since a 1-row
+    product takes another kernel."""
+    if len(a) == 1 < n:
+        return (np.repeat(a, 2, axis=0) @ w)[:1]
+    return a @ w
+
+
 def _layer_forward(
     params: HgnnParams,
     layer: int,
@@ -160,18 +208,22 @@ def _layer_forward(
     ix: LayerIndex,
     masks: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
     messages_from_target: bool = False,
+    n: int | None = None,
 ) -> tuple[np.ndarray, tuple]:
     """Aggregate per-traversal rows, S = prev[ix.src_rows] from the sources
     and T0 = h0[ix.tgt_rows] from the targets, each with inverted dropout by
     its mask, into per-step outputs with parameter set `layer`, all heads at
-    once: head h is column block h*hd:(h+1)*hd. Returns the outputs and what
-    _layer_backward needs; S and T0 are freed as soon as W has mapped them."""
+    once: head h is column block h*hd:(h+1)*hd. n is the traversal count of
+    the whole plan's layer when ix keeps only some. Returns the outputs and
+    what _layer_backward needs; S and T0 are freed as soon as W has mapped
+    them."""
     heads, hd, keep = params.heads, params.head_dim, 1.0 - params.dropout
     W, a_src, a_dst = (v.value for v in _layer_params(params, layer))
     starts, lengths = ix.starts, ix.lengths
-    WS = (_gather(prev, ix.src_rows, masks[0], keep) @ W).reshape(-1, heads, hd)
-    WT = (_gather(h0, ix.tgt_rows, masks[1], keep) @ W).reshape(-1, heads, hd)
-    s = (WS * a_src).sum(axis=2) + (WT * a_dst).sum(axis=2)  # (n, heads)
+    n = len(ix.src_rows) if n is None else n
+    WS = _times(_gather(prev, ix.src_rows, masks[0], keep), W, n).reshape(-1, heads, hd)
+    WT = _times(_gather(h0, ix.tgt_rows, masks[1], keep), W, n).reshape(-1, heads, hd)
+    s = (WS * a_src).sum(axis=2) + (WT * a_dst).sum(axis=2)  # (traversals, heads)
     up = s > 0
     e = np.where(up, s, LEAKY_SLOPE * s)
     seg_max = np.maximum.reduceat(e, starts, axis=0)  # shift-invariant, no grad
@@ -190,9 +242,11 @@ def _layer_backward(
     prev: np.ndarray,
     h0: np.ndarray,
     ix: LayerIndex,
+    kept: np.ndarray,
     saves: list[tuple],
     g: np.ndarray,
     messages_from_target: bool,
+    n: int,
 ) -> tuple[np.ndarray, ...]:
     """Backward of one aggregation layer from g, the gradient of its outputs.
 
@@ -201,8 +255,10 @@ def _layer_backward(
     gathered again from prev and h0 with the same masks, so their bits are
     the forward's. Each (traversals, d) array is dropped at its last use;
     the side whose W product carried the messages goes first, so that
-    gradient dies early. Returns the gradients of prev's rows, of h0's rows
-    through the targets, and of W, attn_src and attn_dst."""
+    gradient dies early. The products S.T @ g_X and g_X @ W.T run over the
+    whole plan's n traversals, the `kept` ones and zero rows, for the bits
+    of the whole plan's layer. Returns the gradients of prev's rows, of h0's
+    rows through the targets, and of W, attn_src and attn_dst."""
     mask_s, mask_t, WS, WT, up, z, den, alpha, on = saves.pop()
     heads, hd, d, keep = params.heads, params.head_dim, params.d, 1.0 - params.dropout
     W, a_src, a_dst = (v.value for v in _layer_params(params, layer))
@@ -236,10 +292,10 @@ def _layer_backward(
         if first:
             g_X += g_msgs
             del g_msgs
-        g_X = g_X.reshape(-1, d)
-        g_W_part = _gather(rows, idx, mask, keep).T @ g_X
+        g_X = _spread(g_X.reshape(-1, d), kept, n)
+        g_W_part = _spread(_gather(rows, idx, mask, keep), kept, n).T @ g_X
         g_W = g_W_part if first else g_W + g_W_part
-        g_X = g_X @ W.T
+        g_X = _kept(g_X @ W.T, kept)
         if mask is not None:
             g_X *= mask / keep
         scattered.append(_scatter_rows(g_X, idx, len(rows)))
@@ -257,13 +313,20 @@ class ForwardResult:
 def hgnn_forward(
     params: HgnnParams,
     g: HinGraph,
-    dag: AggregationDag,
+    dag: AggregationDag | Restriction,
     mode: str = "eval",
     seed: int = 0,
     messages_from_target: bool = False,
 ) -> ForwardResult:
-    """Evaluate the plan's compiled index arrays layer by layer; episodes that
+    """Evaluate a plan's compiled index arrays layer by layer; episodes that
     stopped at once return their projected attributes directly.
+
+    `dag` is a plan, which reads as its restriction to every episode, or a
+    restriction of one (aggplan.restrict): then only the kept episodes'
+    steps run, and every other episode gets a zero output row. Either way
+    the kept outputs and every gradient a loss over the kept episodes gives
+    have the bits of the whole plan's pass, by the rules in the module
+    docstring.
 
     Everything from the type projections to the outputs is one Var. Its
     closure walks the layers from the last to the first and frees each
@@ -276,42 +339,47 @@ def hgnn_forward(
     is saved."""
     if mode not in ("eval", "train"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not len(dag.output_rows):
+    part = dag if isinstance(dag, Restriction) else restrict(dag)
+    plan = part.plan
+    if not len(plan.output_rows):
         raise ValueError("plan has no episodes")
-    if len(dag.index) > params.T:
-        raise ValueError(f"plan has {len(dag.index)} aggregation layers but the model "
+    if len(plan.index) > params.T:
+        raise ValueError(f"plan has {len(plan.index)} aggregation layers but the model "
                          f"has T={params.T} aggregator parameter sets")
     keep = 1.0 - params.dropout
     rng = np.random.default_rng([seed]) if mode == "train" and params.dropout > 0 else None
     record = ad.recording()
+    counts = [len(ix.src_rows) for ix in plan.index]  # the whole plan's traversals
 
-    h0 = project_attributes(params, g, dag.h0_groups)
-    matrices = [h0]  # matrices[l] = layer-l outputs, one row per step
+    h0 = project_attributes(params, g, plan.h0_groups)
+    matrices = [h0]  # matrices[l] = layer-l outputs, one row per kept step
     saves: list[tuple] = []  # per layer, what its backward needs
-    for layer, ix in enumerate(dag.index, start=1):
+    for layer, (ix, kept) in enumerate(zip(part.index, part.traversals), start=1):
         masks = (None, None)
-        if rng is not None:  # inverted dropout on the gathered rows, S's mask first
-            masks = (rng.random((len(ix.src_rows), params.d)) < keep,
-                     rng.random((len(ix.tgt_rows), params.d)) < keep)
+        if rng is not None:  # drawn for every traversal of the plan, S's mask first
+            mask_s = rng.random((counts[layer - 1], params.d)) < keep
+            mask_t = rng.random((counts[layer - 1], params.d)) < keep
+            masks = (_kept(mask_s, kept), _kept(mask_t, kept))
+            del mask_s, mask_t
         out, saved = _layer_forward(params, layer, matrices[-1], h0, ix, masks,
-                                    messages_from_target)
+                                    messages_from_target, counts[layer - 1])
         if record:
             saves.append(masks + saved)
         del masks, saved
         matrices.append(out)
     offs = np.cumsum([0] + [len(m) for m in matrices])
-    L = len(dag.index)
-    projections = [(params.table[f"proj:{t}"], g.attributes[t], ids) for t, ids in dag.h0_groups]
+    L = len(part.index)
+    projections = [(params.table[f"proj:{t}"], g.attributes[t], ids) for t, ids in plan.h0_groups]
 
     def bw(g_out):
-        g_stack = _scatter_rows(g_out, dag.output_rows, offs[-1])
+        g_stack = _scatter_rows(g_out[part.episodes], part.output_rows, offs[-1])
         g_h0 = g_stack[:offs[1]]  # H0's terms are summed into g_stack in place
         g = g_stack[offs[L]:]
         grads, held = [], []
         for layer in range(L, 0, -1):
             g_prev, g_tgt, *layer_grads = _layer_backward(
-                params, layer, matrices[layer - 1], matrices[0], dag.index[layer - 1], saves, g,
-                messages_from_target)
+                params, layer, matrices[layer - 1], matrices[0], part.index[layer - 1],
+                part.traversals[layer - 1], saves, g, messages_from_target, counts[layer - 1])
             grads[:0] = layer_grads
             if messages_from_target:
                 held.append(g_tgt)
@@ -330,7 +398,9 @@ def hgnn_forward(
 
     parents = ([proj for proj, _, _ in projections]
                + [v for layer in range(1, L + 1) for v in _layer_params(params, layer)])
-    outputs = ad.Var(np.concatenate(matrices)[dag.output_rows], tuple(parents), bw)
+    out = np.zeros((len(plan.output_rows), params.d))
+    out[part.episodes] = np.concatenate(matrices)[part.output_rows]
+    outputs = ad.Var(out, tuple(parents), bw)
     outputs.check_finite("episode representations")
     return ForwardResult(outputs=outputs)
 

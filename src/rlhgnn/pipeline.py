@@ -24,7 +24,8 @@ import numpy as np
 from . import agent as rl
 from . import autodiff as ad
 from . import model as nn
-from .aggplan import AggregationDag, AggregationStats, Episode, build_plan, naive_plan, plan_stats
+from .aggplan import (AggregationDag, AggregationStats, Episode, Restriction, build_plan,
+                      naive_plan, plan_stats, restrict)
 from .hin import (RELATION_NAMES, UNIT, DataSplit, HinGraph, HinSchema, NodeId, Rule, SchemaError,
                   at_least, check_fields, number, read_object)
 from .metapath import (
@@ -422,10 +423,11 @@ def _eval_pass(params: nn.HgnnParams, g: HinGraph, plan: AggregationDag, nodes: 
     return fwd.outputs.value, preds
 
 
-def _train_loss(params: nn.HgnnParams, g: HinGraph, plan: AggregationDag, ep_nodes: np.ndarray,
+def _train_loss(params: nn.HgnnParams, g: HinGraph, part: Restriction, ep_nodes: np.ndarray,
                 train_rows: np.ndarray, cfg: TrainConfig, seed: int) -> ad.Var:
-    """Recorded train-mode pass: cross entropy over the training rows."""
-    fwd = nn.hgnn_forward(params, g, plan, mode="train", seed=seed,
+    """Recorded train-mode pass over `part`, the plan restricted to the
+    training rows: cross entropy over those rows."""
+    fwd = nn.hgnn_forward(params, g, part, mode="train", seed=seed,
                           messages_from_target=cfg.messages_from_target)
     probs = nn.classify(params, fwd.outputs)
     return nn.cross_entropy(probs, g.labels[ep_nodes], train_rows)
@@ -456,6 +458,7 @@ class _Loop:
         if cfg.variant != variant:
             raise ValueError(f"config variant must be {variant}")
         g.schema.need_relations("fixed_path", cfg.fixed_path or ())
+        split.need_labels(g.labels, ("train", "validation"))
         fast = variant == "rl-hgnn-pp"
         self.cfg, self.split = cfg, split
         self.agent = _make_agent(g, cfg, split,
@@ -555,9 +558,10 @@ def run_rl_hgnn(cfg: TrainConfig, g: HinGraph, split: DataSplit):
                                agent.qnet, eps, loop.rng_eps, loop.memo)
             _advance_static_states(g, episodes, states, rows, batch)
             plan = build_plan(g, list(episodes))
+            part = restrict(plan, train_rows)  # what the loss reads, shared by the B rounds
             hgnn_loss = None
             for beta in range(cfg.inner_rounds):
-                loss = _train_loss(params, g, plan, ep_nodes, train_rows, cfg,
+                loss = _train_loss(params, g, part, ep_nodes, train_rows, cfg,
                                    seed=_derive_seed(cfg.seed, 30, k, t, beta))
                 grads = nn.backward(loss, params.all_vars())
                 nn.optimizer_step(params.all_vars(), grads, opt)
@@ -613,7 +617,7 @@ def run_rl_hgnn_pp(cfg: TrainConfig, g: HinGraph, split: DataSplit):
 
         # recorded pass for the optimizer step, walked and released before the
         # clean pass for states/metrics; the step waits until after that pass
-        loss = _train_loss(params, g, plan, ep_nodes, train_rows, cfg,
+        loss = _train_loss(params, g, restrict(plan, train_rows), ep_nodes, train_rows, cfg,
                            seed=_derive_seed(cfg.seed, 31, k))
         grads = nn.backward(loss, params.all_vars())
         reps, preds = _eval_pass(params, g, plan, ep_nodes, cfg)

@@ -30,7 +30,7 @@ from rlhgnn.metapath import (
     stop_index,
     valid_actions,
 )
-from rlhgnn.model import LEAKY_SLOPE, HgnnParams
+from rlhgnn.model import LEAKY_SLOPE, HgnnParams, backward, classify, cross_entropy, hgnn_forward
 
 
 def imdb_like_schema(dim_m=4, dim_d=3, dim_a=3) -> HinSchema:
@@ -654,6 +654,18 @@ def reference_forward(
     outputs = gather_rows(stacked, perm)
     outputs.check_finite("episode representations")
     return outputs
+
+
+def full_train_step(params: HgnnParams, g: HinGraph, plan: AggregationDag, labels: np.ndarray,
+                    rows: np.ndarray, seed: int, messages_from_target: bool = False
+                    ) -> list[np.ndarray]:
+    """The unrestricted train step: a train-mode pass over every episode of
+    the plan, the classifier, cross entropy over `rows` and backward. Returns
+    the loss, then each parameter's gradient in the table's order; a pass
+    over the plan restricted to `rows` must give their bits."""
+    outputs = hgnn_forward(params, g, plan, "train", seed, messages_from_target).outputs
+    loss = cross_entropy(classify(params, outputs), labels, rows)
+    return [loss.value] + backward(loss, params.all_vars())
 
 
 # ---------------------------------------------------------------------------

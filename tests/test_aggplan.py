@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import graphs_and_episodes, random_hin, reference_build_plan
 from rlhgnn.aggplan import (
@@ -13,6 +14,7 @@ from rlhgnn.aggplan import (
     enumerate_instances,
     naive_plan,
     plan_stats,
+    restrict,
 )
 from rlhgnn.hin import HinSchema, RelationType, build_graph
 from rlhgnn.metapath import Frontier, MetaPath, expand_frontier
@@ -377,3 +379,61 @@ def test_merged_plan_matches_reference_naive_and_enumeration(case):
     params = init_params(g.schema, g.num_classes, 3, d=4, heads=2, seed=1)
     np.testing.assert_allclose(hgnn_forward(params, g, merged).outputs.value,
                                hgnn_forward(params, g, naive).outputs.value, rtol=0, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Restriction to the loss's episodes
+
+
+def _index_arrays(index):
+    return [[a.tolist() for a in (ix.src_rows, ix.tgt_rows, ix.starts, ix.lengths)]
+            for ix in index]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(graphs_and_episodes(), st.data())
+def test_a_restriction_keeps_the_steps_its_episodes_alone_would_build(case, data):
+    """Restricted to some episodes, a plan keeps, layer by layer and in its
+    own order, the steps that a plan of those episodes alone has, each with
+    all its traversals; restricted to all of them it is the plan itself."""
+    g, episodes, _ = case
+    plan = build_plan(g, episodes)
+    whole = restrict(plan)
+    every = restrict(plan, np.arange(len(episodes)))
+    assert _index_arrays(every.index) == _index_arrays(whole.index) == _index_arrays(plan.index)
+    assert [t.tolist() for t in every.traversals] == [t.tolist() for t in whole.traversals]
+    assert every.output_rows.tolist() == whole.output_rows.tolist() == plan.output_rows.tolist()
+
+    rows = sorted(data.draw(st.sets(st.integers(0, len(episodes) - 1), min_size=1)))
+    part = restrict(plan, np.array(rows[::-1] + rows))  # any order, repeats allowed
+    alone = build_plan(g, [episodes[r] for r in rows])
+    assert part.episodes.tolist() == rows
+    assert len(part.index) == len(alone.index) == len(part.traversals)
+    for layer, (ix, kept) in enumerate(zip(part.index, part.traversals), start=1):
+        whole_ix = plan.index[layer - 1]
+        steps = np.searchsorted(whole_ix.starts, kept, side="right") - 1
+        assert np.unique(steps).tolist() == sorted(set(steps.tolist()))
+        assert ([plan.layers[layer - 1][s].target for s in np.unique(steps)]
+                == [s.target for s in alone.layers[layer - 1]])
+        assert ix.lengths.tolist() == whole_ix.lengths[np.unique(steps)].tolist()
+        assert ix.tgt_rows.tolist() == whole_ix.tgt_rows[kept].tolist()
+        if layer > 1:  # a kept source is the kept step below that the plan reads
+            below = np.unique(np.searchsorted(plan.index[layer - 2].starts,
+                                              part.traversals[layer - 2], side="right") - 1)
+            assert below[ix.src_rows].tolist() == whole_ix.src_rows[kept].tolist()
+    stack = np.concatenate([np.zeros(sum(len(i) for _, i in plan.h0_groups), dtype=np.intp)]
+                           + [np.full(len(ix.lengths), layer) for layer, ix
+                              in enumerate(plan.index, start=1)])
+    kept_stack = np.concatenate([np.zeros(sum(len(i) for _, i in plan.h0_groups), dtype=np.intp)]
+                                + [np.full(len(ix.lengths), layer) for layer, ix
+                                   in enumerate(part.index, start=1)])
+    # each kept episode's output lies on its own layer of the restricted stack
+    assert (kept_stack[part.output_rows] == stack[plan.output_rows[rows]]).all()
+
+
+def test_restrict_rejects_episode_rows_outside_the_plan():
+    g = random_hin(3)
+    plan = build_plan(g, random_legal_episodes(g, np.arange(3), length=2, seed=1))
+    for rows in ([3], [-1], [0, 5]):
+        with pytest.raises(ValueError, match=r"restricted episodes must lie in \[0, 3\)"):
+            restrict(plan, np.array(rows))

@@ -2,6 +2,7 @@
 ValueError (SchemaError included), and every field has a rule on load."""
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,7 +73,7 @@ def test_any_json_spec_loads_or_raises_a_value_error(doc):
 def test_any_json_split_loads_or_raises_a_value_error(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "split.json"
     path.write_text(json.dumps(doc))
-    loads_or_raises_value_error(_load_split, path, 6)
+    loads_or_raises_value_error(_load_split, path, np.zeros(6, dtype=np.int64))
 
 
 def save_model(path):

@@ -333,3 +333,21 @@ def test_runs_are_identical_across_processes_and_hash_seeds(tmp_path, synth_grap
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
     assert without_wall_times((a / "report.json").read_bytes()) == \
         without_wall_times((b / "report.json").read_bytes())
+
+
+def test_eval_rejects_an_unlabelled_split_id_naming_the_file_the_key_and_the_node(
+        tmp_path, synth_graph):
+    """An id of a node with no label would be scored against class -1; the
+    split that holds one is named before any node is predicted."""
+    out = tmp_path / "run"
+    assert main(["train", "--graph", str(synth_graph), "--config", str(write_config(tmp_path)),
+                 "--out", str(out), "--train-count", "24", "--val-count", "18"]) == 0
+    split = json.loads((out / "split.json").read_text())
+    node = split["test"][0]
+    doc = json.loads(synth_graph.read_text())
+    del doc["labels"][str(node)]
+    unlabelled = tmp_path / "unlabelled.json"
+    unlabelled.write_text(json.dumps(doc))
+    message = f"{out / 'split.json'}: split key 'test' holds node id {node}, which has no label"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        main(["eval", "--checkpoint", str(out), "--graph", str(unlabelled)])

@@ -638,3 +638,65 @@ def test_bench_aggregation_ratio_grows_with_T_and_matches_enumeration():
     nv, mg = count_steps_by_enumeration(g, [(e.start, e.path) for e in eps])
     assert naive_plan(g, eps).step_count == nv
     assert build_plan(g, eps).step_count == mg
+
+
+@pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
+@pytest.mark.parametrize("key", ["train", "validation"])
+def test_a_split_holding_an_unlabelled_node_is_rejected_before_any_round(variant, key, monkeypatch):
+    """A training node of label -1 would be trained toward the last class
+    (onehot[..., -1]) and a validation one scored as an error; both loops
+    name the key and the node instead, as they do for an id that is no
+    node of the target type."""
+    from rlhgnn import pipeline
+
+    g, split = generate_planted_hin(planted_spec_1hop())
+    node = int(getattr(split, key)[3])
+    g.labels[node] = -1
+    monkeypatch.setattr(pipeline, "build_plan", lambda *a: pytest.fail("a round ran"))
+    cfg = small_cfg(variant=variant, rounds=2)
+    with pytest.raises(ValueError,
+                       match=f"^split key '{key}' holds node id {node}, which has no label$"):
+        run(cfg, g, split)
+    n = len(g.labels)
+    for outside in (n, -1):
+        ids = np.append(getattr(split, key), outside)
+        with pytest.raises(ValueError, match=f"^split key '{key}' holds node id {outside}, "
+                                             f"which is no node id in \\[0, {n}\\)$"):
+            run(cfg, g, replace(split, **{key: ids}))
+
+
+@pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
+def test_the_loops_restrict_each_plan_once_to_the_training_rows(variant, monkeypatch):
+    """The base loop restricts its timestep's plan once and trains it B
+    times; the fast loop restricts each round's plan once. Every restriction
+    keeps exactly the round's training rows, and every train pass reads
+    one."""
+    from rlhgnn import model, pipeline
+
+    restrictions, train_reads = [], []
+    real_restrict, real_forward = pipeline.restrict, model.hgnn_forward
+
+    def counted_restrict(plan, episodes=None):
+        part = real_restrict(plan, episodes)
+        restrictions.append((plan, np.asarray(episodes).tolist(), part))
+        return part
+
+    def spy(params, g, dag, mode="eval", *args, **kwargs):
+        if mode == "train":
+            train_reads.append(dag)
+        return real_forward(params, g, dag, mode, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "restrict", counted_restrict)
+    monkeypatch.setattr(model, "hgnn_forward", spy)
+    g, split = generate_planted_hin(planted_spec_1hop())
+    K, T, B = 3, 2, 4
+    cfg = small_cfg(variant=variant, rounds=K, max_timesteps=T, inner_rounds=B, node_batch=8)
+    run(cfg, g, split)
+    plans = K * (T + 1) if variant == "rl-hgnn" else K
+    assert len(restrictions) == plans
+    assert len(train_reads) == plans * (B if variant == "rl-hgnn" else 1)
+    assert train_reads == [part for _, _, part in restrictions
+                           for _ in range(B if variant == "rl-hgnn" else 1)]
+    for plan, rows, part in restrictions:  # 8 training rows among the validation nodes
+        assert part.plan is plan and len(plan.output_rows) == 8 + len(split.validation)
+        assert part.episodes.tolist() == sorted(rows) and len(rows) == 8

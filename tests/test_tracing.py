@@ -161,3 +161,29 @@ def test_predict_forwards_each_plan_it_builds_once(variant):
     assert plans == (1 if variant == "rl-hgnn" else summary["agent.select_action"].calls)
     with pytest.raises(ValueError, match="^plan has no episodes$"):
         pipeline.predict(params, agent, g, cfg, np.zeros(0, dtype=np.int64))
+
+
+@pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
+def test_a_traced_run_counts_one_plan_one_projection_per_pass_and_b_train_passes_per_plan(variant):
+    """perfbench's aggplan.build_plan, model.hgnn_forward.train and
+    model.project_attributes counts: restricting a plan to the loss's rows
+    builds no plan, runs no extra pass and projects H0 once per pass."""
+    g, split = generate_planted_hin(SyntheticSpec(
+        node_counts={"Movie": 40, "Actor": 12}, target_type="Movie",
+        relations=[("M-A", "Movie", "Actor"), ("A-M", "Actor", "Movie")],
+        out_degree={"M-A": 2, "A-M": 2}, planted_path=("M-A",),
+        train_count=16, val_count=12))
+    K, T, B = 5, 2, 3
+    cfg = TrainConfig(variant=variant, rounds=K, max_timesteps=T, inner_rounds=B, node_batch=8,
+                      hidden_dim=8, heads=2)
+    tracer = _load_tracing().Tracer()
+    with tracer.installed():
+        pipeline.run(cfg, g, split)
+    summary = tracer.summarize()
+    plans = K * (T + 1) if variant == "rl-hgnn" else K
+    train = plans * B if variant == "rl-hgnn" else plans
+    cycles = 0 if variant == "rl-hgnn" else -(-K // T)  # the fast loop projects each new batch
+    assert summary["aggplan.build_plan"].calls == plans
+    assert summary["model.hgnn_forward.train"].calls == train
+    assert summary["model.hgnn_forward.eval"].calls == plans
+    assert summary["model.project_attributes"].calls == train + plans + cycles
