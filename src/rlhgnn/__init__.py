@@ -35,7 +35,6 @@ from .hin import (
     ValidationReport,
     build_graph,
     load_hin,
-    neighbors,
     save_hin,
     split_nodes,
     validate_hin,
@@ -46,7 +45,6 @@ from .metapath import (
     MetaPath,
     arrived_mean,
     expand_frontier,
-    extend_path,
     valid_actions,
 )
 from .model import (
@@ -54,7 +52,6 @@ from .model import (
     backward,
     classify,
     cross_entropy,
-    finite_diff_check,
     hgnn_forward,
     init_adam,
     init_params,

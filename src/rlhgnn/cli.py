@@ -48,13 +48,6 @@ def _load_split(path: Path, labels: np.ndarray) -> DataSplit:
         lambda k: f"{path}: split key {k!r}", lambda k: f"{path}: split lacks key {k!r}",
         shown=lambda ids: repr(next(i for i in ids if not node.ok(i))
                                if isinstance(ids, list) else ids))
-    owner: dict[int, str] = {}
-    for key, ids in lists.items():
-        for i in ids:
-            if i in owner:
-                raise ValueError(f"{path}: split key {key!r} repeats node id {i} "
-                                 f"of key {owner[i]!r}")
-            owner[i] = key
     split = DataSplit(**{k: np.asarray(ids, dtype=np.int64) for k, ids in lists.items()})
     split.need_labels(labels, where=f"{path}: ")
     return split

@@ -235,7 +235,15 @@ class DataSplit:
     def need_labels(self, labels: np.ndarray, keys=("train", "validation", "test"),
                     where: str = "") -> None:
         """Raise ValueError naming the key and the first id under `keys` that
-        is no row of `labels`, or whose node has no label (-1)."""
+        repeats an id of the same or an earlier key, is no row of `labels`,
+        or whose node has no label (-1)."""
+        owner: dict[int, str] = {}
+        for key in keys:
+            for i in getattr(self, key).tolist():
+                if i in owner:
+                    raise ValueError(f"{where}split key {key!r} repeats node id {i} "
+                                     f"of key {owner[i]!r}")
+                owner[i] = key
         n = len(labels)
         for key in keys:
             ids = getattr(self, key)
@@ -370,20 +378,6 @@ def validate_hin(g: HinGraph) -> ValidationReport:
     if g.num_classes < 1:
         report.add("num_classes must be >= 1")
     return report
-
-
-def neighbors(g: HinGraph, node: NodeId, relation: str) -> np.ndarray:
-    """Targets of `relation` edges leaving `node`, ascending, duplicates kept."""
-    r = g.schema.relation(relation)
-    node_type, local = node
-    if node_type != r.src:
-        raise SchemaError(
-            f"node type {node_type!r} does not match relation {relation!r} source {r.src!r}"
-        )
-    indptr, indices = g.edges[relation]
-    if not 0 <= local < g.num_nodes[node_type]:
-        raise SchemaError(f"node id {local} out of range for type {node_type!r}")
-    return indices[indptr[local]:indptr[local + 1]]
 
 
 def split_nodes(g: HinGraph, counts: tuple[int | None, int | None], seed: int) -> DataSplit:

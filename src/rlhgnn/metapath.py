@@ -77,17 +77,6 @@ def valid_actions(schema: HinSchema, terminal_type: str, at_max_depth: bool) -> 
     return mask
 
 
-def extend_path(path: MetaPath, relation: str, schema: HinSchema) -> MetaPath:
-    """Return a new path with `relation` appended; the original is unchanged."""
-    r = schema.relation(relation)
-    if r.src != path.end_type(schema):
-        raise SchemaError(
-            f"cannot extend: relation {relation!r} starts at {r.src!r}, "
-            f"path terminal is {path.end_type(schema)!r}"
-        )
-    return MetaPath(path.start_type, path.relations + (relation,))
-
-
 @dataclass(frozen=True)
 class Frontier:
     """Nodes one episode reached at its current step, plus the edges it

@@ -1,6 +1,5 @@
 """Dense neural stack with exact gradients: type projections, shared
-attention aggregators, classifier head, losses, Adam, checkpoints and a
-finite-difference gradient checker.
+attention aggregators, classifier head, losses, Adam and checkpoints.
 
 There are exactly T aggregator parameter sets; layer l of every plan runs
 parameter set l, whatever the episode lengths are, so aggregator parameters
@@ -35,19 +34,45 @@ over the whole plan, by these rules:
 - A[idx] @ W keeps the row bits of A @ W for 2 or more rows. A lone row
   goes to another kernel, so where the whole layer has more rows it is
   multiplied as two rows.
-- The backward's S.T @ g_X and g_X @ W.T run over all of the whole layer's
-  traversals, with zero rows outside the kept ones: with fewer rows, BLAS
-  blocks or dispatches the products otherwise and their bits change. Only
-  the kept rows of g_X @ W.T are used.
+- The backward's S.T @ g_X and g_X @ W.T must give the bits of the products
+  over all of the whole layer's n traversals with zero rows outside the
+  kept ones. In layers of d >= 64 that keep 32 or more traversals they are
+  compacted to the kept rows:
+  - g_X @ W.T is multiplied over the kept rows alone, which keeps their row
+    bits from 32 rows up at d = 64 and 128 (fewer rows can take a
+    small-matrix kernel).
+  - S.T @ g_X is summed as OpenBLAS's single-threaded level-3 driver sums
+    an n-long inner dimension: in blocks of Q = 384, except that a
+    remainder r with Q < r < 2Q is split in two, the first part r // 2
+    rounded up to a multiple of 16. Each block's kept rows, contiguous
+    slices of the kept arrays, are multiplied alone; empty blocks are
+    skipped, and the block products summed in order.
+  A check run once per process compares both compacted products with the
+  padded ones on 1,000 traversals of d = 128. Where it fails, as with a
+  multi-threaded BLAS or one with other block sizes, and in every other
+  layer, the products run over all n traversals with zero rows.
 - Every other operation is per row, per step or a sum in which the left-out
   traversals would add zeros.
+
+A pass that records no tape and draws no dropout masks, the eval pass,
+multiplies by W before it gathers. Where prev has 2 or more rows but fewer
+than the traversals, the sources' products are (prev @ W)[src_rows]; at
+layer 1 prev is H0, and that one product serves the targets too. Otherwise
+each step's target row is multiplied once, and its a_dst logit repeated
+over the step's traversals; the per-traversal target products are built
+only when the messages read them. A recorded pass never does this: its
+backward reads the per-traversal products.
+
 tests/test_restricted_pass.py pins these BLAS behaviours for layers of 2
-to 7,000 traversals, which covers the largest layers of the scale-pp
-benchmark workload (6,658); where one fails, the restriction changes bits
-there.
+to 7,000 traversals and matrices of up to 3,800 rows multiplied first,
+which covers the largest layers of the scale-pp benchmark workload (6,658
+traversals, ~3,800 H0 rows), with BLAS on one thread as the benchmark runs
+it; where one fails, the restriction or the multiply-first pass changes
+bits there.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -200,6 +225,84 @@ def _times(a: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     return a @ w
 
 
+# OpenBLAS's K block for double GEMM (GEMM_Q) and the unroll that rounds a
+# halved remainder (GEMM_UNROLL_M), in the single-threaded level-3 driver
+_GEMM_Q, _GEMM_UNROLL_M = 384, 16
+# the backward compacts layers of d >= 64 that keep >= 32 traversals: below
+# these the compacted products differ (tests/test_restricted_pass.py)
+_COMPACT_MIN_D, _COMPACT_MIN_ROWS = 64, 32
+
+
+def _k_blocks(n: int) -> np.ndarray:
+    """Bounds of the blocks in which OpenBLAS's level-3 driver sums an
+    n-long inner dimension, by the block rule in the module docstring."""
+    bounds = [0]
+    while bounds[-1] < n:
+        r = n - bounds[-1]
+        if r >= 2 * _GEMM_Q:
+            r = _GEMM_Q
+        elif r > _GEMM_Q:
+            r = -(-(r // 2) // _GEMM_UNROLL_M) * _GEMM_UNROLL_M
+        bounds.append(bounds[-1] + r)
+    return np.array(bounds)
+
+
+def _blocked_tn(a: np.ndarray, b: np.ndarray, kept: np.ndarray, n: int) -> np.ndarray:
+    """a.T @ b, where a and b are the rows `kept` (ascending, at least one)
+    of two n-row matrices whose other rows are zero, with the bits of the
+    n-row product: per block of _k_blocks(n), the kept rows in it are
+    multiplied alone, and the block products are summed in order."""
+    cuts = np.searchsorted(kept, _k_blocks(n))
+    out = None
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if lo < hi:
+            part = a[lo:hi].T @ b[lo:hi]
+            if out is None:
+                out = part
+            else:
+                out += part
+    return out
+
+
+@functools.cache
+def _compaction_holds() -> bool:
+    """Whether this process's BLAS gives the compacted backward products
+    the padded ones' bits, on 250 kept of 1,000 traversals of d = 128: its
+    blocks of 384, 320 and 296 include a halved remainder."""
+    rng = np.random.default_rng(0)
+    n, d = 1000, 128
+    kept = np.sort(rng.choice(n, size=250, replace=False))
+    S, G = rng.normal(size=(len(kept), d)), rng.normal(size=(len(kept), d))
+    W = rng.normal(size=(d, d))
+    G_pad = _spread(G, kept, n)
+    return (_blocked_tn(S, G, kept, n).tobytes() == (_spread(S, kept, n).T @ G_pad).tobytes()
+            and (G @ W.T).tobytes() == (G_pad @ W.T)[kept].tobytes())
+
+
+def _multiply_first(
+    prev: np.ndarray, h0: np.ndarray, ix: LayerIndex, W: np.ndarray, n: int,
+    a_dst: np.ndarray, messages_from_target: bool,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """An unrecorded pass's W products without dropout, multiplied before
+    they are gathered: WS = (prev @ W)[ix.src_rows] where prev has 2 or
+    more rows but fewer than the gather, and each step's target row
+    multiplied once. Returns WS, the per-traversal WT when the messages
+    read it (else None), and the per-traversal a_dst logits; each has the
+    bits of the gather-first products, since A[idx] @ W keeps the row bits
+    of A @ W for 2 or more rows."""
+    heads, hd = a_dst.shape
+    starts, lengths = ix.starts, ix.lengths
+    PW = prev @ W if 2 <= len(prev) < len(ix.src_rows) else None
+    WS = _times(prev[ix.src_rows], W, n) if PW is None else PW[ix.src_rows]
+    tgt = ix.tgt_rows[starts]  # a step's traversals share its target
+    # at layer 1 prev is H0, so one product serves both sides
+    WT = PW[tgt] if PW is not None and prev is h0 else _times(h0[tgt], W, n)
+    WT = WT.reshape(-1, heads, hd)
+    s_dst = np.repeat((WT * a_dst).sum(axis=2), lengths, axis=0)
+    WT = np.repeat(WT, lengths, axis=0) if messages_from_target else None
+    return WS.reshape(-1, heads, hd), WT, s_dst
+
+
 def _layer_forward(
     params: HgnnParams,
     layer: int,
@@ -216,14 +319,20 @@ def _layer_forward(
     once: head h is column block h*hd:(h+1)*hd. n is the traversal count of
     the whole plan's layer when ix keeps only some. Returns the outputs and
     what _layer_backward needs; S and T0 are freed as soon as W has mapped
-    them."""
+    them. A pass that records nothing and draws no masks multiplies before
+    it gathers (_multiply_first); a recorded one never does, since its
+    backward reads the per-traversal WT."""
     heads, hd, keep = params.heads, params.head_dim, 1.0 - params.dropout
     W, a_src, a_dst = (v.value for v in _layer_params(params, layer))
     starts, lengths = ix.starts, ix.lengths
     n = len(ix.src_rows) if n is None else n
-    WS = _times(_gather(prev, ix.src_rows, masks[0], keep), W, n).reshape(-1, heads, hd)
-    WT = _times(_gather(h0, ix.tgt_rows, masks[1], keep), W, n).reshape(-1, heads, hd)
-    s = (WS * a_src).sum(axis=2) + (WT * a_dst).sum(axis=2)  # (traversals, heads)
+    if masks[0] is None and masks[1] is None and not ad.recording():
+        WS, WT, s_dst = _multiply_first(prev, h0, ix, W, n, a_dst, messages_from_target)
+    else:
+        WS = _times(_gather(prev, ix.src_rows, masks[0], keep), W, n).reshape(-1, heads, hd)
+        WT = _times(_gather(h0, ix.tgt_rows, masks[1], keep), W, n).reshape(-1, heads, hd)
+        s_dst = (WT * a_dst).sum(axis=2)
+    s = (WS * a_src).sum(axis=2) + s_dst  # (traversals, heads)
     up = s > 0
     e = np.where(up, s, LEAKY_SLOPE * s)
     seg_max = np.maximum.reduceat(e, starts, axis=0)  # shift-invariant, no grad
@@ -255,10 +364,12 @@ def _layer_backward(
     gathered again from prev and h0 with the same masks, so their bits are
     the forward's. Each (traversals, d) array is dropped at its last use;
     the side whose W product carried the messages goes first, so that
-    gradient dies early. The products S.T @ g_X and g_X @ W.T run over the
-    whole plan's n traversals, the `kept` ones and zero rows, for the bits
-    of the whole plan's layer. Returns the gradients of prev's rows, of h0's
-    rows through the targets, and of W, attn_src and attn_dst."""
+    gradient dies early. The products S.T @ g_X and g_X @ W.T have the bits
+    of the whole plan's layer: compacted to the `kept` traversals where the
+    module docstring's rules allow, else over the whole plan's n traversals
+    with zero rows outside the kept ones. Returns the gradients of prev's
+    rows, of h0's rows through the targets, and of W, attn_src and
+    attn_dst."""
     mask_s, mask_t, WS, WT, up, z, den, alpha, on = saves.pop()
     heads, hd, d, keep = params.heads, params.head_dim, params.d, 1.0 - params.dropout
     W, a_src, a_dst = (v.value for v in _layer_params(params, layer))
@@ -285,6 +396,7 @@ def _layer_backward(
     if messages_from_target:
         sides.reverse()
     del mask_s, mask_t
+    compact = d >= _COMPACT_MIN_D and _COMPACT_MIN_ROWS <= len(kept) < n and _compaction_holds()
     scattered = []
     for first in (True, False):
         rows, idx, mask, a = sides.pop(0)
@@ -292,10 +404,15 @@ def _layer_backward(
         if first:
             g_X += g_msgs
             del g_msgs
-        g_X = _spread(g_X.reshape(-1, d), kept, n)
-        g_W_part = _spread(_gather(rows, idx, mask, keep), kept, n).T @ g_X
+        g_X = g_X.reshape(-1, d)
+        if compact:
+            g_W_part = _blocked_tn(_gather(rows, idx, mask, keep), g_X, kept, n)
+            g_X = g_X @ W.T
+        else:
+            g_X = _spread(g_X, kept, n)
+            g_W_part = _spread(_gather(rows, idx, mask, keep), kept, n).T @ g_X
+            g_X = _kept(g_X @ W.T, kept)
         g_W = g_W_part if first else g_W + g_W_part
-        g_X = _kept(g_X @ W.T, kept)
         if mask is not None:
             g_X *= mask / keep
         scattered.append(_scatter_rows(g_X, idx, len(rows)))
@@ -534,49 +651,6 @@ def optimizer_step(params: list[ad.Var], grads: list[np.ndarray], state: AdamSta
     g *= state.lr
     for p, step in zip(params, state.step):
         p.value -= step
-
-
-def finite_diff_check(
-    params: list[ad.Var],
-    loss_fn,
-    eps: float = 1e-5,
-    num_coords: int = 200,
-    seed: int = 0,
-) -> float:
-    """Max relative error between recorded gradients and central differences.
-
-    loss_fn() must rebuild the graph from the current parameter values and
-    return the scalar loss Var. Relative error per coordinate is
-    |g_ad - g_fd| / max(1e-6, |g_ad| + |g_fd|).
-    """
-    if eps <= 0:
-        raise ValueError("finite-difference step must be positive")
-    loss = loss_fn()
-    if not np.isfinite(loss.value):
-        raise ValueError("non-finite loss")
-    grads = backward(loss, params)
-    sizes = np.array([p.value.size for p in params])
-    total = int(sizes.sum())
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(total, size=min(num_coords, total), replace=False)
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    worst = 0.0
-    for flat in np.sort(picks):
-        pi = int(np.searchsorted(bounds, flat, side="right") - 1)
-        local = int(flat - bounds[pi])
-        p = params[pi]
-        idx = np.unravel_index(local, p.value.shape)
-        orig = p.value[idx]
-        p.value[idx] = orig + eps
-        up = float(loss_fn().value)
-        p.value[idx] = orig - eps
-        down = float(loss_fn().value)
-        p.value[idx] = orig
-        g_fd = (up - down) / (2 * eps)
-        g_ad = float(grads[pi][idx])
-        err = abs(g_ad - g_fd) / max(1e-6, abs(g_ad) + abs(g_fd))
-        worst = max(worst, err)
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,11 @@ from rlhgnn.aggplan import (
     _surviving_edges,
 )
 from rlhgnn.agent import _FIELDS, ReplayBuffer, TransitionBatch
-from rlhgnn.hin import HinGraph, HinSchema, NodeId, RelationType, build_graph
+from rlhgnn.hin import HinGraph, HinSchema, NodeId, RelationType, SchemaError, build_graph
 from rlhgnn.metapath import (
     Frontier,
     MetaPath,
     expand_frontier,
-    extend_path,
     stop_index,
     valid_actions,
 )
@@ -969,3 +968,75 @@ def attention_coefficients(
     e = e - e.max()
     z = np.exp(e)
     return z / z.sum()
+
+
+# ---------------------------------------------------------------------------
+# Graph, path and gradient tools that only the tests call
+
+
+def neighbors(g: HinGraph, node: NodeId, relation: str) -> np.ndarray:
+    """Targets of `relation` edges leaving `node`, ascending, duplicates kept."""
+    r = g.schema.relation(relation)
+    node_type, local = node
+    if node_type != r.src:
+        raise SchemaError(
+            f"node type {node_type!r} does not match relation {relation!r} source {r.src!r}"
+        )
+    indptr, indices = g.edges[relation]
+    if not 0 <= local < g.num_nodes[node_type]:
+        raise SchemaError(f"node id {local} out of range for type {node_type!r}")
+    return indices[indptr[local]:indptr[local + 1]]
+
+
+def extend_path(path: MetaPath, relation: str, schema: HinSchema) -> MetaPath:
+    """Return a new path with `relation` appended; the original is unchanged."""
+    r = schema.relation(relation)
+    if r.src != path.end_type(schema):
+        raise SchemaError(
+            f"cannot extend: relation {relation!r} starts at {r.src!r}, "
+            f"path terminal is {path.end_type(schema)!r}"
+        )
+    return MetaPath(path.start_type, path.relations + (relation,))
+
+
+def finite_diff_check(
+    params: list[ad.Var],
+    loss_fn,
+    eps: float = 1e-5,
+    num_coords: int = 200,
+    seed: int = 0,
+) -> float:
+    """Max relative error between recorded gradients and central differences.
+
+    loss_fn() must rebuild the graph from the current parameter values and
+    return the scalar loss Var. Relative error per coordinate is
+    |g_ad - g_fd| / max(1e-6, |g_ad| + |g_fd|).
+    """
+    if eps <= 0:
+        raise ValueError("finite-difference step must be positive")
+    loss = loss_fn()
+    if not np.isfinite(loss.value):
+        raise ValueError("non-finite loss")
+    grads = backward(loss, params)
+    sizes = np.array([p.value.size for p in params])
+    total = int(sizes.sum())
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(total, size=min(num_coords, total), replace=False)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    worst = 0.0
+    for flat in np.sort(picks):
+        pi = int(np.searchsorted(bounds, flat, side="right") - 1)
+        local = int(flat - bounds[pi])
+        p = params[pi]
+        idx = np.unravel_index(local, p.value.shape)
+        orig = p.value[idx]
+        p.value[idx] = orig + eps
+        up = float(loss_fn().value)
+        p.value[idx] = orig - eps
+        down = float(loss_fn().value)
+        p.value[idx] = orig
+        g_fd = (up - down) / (2 * eps)
+        g_ad = float(grads[pi][idx])
+        err = abs(g_ad - g_fd) / max(1e-6, abs(g_ad) + abs(g_fd))
+        worst = max(worst, err)
+    return worst

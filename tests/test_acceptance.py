@@ -10,6 +10,7 @@ from helpers import (
     attention_coefficients,
     const,
     fifo_rows,
+    finite_diff_check,
     imdb_like_graph,
     random_hin,
     stack_transitions,
@@ -32,7 +33,6 @@ from rlhgnn.metapath import Frontier, MetaPath
 from rlhgnn.model import (
     classify,
     cross_entropy,
-    finite_diff_check,
     hgnn_forward,
     init_params,
 )

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import imdb_like_graph, imdb_like_schema, random_hin, save_csv_triples
+from helpers import imdb_like_graph, imdb_like_schema, neighbors, random_hin, save_csv_triples
 from rlhgnn.hin import (
     HinSchema,
     RelationType,
     SchemaError,
     build_graph,
     load_hin,
-    neighbors,
     save_hin,
     split_nodes,
     validate_hin,

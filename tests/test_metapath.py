@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from helpers import imdb_like_graph, imdb_like_schema, random_hin
+from helpers import extend_path, imdb_like_graph, imdb_like_schema, random_hin
 from rlhgnn.hin import HinSchema, RelationType, SchemaError, build_graph
 from rlhgnn.metapath import (
     DeadEndError,
@@ -10,7 +10,6 @@ from rlhgnn.metapath import (
     MetaPath,
     arrived_mean,
     expand_frontier,
-    extend_path,
     stop_index,
     valid_actions,
 )

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     attention_coefficients,
     const,
+    finite_diff_check,
     graphs_and_episodes,
     imdb_like_graph,
     matmul,
@@ -33,7 +34,6 @@ from rlhgnn.model import (
     backward,
     classify,
     cross_entropy,
-    finite_diff_check,
     hgnn_forward,
     init_adam,
     init_params,

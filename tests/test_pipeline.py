@@ -666,6 +666,24 @@ def test_a_split_holding_an_unlabelled_node_is_rejected_before_any_round(variant
 
 
 @pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
+def test_a_split_that_holds_an_id_twice_is_rejected_before_any_round(variant, monkeypatch):
+    """A training node also in validation would be trained on and scored in
+    the reward and the best-round metric; both loops name it, with the
+    message split.json gets, as they do an id held twice in one key."""
+    from rlhgnn import pipeline
+
+    g, split = generate_planted_hin(planted_spec_1hop())
+    node = int(split.train[2])
+    monkeypatch.setattr(pipeline, "build_plan", lambda *a: pytest.fail("a round ran"))
+    cfg = small_cfg(variant=variant, rounds=2)
+    for key in ("validation", "train"):
+        twice = replace(split, **{key: np.append(getattr(split, key), node)})
+        with pytest.raises(ValueError,
+                           match=f"^split key '{key}' repeats node id {node} of key 'train'$"):
+            run(cfg, g, twice)
+
+
+@pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
 def test_the_loops_restrict_each_plan_once_to_the_training_rows(variant, monkeypatch):
     """The base loop restricts its timestep's plan once and trains it B
     times; the fast loop restricts each round's plan once. Every restriction

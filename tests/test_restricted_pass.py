@@ -1,6 +1,12 @@
 """The train pass over a plan restricted to the loss's episodes gives the
-whole plan's loss and gradients bit for bit, and the BLAS behaviour that
-rests on holds on this machine."""
+whole plan's loss and gradients bit for bit, the unrecorded eval pass that
+multiplies before it gathers gives the gather-first pass's bits, and the
+BLAS behaviour both rest on holds on this machine."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +17,19 @@ from rlhgnn import autodiff as ad
 from rlhgnn.aggplan import Episode, build_plan, restrict
 from rlhgnn.hin import HinSchema, RelationType, build_graph
 from rlhgnn.metapath import Frontier, MetaPath, expand_frontier
-from rlhgnn.model import _times, backward, classify, cross_entropy, hgnn_forward, init_params
+from rlhgnn import model
+from rlhgnn.model import (
+    _blocked_tn,
+    _compaction_holds,
+    _k_blocks,
+    _spread,
+    _times,
+    backward,
+    classify,
+    cross_entropy,
+    hgnn_forward,
+    init_params,
+)
 from rlhgnn.pipeline import random_legal_episodes
 
 DIMS = [(8, 1), (8, 2), (8, 8), (32, 1), (32, 4), (32, 8), (128, 2), (128, 8)]
@@ -196,3 +214,207 @@ def test_the_restricted_train_step_keeps_the_bits_on_layers_of_600_to_1100_trave
     params = init_params(g.schema, g.num_classes, 3, d=32, heads=4, dropout=0.5, seed=2)
     for rows in (np.arange(0, 120, 5), np.arange(0, 120, 2), np.array([7])):
         assert_same_bits(params, g, plan, rows, 3, mft)
+
+
+# ---------------------------------------------------------------------------
+# The compacted train backward and the multiply-first eval pass
+
+
+def _kept_sets(n: int, rng: np.random.Generator):
+    """Kept traversals of an n-traversal layer, ascending: 1 to all of them,
+    scattered or in runs, and one kept row in some K blocks."""
+    for m in sorted({1, 2, 31, 32, 33, n // 4, n // 2, n - 1, n}):
+        if 1 <= m <= n:
+            yield np.sort(rng.choice(n, size=m, replace=False))
+    runs = np.flatnonzero(np.repeat(rng.random(n // 4 + 1) < 0.3, 4)[:n])  # runs of 4
+    if len(runs):
+        yield runs
+    bounds = _k_blocks(n)
+    yield bounds[:-1]  # each block's first row alone
+    lone = bounds[-2]  # the last block's first row, and every row of the others
+    yield np.concatenate([np.arange(lone), [lone]])
+
+
+# The layer sizes of _kept_sets: around one block of 384, the halved
+# remainders between 384 and 768, and up to the largest layers.
+BLOCK_ROWS = [32, 100, 384, 385, 500, 767, 768, 769, 1000, 1153, 1500, 2907, 6658, 7000]
+
+
+def pin_the_blocked_product_keeps_the_padded_bits(d: int, n: int) -> None:
+    """The backward's S.T @ g_X over the kept rows, summed block by block of
+    _k_blocks(n), gives the bits of the product over all n rows with zero
+    rows outside the kept ones."""
+    rng = np.random.default_rng(d * 7001 + n)
+    for kept in _kept_sets(n, rng):
+        S, G = rng.normal(size=(len(kept), d)), rng.normal(size=(len(kept), d))
+        want = _spread(S, kept, n).T @ _spread(G, kept, n)
+        assert _blocked_tn(S, G, kept, n).tobytes() == want.tobytes(), (d, n, len(kept))
+
+
+@pytest.mark.parametrize("d", [64, 128])
+@pytest.mark.parametrize("n", ROWS)
+def test_the_kept_rows_of_a_backward_product_keep_their_bits_from_32_rows(d, n):
+    """g_X @ W.T over 32 or more kept rows gives their rows of the product
+    over all n rows with zero rows outside the kept ones."""
+    rng = np.random.default_rng(d * 6007 + n)
+    W = rng.normal(size=(d, d))
+    for kept in _kept_sets(n, rng):
+        if len(kept) >= 32:
+            G = rng.normal(size=(len(kept), d))
+            assert (G @ W.T).tobytes() == (_spread(G, kept, n) @ W.T)[kept].tobytes(), len(kept)
+
+
+# (rows of the matrix multiplied first, rows gathered from it): H0 of the
+# scale-pp benchmark workload reaches ~3,800 rows, its layers 6,658 traversals
+GATHERS = [(2, 3), (3, 40), (9, 130), (130, 523), (523, 600), (1500, 2907), (2907, 6658),
+           (3800, 6658), (3800, 7000), (6999, 7000)]
+
+
+@pytest.mark.parametrize("d", [8, 16, 32, 64, 128])
+@pytest.mark.parametrize("k, m", GATHERS)
+def test_multiplying_before_gathering_keeps_the_gathered_products_bits(d, k, m):
+    """(A @ W)[idx] gives the bits of A[idx] @ W for a k-row A with 2 <= k <
+    len(idx), and a step's target rows multiplied once, a lone one as two
+    rows, give the bits of every traversal's row."""
+    rng = np.random.default_rng(d * 1009 + k)
+    A, W = rng.normal(size=(k, d)), rng.normal(size=(d, d))
+    idx = rng.integers(0, k, size=m)
+    assert (A @ W)[idx].tobytes() == (A[idx] @ W).tobytes()
+    for steps in (1, 2, m // 3):
+        targets = rng.integers(0, k, size=steps)
+        lengths = np.diff(np.sort(np.concatenate([[0, m], rng.choice(np.arange(1, m), steps - 1,
+                                                                     replace=False)])))
+        got = np.repeat(_times(A[targets], W, m), lengths, axis=0)
+        assert got.tobytes() == (A[np.repeat(targets, lengths)] @ W).tobytes(), steps
+
+
+def compacted_backward_case(mft: bool) -> int:
+    """Restricted train steps on layers of 600 to 1,100 traversals at d = 64
+    and 128, checked against the whole plan's: returns how many layer
+    products took the compacted path."""
+    g = imdb_like_graph(n_m=120, n_d=20, n_a=60, seed=4, edges_per_node=5)
+    plan = build_plan(g, random_legal_episodes(g, np.arange(120), 3, seed=2))
+    _compaction_holds()  # its own product is no layer's
+    calls = []
+    blocked = model._blocked_tn
+    model._blocked_tn = lambda *a: calls.append(1) or blocked(*a)
+    try:
+        for d, heads in ((64, 4), (128, 8)):
+            for dropout in (0.0, 0.5):
+                params = init_params(g.schema, g.num_classes, 3, d=d, heads=heads,
+                                     dropout=dropout, seed=2)
+                for rows in (np.arange(0, 120, 5), np.arange(0, 120, 2), np.array([7])):
+                    assert_same_bits(params, g, plan, rows, 3, mft)
+    finally:
+        model._blocked_tn = blocked
+    return len(calls)
+
+
+@pytest.mark.parametrize("mft", [False, True])
+def test_the_compacted_backward_keeps_the_whole_plans_bits(mft):
+    """Where the once-per-process check holds, layers of d >= 64 that keep
+    32 or more traversals take the compacted products; where it fails, as
+    with a multi-threaded BLAS, they keep the padded ones. Either way the
+    loss and every gradient keep their bits."""
+    assert (compacted_backward_case(mft) > 0) == _compaction_holds()
+
+
+def single_threaded_pins() -> None:
+    """The compacted path's pins as the benchmark runs, with BLAS on one
+    thread: there the once-per-process check holds, the backward takes the
+    compacted products and gives the whole plan's bits, and a BLAS with
+    another K block fails the check."""
+    assert _compaction_holds()
+    for d in (64, 128):
+        for n in BLOCK_ROWS:
+            pin_the_blocked_product_keeps_the_padded_bits(d, n)
+        for n in ROWS:
+            test_the_kept_rows_of_a_backward_product_keep_their_bits_from_32_rows(d, n)
+    for d in (8, 16, 32, 64, 128):
+        for k, m in GATHERS:
+            test_multiplying_before_gathering_keeps_the_gathered_products_bits(d, k, m)
+        for n in ROWS:
+            test_a_row_of_a_product_keeps_its_bits_when_other_rows_are_dropped(d, n)
+    for mft in (False, True):
+        assert compacted_backward_case(mft) > 0
+    q, model._GEMM_Q = model._GEMM_Q, 256
+    model._compaction_holds.cache_clear()
+    try:
+        assert not _compaction_holds()
+    finally:
+        model._GEMM_Q = q
+        model._compaction_holds.cache_clear()
+
+
+def test_the_blas_pins_hold_with_blas_on_one_thread():
+    """single_threaded_pins in a new interpreter whose BLAS runs one thread."""
+    here = Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here), str(here.parent / "src")]),
+           **dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")}
+    done = subprocess.run(
+        [sys.executable, "-c", "import test_restricted_pass as t; t.single_threaded_pins()"],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+
+
+def eval_outputs(params, g, plan, mft: bool, recorded: bool) -> bytes:
+    if recorded:  # a recorded pass gathers before it multiplies
+        return hgnn_forward(params, g, plan, "eval", 0, mft).outputs.value.tobytes()
+    with ad.no_grad():
+        return hgnn_forward(params, g, plan, "eval", 0, mft).outputs.value.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(graphs_and_episodes(), st.sampled_from(DIMS), st.booleans())
+def test_the_unrecorded_eval_pass_gives_the_gather_first_bits(case, dims, mft):
+    g, episodes, _ = case
+    d, heads = dims
+    params = init_params(g.schema, g.num_classes, 3, d=d, heads=heads, dropout=0.5, seed=1)
+    plan = build_plan(g, episodes)
+    assert eval_outputs(params, g, plan, mft, False) == eval_outputs(params, g, plan, mft, True)
+
+
+def _parallel_edge_graph():
+    """Node 0's one neighbour is node 1, by two parallel edges; every other
+    node has three neighbours."""
+    rng = np.random.default_rng(3)
+    schema = HinSchema(("T",), (RelationType("r", "T", "T"),), {"T": 3})
+    edges = [(0, 1), (0, 1)] + [(s, int(t)) for s in range(1, 6)
+                                for t in rng.choice(6, size=3, replace=False)]
+    return build_graph(schema, {"T": 6}, {"r": edges}, {"T": rng.normal(size=(6, 3))}, "T", 2,
+                       rng.integers(0, 2, size=6))
+
+
+@pytest.mark.parametrize("dims", [(8, 8), (32, 4), (128, 8)])
+@pytest.mark.parametrize("mft", [False, True])
+def test_the_unrecorded_eval_pass_keeps_the_bits_of_one_step_layers_and_a_one_row_prev(dims, mft):
+    """Episode (0, 2) alone: layer 1 is one step of three traversals; layer 2
+    is one step whose two traversals read layer 1's one row, which is
+    gathered before it is multiplied. With episode (2, 2), layer 2 reads a
+    prev of two or more rows."""
+    g = _parallel_edge_graph()
+    for spec in ([(0, 2)], [(0, 2), (2, 2)]):
+        plan = build_plan(g, [_episode(g, s, n) for s, n in spec])
+        if len(spec) == 1:
+            assert [len(ix.starts) for ix in plan.index] == [1, 1]
+            assert len(plan.index[1].src_rows) == 2
+        params = init_params(g.schema, 2, 3, d=dims[0], heads=dims[1], seed=4)
+        assert eval_outputs(params, g, plan, mft, False) == eval_outputs(params, g, plan, mft, True)
+
+
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_a_recorded_pass_without_dropout_never_multiplies_first(mode, monkeypatch):
+    """Its backward reads every traversal's target product, which the
+    multiply-first path does not build."""
+    g = _parallel_edge_graph()
+    plan = build_plan(g, [_episode(g, s, n) for s, n in [(0, 2), (2, 2), (3, 1)]])
+    params = init_params(g.schema, 2, 3, d=32, heads=4, dropout=0.0, seed=4)
+    calls = []
+    monkeypatch.setattr(model, "_multiply_first", lambda *a: calls.append(1))
+    outputs = hgnn_forward(params, g, plan, mode, 1).outputs
+    loss = cross_entropy(classify(params, outputs), np.zeros(3, dtype=np.int64), np.arange(3))
+    backward(loss, params.all_vars())
+    assert not calls
+    with ad.no_grad(), pytest.raises(TypeError):  # the stub returns no products
+        hgnn_forward(params, g, plan, mode, 1)
+    assert calls
