@@ -32,12 +32,10 @@ from .hin import (
     HinSchema,
     RelationType,
     SchemaError,
-    ValidationReport,
     build_graph,
     load_hin,
     save_hin,
     split_nodes,
-    validate_hin,
 )
 from .metapath import (
     DeadEndError,

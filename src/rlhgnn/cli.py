@@ -86,8 +86,10 @@ def cmd_eval(args) -> int:
         cfg = pl.TrainConfig.from_dict(json.load(f))
     params = nn.load_params(run_dir / "model.bin")
     agent = rl.load_agent(run_dir / "agent.bin")
-    split = _load_split(run_dir / "split.json", g.labels)
-    nodes = split.test if len(split.test) else g.labelled_nodes()
+    split_path = run_dir / "split.json"
+    nodes = _load_split(split_path, g.labels).test
+    if not len(nodes):
+        raise ValueError(f"{split_path}: split key 'test' holds no node id to evaluate")
     preds = pl.predict(params, agent, g, cfg, nodes)
     micro, macro = pl.evaluate_f1(preds, g.labels, nodes)
     print(f"test nodes: {len(nodes)}")

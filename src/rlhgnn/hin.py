@@ -1,4 +1,4 @@
-"""Typed heterogeneous graph data model, validation, file ingestion and splits.
+"""Typed heterogeneous graph data model, file ingestion and splits.
 
 Node ids are dense and zero-based per type; a full node id is the pair
 (type name, local id). Graphs are immutable after construction and safe to
@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import MISSING, dataclass, field
+import math
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass
 from operator import index
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -113,6 +115,15 @@ def read_object(cls, doc):
     return obj
 
 
+def need_known(field: str, names, known, kind: str) -> None:
+    """Raise SchemaError unless each of `names`, field's value, is one of
+    `known`, the names of every `kind` (a relation or a node type)."""
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        raise SchemaError(f"{field} names no {kind}: {', '.join(map(repr, unknown))} "
+                          f"({kind}s: {', '.join(map(repr, known))})")
+
+
 @dataclass(frozen=True)
 class RelationType:
     name: str
@@ -155,11 +166,7 @@ class HinSchema:
 
     def need_relations(self, field: str, names) -> None:
         """Raise SchemaError unless each of `names`, field's value, names a relation."""
-        known = [r.name for r in self.relation_types]
-        unknown = [n for n in names if n not in known]
-        if unknown:
-            raise SchemaError(f"{field} names no relation: {', '.join(map(repr, unknown))} "
-                              f"(relations: {', '.join(map(repr, known))})")
+        need_known(field, names, [r.name for r in self.relation_types], "relation")
 
     def relations_from(self, node_type: str) -> list[RelationType]:
         if node_type not in self.node_types:
@@ -207,24 +214,6 @@ class HinGraph:
 
 
 @dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def add(self, message: str) -> None:
-        self.violations.append(message)
-
-    def __iter__(self):
-        return iter(self.violations)
-
-    def __len__(self):
-        return len(self.violations)
-
-
-@dataclass
 class DataSplit:
     """Disjoint train/validation/test node ids of the target type."""
 
@@ -268,15 +257,23 @@ def build_graph(
 ) -> HinGraph:
     """Assemble a HinGraph, converting edge lists to sorted CSR adjacency.
 
-    Raises SchemaError for structurally impossible inputs (unknown types,
-    out-of-range endpoints); softer invariant violations are left for
-    validate_hin to report.
+    The one check of a graph's invariants: a SchemaError names the first of
+    an unknown or missing type, a node count < 0, an edge endpoint out of
+    range, an attribute table not of shape (count, dim) or not finite, labels
+    not of the target type's length, num_classes < 1, and a label that is no
+    class in [0, num_classes). An array of labels may also hold -1
+    (unlabelled); a dict maps node ids to classes. Missing attributes are
+    zeros, and an empty table such as np.asarray([]) has shape (0, dim).
     """
     if target_type not in schema.node_types:
         raise SchemaError(f"target type {target_type!r} not a declared node type")
+    if num_classes < 1:
+        raise SchemaError(f"num_classes must be >= 1, got {num_classes}")
     for t in schema.node_types:
         if t not in num_nodes:
             raise SchemaError(f"missing node count for type {t!r}")
+        if num_nodes[t] < 0:
+            raise SchemaError(f"node count for type {t!r} must be >= 0, got {num_nodes[t]}")
 
     edges: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for r in schema.relation_types:
@@ -302,23 +299,38 @@ def build_graph(
 
     attr_out: dict[str, np.ndarray] = {}
     for t in schema.node_types:
+        n, dim = num_nodes[t], schema.attribute_dims[t]
         a = attributes.get(t)
-        if a is None:
-            a = np.zeros((num_nodes[t], schema.attribute_dims[t]))
-        attr_out[t] = np.asarray(a, dtype=np.float64)
+        a = np.zeros((n, dim)) if a is None else np.asarray(a, dtype=np.float64)
+        if a.shape == (0,):
+            a = a.reshape(0, dim)
+        if a.ndim != 2 or a.shape[1] != dim:
+            raise SchemaError(f"attribute dim mismatch for type {t!r}: expected {dim}, "
+                              f"got shape {a.shape}")
+        if len(a) != n:
+            raise SchemaError(f"attribute row count {len(a)} != node count {n} for type {t!r}")
+        if not np.isfinite(a).all():
+            i, j = np.argwhere(~np.isfinite(a))[0]
+            raise SchemaError(f"attributes of type {t!r}, row {i}: expected finite numbers, "
+                              f"got {a[i, j]}")
+        attr_out[t] = a
 
     n_target = num_nodes[target_type]
-    if labels is None:
-        lab = np.full(n_target, -1, dtype=np.int64)
-    elif isinstance(labels, dict):
-        lab = np.full(n_target, -1, dtype=np.int64)
+    lab = np.full(n_target, -1, dtype=np.int64)
+    if isinstance(labels, dict):
         for i, c in labels.items():
             i = int(i)
             if not 0 <= i < n_target:
                 raise SchemaError(f"label for out-of-range node id {i}")
+            _need_class(i, c, 0, num_classes)
             lab[i] = int(c)
-    else:
+    elif labels is not None:
         lab = np.asarray(labels, dtype=np.int64)
+        if lab.shape != (n_target,):
+            raise SchemaError(f"label array length {len(lab)} != target node count {n_target}")
+        bad = np.flatnonzero((lab < -1) | (lab >= num_classes))
+        if len(bad):
+            _need_class(bad[0], lab[bad[0]], -1, num_classes)
 
     return HinGraph(
         schema=schema,
@@ -331,53 +343,11 @@ def build_graph(
     )
 
 
-def validate_hin(g: HinGraph) -> ValidationReport:
-    """List every invariant violation; an empty report means the graph is sound."""
-    report = ValidationReport()
-    for t in g.schema.node_types:
-        n = g.num_nodes.get(t)
-        if n is None or n < 0:
-            report.add(f"node count missing or negative for type {t!r}")
-            continue
-        a = g.attributes.get(t)
-        if a is None:
-            report.add(f"attribute table missing for type {t!r}")
-        else:
-            if a.shape[0] != n:
-                report.add(
-                    f"attribute row count {a.shape[0]} != node count {n} for type {t!r}"
-                )
-            dim = g.schema.attribute_dims[t]
-            if a.ndim != 2 or a.shape[1] != dim:
-                report.add(f"attribute dim mismatch for type {t!r}: expected {dim}")
-            elif not np.all(np.isfinite(a)):
-                report.add(f"non-finite attribute values for type {t!r}")
-    for r in g.schema.relation_types:
-        if r.name not in g.edges:
-            report.add(f"adjacency missing for relation {r.name!r}")
-            continue
-        indptr, indices = g.edges[r.name]
-        n_src = g.num_nodes.get(r.src, 0)
-        n_dst = g.num_nodes.get(r.dst, 0)
-        if len(indptr) != n_src + 1:
-            report.add(f"relation {r.name!r}: indptr length mismatch for source type {r.src!r}")
-            continue
-        if np.any(np.diff(indptr) < 0) or (len(indices) and indptr[-1] != len(indices)):
-            report.add(f"relation {r.name!r}: malformed adjacency index")
-        if len(indices) and (indices.min() < 0 or indices.max() >= n_dst):
-            report.add(f"relation {r.name!r}: edge endpoint outside type {r.dst!r}")
-    if g.target_type not in g.schema.node_types:
-        report.add(f"target type {g.target_type!r} not declared")
-    else:
-        n_target = g.num_nodes[g.target_type]
-        if len(g.labels) != n_target:
-            report.add(f"label array length {len(g.labels)} != target node count {n_target}")
-        lab = g.labels[g.labels >= 0]
-        if len(lab) and (lab.max() >= g.num_classes):
-            report.add(f"label value out of range [0, {g.num_classes})")
-    if g.num_classes < 1:
-        report.add("num_classes must be >= 1")
-    return report
+def _need_class(node: int, c: int, lo: int, num_classes: int) -> None:
+    """Raise SchemaError naming the node unless lo <= c < num_classes."""
+    if not lo <= c < num_classes:
+        bound = f">= {lo}" if c < lo else f"< {num_classes}"
+        raise SchemaError(f"labels: node {node} has class {c}, expected an integer {bound}")
 
 
 def split_nodes(g: HinGraph, counts: tuple[int | None, int | None], seed: int) -> DataSplit:
@@ -428,6 +398,15 @@ def _fields(path, doc, rules: dict[str, Rule], where: str = "", defaults: dict =
                         lambda v: f"{v!r:.60}", defaults)  # a long value's repr is cut
 
 
+@contextmanager
+def _named(path):
+    """Prefix a SchemaError raised inside with the file path."""
+    try:
+        yield
+    except SchemaError as e:
+        raise SchemaError(f"{path}: {e}") from None
+
+
 def _schema_from_json(path, s: dict, attributes: dict,
                       where: str) -> tuple[HinSchema, str, int]:
     """The schema object `s` of a graph file; a type missing from its
@@ -438,29 +417,30 @@ def _schema_from_json(path, s: dict, attributes: dict,
     types = f["node_types"]
     if not TYPE_NAMES.ok(types):
         raise SchemaError(f"{path}: field {where + 'node_types'!r} must list type names")
+    need_known(f"{path}: field {where + 'attribute_dims'!r}", f["attribute_dims"], types,
+               "node type")
     dims = _fields(path, f["attribute_dims"], {t: COUNT for t in types if t in f["attribute_dims"]},
                    where + "attribute_dims.")
     for t in types:
         if t not in dims:  # _load_json_graph names a row that is not a list
             rows = attributes.get(t) if isinstance(attributes.get(t), list) else []
             dims[t] = next((len(r) for r in rows if isinstance(r, list)), 0)
-    schema = HinSchema(tuple(types), relations, {t: dims[t] for t in types})
+    with _named(path):
+        schema = HinSchema(tuple(types), relations, {t: dims[t] for t in types})
     return schema, f["target_type"], f["num_classes"]
 
 
 def load_hin(path: str | Path, format: str = "json-graph") -> HinGraph:
-    """Load a graph file; raises SchemaError if the result fails validation."""
+    """Load a graph file. A SchemaError names the file and the first fault:
+    its line, row or field where the file cannot be read, else the graph
+    invariant that build_graph finds broken."""
     path = Path(path)
-    if format == "json-graph":
-        g = _load_json_graph(path)
-    elif format == "csv-triples":
-        g = _load_csv_triples(path)
-    else:
+    loaders = {"json-graph": _load_json_graph, "csv-triples": _load_csv_triples}
+    if format not in loaders:
         raise ValueError(f"unknown graph format {format!r}")
-    report = validate_hin(g)
-    if not report.ok:
-        raise SchemaError("; ".join(report.violations))
-    return g
+    args = loaders[format](path)
+    with _named(path):
+        return build_graph(*args)
 
 
 def _number_rows(path: Path, t: str, rows: list[list]) -> np.ndarray:
@@ -471,7 +451,7 @@ def _number_rows(path: Path, t: str, rows: list[list]) -> np.ndarray:
     if not any(type(x) is bool for row in rows for x in row):
         try:
             a = np.asarray(rows)
-            if a.dtype.kind in "iuf":
+            if a.dtype.kind in "iuf" and a.ndim == 2:
                 return a.astype(np.float64, copy=False)
         except ValueError:  # a list in place of a number
             pass
@@ -480,16 +460,28 @@ def _number_rows(path: Path, t: str, rows: list[list]) -> np.ndarray:
         if bad:
             raise SchemaError(f"{path}: attributes of type {t!r}, row {i}: "
                               f"expected numbers, got {bad[0]!r}")
-    return np.asarray(rows, dtype=np.float64)  # ints beyond int64 reach here
+    return np.asarray([[_as_float(x) for x in row] for row in rows])  # ints beyond int64
 
 
-def _load_json_graph(path: Path) -> HinGraph:
+def _as_float(x) -> float:
+    """float(x), but an infinity for an int beyond float64 (where float raises
+    OverflowError), which build_graph then names by its row."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _load_json_graph(path: Path) -> tuple:
+    """build_graph's arguments, read from a json-graph file."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     top = _fields(path, doc, _GRAPH, defaults=_OPTIONAL)
     attrs = top["attributes"]
     schema, target_type, num_classes = _schema_from_json(path, top["schema"], attrs, "schema.")
     types = schema.node_types
+    need_known(f"{path}: field 'nodes'", top["nodes"], types, "node type")
+    need_known(f"{path}: field 'attributes'", attrs, types, "node type")
     num_nodes = _fields(path, top["nodes"], dict.fromkeys(types, COUNT), "nodes.",
                         dict.fromkeys(types, 0))
     attributes = {}
@@ -501,14 +493,7 @@ def _load_json_graph(path: Path) -> HinGraph:
                 got = len(row) if isinstance(row, list) else f"a {type(row).__name__}"
                 raise SchemaError(f"{path}: attributes of type {t!r}, row {i}: "
                                   f"expected {dim} numbers, got {got}")
-        a = _number_rows(path, t, rows)
-        if a.size == 0:
-            a = a.reshape(0, dim)
-        if a.shape[0] != num_nodes[t]:
-            raise SchemaError(
-                f"attribute row count {a.shape[0]} != node count {num_nodes[t]} for type {t!r}"
-            )
-        attributes[t] = a
+        attributes[t] = _number_rows(path, t, rows)
     schema.need_relations(f"{path}: field 'edges'", top["edges"])
     edge_lists = {}
     for rel, pairs in top["edges"].items():
@@ -520,10 +505,7 @@ def _load_json_graph(path: Path) -> HinGraph:
         labels = {int(k): index(v) for k, v in top["labels"].items()}
     except (TypeError, ValueError):
         raise SchemaError(f"{path}: labels must map integer node ids to integers") from None
-    for k, c in labels.items():
-        if c < 0:
-            raise SchemaError(f"{path}: labels: node {k} has class {c}, expected an integer >= 0")
-    return build_graph(schema, num_nodes, edge_lists, attributes, target_type, num_classes, labels)
+    return schema, num_nodes, edge_lists, attributes, target_type, num_classes, labels
 
 
 def save_hin(g: HinGraph, path: str | Path) -> None:
@@ -551,8 +533,9 @@ def save_hin(g: HinGraph, path: str | Path) -> None:
         json.dump(doc, f)
 
 
-def _load_csv_triples(path: Path) -> HinGraph:
-    """Edges file "relation,src_type:src_id,dst_type:dst_id" plus sidecars.
+def _load_csv_triples(path: Path) -> tuple:
+    """build_graph's arguments, read from an edges file of
+    "relation,src_type:src_id,dst_type:dst_id" lines plus sidecars.
 
     Sidecars live next to the edges file: <stem>.schema.json (same schema
     object as json-graph), <stem>.attrs.<type>.csv (one row of floats per
@@ -583,11 +566,8 @@ def _load_csv_triples(path: Path) -> HinGraph:
                     if line and len(line) != dim:
                         raise SchemaError(f"{attr_path}:{lineno}: expected {dim} numbers, "
                                           f"got {len(line)}")
-            a = np.asarray(rows, dtype=np.float64)
-            if a.size == 0:
-                a = a.reshape(0, dim)
-            attributes[t] = a
-            num_nodes[t] = a.shape[0]
+            attributes[t] = np.asarray(rows, dtype=np.float64)
+            num_nodes[t] = len(rows)
         else:
             num_nodes[t] = 0
 
@@ -637,4 +617,4 @@ def _load_csv_triples(path: Path) -> HinGraph:
                                       "expected an integer >= 0")
                 labels[node] = cls
 
-    return build_graph(schema, num_nodes, edge_lists, attributes, target_type, num_classes, labels)
+    return schema, num_nodes, edge_lists, attributes, target_type, num_classes, labels

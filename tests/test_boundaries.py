@@ -1,6 +1,9 @@
 """The JSON boundaries as a whole: any JSON value either loads or raises a
-ValueError (SchemaError included), and every field has a rule on load."""
+ValueError (SchemaError included), and every field has a rule on load. A
+graph file loads a sound graph or raises a SchemaError that names it."""
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import imdb_like_graph
 from rlhgnn.agent import DqnAgent, load_agent, save_agent
 from rlhgnn.cli import _load_split
+from rlhgnn.hin import SchemaError, load_hin, save_hin
 from rlhgnn.model import init_params, load_params, save_params
 from rlhgnn.pipeline import TrainConfig
 from rlhgnn.synth import SyntheticSpec
@@ -46,7 +50,7 @@ def drawn_doc(base: dict, values=None):
     drops = st.sets(st.sampled_from(sorted(base)), max_size=2)
     edited = st.builds(lambda e, d: {k: v for k, v in {**base, **e}.items() if k not in d},
                        edits, drops)
-    return st.one_of(edited, edited, edited, json_values())
+    return st.one_of(edited, edited, edited, values)
 
 
 def loads_or_raises_value_error(load, *args):
@@ -74,6 +78,44 @@ def test_any_json_split_loads_or_raises_a_value_error(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "split.json"
     path.write_text(json.dumps(doc))
     loads_or_raises_value_error(_load_split, path, np.zeros(6, dtype=np.int64))
+
+
+def saved_graph_doc() -> dict:
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "g.json"
+        save_hin(imdb_like_graph(), path)
+        return json.loads(path.read_text())
+
+
+GRAPH = saved_graph_doc()
+
+
+def drawn_graph_doc():
+    """GRAPH edited at its top level or inside one of its objects (schema,
+    nodes, labels, attributes, edges); integers stay small, since node counts
+    size arrays."""
+    values = json_values(max_int=64)
+    inside = st.sampled_from(sorted(GRAPH)).flatmap(
+        lambda part: drawn_doc(GRAPH[part], values).map(lambda v: {**GRAPH, part: v}))
+    return drawn_doc(GRAPH, values) | inside
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(drawn_graph_doc())
+def test_any_json_graph_loads_a_sound_graph_or_names_the_file(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "graph.json"
+    path.write_text(json.dumps(doc))
+    try:
+        g = load_hin(path)
+    except SchemaError as e:
+        assert str(e).startswith(f"{path}: ")
+        return
+    for t in g.schema.node_types:
+        a = g.attributes[t]
+        assert a.shape == (g.num_nodes[t], g.schema.attribute_dims[t])
+        assert np.isfinite(a).all()
+    assert len(g.labels) == g.num_nodes[g.target_type]
+    assert ((g.labels >= -1) & (g.labels < g.num_classes)).all()
 
 
 def save_model(path):

@@ -129,8 +129,18 @@ def test_eval_rejects_a_bad_split_naming_the_file_and_the_key(tmp_path, synth_gr
         split_path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"{re.escape(str(split_path))}: .*{message}"):
             main(["eval", "--checkpoint", str(out), "--graph", str(synth_graph)])
-    split_path.write_text(json.dumps({**good, "test": []}))  # empty: all labelled nodes
-    assert main(["eval", "--checkpoint", str(out), "--graph", str(synth_graph)]) == 0
+
+
+def test_eval_rejects_an_empty_test_split_naming_the_file_and_the_key(tmp_path, synth_graph):
+    """Train and validation take all 60 labelled nodes, so the saved split
+    has no test node; eval names it rather than score other nodes."""
+    out = tmp_path / "run"
+    assert main(["train", "--graph", str(synth_graph), "--config", str(write_config(tmp_path)),
+                 "--out", str(out), "--train-count", "36", "--val-count", "24"]) == 0
+    assert json.loads((out / "split.json").read_text())["test"] == []
+    message = f"{out / 'split.json'}: split key 'test' holds no node id to evaluate"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        main(["eval", "--checkpoint", str(out), "--graph", str(synth_graph)])
 
 
 def test_gen_synth_names_an_unknown_planted_relation(tmp_path):

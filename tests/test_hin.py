@@ -1,4 +1,4 @@
-"""Graph data model: loading, validation, neighbors, splits, round-trips."""
+"""Graph data model: loading, invariant checks, neighbors, splits, round-trips."""
 import json
 import tempfile
 from pathlib import Path
@@ -17,7 +17,6 @@ from rlhgnn.hin import (
     load_hin,
     save_hin,
     split_nodes,
-    validate_hin,
 )
 
 
@@ -61,7 +60,6 @@ def test_load_imdb_shaped_counts(tmp_path):
     assert g.edge_count("D-M") == 5
     assert g.edge_count("M-A") == 6
     assert g.num_classes == 3
-    assert validate_hin(g).ok
 
 
 def test_load_full_scale_imdb_shape(tmp_path):
@@ -114,7 +112,6 @@ def test_load_empty_node_type_is_valid(tmp_path):
     g = load_hin(path)
     assert g.num_nodes["Director"] == 0
     assert g.attributes["Director"].shape[0] == 0
-    assert validate_hin(g).ok
 
 
 def test_load_rejects_out_of_range_endpoint(tmp_path):
@@ -385,20 +382,185 @@ def test_csv_triples_round(tmp_path):
     assert g.labels.tolist() == [1, 0]
 
 
-def test_validate_reports_label_out_of_range():
-    g = imdb_like_graph()
-    g.labels[0] = g.num_classes  # value C is outside [0, C)
-    report = validate_hin(g)
-    assert len(report) == 1
-    assert "label" in report.violations[0]
+def rebuilt(g, **changes):
+    """build_graph on g's inputs, edges as CSR-ordered pairs, with `changes`."""
+    edge_lists = {r: list(zip(np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)).tolist(),
+                              indices.tolist())) for r, (indptr, indices) in g.edges.items()}
+    args = dict(schema=g.schema, num_nodes=g.num_nodes, edge_lists=edge_lists,
+                attributes=g.attributes, target_type=g.target_type,
+                num_classes=g.num_classes, labels=g.labels)
+    return build_graph(**{**args, **changes})
 
 
-def test_validate_reports_missing_attribute_row():
+def test_build_graph_rejects_a_label_out_of_range():
     g = imdb_like_graph()
-    g.attributes["Actor"] = g.attributes["Actor"][:-1]
-    report = validate_hin(g)
-    assert len(report) == 1
-    assert "row count" in report.violations[0]
+    labels = g.labels.copy()
+    labels[0] = g.num_classes  # value C is outside [0, C)
+    with pytest.raises(SchemaError) as err:
+        rebuilt(g, labels=labels)
+    assert str(err.value) == "labels: node 0 has class 3, expected an integer < 3"
+
+
+def test_build_graph_rejects_a_missing_attribute_row():
+    g = imdb_like_graph()
+    with pytest.raises(SchemaError) as err:
+        rebuilt(g, attributes={**g.attributes, "Actor": g.attributes["Actor"][:-1]})
+    assert str(err.value) == "attribute row count 5 != node count 6 for type 'Actor'"
+
+
+def _with_entry(attributes, t, row, col, value):
+    a = attributes[t].copy()
+    a[row, col] = value
+    return {**attributes, t: a}
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda g: {"num_nodes": {**g.num_nodes, "Director": -1}},
+     "node count for type 'Director' must be >= 0, got -1"),
+    (lambda g: {"num_classes": 0}, "num_classes must be >= 1, got 0"),
+    (lambda g: {"attributes": {**g.attributes, "Movie": g.attributes["Movie"][:, :3]}},
+     "attribute dim mismatch for type 'Movie': expected 4, got shape (8, 3)"),
+    (lambda g: {"attributes": {**g.attributes, "Movie": g.attributes["Movie"].ravel()}},
+     "attribute dim mismatch for type 'Movie': expected 4, got shape (32,)"),
+    (lambda g: {"attributes": _with_entry(g.attributes, "Actor", 4, 1, np.nan)},
+     "attributes of type 'Actor', row 4: expected finite numbers, got nan"),
+    (lambda g: {"attributes": _with_entry(g.attributes, "Movie", 0, 3, -np.inf)},
+     "attributes of type 'Movie', row 0: expected finite numbers, got -inf"),
+    (lambda g: {"labels": g.labels[:-1]}, "label array length 7 != target node count 8"),
+    (lambda g: {"labels": np.where(np.arange(8) == 5, -2, g.labels)},
+     "labels: node 5 has class -2, expected an integer >= -1"),
+    (lambda g: {"labels": {2: -1}}, "labels: node 2 has class -1, expected an integer >= 0"),
+    (lambda g: {"labels": {2: 1, 9: 0}}, "label for out-of-range node id 9"),
+    (lambda g: {"edge_lists": {"M-A": [(0, 0), (0, 6)]}},
+     "relation 'M-A': target id out of range for type 'Actor'"),
+    (lambda g: {"target_type": "Studio"}, "target type 'Studio' not a declared node type"),
+], ids=["negative-count", "no-classes", "narrow-table", "flat-table", "nan", "minus-infinity",
+        "short-labels", "label-below-minus-one", "unlabelled-in-dict", "label-node-out-of-range",
+        "endpoint-out-of-range", "unknown-target"])
+def test_build_graph_names_the_first_broken_invariant(change, message):
+    g = imdb_like_graph()
+    with pytest.raises(SchemaError) as err:
+        rebuilt(g, **change(g))
+    assert str(err.value) == message
+
+
+def test_build_graph_reads_an_empty_table_as_zero_rows_of_the_dim():
+    g = imdb_like_graph()
+    g2 = rebuilt(g, num_nodes={**g.num_nodes, "Director": 0}, edge_lists={},
+                 attributes={**g.attributes, "Director": np.asarray([])})
+    assert g2.attributes["Director"].shape == (0, 3)
+
+
+def fault_in_json(doc, fault):
+    """doc (imdb_like_json's: 5 movies, 4 actors, 3 classes) with one fault."""
+    if fault == "nan":
+        doc["attributes"]["Movie"][2][0] = float("nan")
+    elif fault == "int-beyond-float64":
+        doc["attributes"]["Movie"][1][1] = 10**400
+    elif fault == "class-too-large":
+        doc["labels"]["4"] = 3
+    elif fault == "no-classes":
+        doc["schema"]["num_classes"] = 0
+    elif fault == "endpoint-past-count":
+        doc["edges"]["M-A"].append([0, 4])
+    elif fault == "rows-not-count":
+        doc["nodes"]["Movie"] = 6
+    return doc
+
+
+def fault_in_csv(path, fault):
+    """The csv-triples files of imdb_like_graph() (8 movies, 6 actors, 3
+    classes) at path, with one fault."""
+    sidecar = path.with_name("g.schema.json")
+    attrs = path.with_name("g.attrs.Movie.csv")
+    if fault == "nan":
+        rows = attrs.read_text().splitlines()
+        rows[2] = "nan" + rows[2][rows[2].index(","):]
+        attrs.write_text("\n".join(rows) + "\n")
+    elif fault == "class-too-large":
+        with open(path.with_name("g.labels.csv"), "a") as f:
+            f.write("4,3\n")
+    elif fault == "no-classes":
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "num_classes": 0}))
+    elif fault == "endpoint-past-count":
+        with open(path, "a") as f:
+            f.write("M-A,Movie:0,Actor:6\n")
+    elif fault == "rows-not-count":
+        attrs.write_text("".join(attrs.read_text().splitlines(keepends=True)[:-1]))
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("nan", "attributes of type 'Movie', row 2: expected finite numbers, got nan"),
+    ("int-beyond-float64", "attributes of type 'Movie', row 1: expected finite numbers, got inf"),
+    ("class-too-large", "labels: node 4 has class 3, expected an integer < 3"),
+    ("no-classes", "num_classes must be >= 1, got 0"),
+    ("endpoint-past-count", "relation 'M-A': target id out of range for type 'Actor'"),
+    ("rows-not-count", "attribute row count 5 != node count 6 for type 'Movie'"),
+])
+def test_json_graph_names_the_file_of_a_broken_graph_invariant(tmp_path, fault, message):
+    path, doc = imdb_like_json(tmp_path)
+    path.write_text(json.dumps(fault_in_json(doc, fault)))
+    with pytest.raises(SchemaError) as err:
+        load_hin(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("nan", "attributes of type 'Movie', row 2: expected finite numbers, got nan"),
+    ("class-too-large", "labels: node 4 has class 3, expected an integer < 3"),
+    ("no-classes", "num_classes must be >= 1, got 0"),
+    # csv-triples counts a type's nodes up to the largest id in use, so the
+    # attribute table falls a row short
+    ("endpoint-past-count", "attribute row count 6 != node count 7 for type 'Actor'"),
+    ("rows-not-count", "attribute row count 7 != node count 8 for type 'Movie'"),
+])
+def test_csv_triples_names_the_edges_file_of_a_broken_graph_invariant(tmp_path, fault, message):
+    path = tmp_path / "g.csv"
+    save_csv_triples(imdb_like_graph(), path)
+    fault_in_csv(path, fault)
+    with pytest.raises(SchemaError) as err:
+        load_hin(path, "csv-triples")
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("where", ["nodes", "attributes", "schema.attribute_dims"])
+def test_json_graph_rejects_a_key_that_names_no_node_type(tmp_path, where):
+    path = tmp_path / "g.json"
+    save_hin(imdb_like_graph(), path)
+    doc = json.loads(path.read_text())
+    *outer, last = where.split(".")
+    part = doc
+    for k in outer:
+        part = part[k]
+    part[last]["Movei"] = part[last].pop("Movie")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as err:
+        load_hin(path)
+    assert str(err.value) == (f"{path}: field {where!r} names no node type: 'Movei' "
+                              "(node types: 'Movie', 'Director', 'Actor')")
+
+
+def test_csv_triples_rejects_a_sidecar_dim_that_names_no_node_type(tmp_path):
+    path = tmp_path / "g.csv"
+    save_csv_triples(imdb_like_graph(), path)
+    sidecar = tmp_path / "g.schema.json"
+    doc = json.loads(sidecar.read_text())
+    doc["attribute_dims"]["Actors"] = 3
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as err:
+        load_hin(path, "csv-triples")
+    assert str(err.value) == (f"{sidecar}: field 'attribute_dims' names no node type: 'Actors' "
+                              "(node types: 'Movie', 'Director', 'Actor')")
+
+
+def test_graph_files_name_the_file_of_a_schema_fault(tmp_path):
+    path, doc = imdb_like_json(tmp_path)
+    doc["schema"]["relation_types"][1]["src"] = "Studio"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as err:
+        load_hin(path)
+    assert str(err.value) == (f"{path}: relation 'D-M' endpoints ('Studio', 'Movie') "
+                              "not declared node types")
 
 
 def test_neighbors_sorted_and_typed():
@@ -455,7 +617,6 @@ def test_schema_validation():
 def test_self_loops_are_ordinary_edges():
     schema = HinSchema(("A",), (RelationType("cite", "A", "A"),), {"A": 2})
     g = build_graph(schema, {"A": 3}, {"cite": [(0, 0), (0, 1)]}, {}, "A", 2)
-    assert validate_hin(g).ok
     assert list(neighbors(g, ("A", 0), "cite")) == [0, 1]
 
 
