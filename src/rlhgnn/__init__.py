@@ -19,7 +19,6 @@ from .agent import (
 from .aggplan import (
     AggregationDag,
     AggregationStats,
-    Episode,
     build_plan,
     count_steps_by_enumeration,
     enumerate_instances,
@@ -39,7 +38,7 @@ from .hin import (
 )
 from .metapath import (
     DeadEndError,
-    Frontier,
+    Episode,
     MetaPath,
     arrived_mean,
     expand_frontier,

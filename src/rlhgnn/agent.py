@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import check_arrays, header_fields, read_checkpoint, write_checkpoint
 from .hin import NUMBER, HinGraph, Rule, at_least, list_of, number
-from .metapath import Frontier, arrived_mean
+from .metapath import Episode, arrived_mean
 from .model import AdamState, _glorot, backward, init_adam, optimizer_step
 
 Q_HIDDEN = (32, 64, 128, 64, 32)
@@ -229,13 +229,13 @@ class Normalizer:
         return states
 
 
-def state_static(g: HinGraph, frontier: Frontier, prev_state: np.ndarray) -> np.ndarray:
+def state_static(g: HinGraph, episode: Episode, prev_state: np.ndarray) -> np.ndarray:
     """Running average of arrived-attribute means: (mean(D) + s_prev) / 2.
 
     Attribute vectors are zero-padded to the state dimension so that types
     with different attribute widths share one state space.
     """
-    mean = arrived_mean(g, frontier)
+    mean = arrived_mean(g, episode)
     padded = np.zeros_like(prev_state)
     padded[: len(mean)] = mean
     return (padded + prev_state) / 2.0

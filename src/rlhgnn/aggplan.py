@@ -28,26 +28,9 @@ from typing import Callable, Hashable
 import numpy as np
 
 from .hin import HinGraph, NodeId
-from .metapath import Frontier, MetaPath, neighbors_local
+from .metapath import Episode, MetaPath, neighbors_local
 
 Key = Hashable
-
-
-@dataclass(frozen=True)
-class Episode:
-    """One designed meta-path with its expansion trace."""
-
-    start: NodeId
-    path: MetaPath
-    frontier: Frontier
-
-    def __post_init__(self):
-        if self.frontier.start != self.start or self.path.start_type != self.start[0]:
-            raise ValueError(f"episode starts at {self.start!r} on a {self.path.start_type!r} "
-                             f"path, but its frontier starts at {self.frontier.start!r}")
-        if self.frontier.step_relations != self.path.relations:
-            raise ValueError(f"frontier was expanded along {self.frontier.step_relations!r}, "
-                             f"but the path is {self.path.relations!r}")
 
 
 @dataclass
@@ -252,7 +235,7 @@ def _surviving_edges(ep: Episode) -> list[dict[int, list[tuple[int, int]]]]:
     per_step: list[dict[int, list[tuple[int, int]]]] = []
     valid_next: set[int] | None = None  # None means "all children valid" (leaf level)
     for k in reversed(range(n)):
-        parents, children = ep.frontier.step_edges[k]
+        parents, children = ep.step_edges[k]
         counts: dict[tuple[int, int], int] = {}
         for p, c in zip(parents.tolist(), children.tolist()):
             if valid_next is not None and c not in valid_next:
@@ -328,7 +311,7 @@ def build_plan(g: HinGraph, episodes: list[Episode]) -> AggregationDag:
         return (major[sid] * id_span + decimal) * n_sfx + minor[sid]
 
     # every traversed edge of the batch, with its episode and its layer - 1
-    traces = [ep.frontier.step_edges[::-1] for ep in episodes]  # leaf step first
+    traces = [ep.step_edges[::-1] for ep in episodes]  # leaf step first
     n_steps = np.array([len(t) for t in traces], dtype=np.intp)
     sizes = [len(par) for t in traces for par, _ in t]
     empty = [np.zeros(0, dtype=np.int64)]  # concatenate needs one array
@@ -434,7 +417,7 @@ def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.nda
 def _not_a_chain(episodes: list[Episode], e: int, node: int | None) -> ValueError:
     where = ("its first step leaves from another node than the start" if node is None
              else f"a step leaves from local node {node}, which the step before did not reach")
-    return ValueError(f"frontier of the episode starting at {episodes[e].start!r} is not "
+    return ValueError(f"trace of the episode starting at {episodes[e].start!r} is not "
                       f"one expansion chain: {where}")
 
 

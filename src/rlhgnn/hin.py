@@ -472,6 +472,14 @@ def _as_float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _json_int(v) -> int:
+    """A JSON integer; TypeError for anything else, a bool too, which
+    operator.index would read as 0 or 1."""
+    if type(v) is bool:
+        raise TypeError(f"{v!r} is not an integer")
+    return index(v)
+
+
 def _load_json_graph(path: Path) -> tuple:
     """build_graph's arguments, read from a json-graph file."""
     with open(path, "r", encoding="utf-8") as f:
@@ -498,11 +506,11 @@ def _load_json_graph(path: Path) -> tuple:
     edge_lists = {}
     for rel, pairs in top["edges"].items():
         try:
-            edge_lists[rel] = [(index(s), index(d)) for s, d in pairs]
+            edge_lists[rel] = [(_json_int(s), _json_int(d)) for s, d in pairs]
         except (TypeError, ValueError):
             raise SchemaError(f"{path}: relation {rel!r}: edges must be integer pairs") from None
     try:
-        labels = {int(k): index(v) for k, v in top["labels"].items()}
+        labels = {int(k): _json_int(v) for k, v in top["labels"].items()}
     except (TypeError, ValueError):
         raise SchemaError(f"{path}: labels must map integer node ids to integers") from None
     return schema, num_nodes, edge_lists, attributes, target_type, num_classes, labels

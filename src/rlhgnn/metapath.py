@@ -1,4 +1,4 @@
-"""Schema-level meta-paths, legal-action masking and per-episode frontier expansion.
+"""Schema-level meta-paths, legal-action masking and per-episode expansion.
 
 All operations are pure functions over an immutable graph; episodes for
 different start nodes can safely run in parallel.
@@ -13,7 +13,7 @@ from .hin import HinGraph, HinSchema, NodeId, SchemaError
 
 
 class DeadEndError(RuntimeError):
-    """A frontier reached no nodes; the episode must be force-stopped."""
+    """An episode reached no nodes; it must be force-stopped."""
 
 
 @dataclass(frozen=True)
@@ -78,32 +78,33 @@ def valid_actions(schema: HinSchema, terminal_type: str, at_max_depth: bool) -> 
 
 
 @dataclass(frozen=True)
-class Frontier:
-    """Nodes one episode reached at its current step, plus the edges it
-    traversed at every step.
+class Episode:
+    """One node's meta-path design: its start node, the relations chosen so
+    far (`path`), and the nodes they reach.
 
-    reached is deduplicated; the per-step edge arrays keep one entry per
-    traversal, so a child reached from two parents appears once in reached
-    and twice in the step's edge list. The nodes reached at an earlier step
-    are np.unique of that step's children.
+    `reached` holds the nodes of `node_type` reached at the current step,
+    deduplicated; the per-step edge arrays keep one entry per traversal, so a
+    child reached from two parents appears once in reached and twice in the
+    step's edge list. The nodes reached at an earlier step are np.unique of
+    that step's children.
     """
 
     start: NodeId
+    path: MetaPath
     node_type: str
     reached: np.ndarray
-    step_relations: tuple[str, ...]
     step_edges: list[tuple[np.ndarray, np.ndarray]]  # (parents, children) per step
 
+    def __post_init__(self):
+        if self.path.start_type != self.start[0]:
+            raise ValueError(f"episode starts at {self.start!r} on a "
+                             f"{self.path.start_type!r} path")
+
     @classmethod
-    def initial(cls, start: NodeId) -> "Frontier":
+    def initial(cls, start: NodeId) -> "Episode":
         node_type, local = start
-        return cls(
-            start=start,
-            node_type=node_type,
-            reached=np.asarray([local], dtype=np.int64),
-            step_relations=(),
-            step_edges=[],
-        )
+        return cls(start, MetaPath(node_type), node_type,
+                   np.asarray([local], dtype=np.int64), [])
 
 
 def _child_sample_rng(seed: int, relation_idx: int, type_idx: int, local: int):
@@ -115,27 +116,27 @@ def _child_sample_rng(seed: int, relation_idx: int, type_idx: int, local: int):
 
 def expand_frontier(
     g: HinGraph,
-    frontier: Frontier,
+    episode: Episode,
     relation: str,
     fan_out_cap: int | None = None,
     seed: int = 0,
-) -> Frontier:
-    """Advance the frontier one hop along `relation`.
+) -> Episode:
+    """`episode` one hop further along `relation`.
 
     With a fan-out cap, each parent's traversed edges are a seeded sample
     without replacement of its outgoing edges. An empty result is returned
     as-is; callers treat it as a dead end.
     """
     r = g.schema.relation(relation)
-    if r.src != frontier.node_type:
+    if r.src != episode.node_type:
         raise SchemaError(
-            f"relation {relation!r} starts at {r.src!r}, frontier is at {frontier.node_type!r}"
+            f"relation {relation!r} starts at {r.src!r}, episode is at {episode.node_type!r}"
         )
     rel_idx = g.schema.relation_index(relation)
     type_idx = g.schema.node_types.index(r.src)
     parents: list[np.ndarray] = []
     children: list[np.ndarray] = []
-    for p in frontier.reached:
+    for p in episode.reached:
         kids = neighbors_local(g, int(p), relation)
         if fan_out_cap is not None and len(kids) > fan_out_cap:
             rng = _child_sample_rng(seed, rel_idx, type_idx, int(p))
@@ -152,13 +153,9 @@ def expand_frontier(
         par = np.zeros(0, dtype=np.int64)
         chi = np.zeros(0, dtype=np.int64)
         reached = np.zeros(0, dtype=np.int64)
-    return Frontier(
-        start=frontier.start,
-        node_type=r.dst,
-        reached=reached,
-        step_relations=frontier.step_relations + (relation,),
-        step_edges=frontier.step_edges + [(par, chi)],
-    )
+    path = episode.path
+    return Episode(episode.start, MetaPath(path.start_type, path.relations + (relation,)),
+                   r.dst, reached, episode.step_edges + [(par, chi)])
 
 
 def neighbors_local(g: HinGraph, local: int, relation: str) -> np.ndarray:
@@ -166,9 +163,8 @@ def neighbors_local(g: HinGraph, local: int, relation: str) -> np.ndarray:
     return indices[indptr[local]:indptr[local + 1]]
 
 
-def arrived_mean(g: HinGraph, frontier: Frontier) -> np.ndarray:
+def arrived_mean(g: HinGraph, episode: Episode) -> np.ndarray:
     """Mean attribute vector of the nodes reached at the current step."""
-    if len(frontier.reached) == 0:
-        raise DeadEndError("dead-end frontier: no arrived nodes")
-    attrs = g.attributes[frontier.node_type]
-    return attrs[frontier.reached].mean(axis=0)
+    if len(episode.reached) == 0:
+        raise DeadEndError("dead-end episode: no arrived nodes")
+    return g.attributes[episode.node_type][episode.reached].mean(axis=0)

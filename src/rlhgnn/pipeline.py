@@ -24,12 +24,12 @@ import numpy as np
 from . import agent as rl
 from . import autodiff as ad
 from . import model as nn
-from .aggplan import (AggregationDag, AggregationStats, Episode, Restriction, build_plan,
-                      naive_plan, plan_stats, restrict)
+from .aggplan import (AggregationDag, AggregationStats, Restriction, build_plan, naive_plan,
+                      plan_stats, restrict)
 from .hin import (RELATION_NAMES, UNIT, DataSplit, HinGraph, HinSchema, NodeId, Rule, SchemaError,
                   at_least, check_fields, number, read_object)
 from .metapath import (
-    Frontier,
+    Episode,
     MetaPath,
     action_space_size,
     expand_frontier,
@@ -254,22 +254,18 @@ def evaluate_f1(predictions: np.ndarray, labels: np.ndarray, nodes: np.ndarray) 
 
 
 def _fresh_episodes(g: HinGraph, nodes: np.ndarray | list[int]) -> list[Episode]:
-    starts = [(g.target_type, int(local)) for local in nodes]
-    return [Episode(s, MetaPath(s[0]), Frontier.initial(s)) for s in starts]
+    return [Episode.initial((g.target_type, int(local))) for local in nodes]
 
 
 def _extend(g: HinGraph, ep: Episode, rel: str, fan_out_cap: int | None,
             seed: int) -> Episode | None:
     """`ep` one relation further, or None at a dead end (no node reached)."""
-    nxt = expand_frontier(g, ep.frontier, rel, fan_out_cap, seed)
-    if len(nxt.reached) == 0:
-        return None
-    # expand_frontier checked rel against the frontier's type, the path's end
-    return Episode(ep.start, MetaPath(ep.path.start_type, ep.path.relations + (rel,)), nxt)
+    nxt = expand_frontier(g, ep, rel, fan_out_cap, seed)
+    return nxt if len(nxt.reached) else None
 
 
 # Episodes of one run (or one greedy design) by (start node, relations); None
-# marks a dead end. An expansion depends only on the graph, the frontier, the
+# marks a dead end. An expansion depends only on the graph, the episode, the
 # relation, fan_out_cap and the run seed, so a key always names one episode.
 EpisodeMemo = dict[tuple[NodeId, tuple[str, ...]], Episode | None]
 
@@ -347,8 +343,8 @@ def _act(
     terminal one is marked in `stopped`. `states` holds one row per episode;
     stopped rows are not read. Returns (rows, transitions): transition i
     belongs to episode rows[i]. Its reward is NaN and its s_next equals s
-    until the loop fills them in. Extension to an empty frontier force-stops
-    the episode with its state unchanged.
+    until the loop fills them in. An extension that reaches no node
+    force-stops the episode with its state unchanged.
 
     An extension is looked up in `memo` first and stored there when built, so
     a run builds each (start node, relations) episode once; without a memo
@@ -359,7 +355,7 @@ def _act(
     stop = stop_index(schema)
     rows = np.flatnonzero(~stopped)
     active = [episodes[r] for r in rows]
-    keys = np.array([table.row(e.frontier.node_type, len(e.path) >= cfg.max_timesteps)
+    keys = np.array([table.row(e.node_type, len(e.path) >= cfg.max_timesteps)
                      for e in active], dtype=np.intp)
     masks = table.masks[keys]
     s = states[rows]
@@ -387,7 +383,7 @@ def _act(
             terminal[i] = True  # dead end: force-stop at the previous step
             continue
         episodes[rows[i]] = nxt
-        next_keys[i] = table.row(nxt.frontier.node_type, len(nxt.path) >= cfg.max_timesteps)
+        next_keys[i] = table.row(nxt.node_type, len(nxt.path) >= cfg.max_timesteps)
     stopped[rows[terminal]] = True
     batch = rl.TransitionBatch(s=s, a=actions, r=np.full(len(active), np.nan), s_next=s.copy(),
                                terminal=terminal, next_mask=table.masks[next_keys])
@@ -406,7 +402,7 @@ def _advance_static_states(g: HinGraph, episodes: list[Episode], states: np.ndar
     episode's new state row, which is also the transition's s_next."""
     for i in np.flatnonzero(~batch.terminal):
         r = rows[i]
-        states[r] = rl.state_static(g, episodes[r].frontier, batch.s[i])
+        states[r] = rl.state_static(g, episodes[r], batch.s[i])
         batch.s_next[i] = states[r]
 
 
@@ -666,12 +662,15 @@ def predict(
     In rl-hgnn-pp the last step's eval pass gives both the state and the
     prediction, so the final plan is built and forwarded once.
 
-    Raises ValueError when the model's schema, the agent's action count or
-    cfg.fixed_path does not fit the graph; a state width that does not fit
-    is named by QNetwork.values."""
+    Raises ValueError when the model's schema or class count, the agent's
+    action count or cfg.fixed_path does not fit the graph; a state width that
+    does not fit is named by QNetwork.values."""
     if params.schema != g.schema:
         raise ValueError("the model's schema is not the graph's: the checkpoint was trained "
                          "on another graph schema")
+    if params.num_classes != g.num_classes:
+        raise ValueError(f"the model has {params.num_classes} classes, but the graph has "
+                         f"{g.num_classes}")
     num_actions = action_space_size(g.schema)
     if agent.qnet.num_actions != num_actions:
         raise ValueError(f"the agent has {agent.qnet.num_actions} actions, but the graph's "
@@ -757,7 +756,7 @@ def random_legal_episodes(
     episodes = _fresh_episodes(g, nodes)
     for i, ep in enumerate(episodes):
         for _ in range(length):
-            legal = g.schema.relations_from(ep.frontier.node_type)
+            legal = g.schema.relations_from(ep.node_type)
             if not legal:
                 break
             nxt = _extend(g, ep, legal[int(rng.integers(len(legal)))].name, fan_out_cap, seed)

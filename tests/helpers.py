@@ -11,19 +11,11 @@ import numpy as np
 from hypothesis import strategies as st
 
 from rlhgnn import autodiff as ad
-from rlhgnn.aggplan import (
-    AggregationDag,
-    Episode,
-    Key,
-    LayerIndex,
-    PlanStep,
-    _readonly,
-    _surviving_edges,
-)
+from rlhgnn.aggplan import AggregationDag, Key, PlanStep, _finish, _surviving_edges
 from rlhgnn.agent import _FIELDS, ReplayBuffer, TransitionBatch
 from rlhgnn.hin import HinGraph, HinSchema, NodeId, RelationType, SchemaError, build_graph
 from rlhgnn.metapath import (
-    Frontier,
+    Episode,
     MetaPath,
     expand_frontier,
     stop_index,
@@ -155,17 +147,17 @@ def graphs_and_episodes(draw):
     episodes = []
     for _ in range(draw(st.integers(1, 8))):
         start = (types[0], draw(st.integers(0, counts[types[0]] - 1)))
-        path, frontier = MetaPath(types[0]), Frontier.initial(start)
+        ep = Episode.initial(start)
         for _ in range(draw(st.integers(0, 3))):  # 0 is stop-at-0
-            legal = schema.relations_from(path.end_type(schema))
+            legal = schema.relations_from(ep.path.end_type(schema))
             if not legal:
                 break
             rel = draw(st.sampled_from(legal)).name
-            nxt = expand_frontier(g, frontier, rel, cap, seed)
+            nxt = expand_frontier(g, ep, rel, cap, seed)
             if len(nxt.reached) == 0:
                 break  # a dead end is force-stopped before the step
-            path, frontier = MetaPath(types[0], path.relations + (rel,)), nxt
-        episodes.append(Episode(start, path, frontier))
+            ep = nxt
+        episodes.append(ep)
     return g, episodes, cap
 
 
@@ -668,9 +660,10 @@ def full_train_step(params: HgnnParams, g: HinGraph, plan: AggregationDag, label
 
 
 # ---------------------------------------------------------------------------
-# Reference merged-plan builder: the per-episode, per-parent dict walk and the
-# compile from PlanStep objects, as they were before the merged plan was
-# built on whole arrays with integer (suffix, node) keys. The property tests
+# Reference merged-plan builder: the per-episode, per-parent dict walk as it
+# was before the merged plan was built on whole arrays with integer (suffix,
+# node) keys. It compiles its PlanStep objects with aggplan._finish, as
+# naive_plan does; build_plan shares no code with it. The property tests
 # require build_plan to match it exactly.
 
 
@@ -725,51 +718,7 @@ def reference_build_plan(g: HinGraph, episodes: list[Episode]) -> AggregationDag
                 "episode has no complete instances; dead-end traces must be "
                 "force-stopped before planning"
             )
-    return _reference_finish(g, steps, outputs, h0, sig, "merged")
-
-
-def _reference_finish(g, steps, outputs, h0, sig, kind) -> AggregationDag:
-    max_layer = max((s.layer for s in steps.values()), default=0)
-    layers: list[list[PlanStep]] = [[] for _ in range(max_layer)]
-    for s in steps.values():
-        layers[s.layer - 1].append(s)
-    for L in layers:
-        L.sort(key=lambda s: repr(s.target))
-    h0_nodes = sorted(h0)
-    return AggregationDag(
-        episodes_sig=sig,
-        kind=kind,
-        derive_views=lambda: (layers, outputs),
-        **_reference_compile(layers, outputs, h0_nodes),
-    )
-
-
-def _reference_compile(layers: list[list[PlanStep]], outputs: list[Key], h0_nodes: list[NodeId]) -> dict:
-    """Index arrays of the plan: per layer its gather rows and segments, the
-    h0 runs by node type, and each episode's output row in the stack
-    [H0; layer 1; ...; layer L]."""
-    h0_row = {n: i for i, n in enumerate(h0_nodes)}
-    prev = {("h0",) + n: i for n, i in h0_row.items()}  # key -> row in the previous layer
-    stacked = dict(prev)  # key -> row in the stack
-    index = []
-    for L in layers:
-        src = [prev[k] for s in L for k, _ in s.sources]
-        mult = [m for s in L for _, m in s.sources]
-        lengths = np.array([sum(m for _, m in s.sources) for s in L], dtype=np.intp)
-        tgt = [h0_row[s.target_node] for s in L]
-        index.append(LayerIndex(
-            src_rows=_readonly(np.repeat(src, mult)),
-            tgt_rows=_readonly(np.repeat(tgt, lengths)),
-            starts=_readonly(np.cumsum(lengths) - lengths),
-            lengths=_readonly(lengths),
-        ))
-        prev = {s.target: i for i, s in enumerate(L)}
-        base = len(stacked)
-        stacked.update((k, base + i) for k, i in prev.items())
-    h0_groups = [(t, _readonly([n for _, n in run]))
-                 for t, run in groupby(h0_nodes, key=lambda n: n[0])]
-    return {"index": index, "h0_groups": h0_groups,
-            "output_rows": _readonly([stacked[k] for k in outputs])}
+    return _finish(g, steps, outputs, h0, sig, "merged")
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +758,7 @@ def fifo_rows(buf: ReplayBuffer) -> list[Transition]:
 # episode records and the deque replay buffer as they were before the agent
 # step was batched, and the random legal episodes' own extension loop. The
 # equivalence tests require the current code to give equal actions, paths,
-# frontiers, transitions and generator state.
+# expansion traces, transitions and generator state.
 
 
 def reference_select_action(qvals: np.ndarray, legal_mask: np.ndarray, eps: float,
@@ -826,11 +775,12 @@ def reference_select_action(qvals: np.ndarray, legal_mask: np.ndarray, eps: floa
 @dataclass
 class ReferenceEpisode:
     """The loops' mutable episode record before episodes became frozen
-    values; reference_act updates it in place."""
+    values; reference_act updates it in place. It extends its own path, and
+    keeps the expansion in `trace`."""
 
     node: NodeId
     path: MetaPath
-    frontier: Frontier
+    trace: Episode
     stopped: bool = False
 
 
@@ -839,7 +789,7 @@ def reference_fresh_episodes(g: HinGraph, nodes: np.ndarray) -> list[ReferenceEp
     t = g.target_type
     for local in nodes:
         node = (t, int(local))
-        out.append(ReferenceEpisode(node=node, path=MetaPath(t), frontier=Frontier.initial(node)))
+        out.append(ReferenceEpisode(node=node, path=MetaPath(t), trace=Episode.initial(node)))
     return out
 
 
@@ -873,14 +823,14 @@ def reference_act(g: HinGraph, cfg, episodes: list[ReferenceEpisode], states: np
         actions.append(a)
         if a != stop:
             rel = schema.relation_types[a].name
-            nxt = expand_frontier(g, e.frontier, rel, cfg.fan_out_cap, cfg.seed)
+            nxt = expand_frontier(g, e.trace, rel, cfg.fan_out_cap, cfg.seed)
         if a == stop or len(nxt.reached) == 0:
             e.stopped = True
             pending.append(dict(ep=e, s=s_before, a=a, s_next=s_before, terminal=True,
                                 next_mask=mask.copy()))
             continue
         e.path = extend_path(e.path, rel, schema)
-        e.frontier = nxt
+        e.trace = nxt
         now_max = len(e.path) >= cfg.max_timesteps
         next_mask = valid_actions(schema, e.path.end_type(schema), now_max)
         pending.append(dict(ep=e, s=s_before, a=a, s_next=None, terminal=False,
@@ -897,18 +847,18 @@ def reference_random_legal_episodes(g: HinGraph, nodes: np.ndarray, length: int,
     for local in nodes:
         node = (g.target_type, int(local))
         path = MetaPath(g.target_type)
-        frontier = Frontier.initial(node)
+        trace = Episode.initial(node)
         for _ in range(length):
             legal = g.schema.relations_from(path.end_type(g.schema))
             if not legal:
                 break
             rel = legal[int(rng.integers(len(legal)))].name
-            nxt = expand_frontier(g, frontier, rel, fan_out_cap, seed)
+            nxt = expand_frontier(g, trace, rel, fan_out_cap, seed)
             if len(nxt.reached) == 0:
                 break
             path = extend_path(path, rel, g.schema)
-            frontier = nxt
-        episodes.append(Episode(node, path, frontier))
+            trace = nxt
+        episodes.append(Episode(node, path, trace.node_type, trace.reached, trace.step_edges))
     return episodes
 
 

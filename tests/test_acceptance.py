@@ -16,7 +16,6 @@ from helpers import (
     stack_transitions,
 )
 from rlhgnn.aggplan import (
-    Episode,
     build_plan,
     count_steps_by_enumeration,
     naive_plan,
@@ -29,7 +28,7 @@ from rlhgnn.agent import (
     select_action,
     sync_target,
 )
-from rlhgnn.metapath import Frontier, MetaPath
+from rlhgnn.metapath import Episode, expand_frontier
 from rlhgnn.model import (
     classify,
     cross_entropy,
@@ -117,13 +116,10 @@ def test_criterion_3_gradient_correctness():
     g = imdb_like_graph(n_m=6, n_d=3, n_a=5, seed=8)  # 14 nodes
     episodes = []
     for i, rels in [(0, ("M-A", "A-M")), (1, ("M-D", "D-M")), (2, ("M-A",)), (3, ())]:
-        path = MetaPath("Movie", rels)
-        f = Frontier.initial(("Movie", i))
-        from rlhgnn.metapath import expand_frontier
-
+        ep = Episode.initial(("Movie", i))
         for rel in rels:
-            f = expand_frontier(g, f, rel)
-        episodes.append(Episode(("Movie", i), path, f))
+            ep = expand_frontier(g, ep, rel)
+        episodes.append(ep)
     params = init_params(g.schema, g.num_classes, 2, d=8, heads=2, seed=13)
     plan = build_plan(g, episodes)
     rows = np.arange(len(episodes))
@@ -285,7 +281,7 @@ def test_criterion_8_unit_invariants(seed):
         h.record(v)
     assert abs(compute_reward(h, 0.6) - 0.1) < 1e-12
     # stop-at-0 output equals the projected attributes
-    ep = Episode(("Movie", 2), MetaPath("Movie"), Frontier.initial(("Movie", 2)))
+    ep = Episode.initial(("Movie", 2))
     fwd = hgnn_forward(params, g, build_plan(g, [ep]))
     expected = g.attributes["Movie"][2] @ params.table["proj:Movie"].value
     np.testing.assert_allclose(fwd.outputs.value[0], expected, atol=1e-12)

@@ -20,7 +20,7 @@ from rlhgnn.agent import (
     sync_target,
     td_loss,
 )
-from rlhgnn.metapath import Frontier, expand_frontier
+from rlhgnn.metapath import Episode, expand_frontier
 from rlhgnn.model import init_adam
 
 
@@ -58,7 +58,7 @@ def test_state_static_t0_is_own_attributes():
 def test_state_static_recurrence():
     g = imdb_like_graph(seed=2)
     dim = static_state_dim(g)
-    f = expand_frontier(g, Frontier.initial(("Movie", 0)), "M-A")
+    f = expand_frontier(g, Episode.initial(("Movie", 0)), "M-A")
     prev = np.zeros(dim)
     prev[0], prev[1] = 1.0, 0.0
     s = state_static(g, f, prev)

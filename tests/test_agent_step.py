@@ -24,9 +24,8 @@ from helpers import (
 )
 from rlhgnn import agent
 from rlhgnn.agent import QNetwork, ReplayBuffer, TransitionBatch, select_action, td_loss
-from rlhgnn.aggplan import Episode
 from rlhgnn.hin import HinSchema, RelationType, SchemaError, build_graph
-from rlhgnn.metapath import Frontier, MetaPath, action_space_size, valid_actions
+from rlhgnn.metapath import Episode, MetaPath, action_space_size, valid_actions
 from rlhgnn.pipeline import (
     LegalActionTable,
     TrainConfig,
@@ -101,8 +100,8 @@ def small_graphs(draw):
     return build_graph(schema, counts, edge_lists, attrs, types[0], 2)
 
 
-def _assert_same_frontier(a: Frontier, b: Frontier):
-    assert (a.start, a.node_type, a.step_relations) == (b.start, b.node_type, b.step_relations)
+def _assert_same_trace(a: Episode, b: Episode):
+    assert (a.start, a.path, a.node_type) == (b.start, b.path, b.node_type)
     pairs = [(a.reached, b.reached)]
     assert len(a.step_edges) == len(b.step_edges)
     for (pa, ca), (pb, cb) in zip(a.step_edges, b.step_edges):
@@ -176,7 +175,7 @@ def _act_round_equals_reference(g, cfg, table, nodes, qnet, eps, new_rng, ref_rn
                 np.testing.assert_array_equal(batch.s_next[i], p["s_next"])
         for e, done, r in zip(new_eps, stopped.tolist(), ref_eps, strict=True):
             assert (e.start, e.path, done) == (r.node, r.path, r.stopped)
-            _assert_same_frontier(e.frontier, r.frontier)
+            _assert_same_trace(e, r.trace)
     return True
 
 
@@ -214,17 +213,15 @@ def test_random_legal_episodes_equal_the_loop_they_replaced(g, length, seed, dat
         want = reference_random_legal_episodes(g, nodes, length, seed, fan_out_cap=cap)
         assert len(got) == len(want)
         for e, r in zip(got, want):
-            assert (e.start, e.path) == (r.start, r.path)
-            _assert_same_frontier(e.frontier, r.frontier)
-            for (pa, ca), (pb, cb) in zip(e.frontier.step_edges, r.frontier.step_edges):
+            _assert_same_trace(e, r)
+            for (pa, ca), (pb, cb) in zip(e.step_edges, r.step_edges):
                 assert (pa.tobytes(), ca.tobytes()) == (pb.tobytes(), cb.tobytes())
 
 
 def test_episodes_and_frontiers_are_frozen():
-    f = Frontier.initial(("A", 0))
-    ep = Episode(("A", 0), MetaPath("A"), f)
+    ep = Episode.initial(("A", 0))
     with pytest.raises(FrozenInstanceError):
-        f.reached = np.zeros(0, dtype=np.int64)
+        ep.reached = np.zeros(0, dtype=np.int64)
     with pytest.raises(FrozenInstanceError):
         ep.path = MetaPath("A", ("r0",))
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from helpers import graphs_and_episodes, random_hin, reference_build_plan
 from rlhgnn.aggplan import (
-    Episode,
     build_plan,
     count_steps_by_enumeration,
     enumerate_instances,
@@ -17,7 +16,7 @@ from rlhgnn.aggplan import (
     restrict,
 )
 from rlhgnn.hin import HinSchema, RelationType, build_graph
-from rlhgnn.metapath import Frontier, MetaPath, expand_frontier
+from rlhgnn.metapath import Episode, MetaPath, expand_frontier
 from rlhgnn.model import hgnn_forward, init_params
 from rlhgnn.pipeline import random_legal_episodes
 
@@ -49,13 +48,11 @@ def academic_graph():
 
 
 def make_episode(g, start, relations, cap=None, seed=0):
-    path = MetaPath(start[0], tuple(relations))
-    path.validate(g.schema)
-    frontier = Frontier.initial(start)
+    ep = Episode.initial(start)
     for rel in relations:
-        frontier = expand_frontier(g, frontier, rel, cap, seed)
-        assert len(frontier.reached) > 0
-    return Episode(start, path, frontier)
+        ep = expand_frontier(g, ep, rel, cap, seed)
+        assert len(ep.reached) > 0
+    return ep
 
 
 def test_shared_target_subtree_merges_once():
@@ -122,7 +119,7 @@ def test_three_chain_instances_make_six_naive_steps():
 
 def test_stop_at_zero_episode_has_no_steps():
     g = academic_graph()
-    ep = Episode(("Paper", 0), MetaPath("Paper"), Frontier.initial(("Paper", 0)))
+    ep = Episode.initial(("Paper", 0))
     merged = build_plan(g, [ep])
     naive = naive_plan(g, [ep])
     assert merged.step_count == naive.step_count == 0
@@ -198,8 +195,7 @@ def test_dead_end_episode_rejected():
         attribute_dims={"A": 2, "B": 2},
     )
     g = build_graph(schema, {"A": 1, "B": 1}, {"ab": []}, {}, "A", 2)
-    f = expand_frontier(g, Frontier.initial(("A", 0)), "ab")
-    ep = Episode(("A", 0), MetaPath("A", ("ab",)), f)
+    ep = expand_frontier(g, Episode.initial(("A", 0)), "ab")
     with pytest.raises(ValueError):
         build_plan(g, [ep])
     with pytest.raises(ValueError):
@@ -224,7 +220,7 @@ def test_counts_match_enumeration_on_random_graphs():
         g = random_hin(seed)
         n = min(5, g.num_nodes[g.target_type])
         eps = random_legal_episodes(g, np.arange(n), length=3, seed=seed, fan_out_cap=None)
-        eps = [e for e in eps if len(e.frontier.reached) > 0]
+        eps = [e for e in eps if len(e.reached) > 0]
         if not eps:
             continue
         naive = naive_plan(g, eps)
@@ -242,7 +238,7 @@ def test_plan_layer_structure_invariants():
         g = random_hin(seed + 100)
         n = min(6, g.num_nodes[g.target_type])
         eps = random_legal_episodes(g, np.arange(n), length=4, seed=seed, fan_out_cap=4)
-        eps = [e for e in eps if len(e.frontier.reached) > 0]
+        eps = [e for e in eps if len(e.reached) > 0]
         if not eps:
             continue
         merged = build_plan(g, eps)
@@ -286,18 +282,14 @@ def test_stats_arithmetic():
 # Episode boundary checks and rejected traces
 
 
-def test_episode_rejects_a_trace_of_another_path_or_start():
+def test_episode_rejects_a_path_from_another_node_type():
     g = academic_graph()
-    write = MetaPath("Author", ("Write",))
-    cite = expand_frontier(g, Frontier.initial(("Author", 0)), "Cite")
-    with pytest.raises(ValueError, match=r"\('Cite',\).*\('Write',\)"):
-        Episode(("Author", 0), write, cite)
-    elsewhere = expand_frontier(g, Frontier.initial(("Author", 2)), "Write")
-    with pytest.raises(ValueError, match=r"\('Author', 0\).*\('Author', 2\)"):
-        Episode(("Author", 0), write, elsewhere)
-    with pytest.raises(ValueError, match="'Paper'"):
-        Episode(("Author", 2), MetaPath("Paper", ("Write",)), elsewhere)
-    Episode(("Author", 2), write, elsewhere)
+    ep = expand_frontier(g, Episode.initial(("Author", 2)), "Write")
+    with pytest.raises(ValueError, match=r"starts at \('Author', 2\) on a 'Paper' path"):
+        replace(ep, path=MetaPath("Paper", ("Write",)))
+    with pytest.raises(ValueError, match="on a 'Paper' path"):
+        Episode(("Author", 0), MetaPath("Paper"), "Author", np.array([0]), [])
+    assert replace(ep, path=MetaPath("Author", ("Write",))).path == ep.path
 
 
 def _chain_graph():
@@ -313,8 +305,8 @@ def _chain_graph():
 
 
 def _with_last_step(ep: Episode, parents, children) -> Episode:
-    edges = ep.frontier.step_edges[:-1] + [(np.array(parents), np.array(children))]
-    return Episode(ep.start, ep.path, replace(ep.frontier, step_edges=edges))
+    edges = ep.step_edges[:-1] + [(np.array(parents), np.array(children))]
+    return replace(ep, step_edges=edges)
 
 
 @pytest.mark.parametrize("children", [[0], [0, 1, 1]], ids=["child-set", "multiplicity"])
@@ -337,8 +329,7 @@ def test_trace_that_is_not_one_expansion_chain_rejected():
     unreached = _with_last_step(ep, [0, 1], [0, 1])  # B1 was never reached
     with pytest.raises(ValueError, match="local node 1, which the step before did not reach"):
         build_plan(g, [unreached])
-    first = Episode(ep.start, ep.path, replace(
-        ep.frontier, step_edges=[(np.array([1]), np.array([0]))] + ep.frontier.step_edges[1:]))
+    first = replace(ep, step_edges=[(np.array([1]), np.array([0]))] + ep.step_edges[1:])
     with pytest.raises(ValueError, match="first step leaves from another node than the start"):
         build_plan(g, [first])
 

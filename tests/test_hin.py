@@ -276,8 +276,12 @@ def test_json_graph_reads_an_integer_attribute_beyond_int64(tmp_path):
     ("labels", "a", 1, "labels must map integer node ids to integers"),
     ("labels", "0", {"a": 1}, "labels must map integer node ids to integers"),
     ("labels", "0", "1", "labels must map integer node ids to integers"),
+    ("edges", "M-A", [True, False], "relation 'M-A': edges must be integer pairs"),
+    ("edges", "A-M", [0, True], "relation 'A-M': edges must be integer pairs"),
+    ("labels", "0", True, "labels must map integer node ids to integers"),
+    ("labels", "1", False, "labels must map integer node ids to integers"),
 ], ids=["word-id", "one-id", "three-ids", "fractional-id", "word-node", "object-class",
-        "string-class"])
+        "string-class", "bool-ids", "bool-dst", "true-class", "false-class"])
 def test_json_graph_names_the_file_of_a_bad_edge_or_label(tmp_path, part, key, value, message):
     path, doc = imdb_like_json(tmp_path)
     if part == "edges":

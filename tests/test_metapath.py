@@ -1,4 +1,4 @@
-"""Meta-path objects, action masking and frontier expansion."""
+"""Meta-path objects, action masking and episode expansion."""
 import numpy as np
 import pytest
 
@@ -6,7 +6,7 @@ from helpers import extend_path, imdb_like_graph, imdb_like_schema, random_hin
 from rlhgnn.hin import HinSchema, RelationType, SchemaError, build_graph
 from rlhgnn.metapath import (
     DeadEndError,
-    Frontier,
+    Episode,
     MetaPath,
     arrived_mean,
     expand_frontier,
@@ -105,8 +105,10 @@ def test_expand_frontier_single_chain():
         "Author",
         2,
     )
-    f = Frontier.initial(("Author", 0))
+    f = Episode.initial(("Author", 0))
     f2 = expand_frontier(g, f, "Cite")
+    assert (f2.start, f2.path, f2.node_type) == (("Author", 0), MetaPath("Author", ("Cite",)),
+                                                 "Author")
     assert f2.reached.tolist() == [1]
     assert len(f2.step_edges) == 1
     np.testing.assert_allclose(arrived_mean(g, f2), [0.0, 1.0])
@@ -115,7 +117,7 @@ def test_expand_frontier_single_chain():
 def test_expand_frontier_empty_is_dead_end():
     schema = academic_schema()
     g = build_graph(schema, {"Author": 2, "Paper": 1}, {}, {}, "Author", 2)
-    f = expand_frontier(g, Frontier.initial(("Author", 0)), "Cite")
+    f = expand_frontier(g, Episode.initial(("Author", 0)), "Cite")
     assert len(f.reached) == 0
     with pytest.raises(DeadEndError):
         arrived_mean(g, f)
@@ -131,7 +133,7 @@ def test_expand_frontier_dedups_reached_keeps_edges():
         "Author",
         2,
     )
-    f = expand_frontier(g, Frontier.initial(("Author", 0)), "Cite")
+    f = expand_frontier(g, Episode.initial(("Author", 0)), "Cite")
     f2 = expand_frontier(g, f, "Write")
     assert f2.reached.tolist() == [0]  # deduplicated
     parents, children = f2.step_edges[-1]
@@ -141,18 +143,18 @@ def test_expand_frontier_dedups_reached_keeps_edges():
 
 def test_expand_frontier_type_mismatch():
     g = imdb_like_graph()
-    f = Frontier.initial(("Movie", 0))
+    f = Episode.initial(("Movie", 0))
     with pytest.raises(SchemaError):
         expand_frontier(g, f, "A-M")
 
 
 def test_fan_out_cap_is_seeded_and_consistent_across_episodes():
     g = imdb_like_graph(n_m=30, n_a=20, edges_per_node=8, seed=1)
-    f1 = expand_frontier(g, Frontier.initial(("Movie", 3)), "M-A", fan_out_cap=3, seed=7)
-    f2 = expand_frontier(g, Frontier.initial(("Movie", 3)), "M-A", fan_out_cap=3, seed=7)
+    f1 = expand_frontier(g, Episode.initial(("Movie", 3)), "M-A", fan_out_cap=3, seed=7)
+    f2 = expand_frontier(g, Episode.initial(("Movie", 3)), "M-A", fan_out_cap=3, seed=7)
     assert f1.reached.tolist() == f2.reached.tolist()
     assert len(f1.reached) == 3
-    f3 = expand_frontier(g, Frontier.initial(("Movie", 3)), "M-A", fan_out_cap=3, seed=8)
+    f3 = expand_frontier(g, Episode.initial(("Movie", 3)), "M-A", fan_out_cap=3, seed=8)
     # a different run seed may sample different children
     assert len(f3.reached) == 3
 
@@ -167,12 +169,12 @@ def test_arrived_mean_examples():
         "Author",
         2,
     )
-    f = expand_frontier(g, Frontier.initial(("Author", 0)), "Write")
+    f = expand_frontier(g, Episode.initial(("Author", 0)), "Write")
     np.testing.assert_allclose(arrived_mean(g, f), [0.0, 0.5])
 
 
 def test_expand_matches_brute_force_instance_projection():
-    """Uncapped frontier levels (the distinct children of each step) equal the
+    """Uncapped episode levels (the distinct children of each step) equal the
     projected node sets of exhaustive instance enumeration."""
     from rlhgnn.aggplan import enumerate_instances
     from rlhgnn.pipeline import random_legal_episodes
@@ -188,9 +190,9 @@ def test_expand_matches_brute_force_instance_projection():
             n = len(ep.path.relations)
             for level in range(1, n + 1):
                 expected = sorted({inst[level] for inst in insts})
-                # frontier levels may include dead branches; the instance
+                # episode levels may include dead branches; the instance
                 # projection must be a subset reaching equality at the leaves
-                got = np.unique(ep.frontier.step_edges[level - 1][1]).tolist()
+                got = np.unique(ep.step_edges[level - 1][1]).tolist()
                 assert set(expected) <= set(got)
                 if level == n:
                     assert expected == got

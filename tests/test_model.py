@@ -26,9 +26,9 @@ from helpers import (
     total_sum,
 )
 from rlhgnn import autodiff as ad
-from rlhgnn.aggplan import Episode, LayerIndex, _readonly, build_plan, naive_plan
+from rlhgnn.aggplan import LayerIndex, _readonly, build_plan, naive_plan
 from rlhgnn.hin import HinSchema, RelationType, build_graph
-from rlhgnn.metapath import Frontier, MetaPath, expand_frontier
+from rlhgnn.metapath import Episode, expand_frontier
 from rlhgnn.model import (
     _layer_forward,
     backward,
@@ -50,11 +50,10 @@ def small_params(g, T=2, d=8, heads=2, seed=0, dropout=0.0):
 
 
 def episode(g, start, relations, cap=None, seed=0):
-    path = MetaPath(start[0], tuple(relations))
-    f = Frontier.initial(start)
+    ep = Episode.initial(start)
     for rel in relations:
-        f = expand_frontier(g, f, rel, cap, seed)
-    return Episode(start, path, f)
+        ep = expand_frontier(g, ep, rel, cap, seed)
+    return ep
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +211,7 @@ def test_all_negative_preactivation_gives_zero():
 def test_stop_at_zero_returns_projected_attributes():
     g = imdb_like_graph(seed=1)
     p = small_params(g, d=8, heads=2, seed=2)
-    ep = Episode(("Movie", 3), MetaPath("Movie"), Frontier.initial(("Movie", 3)))
+    ep = Episode.initial(("Movie", 3))
     fwd = hgnn_forward(p, g, build_plan(g, [ep]))
     expected = g.attributes["Movie"][3] @ p.table["proj:Movie"].value
     np.testing.assert_allclose(fwd.outputs.value[0], expected, atol=1e-12)

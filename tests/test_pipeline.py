@@ -434,6 +434,15 @@ def test_predict_rejects_a_model_of_another_schema():
         predict(params, agent, g2, cfg, split2.test)
 
 
+def test_predict_rejects_a_model_of_another_class_count():
+    g, split = generate_planted_hin(planted_spec_1hop())
+    params, agent, _ = run(small_cfg(rounds=2, inner_rounds=2), g, split)
+    assert params.num_classes == 3
+    two_class = replace(g, num_classes=2, labels=np.minimum(g.labels, 1))
+    with pytest.raises(ValueError, match="the model has 3 classes, but the graph has 2"):
+        predict(params, agent, two_class, small_cfg(), split.test)
+
+
 @pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
 def test_a_fixed_path_naming_no_relation_is_rejected_before_any_round(variant, monkeypatch):
     g, split = generate_planted_hin(planted_spec_1hop())
@@ -553,8 +562,8 @@ def test_loops_build_each_start_nodes_initial_episode_once_per_run(variant, monk
     first = loop.fresh_episodes(g, split.validation)
     again = loop.fresh_episodes(g, split.validation[::-1].copy())
     assert all(a is b for a, b in zip(first, again[::-1]))
-    assert [(e.start, e.path, e.frontier.step_relations) for e in first] == [
-        (e.start, e.path, e.frontier.step_relations)
+    assert [(e.start, e.path, e.node_type, e.reached.tolist()) for e in first] == [
+        (e.start, e.path, e.node_type, e.reached.tolist())
         for e in real_fresh(g, split.validation)]
 
 
@@ -566,9 +575,9 @@ def _counted_expansions(monkeypatch, variant, memo):
     keys = []
     real_expand, real_act = pipeline.expand_frontier, pipeline._act
 
-    def counted(g, frontier, relation, *args):
-        keys.append((frontier.start, frontier.step_relations + (relation,)))
-        return real_expand(g, frontier, relation, *args)
+    def counted(g, episode, relation, *args):
+        keys.append((episode.start, episode.path.relations + (relation,)))
+        return real_expand(g, episode, relation, *args)
 
     monkeypatch.setattr(pipeline, "expand_frontier", counted)
     if not memo:

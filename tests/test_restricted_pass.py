@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from helpers import full_train_step, graphs_and_episodes, imdb_like_graph
 from rlhgnn import autodiff as ad
-from rlhgnn.aggplan import Episode, build_plan, restrict
+from rlhgnn.aggplan import build_plan, restrict
 from rlhgnn.hin import HinSchema, RelationType, build_graph
-from rlhgnn.metapath import Frontier, MetaPath, expand_frontier
+from rlhgnn.metapath import Episode, expand_frontier
 from rlhgnn import model
 from rlhgnn.model import (
     _blocked_tn,
@@ -88,10 +88,10 @@ def _self_loop_graph(seed: int):
 
 
 def _episode(g, start: int, length: int) -> Episode:
-    f = Frontier.initial(("T", start))
+    ep = Episode.initial(("T", start))
     for _ in range(length):
-        f = expand_frontier(g, f, "r")
-    return Episode(("T", start), MetaPath("T", ("r",) * length), f)
+        ep = expand_frontier(g, ep, "r")
+    return ep
 
 
 # (start, length) of every episode, and the loss's episode rows

@@ -10,8 +10,8 @@ import pytest
 
 from helpers import imdb_like_graph
 from rlhgnn import pipeline
-from rlhgnn.aggplan import AggregationDag, Episode
-from rlhgnn.metapath import Frontier, MetaPath, expand_frontier
+from rlhgnn.aggplan import AggregationDag
+from rlhgnn.metapath import Episode, expand_frontier
 from rlhgnn.pipeline import TrainConfig
 from rlhgnn.synth import SyntheticSpec, generate_planted_hin
 
@@ -30,14 +30,14 @@ def test_tracer_finds_every_target_and_captures_frontiers_and_plans():
     assert tracer.absent == []
     g = imdb_like_graph()
     with tracer.installed():
-        f = pipeline.expand_frontier(g, Frontier.initial(("Movie", 0)), "M-A")
-        pipeline.build_plan(g, [Episode(("Movie", 0), MetaPath("Movie", ("M-A",)), f)])
+        ep = pipeline.expand_frontier(g, Episode.initial(("Movie", 0)), "M-A")
+        pipeline.build_plan(g, [ep])
     assert pipeline.expand_frontier is expand_frontier  # the original is back
-    frontiers = tracer.captured["metapath.expand_frontier"]
+    expanded = tracer.captured["metapath.expand_frontier"]
     plans = tracer.captured["aggplan.build_plan"]
-    assert len(frontiers) == 1 and isinstance(frontiers[0], Frontier)
+    assert len(expanded) == 1 and isinstance(expanded[0], Episode)
     assert len(plans) == 1 and isinstance(plans[0][1], AggregationDag)
-    np.testing.assert_array_equal(frontiers[0].reached, f.reached)
+    np.testing.assert_array_equal(expanded[0].reached, ep.reached)
 
 
 def test_traced_run_and_predict_record_every_agent_step_span():
@@ -53,19 +53,19 @@ def test_traced_run_and_predict_record_every_agent_step_span():
     assert summary["pipeline.run"].calls == 1
     assert summary["aggplan.build_plan"].calls == 3
     assert all(isinstance(plan, AggregationDag) for _, plan in tracer.captured["aggplan.build_plan"])
-    # the agent step's spans and captured frontiers feed the benchmark's
+    # the agent step's spans and captured expansions feed the benchmark's
     # per-layer metrics; a step that bypasses them would read 0 there
     for span in ("agent.select_action", "metapath.valid_actions", "metapath.expand_frontier"):
         assert summary[span].calls > 0, span
-    frontiers = tracer.captured["metapath.expand_frontier"]
-    assert len(frontiers) == summary["metapath.expand_frontier"].calls
-    assert all(isinstance(f, Frontier) for f in frontiers)
+    expanded = tracer.captured["metapath.expand_frontier"]
+    assert len(expanded) == summary["metapath.expand_frontier"].calls
+    assert all(isinstance(ep, Episode) for ep in expanded)
 
     tracer = _load_tracing().Tracer()
     with tracer.installed():
         pipeline.predict(params, agent, g, cfg, split.test)
     summary = tracer.summarize()
-    # a greedy policy may stop every node before expanding any frontier
+    # a greedy policy may stop every node before expanding any episode
     for span in ("agent.select_action", "metapath.valid_actions"):
         assert summary[span].calls > 0, span
 
