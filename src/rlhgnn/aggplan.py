@@ -49,8 +49,11 @@ class LayerIndex:
 
     src_rows: np.ndarray  # source's row in the previous layer (in H0 at layer 1)
     tgt_rows: np.ndarray  # target node's row in H0
-    starts: np.ndarray  # first traversal of each step
     lengths: np.ndarray  # traversals per step, all >= 1
+    starts: np.ndarray = field(init=False)  # first traversal of each step
+
+    def __post_init__(self):
+        object.__setattr__(self, "starts", _readonly(np.cumsum(self.lengths) - self.lengths))
 
 
 @dataclass(eq=False)
@@ -81,11 +84,9 @@ class AggregationDag:
             if not len(lengths) or lengths.min() < 1:
                 raise ValueError(f"plan layer {layer} needs at least one step, and every step "
                                  f"at least one traversal")
-            ends = lengths.cumsum()
-            if (ix.starts.shape != lengths.shape or (ix.starts != ends - lengths).any()
-                    or not len(ix.src_rows) == len(ix.tgt_rows) == ends[-1]):
-                raise ValueError(f"plan layer {layer}: segment starts must be the exclusive "
-                                 f"cumsum of the lengths, which must sum to the traversal count")
+            if not len(ix.src_rows) == len(ix.tgt_rows) == lengths.sum():
+                raise ValueError(f"plan layer {layer}: the lengths must sum to the traversal "
+                                 f"count")
             _check_rows(ix.src_rows, prev_rows, f"plan layer {layer} source rows")
             _check_rows(ix.tgt_rows, h0_rows, f"plan layer {layer} target rows")
             prev_rows = len(lengths)
@@ -193,11 +194,9 @@ def restrict(plan: AggregationDag, episodes: np.ndarray | None = None) -> Restri
         src = ix.src_rows[traversals]
         if layer > 1:  # the source's position among the kept steps below
             src = np.searchsorted(kept[layer - 2][0], src)
-        lengths = ix.lengths[steps]
         index.append(LayerIndex(src_rows=_readonly(src),
                                 tgt_rows=_readonly(ix.tgt_rows[traversals]),
-                                starts=_readonly(np.cumsum(lengths) - lengths),
-                                lengths=_readonly(lengths)))
+                                lengths=_readonly(ix.lengths[steps])))
         new_row[bounds[layer - 1] + steps] = base + np.arange(len(steps))
         base += len(steps)
     return Restriction(plan, _readonly(episodes), index,
@@ -388,7 +387,6 @@ def build_plan(g: HinGraph, episodes: list[Episode]) -> AggregationDag:
         index.append(LayerIndex(
             src_rows=_readonly(np.repeat(src, mult)),
             tgt_rows=_readonly(np.repeat(tgt, lengths)),
-            starts=_readonly(np.cumsum(lengths) - lengths),
             lengths=_readonly(lengths),
         ))
         prev = codes
@@ -517,7 +515,6 @@ def _compile(layers: list[list[PlanStep]], outputs: list[Key], h0_nodes: list[No
         index.append(LayerIndex(
             src_rows=_readonly(np.repeat(src, mult)),
             tgt_rows=_readonly(np.repeat(tgt, lengths)),
-            starts=_readonly(np.cumsum(lengths) - lengths),
             lengths=_readonly(lengths),
         ))
         prev = {s.target: i for i, s in enumerate(L)}

@@ -4,7 +4,8 @@ Every Var holds a float64 ndarray. A recorded Var keeps its parents and a
 closure that maps its output gradient to one gradient per parent;
 backward() walks the tape once, in reverse topological order, leaves .grad
 on every leaf and releases each interior node as soon as its closure has
-run. Inside no_grad() a Var records nothing.
+run. The tape holds no mode: whether a pass records is its caller's choice
+(rlhgnn.model.hgnn_forward records in train mode only).
 
 This module defines no ops. Each recorded node is a whole model stage with
 a hand-written closure: the HGNN's aggregation (from the projections to the
@@ -13,36 +14,7 @@ Q-network's TD loss in rlhgnn.agent.
 """
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-
 import numpy as np
-
-class _Recording(threading.local):
-    on = True  # every thread starts out recording
-
-
-_recording = _Recording()
-
-
-@contextmanager
-def no_grad():
-    """Compute values only: inside the block, on the calling thread, every
-    Var made has no parents and no closure, so nothing can be backpropagated
-    through it and each intermediate is freed as soon as the caller drops it.
-    Blocks nest; on exit, also by an exception, the state before the block is
-    restored. Other threads keep recording."""
-    before = _recording.on
-    _recording.on = False
-    try:
-        yield
-    finally:
-        _recording.on = before
-
-
-def recording() -> bool:
-    """Whether Vars made on the calling thread record a tape (False inside no_grad)."""
-    return _recording.on
 
 
 class Var:
@@ -52,11 +24,8 @@ class Var:
 
     def __init__(self, value, parents=(), bw=None):
         self.value = np.asarray(value, dtype=np.float64)
-        if _recording.on:
-            self.parents: tuple[Var, ...] = parents
-            self.bw = bw  # callable(grad_out) -> tuple of parent grads
-        else:
-            self.parents, self.bw = (), None
+        self.parents: tuple[Var, ...] = parents
+        self.bw = bw  # callable(grad_out) -> tuple of parent grads
         self.grad: np.ndarray | None = None
 
     def check_finite(self, what: str = "tensor") -> "Var":

@@ -54,14 +54,14 @@ over the whole plan, by these rules:
 - Every other operation is per row, per step or a sum in which the left-out
   traversals would add zeros.
 
-A pass that records no tape and draws no dropout masks, the eval pass,
-multiplies by W before it gathers. Where prev has 2 or more rows but fewer
-than the traversals, the sources' products are (prev @ W)[src_rows]; at
-layer 1 prev is H0, and that one product serves the targets too. Otherwise
-each step's target row is multiplied once, and its a_dst logit repeated
-over the step's traversals; the per-traversal target products are built
-only when the messages read them. A recorded pass never does this: its
-backward reads the per-traversal products.
+A train pass records the tape and draws dropout masks. An eval pass does
+neither, and it multiplies by W before it gathers. Where prev has 2 or
+more rows but fewer than the traversals, the sources' products are
+(prev @ W)[src_rows]; at layer 1 prev is H0, and that one product serves
+the targets too. Otherwise each step's target row is multiplied once, and
+its a_dst logit repeated over the step's traversals; the per-traversal
+target products are built only when the messages read them. A train pass
+never does this: its backward reads the per-traversal products.
 
 tests/test_restricted_pass.py pins these BLAS behaviours for layers of 2
 to 7,000 traversals and matrices of up to 3,800 rows multiplied first,
@@ -312,6 +312,7 @@ def _layer_forward(
     masks: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
     messages_from_target: bool = False,
     n: int | None = None,
+    record: bool = True,
 ) -> tuple[np.ndarray, tuple]:
     """Aggregate per-traversal rows, S = prev[ix.src_rows] from the sources
     and T0 = h0[ix.tgt_rows] from the targets, each with inverted dropout by
@@ -319,14 +320,14 @@ def _layer_forward(
     once: head h is column block h*hd:(h+1)*hd. n is the traversal count of
     the whole plan's layer when ix keeps only some. Returns the outputs and
     what _layer_backward needs; S and T0 are freed as soon as W has mapped
-    them. A pass that records nothing and draws no masks multiplies before
-    it gathers (_multiply_first); a recorded one never does, since its
-    backward reads the per-traversal WT."""
+    them. An unrecorded pass, which draws no masks, multiplies before it
+    gathers (_multiply_first); a recorded one never does, since its backward
+    reads the per-traversal WT."""
     heads, hd, keep = params.heads, params.head_dim, 1.0 - params.dropout
     W, a_src, a_dst = (v.value for v in _layer_params(params, layer))
     starts, lengths = ix.starts, ix.lengths
     n = len(ix.src_rows) if n is None else n
-    if masks[0] is None and masks[1] is None and not ad.recording():
+    if not record:
         WS, WT, s_dst = _multiply_first(prev, h0, ix, W, n, a_dst, messages_from_target)
     else:
         WS = _times(_gather(prev, ix.src_rows, masks[0], keep), W, n).reshape(-1, heads, hd)
@@ -422,6 +423,10 @@ def _layer_backward(
     return (*scattered, g_W, g_a_src, g_a_dst)
 
 
+def _unrecorded(g):
+    raise ValueError("an eval-mode pass records no tape; run hgnn_forward in train mode")
+
+
 @dataclass
 class ForwardResult:
     outputs: ad.Var  # (num episodes, d), one row per dag.output_rows entry
@@ -452,8 +457,12 @@ def hgnn_forward(
     outputs' share first, then layer L's to layer 1's target rows, then
     layer 1's source rows; with messages_from_target, layer 1's source rows,
     then layer 1's to layer L's target rows. Each run of H0 rows then gives
-    its projection the gradient X_t.T @ g_H0[run]. Under ad.no_grad nothing
-    is saved."""
+    its projection the gradient X_t.T @ g_H0[run].
+
+    Only a train pass records and draws dropout masks. An eval pass saves
+    nothing: its outputs have no parents, and a backward through them raises
+    ValueError rather than give the HGNN zero gradients. For gradients
+    without dropout, run a train pass on replace(params, dropout=0.0)."""
     if mode not in ("eval", "train"):
         raise ValueError(f"unknown mode {mode!r}")
     part = dag if isinstance(dag, Restriction) else restrict(dag)
@@ -464,8 +473,8 @@ def hgnn_forward(
         raise ValueError(f"plan has {len(plan.index)} aggregation layers but the model "
                          f"has T={params.T} aggregator parameter sets")
     keep = 1.0 - params.dropout
-    rng = np.random.default_rng([seed]) if mode == "train" and params.dropout > 0 else None
-    record = ad.recording()
+    record = mode == "train"
+    rng = np.random.default_rng([seed]) if record and params.dropout > 0 else None
     counts = [len(ix.src_rows) for ix in plan.index]  # the whole plan's traversals
 
     h0 = project_attributes(params, g, plan.h0_groups)
@@ -479,7 +488,7 @@ def hgnn_forward(
             masks = (_kept(mask_s, kept), _kept(mask_t, kept))
             del mask_s, mask_t
         out, saved = _layer_forward(params, layer, matrices[-1], h0, ix, masks,
-                                    messages_from_target, counts[layer - 1])
+                                    messages_from_target, counts[layer - 1], record)
         if record:
             saves.append(masks + saved)
         del masks, saved
@@ -517,7 +526,7 @@ def hgnn_forward(
                + [v for layer in range(1, L + 1) for v in _layer_params(params, layer)])
     out = np.zeros((len(plan.output_rows), params.d))
     out[part.episodes] = np.concatenate(matrices)[part.output_rows]
-    outputs = ad.Var(out, tuple(parents), bw)
+    outputs = ad.Var(out, tuple(parents), bw) if record else ad.Var(out, (), _unrecorded)
     outputs.check_finite("episode representations")
     return ForwardResult(outputs=outputs)
 

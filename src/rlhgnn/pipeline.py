@@ -410,10 +410,9 @@ def _eval_pass(params: nn.HgnnParams, g: HinGraph, plan: AggregationDag, nodes: 
                cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode pass over the plan of `nodes`, recording no tape:
     (per-episode representations, predicted class per target-type node id)."""
-    with ad.no_grad():
-        fwd = nn.hgnn_forward(params, g, plan, mode="eval",
-                              messages_from_target=cfg.messages_from_target)
-        probs = nn.classify(params, fwd.outputs)
+    fwd = nn.hgnn_forward(params, g, plan, mode="eval",
+                          messages_from_target=cfg.messages_from_target)
+    probs = nn.classify(params, fwd.outputs)
     preds = np.zeros(g.num_nodes[g.target_type], dtype=np.int64)
     preds[nodes] = np.argmax(probs.value, axis=1)
     return fwd.outputs.value, preds
@@ -455,6 +454,9 @@ class _Loop:
             raise ValueError(f"config variant must be {variant}")
         g.schema.need_relations("fixed_path", cfg.fixed_path or ())
         split.need_labels(g.labels, ("train", "validation"))
+        for key in ("train", "validation"):
+            if not len(getattr(split, key)):
+                raise ValueError(f"split key {key!r} holds no node id")
         fast = variant == "rl-hgnn-pp"
         self.cfg, self.split = cfg, split
         self.agent = _make_agent(g, cfg, split,
@@ -663,8 +665,9 @@ def predict(
     prediction, so the final plan is built and forwarded once.
 
     Raises ValueError when the model's schema or class count, the agent's
-    action count or cfg.fixed_path does not fit the graph; a state width that
-    does not fit is named by QNetwork.values."""
+    action count or cfg.fixed_path does not fit the graph, or a node id is
+    not a target-type node's; a state width that does not fit is named by
+    QNetwork.values."""
     if params.schema != g.schema:
         raise ValueError("the model's schema is not the graph's: the checkpoint was trained "
                          "on another graph schema")
@@ -677,6 +680,13 @@ def predict(
                          f"schema has {num_actions} (one per relation type, plus Stop)")
     g.schema.need_relations("fixed_path", cfg.fixed_path or ())
     nodes = np.asarray(nodes)
+    if nodes.ndim != 1:
+        raise ValueError(f"node ids must be a 1-D array, got shape {nodes.shape}")
+    n = g.num_nodes[g.target_type]
+    ok = (nodes >= 0) & (nodes < n) if nodes.dtype.kind in "iu" else np.zeros(nodes.shape, bool)
+    if not ok.all():
+        raise ValueError(f"node id {nodes[~ok][0].item()!r} is not a {g.target_type} node: "
+                         f"ids must be integers in [0, {n})")
     episodes = _fresh_episodes(g, nodes)
     stopped = np.zeros(len(episodes), dtype=bool)
     rng = np.random.default_rng(0)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby
 from pathlib import Path
 
@@ -568,6 +568,22 @@ def reference_layer_compute(
         summed = segment_sum(mul(alpha, val), starts, lengths)
         outs.append(mul_const(summed, inv_len))
     return relu(hstack(outs))
+
+
+def recorded_forward(
+    params: HgnnParams,
+    g: HinGraph,
+    dag: AggregationDag,
+    mode: str = "eval",
+    seed: int = 0,
+    messages_from_target: bool = False,
+) -> ad.Var:
+    """hgnn_forward's outputs with a tape in either mode. An eval pass
+    records none, so mode "eval" runs a train pass without dropout, on the
+    same parameter Vars."""
+    if mode == "eval":
+        params, mode = replace(params, dropout=0.0), "train"
+    return hgnn_forward(params, g, dag, mode, seed, messages_from_target).outputs
 
 
 def reference_forward(

@@ -1,6 +1,7 @@
 """Acceptance criteria. Each test prints one PASS line when its criterion
 holds at the stated tolerance; any failure is a real failure of the build."""
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,9 +125,10 @@ def test_criterion_3_gradient_correctness():
     plan = build_plan(g, episodes)
     rows = np.arange(len(episodes))
     ep_nodes = np.array([0, 1, 2, 3])
+    no_dropout = replace(params, dropout=0.0)  # shares params' Vars
 
     def loss_fn():
-        fwd = hgnn_forward(params, g, plan, mode="eval")
+        fwd = hgnn_forward(no_dropout, g, plan, mode="train")
         return cross_entropy(classify(params, fwd.outputs), g.labels[ep_nodes], rows)
 
     err = finite_diff_check(params.all_vars(), loss_fn, eps=1e-5, num_coords=200, seed=0)

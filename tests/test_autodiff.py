@@ -1,8 +1,9 @@
 """Gradient checks for every autodiff op, and for the per-op tape ops the
 references in tests/helpers.py record, against central finite differences;
 and the tape against its reference in tests/helpers.py."""
+import gc
 import math
-import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ from helpers import (
     gather_rows,
     graphs_and_episodes,
     head_dot,
+    imdb_like_graph,
     leaky_relu,
     log,
     matmul,
     mul,
     mul_const,
     per_op_td_loss,
+    recorded_forward,
     reference_backward,
     reference_dropout_rows,
     reference_scatter_rows,
@@ -40,6 +43,7 @@ from helpers import (
     vstack,
 )
 from rlhgnn import autodiff as ad
+from rlhgnn import model
 from rlhgnn.agent import QNetwork, TransitionBatch, td_loss
 from rlhgnn.aggplan import build_plan
 from rlhgnn.model import (
@@ -51,6 +55,7 @@ from rlhgnn.model import (
     hgnn_forward,
     init_params,
 )
+from rlhgnn.pipeline import random_legal_episodes
 
 
 def fd_grad(f, x: np.ndarray, eps=1e-6) -> np.ndarray:
@@ -325,21 +330,19 @@ def test_hgnn_train_loss_grads_match_reference_tape(case, messages_from_target):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(graphs_and_episodes(), st.booleans())
-def test_value_only_forward_is_bit_equal_to_the_recorded_eval_forward(case,
-                                                                       messages_from_target):
+def test_the_eval_forward_is_bit_equal_to_the_recorded_forward_without_dropout(
+        case, messages_from_target):
     g, episodes, _ = case
     params = init_params(g.schema, g.num_classes, 3, d=4, heads=2, dropout=0.3, seed=1)
     plan = build_plan(g, episodes)
-    outputs = hgnn_forward(params, g, plan, "eval", 0, messages_from_target).outputs
+    outputs = recorded_forward(params, g, plan, "eval", 0, messages_from_target)
     probs = classify(params, outputs)
-    with ad.no_grad():
-        quiet = hgnn_forward(params, g, plan, "eval", 0, messages_from_target).outputs
-        quiet_probs = classify(params, quiet)
-    for v in (quiet, quiet_probs):
-        assert v.parents == () and v.bw is None
+    quiet = hgnn_forward(params, g, plan, "eval", 0, messages_from_target).outputs
+    quiet_probs = classify(params, quiet)
+    assert quiet.parents == () and quiet.bw is model._unrecorded
     assert quiet.value.tobytes() == outputs.value.tobytes()
     assert quiet_probs.value.tobytes() == probs.value.tobytes()
-    # outside no_grad the eval forward stays differentiable
+    # the train pass without dropout is differentiable
     labels = np.arange(len(episodes)) % g.num_classes
     grads = backward(cross_entropy(probs, labels, np.arange(len(labels))), params.all_vars())
     assert any(np.any(gr != 0) for gr in grads)
@@ -402,100 +405,46 @@ def test_td_loss_checks_the_state_width():
 
 
 # ---------------------------------------------------------------------------
-# no_grad
+# Eval passes record no tape
 
 
-def _ops(x, w):
-    """One of every op kind the models record."""
-    h = relu(matmul(gather_rows(x, [2, 0, 2], np.ones((3, 3), dtype=bool), 0.5), w))
-    z = exp(leaky_relu(segment_sum(repeat_rows(h, [1, 2, 1]), [0, 2], [2, 2])))
-    y = div(mul(z, z), add_const(scale(z, 2.0), 1.0))
-    y = sub(add(y, mul_const(y, 3.0)), square(y))
-    y = vstack([y, reshape(log(add_const(square(y), 1.0)), (2, 3))])
-    hd = head_dot(reshape(y, (4, 1, 3)), const(np.ones((1, 3))))
-    return total_mean(add(sum_cols(hd), total_sum(hd)))
+def _kept_saves(mode, monkeypatch):
+    """Weak references to the arrays each layer of a pass returns for its
+    backward: those alive after the pass returned and the gc ran, all of
+    them, and the pass's outputs, which are still held."""
+    g = imdb_like_graph(seed=3)
+    params = init_params(g.schema, g.num_classes, 3, d=8, heads=2, dropout=0.3, seed=1)
+    plan = build_plan(g, random_legal_episodes(g, np.arange(6), length=3, seed=2))
+    refs = []
+    layer_forward = model._layer_forward
+
+    def spy(*args):
+        out, saved = layer_forward(*args)
+        refs.extend(weakref.ref(a) for a in saved if a is not None)
+        return out, saved
+
+    monkeypatch.setattr(model, "_layer_forward", spy)
+    outputs = hgnn_forward(params, g, plan, mode, 4).outputs
+    gc.collect()
+    return [r for r in refs if r() is not None], refs, outputs
 
 
-def test_no_grad_records_no_parents_or_closures():
-    rng = np.random.default_rng(0)
-    x, w = ad.param(rng.normal(size=(3, 3))), ad.param(rng.normal(size=(3, 3)))
-    made = []
-    real_init = ad.Var.__init__
-
-    def spy(self, *args, **kwargs):
-        real_init(self, *args, **kwargs)
-        made.append(self)
-
-    ad.Var.__init__ = spy
-    try:
-        with ad.no_grad():
-            quiet = _ops(x, w)
-        n_quiet = len(made)
-        loud = _ops(x, w)
-    finally:
-        ad.Var.__init__ = real_init
-    assert n_quiet > 20 and len(made) == 2 * n_quiet
-    assert all(v.parents == () and v.bw is None for v in made[:n_quiet])
-    assert all(v.bw is not None for v in made[n_quiet:] if v.parents)
-    assert quiet.value.tobytes() == loud.value.tobytes()
-    ad.backward(loud)
-    assert x.grad is not None and w.grad is not None
+def test_an_eval_pass_has_no_parents_and_saves_nothing(monkeypatch):
+    kept, made, outputs = _kept_saves("eval", monkeypatch)
+    assert made and not kept
+    assert outputs.parents == () and outputs.bw is model._unrecorded
+    kept, made, outputs = _kept_saves("train", monkeypatch)
+    assert len(kept) == len(made) and outputs.parents
 
 
-def test_no_grad_nests_and_restores_its_state_after_an_exception():
-    a = ad.param(np.arange(3.0))
-
-    def recorded() -> bool:
-        return square(a).parents == (a,)
-
-    with ad.no_grad():
-        with ad.no_grad():
-            assert not recorded()
-        assert not recorded()  # the inner block restores "off", not "on"
-    assert recorded()
-    with pytest.raises(RuntimeError, match="inside"):
-        with ad.no_grad():
-            raise RuntimeError("inside")
-    assert recorded()
-    with ad.no_grad():
-        with pytest.raises(RuntimeError):
-            with ad.no_grad():
-                raise RuntimeError("nested")
-        assert not recorded()
-    assert recorded()
-
-
-def test_no_grad_leaves_other_threads_recording():
-    a = ad.param(np.arange(3.0))
-    entered, checked = threading.Event(), threading.Event()
-    seen = {}
-
-    def quiet():
-        with ad.no_grad():
-            entered.set()
-            checked.wait(timeout=30)
-            seen["quiet"] = square(a).parents
-
-            def child():
-                seen["child"] = square(a).parents
-
-            t = threading.Thread(target=child)
-            t.start()
-            t.join()
-
-    t = threading.Thread(target=quiet)
-    t.start()
-    assert entered.wait(timeout=30)
-    seen["main"] = square(a).parents  # while the other thread is inside its block
-    checked.set()
-    t.join()
-    assert seen == {"main": (a,), "quiet": (), "child": (a,)}
-
-
-def test_a_loss_recorded_under_no_grad_cannot_be_backpropagated():
-    rng = np.random.default_rng(1)
-    x, w = ad.param(rng.normal(size=(3, 3))), ad.param(rng.normal(size=(3, 3)))
-    with ad.no_grad():
-        loss = _ops(x, w)
+def test_a_loss_on_eval_outputs_cannot_be_backpropagated():
+    g = imdb_like_graph(seed=3)
+    params = init_params(g.schema, g.num_classes, 2, d=8, heads=2, dropout=0.3, seed=1)
+    plan = build_plan(g, random_legal_episodes(g, np.arange(4), length=2, seed=2))
+    outputs = hgnn_forward(params, g, plan, "eval").outputs
+    loss = cross_entropy(classify(params, outputs), g.labels[:4], np.arange(4))
     with pytest.raises(ValueError, match="loss carries no recording"):
-        backward(loss, [x, w])
+        backward(ad.Var(loss.value), params.all_vars())  # a constant, not a loss
+    with pytest.raises(ValueError, match="an eval-mode pass records no tape; "
+                                         "run hgnn_forward in train mode"):
+        backward(loss, params.all_vars())

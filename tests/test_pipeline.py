@@ -444,6 +444,35 @@ def test_predict_rejects_a_model_of_another_class_count():
 
 
 @pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
+def test_predict_rejects_an_id_that_is_no_target_type_node(variant):
+    """Each id is an H0 row of the target type: -1 would read the row of
+    another type's node, and 90, 1.5 or a 2-D array fail in numpy."""
+    g, split = generate_planted_hin(planted_spec_1hop())
+    cfg = small_cfg(variant=variant, rounds=2, inner_rounds=2)
+    params, agent, _ = run(cfg, g, split)
+    assert g.num_nodes["Movie"] == 90
+    for nodes, bad in [([-1], "-1"), ([3, 90, -1], "90"), (np.array([2.0, 1.5]), "2.0")]:
+        message = rf"^node id {bad} is not a Movie node: ids must be integers in \[0, 90\)$"
+        with pytest.raises(ValueError, match=message):
+            predict(params, agent, g, cfg, np.array(nodes))
+    for nodes, shape in [([[1, 2]], r"\(1, 2\)"), (5, r"\(\)")]:
+        with pytest.raises(ValueError, match=rf"^node ids must be a 1-D array, got shape {shape}$"):
+            predict(params, agent, g, cfg, np.array(nodes))
+    assert predict(params, agent, g, cfg, np.array([89, 0])).shape == (90,)
+
+
+@pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
+@pytest.mark.parametrize("key", ["train", "validation"])
+def test_an_empty_train_or_validation_key_is_rejected_before_any_round(variant, key,
+                                                                        monkeypatch):
+    g, split = generate_planted_hin(planted_spec_1hop())
+    empty = replace(split, **{key: np.zeros(0, dtype=np.int64)})
+    monkeypatch.setattr(pipeline, "_make_agent", None)  # no agent may be built
+    with pytest.raises(ValueError, match=f"^split key '{key}' holds no node id$"):
+        run(small_cfg(variant=variant, rounds=2, inner_rounds=2), g, empty)
+
+
+@pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
 def test_a_fixed_path_naming_no_relation_is_rejected_before_any_round(variant, monkeypatch):
     g, split = generate_planted_hin(planted_spec_1hop())
     cfg = small_cfg(variant=variant, rounds=2, inner_rounds=2, fixed_path=("M-A", "A-X"))

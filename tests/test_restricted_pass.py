@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import full_train_step, graphs_and_episodes, imdb_like_graph
+from helpers import full_train_step, graphs_and_episodes, imdb_like_graph, recorded_forward
 from rlhgnn import autodiff as ad
 from rlhgnn.aggplan import build_plan, restrict
 from rlhgnn.hin import HinSchema, RelationType, build_graph
@@ -358,10 +358,9 @@ def test_the_blas_pins_hold_with_blas_on_one_thread():
 
 
 def eval_outputs(params, g, plan, mft: bool, recorded: bool) -> bytes:
-    if recorded:  # a recorded pass gathers before it multiplies
-        return hgnn_forward(params, g, plan, "eval", 0, mft).outputs.value.tobytes()
-    with ad.no_grad():
-        return hgnn_forward(params, g, plan, "eval", 0, mft).outputs.value.tobytes()
+    if recorded:  # a train pass without dropout gathers before it multiplies
+        return recorded_forward(params, g, plan, "eval", 0, mft).value.tobytes()
+    return hgnn_forward(params, g, plan, "eval", 0, mft).outputs.value.tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -402,8 +401,7 @@ def test_the_unrecorded_eval_pass_keeps_the_bits_of_one_step_layers_and_a_one_ro
         assert eval_outputs(params, g, plan, mft, False) == eval_outputs(params, g, plan, mft, True)
 
 
-@pytest.mark.parametrize("mode", ["eval", "train"])
-def test_a_recorded_pass_without_dropout_never_multiplies_first(mode, monkeypatch):
+def test_a_recorded_pass_without_dropout_never_multiplies_first(monkeypatch):
     """Its backward reads every traversal's target product, which the
     multiply-first path does not build."""
     g = _parallel_edge_graph()
@@ -411,10 +409,10 @@ def test_a_recorded_pass_without_dropout_never_multiplies_first(mode, monkeypatc
     params = init_params(g.schema, 2, 3, d=32, heads=4, dropout=0.0, seed=4)
     calls = []
     monkeypatch.setattr(model, "_multiply_first", lambda *a: calls.append(1))
-    outputs = hgnn_forward(params, g, plan, mode, 1).outputs
+    outputs = hgnn_forward(params, g, plan, "train", 1).outputs
     loss = cross_entropy(classify(params, outputs), np.zeros(3, dtype=np.int64), np.arange(3))
     backward(loss, params.all_vars())
     assert not calls
-    with ad.no_grad(), pytest.raises(TypeError):  # the stub returns no products
-        hgnn_forward(params, g, plan, mode, 1)
+    with pytest.raises(TypeError):  # the stub returns no products
+        hgnn_forward(params, g, plan, "eval", 1)
     assert calls
