@@ -16,7 +16,7 @@ from . import autodiff as ad
 from .checkpoint import check_arrays, header_fields, read_checkpoint, write_checkpoint
 from .hin import NUMBER, HinGraph, Rule, at_least, list_of, number
 from .metapath import Episode, arrived_mean
-from .model import AdamState, _glorot, backward, init_adam, optimizer_step
+from .model import AdamState, _axis_sum, _glorot, backward, init_adam, optimizer_step
 
 Q_HIDDEN = (32, 64, 128, 64, 32)
 
@@ -305,7 +305,7 @@ def td_loss(qnet: QNetwork, target_net: QNetwork, batch: TransitionBatch,
         g = np.repeat(g[:, None], onehot.shape[1], axis=1) * onehot
         grads = []
         for i in range(len(xs) - 1, -1, -1):  # x @ W + b, then the relu below it
-            grads[:0] = [xs[i].T @ g, ad.unbroadcast(g, qnet.biases[i].value.shape)]
+            grads[:0] = [xs[i].T @ g, _axis_sum(g, 0)]
             if i:
                 g = (g @ qnet.weights[i].value.T) * (xs[i] > 0)
         return tuple(grads)

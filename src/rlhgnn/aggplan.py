@@ -64,9 +64,9 @@ class AggregationDag:
     The views `layers`, `outputs` and `h0_nodes` are derived on first read
     and cached; threads that derive the same view at once get equal results.
 
-    The arrays are checked once, here, for every pass that reads them: each
-    layer's segments tile its traversals, and every gather row lies inside
-    the matrix it reads.
+    The arrays are checked once, here, for every pass that reads them: H0
+    holds each node type's rows in one run, each layer's segments tile its
+    traversals, and every gather row lies inside the matrix it reads.
     """
 
     episodes_sig: list[tuple[NodeId, tuple[str, ...]]]
@@ -77,6 +77,9 @@ class AggregationDag:
     derive_views: Callable[[], tuple[list[list[PlanStep]], list[Key]]] = field(repr=False)
 
     def __post_init__(self):
+        for i, (t, _) in enumerate(self.h0_groups):
+            if any(t == u for u, _ in self.h0_groups[:i]):
+                raise ValueError(f"plan H0 holds node type {t!r} in two runs")
         h0_rows = sum(len(ids) for _, ids in self.h0_groups)
         prev_rows = stack_rows = h0_rows
         for layer, ix in enumerate(self.index, start=1):

@@ -13,15 +13,13 @@ import numpy as np
 from . import agent as rl
 from . import model as nn
 from . import pipeline as pl
-from .hin import DataSplit, Rule, check_fields, is_int, list_of, load_hin, save_hin, split_nodes
+from .hin import (DataSplit, Rule, check_fields, is_int, list_of, load_hin, read_json, save_hin,
+                  split_nodes)
 from .synth import SyntheticSpec, generate_planted_hin
 
 
 def _load_config(path: str | None, variant: str | None) -> pl.TrainConfig:
-    doc = {}
-    if path:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+    doc = read_json(path) if path else {}
     if variant and isinstance(doc, dict):  # from_dict names any other JSON value
         doc["variant"] = variant
     return pl.TrainConfig.from_dict(doc)
@@ -39,8 +37,7 @@ def _load_split(path: Path, labels: np.ndarray) -> DataSplit:
     """Raises ValueError naming the file and the key unless it holds train,
     validation and test lists of distinct node ids in [0, len(labels)), no
     id in two of them, each of them labelled."""
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = read_json(path)
     n = len(labels)
     node = Rule(lambda i: is_int(i) and 0 <= i < n, "a node id")
     lists = check_fields(
@@ -82,8 +79,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     run_dir = Path(args.checkpoint)
     g = load_hin(args.graph, args.format)
-    with open(run_dir / "config.json", "r", encoding="utf-8") as f:
-        cfg = pl.TrainConfig.from_dict(json.load(f))
+    cfg = pl.TrainConfig.from_dict(read_json(run_dir / "config.json"))
     params = nn.load_params(run_dir / "model.bin")
     agent = rl.load_agent(run_dir / "agent.bin")
     split_path = run_dir / "split.json"
@@ -165,8 +161,7 @@ def cmd_bench_runtime(args) -> int:
 
 
 def cmd_gen_synth(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as f:
-        spec = SyntheticSpec.from_dict(json.load(f))
+    spec = SyntheticSpec.from_dict(read_json(args.spec))
     g, split = generate_planted_hin(spec)
     save_hin(g, args.out)
     _save_split(split, Path(str(args.out) + ".split.json"))

@@ -398,6 +398,14 @@ def _fields(path, doc, rules: dict[str, Rule], where: str = "", defaults: dict =
                         lambda v: f"{v!r:.60}", defaults)  # a long value's repr is cut
 
 
+def read_json(path, error: type[ValueError] = ValueError):
+    """A file's JSON document; `error`, naming the file, if it is not UTF-8 JSON."""
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except ValueError as e:  # also UnicodeDecodeError
+        raise error(f"{path}: not JSON: {e}") from None
+
+
 @contextmanager
 def _named(path):
     """Prefix a SchemaError raised inside with the file path."""
@@ -482,8 +490,7 @@ def _json_int(v) -> int:
 
 def _load_json_graph(path: Path) -> tuple:
     """build_graph's arguments, read from a json-graph file."""
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = read_json(path, SchemaError)
     top = _fields(path, doc, _GRAPH, defaults=_OPTIONAL)
     attrs = top["attributes"]
     schema, target_type, num_classes = _schema_from_json(path, top["schema"], attrs, "schema.")
@@ -553,8 +560,7 @@ def _load_csv_triples(path: Path) -> tuple:
     schema_path = Path(f"{stem}.schema.json")
     if not schema_path.exists():
         raise SchemaError(f"missing schema sidecar {schema_path}")
-    with open(schema_path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = read_json(schema_path, SchemaError)
     schema, target_type, num_classes = _schema_from_json(schema_path, doc, {}, "")
 
     attributes: dict[str, np.ndarray] = {}

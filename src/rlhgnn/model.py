@@ -18,7 +18,9 @@ source contribute an identical term.
 The aggregation from the type projections to the episode outputs, the
 classifier and the loss each record one autodiff Var whose closure is a
 hand-written backward, with the expressions and summation order of the
-per-op tape they replaced, which the tests keep as their reference.
+per-op tape they replaced, which the tests keep as their reference: a
+chain, as autodiff.backward walks it (a plan holds each node type's H0 rows
+in one run, so the aggregation names each proj:<type> once).
 project_attributes itself records nothing: it returns H0 as a plain array.
 
 A train pass may run over a plan restricted to the loss's episodes
@@ -129,6 +131,11 @@ class HgnnParams:
 
     def single_layer_param_count(self) -> int:
         return sum(v.value.size for n, v in self.table.items() if n.startswith("layer0:"))
+
+
+def _axis_sum(g: np.ndarray, axis: int) -> np.ndarray:
+    """g summed over `axis`, kept as length 1; a sum of one would turn -0.0 into 0.0."""
+    return g if g.shape[axis] == 1 else g.sum(axis=axis, keepdims=True)
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -378,7 +385,7 @@ def _layer_backward(
     # relu, the 1/length mean and its segment sum, back to traversals
     g = np.repeat(g * on * (1.0 / lengths)[:, None], lengths, axis=0).reshape(-1, heads, hd)
     del on
-    g_alpha = ad.unbroadcast(g * (WT if messages_from_target else WS), alpha.shape)
+    g_alpha = _axis_sum(g * (WT if messages_from_target else WS), 2)
     g_msgs = g * alpha
     del g, alpha
     # alpha = z / den, den the segment sums of z; z = exp(e - max); leaky e
@@ -423,10 +430,6 @@ def _layer_backward(
     return (*scattered, g_W, g_a_src, g_a_dst)
 
 
-def _unrecorded(g):
-    raise ValueError("an eval-mode pass records no tape; run hgnn_forward in train mode")
-
-
 @dataclass
 class ForwardResult:
     outputs: ad.Var  # (num episodes, d), one row per dag.output_rows entry
@@ -460,7 +463,7 @@ def hgnn_forward(
     its projection the gradient X_t.T @ g_H0[run].
 
     Only a train pass records and draws dropout masks. An eval pass saves
-    nothing: its outputs have no parents, and a backward through them raises
+    nothing: its outputs have no tape, and a backward through them raises
     ValueError rather than give the HGNN zero gradients. For gradients
     without dropout, run a train pass on replace(params, dropout=0.0)."""
     if mode not in ("eval", "train"):
@@ -526,7 +529,7 @@ def hgnn_forward(
                + [v for layer in range(1, L + 1) for v in _layer_params(params, layer)])
     out = np.zeros((len(plan.output_rows), params.d))
     out[part.episodes] = np.concatenate(matrices)[part.output_rows]
-    outputs = ad.Var(out, tuple(parents), bw) if record else ad.Var(out, (), _unrecorded)
+    outputs = ad.Var(out, tuple(parents), bw) if record else ad.Var(out)
     outputs.check_finite("episode representations")
     return ForwardResult(outputs=outputs)
 
@@ -540,10 +543,9 @@ def classify(params: HgnnParams, reps: ad.Var) -> ad.Var:
     total = ez.sum(axis=1).reshape(-1, 1)
 
     def bw(g):
-        g_total = ad.unbroadcast(-g * ez / (total * total), total.shape)
+        g_total = _axis_sum(-g * ez / (total * total), 1)
         g_logits = (g / total + np.repeat(g_total, ez.shape[1], axis=1)) * ez
-        return (g_logits @ W.value.T, reps.value.T @ g_logits,
-                ad.unbroadcast(g_logits, b.value.shape))
+        return g_logits @ W.value.T, reps.value.T @ g_logits, _axis_sum(g_logits, 0)
 
     return ad.Var(ez / total, (reps, W, b), bw)
 
@@ -572,12 +574,11 @@ def cross_entropy(probs: ad.Var, labels: np.ndarray, rows: np.ndarray) -> ad.Var
 def backward(loss: ad.Var, params: list[ad.Var]) -> list[np.ndarray]:
     """Gradients of a recorded scalar loss for each parameter, in order.
 
-    Parameters that do not participate in the loss graph get zero gradients;
+    Parameters that do not participate in the loss get zero gradients;
     their .grad is cleared first so nothing stale from an earlier pass leaks.
-    The loss's tape is released: a second call on it raises ValueError.
+    The loss's tape is released: a second call on it, or a loss without a
+    tape (over an eval pass's outputs, or a constant), raises ValueError.
     """
-    if loss.bw is None and not loss.parents:
-        raise ValueError("loss carries no recording; run the forward pass first")
     for p in params:
         p.grad = None
     ad.backward(loss)

@@ -171,20 +171,30 @@ def const(value) -> ad.Var:
     return ad.Var(value)
 
 
+def unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
+    """Sum grad down to `shape` (inverse of numpy broadcasting)."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for ax, n in enumerate(shape):
+        if n == 1 and grad.shape[ax] != 1:
+            grad = grad.sum(axis=ax, keepdims=True)
+    return grad
+
+
 def add(a: ad.Var, b: ad.Var) -> ad.Var:
     return ad.Var(a.value + b.value, (a, b), lambda g: (
-        ad.unbroadcast(g, a.value.shape), ad.unbroadcast(g, b.value.shape)))
+        unbroadcast(g, a.value.shape), unbroadcast(g, b.value.shape)))
 
 
 def sub(a: ad.Var, b: ad.Var) -> ad.Var:
     return ad.Var(a.value - b.value, (a, b), lambda g: (
-        ad.unbroadcast(g, a.value.shape), ad.unbroadcast(-g, b.value.shape)))
+        unbroadcast(g, a.value.shape), unbroadcast(-g, b.value.shape)))
 
 
 def mul_const(a: ad.Var, c) -> ad.Var:
     """Multiply by a constant array; no grad for c."""
     c = np.asarray(c, dtype=np.float64)
-    return ad.Var(a.value * c, (a,), lambda g: (ad.unbroadcast(g * c, a.value.shape),))
+    return ad.Var(a.value * c, (a,), lambda g: (unbroadcast(g * c, a.value.shape),))
 
 
 def matmul(a: ad.Var, b: ad.Var) -> ad.Var:
@@ -219,15 +229,15 @@ def square(a: ad.Var) -> ad.Var:
 
 def mul(a: ad.Var, b: ad.Var) -> ad.Var:
     return ad.Var(a.value * b.value, (a, b), lambda g: (
-        ad.unbroadcast(g * b.value, a.value.shape),
-        ad.unbroadcast(g * a.value, b.value.shape),
+        unbroadcast(g * b.value, a.value.shape),
+        unbroadcast(g * a.value, b.value.shape),
     ))
 
 
 def div(a: ad.Var, b: ad.Var) -> ad.Var:
     return ad.Var(a.value / b.value, (a, b), lambda g: (
-        ad.unbroadcast(g / b.value, a.value.shape),
-        ad.unbroadcast(-g * a.value / (b.value * b.value), b.value.shape),
+        unbroadcast(g / b.value, a.value.shape),
+        unbroadcast(-g * a.value / (b.value * b.value), b.value.shape),
     ))
 
 
@@ -237,7 +247,7 @@ def scale(a: ad.Var, s: float) -> ad.Var:
 
 def add_const(a: ad.Var, c) -> ad.Var:
     c = np.asarray(c, dtype=np.float64)
-    return ad.Var(a.value + c, (a,), lambda g: (ad.unbroadcast(g, a.value.shape),))
+    return ad.Var(a.value + c, (a,), lambda g: (unbroadcast(g, a.value.shape),))
 
 
 def leaky_relu(a: ad.Var, slope: float = 0.2) -> ad.Var:
@@ -462,8 +472,10 @@ def per_op_td_loss(qnet, target_net, batch: TransitionBatch, gamma: float) -> ad
 # ---------------------------------------------------------------------------
 # Reference tape: the gather_rows scatter, gather-then-dropout and the reverse
 # walk as they were before the scatter became one bincount, dropout moved
-# into the gather and the walk began releasing interior nodes. The tape tests
-# require the current ones to give the same bits.
+# into the gather and the walk became a chain walk that releases each node.
+# The tape tests require the current ones to give the same bits; the per-op
+# and mixed tapes, which are general DAGs, get their gradients from the
+# reference walk.
 
 
 def reference_scatter_rows(shape, idx, g: np.ndarray) -> np.ndarray:
@@ -479,22 +491,53 @@ def reference_dropout_rows(a: ad.Var, idx, mask: np.ndarray, keep: float) -> ad.
     return mul_const(gather_rows(a, idx), mask / keep)
 
 
+def topo(root: ad.Var) -> list[ad.Var]:
+    """Every Var reachable from root, each after its parents."""
+    order: list[ad.Var] = []
+    seen: set[int] = set()
+    stack: list[tuple[ad.Var, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node.parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    return order
+
+
 def reference_backward(root: ad.Var) -> None:
-    """ad.backward before release: .grad on every reachable Var, each copied."""
+    """The general DAG walk that ad.backward was before every tape became a
+    chain: .grad on every reachable Var, each copied, summed over a Var's
+    consumers; a Var without parents (a parameter or a constant) is a leaf."""
     if root.value.ndim != 0:
         raise ValueError("backward expects a scalar root")
-    order = ad._topo(root)
+    order = topo(root)
     for node in order:
         node.grad = None
     root.grad = np.asarray(1.0)
     for node in reversed(order):
-        if node.grad is None or node.bw is None:
+        if node.grad is None or not node.parents:
             continue
         for parent, g in zip(node.parents, node.bw(node.grad)):
             if parent.grad is None:
                 parent.grad = np.array(g, dtype=np.float64, copy=True)
             else:
                 parent.grad += g
+
+
+def reference_grads(loss: ad.Var, params: list[ad.Var]) -> list[np.ndarray]:
+    """model.backward through reference_backward, for per-op and mixed tapes:
+    each parameter's gradient, zero where the loss does not reach it."""
+    for p in params:
+        p.grad = None
+    reference_backward(loss)
+    return [p.grad if p.grad is not None else np.zeros_like(p.value) for p in params]
 
 
 # ---------------------------------------------------------------------------

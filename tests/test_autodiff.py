@@ -1,6 +1,7 @@
-"""Gradient checks for every autodiff op, and for the per-op tape ops the
-references in tests/helpers.py record, against central finite differences;
-and the tape against its reference in tests/helpers.py."""
+"""Gradient checks for the per-op tape ops that the references in
+tests/helpers.py record, against central finite differences; and the
+chain walk of autodiff.backward on the program's two tapes against the
+reference walk in tests/helpers.py."""
 import gc
 import math
 import weakref
@@ -29,6 +30,7 @@ from helpers import (
     recorded_forward,
     reference_backward,
     reference_dropout_rows,
+    reference_grads,
     reference_scatter_rows,
     relu,
     repeat_rows,
@@ -38,6 +40,7 @@ from helpers import (
     square,
     sub,
     sum_cols,
+    topo,
     total_mean,
     total_sum,
     vstack,
@@ -78,7 +81,7 @@ def check(build, *leaf_shapes, seed=0, tol=1e-6):
     rng = np.random.default_rng(seed)
     leaves = [ad.param(rng.normal(size=s)) for s in leaf_shapes]
     loss = build(*leaves)
-    ad.backward(loss)
+    reference_backward(loss)
     for leaf in leaves:
         analytic = leaf.grad
         numeric = fd_grad(lambda: float(build(*leaves).value), leaf.value)
@@ -165,7 +168,7 @@ def test_shared_subexpression_grad_accumulates():
     # y = sum(a*a + a) -> dy/da = 2a + 1
     a = ad.param(np.array([1.0, -2.0, 3.0]))
     loss = total_sum(add(mul(a, a), a))
-    ad.backward(loss)
+    reference_backward(loss)
     np.testing.assert_allclose(a.grad, 2 * a.value + 1)
 
 
@@ -185,13 +188,13 @@ def test_softmax_composition_matches_closed_form():
     onehot = np.zeros((5, 4))
     onehot[np.arange(5), [0, 1, 2, 3, 0]] = 1.0
     loss = scale(total_sum(log(sum_cols(mul_const(probs, onehot)))), -1.0)
-    ad.backward(loss)
+    reference_backward(loss)
     # d(-log softmax)/dlogits = probs - onehot
     np.testing.assert_allclose(x.grad, probs.value - onehot, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
-# gather_rows' scatter, the HGNN's gather and scatter, and the releasing tape,
+# gather_rows' scatter, the HGNN's gather and scatter, and the chain walk,
 # against the references in tests/helpers.py
 
 
@@ -261,56 +264,43 @@ def test_gather_rows_rejects_indices_outside_the_rows():
     assert gather_rows(a, []).value.shape == (0, 2)
 
 
+NO_TAPE = "no tape to walk: record a train-mode forward pass for each backward"
+
+
 def _assert_same_grads_as_reference(build, leaves):
-    """build() records a loss over `leaves`; the releasing tape must give the
-    reference tape's leaf gradients bit for bit, each in memory of its own,
-    and release every interior node."""
-    for leaf in leaves:
-        leaf.grad = None
-    reference_backward(build())
-    ref = [leaf.grad for leaf in leaves]
+    """build() records one of the program's chains over `leaves`: the chain
+    walk must give the reference walk's leaf gradients bit for bit, each in
+    memory of its own, and release every recorded node."""
+    ref = reference_grads(build(), leaves)
     loss = build()
-    interior = [node for node in ad._topo(loss) if node.bw is not None]
+    recorded = [node for node in topo(loss) if node.parents]
     grads = backward(loss, leaves)
     for got, want in zip(grads, ref):
-        np.testing.assert_array_equal(got, np.zeros_like(got) if want is None else want)
-        assert got.base is None  # the tape hands on a stored .grad uncopied
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got.base is None
     for i, a in enumerate(grads):
         for b in grads[i + 1:]:
             assert not np.shares_memory(a, b)
-    for node in interior:
-        assert node.grad is None and node.parents == ()
+    for node in recorded:
+        assert node.parents == () and node.bw is ad.no_tape and node.grad is None
 
 
-def test_leaf_gradients_never_share_memory():
-    rng = np.random.default_rng(0)
-    x, y, z = (ad.param(rng.normal(size=(2, 3))) for _ in range(3))
-    w = ad.param(rng.normal(size=(6,)))
-    cases = [
-        lambda: total_sum(square(add(x, x))),
-        lambda: total_sum(square(add(x, y))),
-        lambda: total_sum(mul(add(x, y), add(y, z))),
-        lambda: total_sum(square(vstack([x, y, x, z]))),
-        lambda: total_sum(square(add(reshape(w, (2, 3)), x))),
-        lambda: total_sum(reshape(add(x, y), (6,))),
-    ]
-    for build in cases:
-        _assert_same_grads_as_reference(build, [x, y, z, w])
-
-
-def test_a_released_tape_cannot_be_walked_again():
-    a = ad.param(np.arange(4.0))
-    shared = square(a)
-    loss = total_sum(shared)
-    backward(loss, [a])
-    with pytest.raises(ValueError, match="released by an earlier backward"):
+def test_a_walked_tape_cannot_be_walked_again():
+    """A second backward of a loss, and a backward of a new loss over the
+    walked aggregation node, raise the one no-tape error."""
+    g = imdb_like_graph(seed=3)
+    params = init_params(g.schema, g.num_classes, 2, d=8, heads=2, dropout=0.3, seed=1)
+    plan = build_plan(g, random_legal_episodes(g, np.arange(4), length=2, seed=2))
+    outputs = hgnn_forward(params, g, plan, "train", 5).outputs
+    loss = cross_entropy(classify(params, outputs), g.labels[:4], np.arange(4))
+    backward(loss, params.all_vars())
+    with pytest.raises(ValueError, match=NO_TAPE):
         ad.backward(loss)
-    with pytest.raises(ValueError, match="released by an earlier backward"):
-        backward(loss, [a])
-    # another loss over a released node names the error instead of
-    # treating the node as a constant
-    with pytest.raises(ValueError, match="released by an earlier backward"):
-        ad.backward(total_mean(shared))
+    with pytest.raises(ValueError, match=NO_TAPE):
+        backward(loss, params.all_vars())
+    with pytest.raises(ValueError, match=NO_TAPE):
+        backward(cross_entropy(classify(params, outputs), g.labels[:4], np.arange(4)),
+                 params.all_vars())
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -339,7 +329,7 @@ def test_the_eval_forward_is_bit_equal_to_the_recorded_forward_without_dropout(
     probs = classify(params, outputs)
     quiet = hgnn_forward(params, g, plan, "eval", 0, messages_from_target).outputs
     quiet_probs = classify(params, quiet)
-    assert quiet.parents == () and quiet.bw is model._unrecorded
+    assert quiet.parents == () and quiet.bw is ad.no_tape
     assert quiet.value.tobytes() == outputs.value.tobytes()
     assert quiet_probs.value.tobytes() == probs.value.tobytes()
     # the train pass without dropout is differentiable
@@ -386,9 +376,9 @@ def test_the_td_loss_node_gives_the_per_op_tapes_bits(case):
     qnet, target, batch, gamma = case
     fused = td_loss(qnet, target, batch, gamma)
     assert fused.parents == tuple(qnet.vars())
-    assert [n for n in ad._topo(fused) if n.parents] == [fused]
+    assert [n for n in topo(fused) if n.parents] == [fused]
     ref = per_op_td_loss(qnet, target, batch, gamma)
-    want = [ref.value.copy()] + backward(ref, qnet.vars())
+    want = [ref.value.copy()] + reference_grads(ref, qnet.vars())
     got = [fused.value.copy()] + backward(fused, qnet.vars())
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
@@ -432,7 +422,7 @@ def _kept_saves(mode, monkeypatch):
 def test_an_eval_pass_has_no_parents_and_saves_nothing(monkeypatch):
     kept, made, outputs = _kept_saves("eval", monkeypatch)
     assert made and not kept
-    assert outputs.parents == () and outputs.bw is model._unrecorded
+    assert outputs.parents == () and outputs.bw is ad.no_tape
     kept, made, outputs = _kept_saves("train", monkeypatch)
     assert len(kept) == len(made) and outputs.parents
 
@@ -443,8 +433,7 @@ def test_a_loss_on_eval_outputs_cannot_be_backpropagated():
     plan = build_plan(g, random_legal_episodes(g, np.arange(4), length=2, seed=2))
     outputs = hgnn_forward(params, g, plan, "eval").outputs
     loss = cross_entropy(classify(params, outputs), g.labels[:4], np.arange(4))
-    with pytest.raises(ValueError, match="loss carries no recording"):
+    with pytest.raises(ValueError, match=NO_TAPE):
         backward(ad.Var(loss.value), params.all_vars())  # a constant, not a loss
-    with pytest.raises(ValueError, match="an eval-mode pass records no tape; "
-                                         "run hgnn_forward in train mode"):
+    with pytest.raises(ValueError, match=NO_TAPE):
         backward(loss, params.all_vars())

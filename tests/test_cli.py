@@ -4,7 +4,9 @@ import re
 
 import pytest
 
+from helpers import save_csv_triples
 from rlhgnn.cli import main
+from rlhgnn.hin import SchemaError, load_hin
 
 
 @pytest.fixture()
@@ -184,6 +186,36 @@ def test_train_rejects_a_config_that_is_not_a_json_object(tmp_path, text, kind, 
         main(["train", "--graph", str(tmp_path / "never-read.json"), "--config", str(cfg_path),
               *variant, "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("broken", [lambda b: b[:len(b) // 2], lambda b: b"\xff" + b],
+                         ids=["truncated", "not-utf8"])
+@pytest.mark.parametrize("site", ["graph", "schema-sidecar", "config", "run-config", "split",
+                                  "spec"])
+def test_a_json_input_that_does_not_parse_names_its_file(tmp_path, synth_graph, site, broken):
+    """A JSON input whose bytes are not UTF-8 JSON raises an error that
+    names the file: a SchemaError for the two graph files, else a
+    ValueError."""
+    graph, error = ["--graph", str(synth_graph)], ValueError
+    train = ["train", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]
+    if site == "graph":
+        path, error, args = synth_graph, SchemaError, train + graph
+    elif site == "schema-sidecar":
+        save_csv_triples(load_hin(synth_graph), tmp_path / "g.csv")
+        path, error = tmp_path / "g.schema.json", SchemaError
+        args = train + ["--graph", str(tmp_path / "g.csv"), "--format", "csv-triples"]
+    elif site == "config":
+        path, args = tmp_path / "config.json", train + graph
+    elif site in ("run-config", "split"):
+        run = train_run(tmp_path, synth_graph)
+        path = run / ("config.json" if site == "run-config" else "split.json")
+        args = ["eval", "--checkpoint", str(run), *graph]
+    else:
+        path = tmp_path / "spec.json"  # written by synth_graph
+        args = ["gen-synth", "--spec", str(path), "--out", str(tmp_path / "g2.json")]
+    path.write_bytes(broken(path.read_bytes()))
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: not JSON"):
+        main(args)
 
 
 def test_bench_agg_cli(tmp_path, synth_graph, capsys):

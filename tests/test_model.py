@@ -22,8 +22,10 @@ from helpers import (
     random_hin,
     recorded_forward,
     reference_forward,
+    reference_grads,
     scale,
     square,
+    topo,
     total_sum,
 )
 from rlhgnn import autodiff as ad
@@ -263,9 +265,9 @@ def test_forward_literal_target_messages_differ():
     assert not np.allclose(a, b)
 
 
-def _loss_and_grads(p, outputs, labels):
+def _loss_and_grads(p, outputs, labels, grads=backward):
     loss = cross_entropy(classify(p, outputs), labels, np.arange(len(labels)))
-    return outputs.value, backward(loss, p.all_vars())
+    return outputs.value, grads(loss, p.all_vars())
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
@@ -283,7 +285,8 @@ def test_forward_matches_per_head_reference_exactly(heads):
             for mode in ("train", "eval"):
                 for mft in (False, True):
                     new = _loss_and_grads(p, recorded_forward(p, g, plan, mode, 5, mft), labels)
-                    ref = _loss_and_grads(p, reference_forward(p, g, plan, mode, 5, mft), labels)
+                    ref = _loss_and_grads(p, reference_forward(p, g, plan, mode, 5, mft), labels,
+                                          reference_grads)
                     np.testing.assert_array_equal(new[0], ref[0])
                     np.testing.assert_array_equal(
                         hgnn_forward(p, g, plan, mode, 5, mft).outputs.value, ref[0])
@@ -293,20 +296,20 @@ def test_forward_matches_per_head_reference_exactly(heads):
     assert cases == 48
 
 
-def _values_and_grads(params, g, plan, mode, mft, forward, classify_, loss_):
+def _values_and_grads(params, g, plan, mode, mft, forward, classify_, loss_, grads):
     outputs = forward(params, g, plan, mode, 5, mft)
     probs = classify_(params, outputs)
     labels = np.arange(len(outputs.value)) % g.num_classes
     loss = loss_(probs, labels, np.arange(len(labels)))
     values = [outputs.value.copy(), probs.value.copy(), loss.value.copy()]
-    return values + backward(loss, params.all_vars())
+    return values + grads(loss, params.all_vars())
 
 
 def _assert_fused_nodes_give_the_per_op_bits(params, g, plan, mode, mft):
     fused = _values_and_grads(params, g, plan, mode, mft,
-                              recorded_forward, classify, cross_entropy)
-    ref = _values_and_grads(params, g, plan, mode, mft,
-                            per_op_forward, per_op_classify, per_op_cross_entropy)
+                              recorded_forward, classify, cross_entropy, backward)
+    ref = _values_and_grads(params, g, plan, mode, mft, per_op_forward, per_op_classify,
+                            per_op_cross_entropy, reference_grads)
     assert hgnn_forward(params, g, plan, mode, 5, mft).outputs.value.tobytes() == ref[0].tobytes()
     for got, want in zip(fused, ref):
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -364,7 +367,7 @@ def test_a_train_tape_holds_one_node_each_for_aggregation_classifier_and_loss(de
                 for k in ("W", "attn_src", "attn_dst")))
     assert probs.parents == (outputs, p.table["classifier:W"], p.table["classifier:b"])
     assert loss.parents == (probs,)
-    recorded = [n for n in ad._topo(loss) if n.parents]
+    recorded = [n for n in topo(loss) if n.parents]
     assert len(recorded) == 3
     assert all(a is b for a, b in zip(recorded, (outputs, probs, loss)))
 
@@ -388,12 +391,14 @@ def test_the_fused_tape_peaks_below_the_per_op_tape_and_an_eval_pass_below_a_tra
     plan = build_plan(g, eps)
     labels, rows = g.labels[:40], np.arange(40)
 
-    def step(forward, classify_, loss_):
-        return lambda: backward(loss_(classify_(p, forward(p, g, plan, "train", 1)), labels, rows),
-                                p.all_vars())
+    def step(forward, classify_, loss_, grads):
+        return lambda: grads(loss_(classify_(p, forward(p, g, plan, "train", 1)), labels, rows),
+                             p.all_vars())
 
-    fused = _peak_bytes(step(lambda *a: hgnn_forward(*a).outputs, classify, cross_entropy))
-    per_op = _peak_bytes(step(per_op_forward, per_op_classify, per_op_cross_entropy))
+    fused = _peak_bytes(step(lambda *a: hgnn_forward(*a).outputs, classify, cross_entropy,
+                             backward))
+    per_op = _peak_bytes(step(per_op_forward, per_op_classify, per_op_cross_entropy,
+                              reference_grads))
     assert fused < 0.85 * per_op
 
     recorded = _peak_bytes(lambda: hgnn_forward(p, g, plan, "train", 1))
@@ -422,6 +427,9 @@ def test_a_plan_checks_its_index_arrays_once_when_built():
         r"output rows must lie in \[0, %d\)" % n_stack:
             lambda: replace(plan, output_rows=_readonly(np.append(plan.output_rows[1:], n_stack))),
     }
+    (t, ids), *rest = plan.h0_groups  # two runs of one type: two parents of one projection
+    bad["plan H0 holds node type 'Actor' in two runs"] = lambda: replace(
+        plan, h0_groups=[(t, ids[:1]), (t, ids[1:]), *rest])
     for message, make in bad.items():
         with pytest.raises(ValueError, match=message):
             make()
@@ -551,7 +559,7 @@ def test_linear_network_closed_form_gradient():
     G = rng.normal(size=(5, 2))
     W = ad.param(rng.normal(size=(3, 2)))
     loss = total_sum(mul_const(matmul(const(X), W), G))
-    (grad,) = backward(loss, [W])
+    (grad,) = reference_grads(loss, [W])
     np.testing.assert_allclose(grad, X.T @ G, atol=1e-12)
 
 

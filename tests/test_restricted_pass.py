@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import full_train_step, graphs_and_episodes, imdb_like_graph, recorded_forward
-from rlhgnn import autodiff as ad
+from helpers import full_train_step, graphs_and_episodes, imdb_like_graph, recorded_forward, topo
 from rlhgnn.aggplan import build_plan, restrict
 from rlhgnn.hin import HinSchema, RelationType, build_graph
 from rlhgnn.metapath import Episode, expand_frontier
@@ -145,7 +144,7 @@ def test_episodes_outside_the_loss_get_zero_rows_and_a_train_step_records_three_
     assert outputs.value[rows].tobytes() == whole.value[rows].tobytes()
     probs = classify(params, outputs)
     loss = cross_entropy(probs, np.zeros(4, dtype=np.int64), rows)
-    recorded = [n for n in ad._topo(loss) if n.parents]
+    recorded = [n for n in topo(loss) if n.parents]
     assert len(recorded) == 3
     assert all(a is b for a, b in zip(recorded, (outputs, probs, loss)))
     # layers 1 and 2 are kept, so layer 3's parameters are no parents
