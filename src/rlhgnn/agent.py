@@ -21,6 +21,13 @@ from .model import AdamState, _axis_sum, _glorot, backward, init_adam, optimizer
 Q_HIDDEN = (32, 64, 128, 64, 32)
 
 
+def q_shapes(input_dim: int, hidden, num_actions: int) -> list[tuple[int, int]]:
+    """Shape of every Q-network parameter in vars() order: each layer's
+    weight (fan in, fan out), then its bias (1, fan out)."""
+    dims = [input_dim, *hidden, num_actions]
+    return [s for m, n in zip(dims, dims[1:]) for s in ((m, n), (1, n))]
+
+
 class QNetwork:
     """MLP action-value network with ReLU hidden layers."""
 
@@ -29,12 +36,9 @@ class QNetwork:
         self.num_actions = num_actions
         self.hidden = tuple(hidden)
         rng = np.random.default_rng(seed)
-        dims = [input_dim, *hidden, num_actions]
-        self.weights = [
-            ad.param(_glorot(rng, dims[i], dims[i + 1], (dims[i], dims[i + 1])))
-            for i in range(len(dims) - 1)
-        ]
-        self.biases = [ad.param(np.zeros((1, dims[i + 1]))) for i in range(len(dims) - 1)]
+        shapes = q_shapes(input_dim, hidden, num_actions)
+        self.weights = [ad.param(_glorot(rng, *s, s)) for s in shapes[::2]]
+        self.biases = [ad.param(np.zeros(s)) for s in shapes[1::2]]
 
     def vars(self) -> list[ad.Var]:
         out = []
@@ -170,14 +174,11 @@ class ReplayBuffer:
     def _take(self, logical: np.ndarray) -> TransitionBatch:
         """A copy of the rows at these FIFO positions (0 = oldest)."""
         ring_rows = (self._next - self._len + logical) % self.capacity
-        if len(self._blocks) == 1:
-            rows = self._blocks[0][ring_rows]
-        else:
-            rows = np.empty(len(ring_rows), dtype=self._record)
-            block_of, offset = np.divmod(ring_rows, self._block_rows)
-            for b in np.unique(block_of):
-                picked = block_of == b
-                rows[picked] = self._blocks[b][offset[picked]]
+        rows = np.empty(len(ring_rows), dtype=self._record)
+        block_of, offset = np.divmod(ring_rows, self._block_rows)
+        for b in np.unique(block_of):
+            picked = block_of == b
+            rows[picked] = self._blocks[b][offset[picked]]
         return TransitionBatch(*(np.ascontiguousarray(rows[f]) for f in _FIELDS))
 
     def sample(self, n: int, rng: np.random.Generator) -> TransitionBatch:
@@ -441,8 +442,7 @@ def load_agent(path) -> DqnAgent:
     norm = header_fields(path, header,
                          {"normalizer": _normalizer_rule(f["input_dim"])})["normalizer"]
     # _named_vars' shapes from the header, checked before any network is built
-    dims = [f["input_dim"], *f["hidden"], f["num_actions"]]
-    shapes = [s for m, n in zip(dims, dims[1:]) for s in ((m, n), (1, n))]
+    shapes = q_shapes(f["input_dim"], f["hidden"], f["num_actions"])
     check_arrays(path, arrays, {f"{net}:{j}": s for net in ("q", "target")
                                 for j, s in enumerate(shapes)})
     agent = DqnAgent.create(

@@ -35,8 +35,8 @@ def _save_split(split: DataSplit, path: Path) -> None:
 
 def _load_split(path: Path, labels: np.ndarray) -> DataSplit:
     """Raises ValueError naming the file and the key unless it holds train,
-    validation and test lists of distinct node ids in [0, len(labels)), no
-    id in two of them, each of them labelled."""
+    validation and test lists, none empty, of distinct node ids in
+    [0, len(labels)), no id in two of them, each of them labelled."""
     doc = read_json(path)
     n = len(labels)
     node = Rule(lambda i: is_int(i) and 0 <= i < n, "a node id")
@@ -82,10 +82,7 @@ def cmd_eval(args) -> int:
     cfg = pl.TrainConfig.from_dict(read_json(run_dir / "config.json"))
     params = nn.load_params(run_dir / "model.bin")
     agent = rl.load_agent(run_dir / "agent.bin")
-    split_path = run_dir / "split.json"
-    nodes = _load_split(split_path, g.labels).test
-    if not len(nodes):
-        raise ValueError(f"{split_path}: split key 'test' holds no node id to evaluate")
+    nodes = _load_split(run_dir / "split.json", g.labels).test
     preds = pl.predict(params, agent, g, cfg, nodes)
     micro, macro = pl.evaluate_f1(preds, g.labels, nodes)
     print(f"test nodes: {len(nodes)}")

@@ -98,8 +98,9 @@ RELATION_NAMES = list_of(STRING, "a list of relation names")
 
 
 def read_object(cls, doc):
-    """cls(**doc), validated: doc must be a JSON object naming only fields
-    of the dataclass cls, and every field that has no default."""
+    """cls(**doc), which checks its own fields: doc must be a JSON object
+    naming only fields of the dataclass cls, and every field that has no
+    default."""
     name, fields = cls.__name__, cls.__dataclass_fields__
     if not isinstance(doc, dict):
         raise ValueError(f"{name} must be a JSON object, got {type(doc).__name__}")
@@ -110,9 +111,7 @@ def read_object(cls, doc):
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ValueError(f"{name} lacks field(s): {', '.join(missing)}")
-    obj = cls(**doc)
-    obj.validate()
-    return obj
+    return cls(**doc)
 
 
 def need_known(field: str, names, known, kind: str) -> None:
@@ -223,12 +222,15 @@ class DataSplit:
 
     def need_labels(self, labels: np.ndarray, keys=("train", "validation", "test"),
                     where: str = "") -> None:
-        """Raise ValueError naming the key and the first id under `keys` that
-        repeats an id of the same or an earlier key, is no row of `labels`,
-        or whose node has no label (-1)."""
+        """Raise ValueError naming the first key under `keys` that holds no
+        id, or the key and its first id that repeats an id of the same or an
+        earlier key, is no row of `labels`, or whose node has no label (-1)."""
         owner: dict[int, str] = {}
         for key in keys:
-            for i in getattr(self, key).tolist():
+            ids = getattr(self, key)
+            if not len(ids):
+                raise ValueError(f"{where}split key {key!r} holds no node id")
+            for i in ids.tolist():
                 if i in owner:
                     raise ValueError(f"{where}split key {key!r} repeats node id {i} "
                                      f"of key {owner[i]!r}")

@@ -38,8 +38,11 @@ from .metapath import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Checked when made, by the constructor, replace or from_dict: ValueError names
+    the first field of the wrong type or outside its range; values are not coerced."""
+
     variant: str = "rl-hgnn-pp"
     max_timesteps: int = 2  # T
     rounds: int | None = None  # K; default 20 (rl-hgnn) / 200 (rl-hgnn-pp)
@@ -63,24 +66,21 @@ class TrainConfig:
     fixed_path: tuple[str, ...] | None = None  # ablation: force this path, skip the agent
     messages_from_target: bool = False
 
+    def __post_init__(self):
+        check_fields(vars(self), _CONFIG_RULES, str)
+        if self.hidden_dim % self.heads:
+            raise ValueError(f"hidden_dim must be divisible by heads, got {self.hidden_dim!r}")
+        if self.fixed_path is not None:
+            object.__setattr__(self, "fixed_path", tuple(self.fixed_path))
+
     def resolved_rounds(self) -> int:
         if self.rounds is not None:
             return self.rounds
         return 20 if self.variant == "rl-hgnn" else 200
 
-    def validate(self) -> None:
-        """Raise ValueError naming the first field of the wrong type or outside
-        its valid range. Values are checked as given, never converted."""
-        check_fields(vars(self), _CONFIG_RULES, str)
-        if self.hidden_dim % self.heads:
-            raise ValueError(f"hidden_dim must be divisible by heads, got {self.hidden_dim!r}")
-
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        cfg = read_object(cls, doc)
-        if cfg.fixed_path is not None:
-            cfg.fixed_path = tuple(cfg.fixed_path)
-        return cfg
+        return read_object(cls, doc)
 
     def to_dict(self) -> dict:
         out = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -449,14 +449,10 @@ class _Loop:
     streams, the batch cursor, the report and the best-round tracking."""
 
     def __init__(self, cfg: TrainConfig, g: HinGraph, split: DataSplit, variant: str):
-        cfg.validate()
         if cfg.variant != variant:
             raise ValueError(f"config variant must be {variant}")
         g.schema.need_relations("fixed_path", cfg.fixed_path or ())
         split.need_labels(g.labels, ("train", "validation"))
-        for key in ("train", "validation"):
-            if not len(getattr(split, key)):
-                raise ValueError(f"split key {key!r} holds no node id")
         fast = variant == "rl-hgnn-pp"
         self.cfg, self.split = cfg, split
         self.agent = _make_agent(g, cfg, split,

@@ -26,10 +26,12 @@ from .metapath import MetaPath, neighbors_local
 _NOISE_AMP = 0.2
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
+    """Checked when made, as TrainConfig is."""
+
     node_counts: dict[str, int]
-    relations: list[tuple[str, str, str]]  # (name, src type, dst type)
+    relations: tuple[tuple[str, str, str], ...]  # (name, src type, dst type)
     out_degree: dict[str, int]  # edges per source node, per relation
     target_type: str
     planted_path: tuple[str, ...] = ()  # relation names starting at target_type
@@ -40,6 +42,19 @@ class SyntheticSpec:
     val_count: int | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        check_fields(vars(self), _SPEC_RULES, str)
+        object.__setattr__(self, "relations", tuple(map(tuple, self.relations)))
+        object.__setattr__(self, "planted_path", tuple(self.planted_path))
+        schema = self.schema()
+        schema.need_relations("out_degree", self.out_degree)
+        schema.need_relations("planted_path", self.planted_path)
+        MetaPath(self.target_type, self.planted_path).validate(schema)
+        for t in self._planted_types(schema):
+            if self.node_counts[t] < self.num_classes:
+                raise ValueError(f"type {t!r} needs at least {self.num_classes} nodes "
+                                 "for class pools")
+
     def schema(self) -> HinSchema:
         dim = self.num_classes + self.noise_dims
         return HinSchema(
@@ -48,31 +63,14 @@ class SyntheticSpec:
             attribute_dims={t: dim for t in self.node_counts},
         )
 
-    def validate(self) -> None:
-        """Raise ValueError naming the first field of the wrong type or outside
-        its valid range. Values are checked as given, never converted."""
-        check_fields(vars(self), _SPEC_RULES, str)
-        schema = self.schema()
-        schema.need_relations("out_degree", self.out_degree)
-        schema.need_relations("planted_path", self.planted_path)
-        MetaPath(self.target_type, tuple(self.planted_path)).validate(schema)
-        for t in self._planted_types(schema):
-            if self.node_counts[t] < self.num_classes:
-                raise ValueError(
-                    f"type {t!r} needs at least {self.num_classes} nodes for class pools"
-                )
-
     def _planted_types(self, schema: HinSchema) -> list[str]:
-        return MetaPath(self.target_type, tuple(self.planted_path)).node_type_sequence(schema)
+        return MetaPath(self.target_type, self.planted_path).node_type_sequence(schema)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SyntheticSpec":
         """Read a JSON spec: an object with the dataclass's fields, checked
-        by validate(); lists become the tuples the dataclass holds."""
-        spec = read_object(cls, doc)
-        spec.relations = [tuple(r) for r in spec.relations]
-        spec.planted_path = tuple(spec.planted_path)
-        return spec
+        as it is made."""
+        return read_object(cls, doc)
 
 
 # SyntheticSpec's fields, each with the rule its value must pass
@@ -91,7 +89,6 @@ _SPEC_RULES = {
 
 def generate_planted_hin(spec: SyntheticSpec) -> tuple[HinGraph, DataSplit]:
     """Build the graph and a train/val/test split, reproducibly from spec.seed."""
-    spec.validate()
     schema = spec.schema()
     rng = np.random.default_rng(spec.seed)
     C = spec.num_classes

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import groupby
@@ -22,6 +25,18 @@ from rlhgnn.metapath import (
     valid_actions,
 )
 from rlhgnn.model import LEAKY_SLOPE, HgnnParams, backward, classify, cross_entropy, hgnn_forward
+
+
+def run_with_one_blas_thread(code: str) -> str:
+    """Run `code` in a new interpreter whose BLAS runs one thread, with the
+    tests and the package importable; its standard output."""
+    here = Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here), str(here.parent / "src")]),
+           **dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def imdb_like_schema(dim_m=4, dim_d=3, dim_a=3) -> HinSchema:

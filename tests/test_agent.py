@@ -13,6 +13,7 @@ from rlhgnn.agent import (
     dqn_step,
     initial_state_static,
     load_agent,
+    q_shapes,
     save_agent,
     select_action,
     state_static,
@@ -26,6 +27,18 @@ from rlhgnn.model import init_adam
 
 def tiny_qnet(input_dim=4, actions=3, seed=0, hidden=(8, 8)):
     return QNetwork(input_dim, actions, hidden=hidden, seed=seed)
+
+
+def test_q_shapes_are_the_networks_in_vars_order_and_its_weights_glorot_draws():
+    """Weights drawn in layer order from one generator, biases zero."""
+    qnet = tiny_qnet(input_dim=5, actions=4, seed=3, hidden=(6, 7))
+    shapes = [(5, 6), (1, 6), (6, 7), (1, 7), (7, 4), (1, 4)]
+    assert q_shapes(5, (6, 7), 4) == [v.value.shape for v in qnet.vars()] == shapes
+    rng = np.random.default_rng(3)
+    for (m, n), w, b in zip(shapes[::2], qnet.weights, qnet.biases):
+        lim = np.sqrt(6.0 / (m + n))
+        assert w.value.tobytes() == rng.uniform(-lim, lim, size=(m, n)).tobytes()
+        assert b.value.tobytes() == np.zeros((1, n)).tobytes()
 
 
 def one_row(*args, **kwargs):

@@ -140,7 +140,7 @@ def test_eval_rejects_an_empty_test_split_naming_the_file_and_the_key(tmp_path, 
     assert main(["train", "--graph", str(synth_graph), "--config", str(write_config(tmp_path)),
                  "--out", str(out), "--train-count", "36", "--val-count", "24"]) == 0
     assert json.loads((out / "split.json").read_text())["test"] == []
-    message = f"{out / 'split.json'}: split key 'test' holds no node id to evaluate"
+    message = f"{out / 'split.json'}: split key 'test' holds no node id"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         main(["eval", "--checkpoint", str(out), "--graph", str(synth_graph)])
 

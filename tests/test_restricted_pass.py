@@ -2,17 +2,13 @@
 whole plan's loss and gradients bit for bit, the unrecorded eval pass that
 multiplies before it gathers gives the gather-first pass's bits, and the
 BLAS behaviour both rest on holds on this machine."""
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import full_train_step, graphs_and_episodes, imdb_like_graph, recorded_forward, topo
+from helpers import (full_train_step, graphs_and_episodes, imdb_like_graph, recorded_forward,
+                     run_with_one_blas_thread, topo)
 from rlhgnn.aggplan import build_plan, restrict
 from rlhgnn.hin import HinSchema, RelationType, build_graph
 from rlhgnn.metapath import Episode, expand_frontier
@@ -347,13 +343,7 @@ def single_threaded_pins() -> None:
 
 def test_the_blas_pins_hold_with_blas_on_one_thread():
     """single_threaded_pins in a new interpreter whose BLAS runs one thread."""
-    here = Path(__file__).parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here), str(here.parent / "src")]),
-           **dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")}
-    done = subprocess.run(
-        [sys.executable, "-c", "import test_restricted_pass as t; t.single_threaded_pins()"],
-        env=env, capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, done.stderr
+    run_with_one_blas_thread("import test_restricted_pass as t; t.single_threaded_pins()")
 
 
 def eval_outputs(params, g, plan, mft: bool, recorded: bool) -> bytes:

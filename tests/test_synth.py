@@ -1,5 +1,6 @@
 """Planted-path generator: oracle separability, noise limits, determinism."""
 import json
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -112,6 +113,18 @@ def test_invalid_specs_rejected():
         generate_planted_hin(movie_actor_spec(signal_strength=1.5))
     with pytest.raises(ValueError):
         generate_planted_hin(movie_actor_spec(train_count=50, val_count=50))
+
+
+def test_a_spec_is_checked_when_made_and_frozen():
+    message = r"^planted_path names no relation: 'M-X' \(relations: 'M-A', 'A-M', 'M-D'\)$"
+    with pytest.raises(ValueError, match=message):
+        movie_actor_spec(planted_path=("M-X",))
+    spec = movie_actor_spec(planted_path=["M-A"])
+    assert spec.planted_path == ("M-A",)
+    with pytest.raises(ValueError, match=r"^num_classes must be an integer >= 1, got 0$"):
+        replace(spec, num_classes=0)
+    with pytest.raises(FrozenInstanceError):
+        spec.planted_path = ("M-X",)
 
 
 # the README quickstart spec, as JSON
