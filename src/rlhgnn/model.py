@@ -589,13 +589,13 @@ def backward(loss: ad.Var, params: list[ad.Var]) -> list[np.ndarray]:
 # Optimizer
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator floor
+
+
 @dataclass
 class AdamState:
     lr: float
     weight_decay: float
-    beta1: float
-    beta2: float
-    eps: float
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int
@@ -615,9 +615,6 @@ def init_adam(params: list[ad.Var], lr: float = 0.005, weight_decay: float = 0.0
     return AdamState(
         lr=lr,
         weight_decay=weight_decay,
-        beta1=0.9,
-        beta2=0.999,
-        eps=1e-8,
         m=views(rows[0]),
         v=views(rows[1]),
         t=0,
@@ -638,7 +635,7 @@ def optimizer_step(params: list[ad.Var], grads: list[np.ndarray], state: AdamSta
         if g.shape != p.value.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.value.shape}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m, v, g, tmp = state.rows
     np.concatenate([x.ravel() for x in grads], out=g)
     # same operations in the same order as m = b1*m + (1-b1)*g, ...,
@@ -652,7 +649,7 @@ def optimizer_step(params: list[ad.Var], grads: list[np.ndarray], state: AdamSta
     v += tmp
     np.divide(v, 1 - b2 ** state.t, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += state.eps  # the denominator
+    tmp += ADAM_EPS  # the denominator
     np.divide(m, 1 - b1 ** state.t, out=g)  # g is dead: the step from here on
     g /= tmp
     np.concatenate([p.value.ravel() for p in params], out=tmp)

@@ -1,12 +1,12 @@
 """End-to-end training loops for both model variants, evaluation metrics,
 action/meta-path reporting and the aggregation/runtime benchmarks.
 
-Loop shape: the base variant reinitialises the aggregation network every
-round and walks one node batch through timesteps 0..T, retraining the
-network for B inner rounds at each timestep before scoring on validation.
-The fast variant keeps one persistent network, advances one timestep per
-round (t cycles 1..T, a fresh batch per cycle) and does a single network
-optimizer step plus a single DQN update per round.
+Loop shape: the base variant runs rounds of timesteps 0..T over one node
+batch, reinitialising the aggregation network every round and retraining it
+for B inner rounds at each timestep. The fast variant runs cycles of
+timesteps 1..T over one batch on a persistent network, one timestep and one
+optimizer step per round. `_Loop.close_step` ends every timestep of both:
+transitions finished, validation reward, one DQN update opportunity, record.
 
 Every round's node set is the drawn training batch plus the full validation
 set, so the reward metric is always computed on all validation nodes with
@@ -144,8 +144,7 @@ class EpisodeReport:
     def best_round(self) -> RoundRecord:
         if not self.rounds:
             raise ValueError("empty report")
-        best = max(self.rounds, key=lambda r: (r.val_metric, -r.round))
-        return best
+        return max(self.rounds, key=lambda r: (r.val_metric, -r.round))
 
     def to_json(self, schema: HinSchema, target_type: str) -> dict:
         """The report.json document."""
@@ -224,29 +223,33 @@ def evaluate_f1(predictions: np.ndarray, labels: np.ndarray, nodes: np.ndarray) 
     """(micro, macro) F1 over `nodes`; predictions/labels indexed by node id.
 
     Micro pools TP/FP/FN globally; macro averages per-class F1 over classes
-    present in either predictions or labels on this node set.
+    present in either predictions or labels on this node set. ValueError
+    names the first node id that is no integer in [0, len(labels)) or has no
+    label (-1).
     """
     nodes = np.asarray(nodes)
     if len(nodes) == 0:
         raise ValueError("empty node set")
+    bad = _first_outside(nodes, len(labels))
+    if bad is not None:
+        raise ValueError(f"nodes hold node id {bad!r}, which is no node id in [0, {len(labels)})")
     y = labels[nodes]
+    if (y < 0).any():
+        raise ValueError(f"nodes hold node id {nodes[y < 0][0]}, which has no label")
     p = predictions[nodes]
-    classes = sorted(set(y.tolist()) | set(p.tolist()))
-    tp_total = fp_total = fn_total = 0
-    f1s = []
-    for c in classes:
-        tp = int(np.sum((p == c) & (y == c)))
-        fp = int(np.sum((p == c) & (y != c)))
-        fn = int(np.sum((p != c) & (y == c)))
-        tp_total += tp
-        fp_total += fp
-        fn_total += fn
-        denom = 2 * tp + fp + fn
-        f1s.append(0.0 if denom == 0 else 2 * tp / denom)
-    micro_denom = 2 * tp_total + fp_total + fn_total
-    micro = 0.0 if micro_denom == 0 else 2 * tp_total / micro_denom
-    macro = float(np.mean(f1s)) if f1s else 0.0
-    return float(micro), macro
+    classes = np.union1d(y, p)
+    yi, pi = np.searchsorted(classes, y), np.searchsorted(classes, p)
+    tp = np.bincount(yi[y == p], minlength=len(classes))
+    # per class, 2 TP + FP + FN counts it among the labels plus among the predictions;
+    # pooled, each miss is one FP and one FN, so micro-F1 is the hit rate
+    pooled = np.bincount(yi, minlength=len(classes)) + np.bincount(pi, minlength=len(classes))
+    return float(np.mean(y == p)), float(np.mean(2 * tp / pooled))
+
+
+def _first_outside(ids: np.ndarray, n: int) -> int | float | None:
+    """The first of `ids` that is not an integer in [0, n), or None."""
+    ok = (ids >= 0) & (ids < n) if ids.dtype.kind in "iu" else np.zeros(ids.shape, bool)
+    return None if ok.all() else ids[~ok][0].item()
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +346,7 @@ def _act(
     terminal one is marked in `stopped`. `states` holds one row per episode;
     stopped rows are not read. Returns (rows, transitions): transition i
     belongs to episode rows[i]. Its reward is NaN and its s_next equals s
-    until the loop fills them in. An extension that reaches no node
+    until _Loop.close_step fills them in. An extension that reaches no node
     force-stops the episode with its state unchanged.
 
     An extension is looked up in `memo` first and stored there when built, so
@@ -397,13 +400,10 @@ def _initial_static_states(g: HinGraph, episodes: list[Episode], state_dim: int)
 
 
 def _advance_static_states(g: HinGraph, episodes: list[Episode], states: np.ndarray,
-                           rows: np.ndarray, batch: rl.TransitionBatch) -> None:
-    """Static-variant state update of every non-terminal transition: the
-    episode's new state row, which is also the transition's s_next."""
-    for i in np.flatnonzero(~batch.terminal):
-        r = rows[i]
-        states[r] = rl.state_static(g, episodes[r], batch.s[i])
-        batch.s_next[i] = states[r]
+                           rows: np.ndarray) -> None:
+    """Static-variant state update of the episodes at `rows`, the extended ones."""
+    for r in rows:
+        states[r] = rl.state_static(g, episodes[r], states[r])
 
 
 def _eval_pass(params: nn.HgnnParams, g: HinGraph, plan: AggregationDag, nodes: np.ndarray,
@@ -454,14 +454,13 @@ class _Loop:
         g.schema.need_relations("fixed_path", cfg.fixed_path or ())
         split.need_labels(g.labels, ("train", "validation"))
         fast = variant == "rl-hgnn-pp"
-        self.cfg, self.split = cfg, split
+        self.cfg, self.split, self.labels = cfg, split, g.labels
         self.agent = _make_agent(g, cfg, split,
                                  cfg.hidden_dim if fast else rl.static_state_dim(g),
                                  with_normalizer=fast)
-        rng_batch = np.random.default_rng(_derive_seed(cfg.seed, 1))
+        self.cursor = _BatchCursor(split.train, np.random.default_rng(_derive_seed(cfg.seed, 1)))
         self.rng_eps = np.random.default_rng(_derive_seed(cfg.seed, 2))
         self.rng_dqn = np.random.default_rng(_derive_seed(cfg.seed, 3))
-        self.cursor = _BatchCursor(split.train, rng_batch)
         self.table = LegalActionTable.build(g.schema)
         self.memo: EpisodeMemo = {}
         self.report = EpisodeReport(variant=cfg.variant, num_actions=action_space_size(g.schema))
@@ -475,9 +474,7 @@ class _Loop:
         rows of the training batch among them)."""
         batch = self.cursor.draw(self.cfg.node_batch)
         ep_nodes = np.unique(np.concatenate([batch, self.split.validation]))
-        node_row = {int(n): i for i, n in enumerate(ep_nodes)}
-        train_rows = np.asarray([node_row[int(n)] for n in batch], dtype=np.intp)
-        return ep_nodes, train_rows
+        return ep_nodes, np.searchsorted(ep_nodes, batch)
 
     def fresh_episodes(self, g: HinGraph, ep_nodes: np.ndarray) -> list[Episode]:
         """Every node's timestep-0 episode, each built once per run: episodes
@@ -487,15 +484,31 @@ class _Loop:
         memo.update(((e.start, ()), e) for e in _fresh_episodes(g, missing))
         return [memo[(t, n), ()] for n in nodes]
 
-    def dqn_update(self, batch: rl.TransitionBatch, reward: float) -> float | None:
-        """Store the round's transitions with their reward and run one DQN
-        update opportunity."""
-        if self.cfg.fixed_path is not None:
-            return None
-        batch.r[:] = reward
-        self.agent.buffer.push_batch(batch)
-        self.update_opportunities += 1
-        return self.agent.maybe_update(self.cfg.dqn_batch, self.rng_dqn)
+    def close_step(self, round: int, t: int, ep_nodes: np.ndarray, rows: np.ndarray,
+                   batch: rl.TransitionBatch, states: np.ndarray, preds: np.ndarray,
+                   hgnn_loss: float, t0: float) -> float:
+        """End timestep t of `round`, begun at perf_counter `t0`: a live transition's
+        s_next is its episode's row of `states` after the step, timestep T's are all
+        terminal; `preds`' validation micro-F1 (returned) gives the reward; the batch
+        is one DQN update opportunity (none under a fixed path); the step is recorded."""
+        live = ~batch.terminal
+        batch.s_next[live] = states[rows[live]]
+        if t == self.cfg.max_timesteps:
+            batch.terminal[:] = True
+        micro, macro = evaluate_f1(preds, self.labels, self.split.validation)
+        reward = rl.compute_reward(self.agent.history, micro)
+        q_loss = None
+        if self.cfg.fixed_path is None:
+            batch.r[:] = reward
+            self.agent.buffer.push_batch(batch)
+            self.update_opportunities += 1
+            q_loss = self.agent.maybe_update(self.cfg.dqn_batch, self.rng_dqn)
+        self.report.steps.append(StepRecord(
+            round=round, timestep=t, acting_nodes=ep_nodes[rows].tolist(), actions=batch.a.tolist(),
+            reward=reward, micro_f1=micro, macro_f1=macro, q_loss=q_loss, hgnn_loss=hgnn_loss,
+            wall_ms=1000 * (time.perf_counter() - t0),
+        ))
+        return micro
 
     def end_round(self, round: int, val_metric: float, ep_nodes: np.ndarray,
                   episodes: list[Episode], params: nn.HgnnParams) -> None:
@@ -530,52 +543,36 @@ def run_rl_hgnn(cfg: TrainConfig, g: HinGraph, split: DataSplit):
     agent = loop.agent
     K, T = cfg.resolved_rounds(), cfg.max_timesteps
     total_steps = K * (T + 1)
-    step_counter = 0
-    reinits = 0
 
     for k in range(K):
         round_t0 = time.perf_counter()
         params = nn.init_params(g.schema, g.num_classes, T, cfg.hidden_dim, cfg.heads,
                                 cfg.dropout, seed=_derive_seed(cfg.seed, 20, k))
         opt = nn.init_adam(params.all_vars(), cfg.learning_rate, cfg.weight_decay)
-        reinits += 1
         ep_nodes, train_rows = loop.draw_batch()
         episodes = loop.fresh_episodes(g, ep_nodes)
         stopped = np.zeros(len(episodes), dtype=bool)
         states = _initial_static_states(g, episodes, agent.qnet.input_dim)
-        last_micro = 0.0
 
         for t in range(T + 1):
             step_t0 = time.perf_counter()
-            eps = _eps_at(cfg, step_counter, total_steps)
-            rows, batch = _act(g, cfg, loop.table, episodes, stopped, states,
-                               agent.qnet, eps, loop.rng_eps, loop.memo)
-            _advance_static_states(g, episodes, states, rows, batch)
+            rows, batch = _act(g, cfg, loop.table, episodes, stopped, states, agent.qnet,
+                               _eps_at(cfg, k * (T + 1) + t, total_steps), loop.rng_eps, loop.memo)
+            _advance_static_states(g, episodes, states, rows[~batch.terminal])
             plan = build_plan(g, list(episodes))
             part = restrict(plan, train_rows)  # what the loss reads, shared by the B rounds
-            hgnn_loss = None
             for beta in range(cfg.inner_rounds):
                 loss = _train_loss(params, g, part, ep_nodes, train_rows, cfg,
                                    seed=_derive_seed(cfg.seed, 30, k, t, beta))
                 grads = nn.backward(loss, params.all_vars())
                 nn.optimizer_step(params.all_vars(), grads, opt)
-                hgnn_loss = float(loss.value)
             _, preds = _eval_pass(params, g, plan, ep_nodes, cfg)
-            micro, macro = evaluate_f1(preds, g.labels, split.validation)
-            last_micro = micro
-            reward = rl.compute_reward(agent.history, micro)
-            q_loss = loop.dqn_update(batch, reward)
-            step_counter += 1
-            loop.report.steps.append(StepRecord(
-                round=k, timestep=t, acting_nodes=ep_nodes[rows].tolist(), actions=batch.a.tolist(),
-                reward=reward, micro_f1=micro, macro_f1=macro,
-                q_loss=q_loss, hgnn_loss=hgnn_loss,
-                wall_ms=1000 * (time.perf_counter() - step_t0),
-            ))
+            micro = loop.close_step(k, t, ep_nodes, rows, batch, states, preds,
+                                    float(loss.value), step_t0)
         loop.design_wall_ms += 1000 * (time.perf_counter() - round_t0)
-        loop.end_round(k, last_micro, ep_nodes, episodes, params)
+        loop.end_round(k, micro, ep_nodes, episodes, params)
 
-    return loop.finish("hgnn_reinits", reinits, _eps_at(cfg, step_counter, total_steps))
+    return loop.finish("hgnn_reinits", K, _eps_at(cfg, total_steps, total_steps))
 
 
 # ---------------------------------------------------------------------------
@@ -583,61 +580,43 @@ def run_rl_hgnn(cfg: TrainConfig, g: HinGraph, split: DataSplit):
 
 
 def run_rl_hgnn_pp(cfg: TrainConfig, g: HinGraph, split: DataSplit):
-    """Fast loop: timestep t = (k mod T) + 1, one optimizer step and one DQN
-    update per round, states from the normalised current representations."""
+    """Fast loop: round k is timestep k - k0 + 1 of the batch's cycle from round k0,
+    with one optimizer step; states from the normalised current representations."""
     loop = _Loop(cfg, g, split, "rl-hgnn-pp")
     agent = loop.agent
     K, T = cfg.resolved_rounds(), cfg.max_timesteps
     params = nn.init_params(g.schema, g.num_classes, T, cfg.hidden_dim, cfg.heads,
                             cfg.dropout, seed=_derive_seed(cfg.seed, 21))
     opt = nn.init_adam(params.all_vars(), cfg.learning_rate, cfg.weight_decay)
-    hgnn_steps = 0
 
-    for k in range(K):
-        t = (k % T) + 1
-        step_t0 = time.perf_counter()
-        if t == 1:  # a new cycle, as at k = 0, so the cycle's state is set before any read
-            cycle_t0 = step_t0
-            ep_nodes, train_rows = loop.draw_batch()
-            episodes = loop.fresh_episodes(g, ep_nodes)
-            stopped = np.zeros(len(episodes), dtype=bool)
-            # row i of the projected batch aligns with episode i
-            reps = nn.project_attributes(params, g, [(g.target_type, ep_nodes)])
-            norm_states = agent.normalizer.transform(reps)  # per-episode states of the round
-        eps = _eps_at(cfg, k, K)
-        rows, batch = _act(g, cfg, loop.table, episodes, stopped, norm_states,
-                           agent.qnet, eps, loop.rng_eps, loop.memo)
-        plan = build_plan(g, list(episodes))
+    for k0 in range(0, K, T):
+        cycle_t0 = time.perf_counter()
+        ep_nodes, train_rows = loop.draw_batch()
+        episodes = loop.fresh_episodes(g, ep_nodes)
+        stopped = np.zeros(len(episodes), dtype=bool)
+        # row i of the projected batch aligns with episode i
+        reps = nn.project_attributes(params, g, [(g.target_type, ep_nodes)])
+        states = agent.normalizer.transform(reps)  # per-episode states, renewed every step
 
-        # recorded pass for the optimizer step, walked and released before the
-        # clean pass for states/metrics; the step waits until after that pass
-        loss = _train_loss(params, g, restrict(plan, train_rows), ep_nodes, train_rows, cfg,
-                           seed=_derive_seed(cfg.seed, 31, k))
-        grads = nn.backward(loss, params.all_vars())
-        reps, preds = _eval_pass(params, g, plan, ep_nodes, cfg)
-        micro, macro = evaluate_f1(preds, g.labels, split.validation)
-        reward = rl.compute_reward(agent.history, micro)
+        for k in range(k0, min(k0 + T, K)):
+            step_t0 = cycle_t0 if k == k0 else time.perf_counter()  # step 1 bears the set-up
+            rows, batch = _act(g, cfg, loop.table, episodes, stopped, states, agent.qnet,
+                               _eps_at(cfg, k, K), loop.rng_eps, loop.memo)
+            plan = build_plan(g, list(episodes))
+            # recorded pass for the optimizer step, walked and released before the
+            # clean pass for states/metrics; the step waits until after that pass
+            loss = _train_loss(params, g, restrict(plan, train_rows), ep_nodes, train_rows, cfg,
+                               seed=_derive_seed(cfg.seed, 31, k))
+            grads = nn.backward(loss, params.all_vars())
+            reps, preds = _eval_pass(params, g, plan, ep_nodes, cfg)
+            states = agent.normalizer.transform(reps)
+            nn.optimizer_step(params.all_vars(), grads, opt)
+            micro = loop.close_step(k, k - k0 + 1, ep_nodes, rows, batch, states, preds,
+                                    float(loss.value), step_t0)
+        loop.design_wall_ms += 1000 * (time.perf_counter() - cycle_t0)
+        loop.end_round(k0 // T, micro, ep_nodes, episodes, params)
 
-        norm_states = agent.normalizer.transform(reps)
-        live = ~batch.terminal
-        batch.s_next[live] = norm_states[rows[live]]
-        if t == T:
-            batch.terminal[:] = True
-        q_loss = loop.dqn_update(batch, reward)
-        nn.optimizer_step(params.all_vars(), grads, opt)
-        hgnn_steps += 1
-
-        loop.report.steps.append(StepRecord(
-            round=k, timestep=t, acting_nodes=ep_nodes[rows].tolist(), actions=batch.a.tolist(),
-            reward=reward, micro_f1=micro, macro_f1=macro,
-            q_loss=q_loss, hgnn_loss=float(loss.value),
-            wall_ms=1000 * (time.perf_counter() - step_t0),
-        ))
-        if t == T or k == K - 1:
-            loop.design_wall_ms += 1000 * (time.perf_counter() - cycle_t0)
-            loop.end_round(k // T, micro, ep_nodes, episodes, params)
-
-    return loop.finish("hgnn_steps", hgnn_steps, _eps_at(cfg, K, K))
+    return loop.finish("hgnn_steps", K, _eps_at(cfg, K, K))
 
 
 def run(cfg: TrainConfig, g: HinGraph, split: DataSplit):
@@ -679,9 +658,9 @@ def predict(
     if nodes.ndim != 1:
         raise ValueError(f"node ids must be a 1-D array, got shape {nodes.shape}")
     n = g.num_nodes[g.target_type]
-    ok = (nodes >= 0) & (nodes < n) if nodes.dtype.kind in "iu" else np.zeros(nodes.shape, bool)
-    if not ok.all():
-        raise ValueError(f"node id {nodes[~ok][0].item()!r} is not a {g.target_type} node: "
+    bad = _first_outside(nodes, n)
+    if bad is not None:
+        raise ValueError(f"node id {bad!r} is not a {g.target_type} node: "
                          f"ids must be integers in [0, {n})")
     episodes = _fresh_episodes(g, nodes)
     stopped = np.zeros(len(episodes), dtype=bool)
@@ -696,7 +675,7 @@ def predict(
                 break
             rows, batch = _act(g, cfg, table, episodes, stopped, states, agent.qnet, 0.0, rng,
                                memo)
-            _advance_static_states(g, episodes, states, rows, batch)
+            _advance_static_states(g, episodes, states, rows[~batch.terminal])
     else:
         reps = nn.project_attributes(params, g, [(g.target_type, nodes)])
         for _ in range(cfg.max_timesteps):

@@ -88,6 +88,7 @@ def test_state_static_recurrence():
 def test_state_pp_normalizer():
     norm = Normalizer(fit_count=4)
     batch = np.array([[1.0, 2.0], [3.0, 2.0], [1.0, 4.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(norm.apply(batch), batch)  # before the fit: raw states
     raw = norm.transform(batch)
     np.testing.assert_array_equal(raw, batch)  # pre-freeze passthrough
     assert norm.frozen
@@ -162,6 +163,16 @@ def test_select_action_respects_mask_for_all_eps():
             assert select_action(qv[None], mask[None], eps, rng).tolist() == [1]
 
 
+@pytest.mark.parametrize("mask,message", [
+    (np.ones((2, 4), dtype=bool),
+     r"Q-values \(2, 3\) and legality masks \(2, 4\) differ in shape"),
+    (np.array([[True, False, False], [False, False, False]]), "no legal action"),
+], ids=["shape", "no-legal-action"])
+def test_select_action_rejects_masks_that_do_not_fit(mask, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        select_action(np.zeros((2, 3)), mask, 0.5, np.random.default_rng(0))
+
+
 def test_select_action_uniform_at_eps_one():
     rng = np.random.default_rng(7)
     qv = np.array([9.0, 0.0, 0.0, 0.0])
@@ -176,6 +187,15 @@ def test_select_action_uniform_at_eps_one():
 
 # ---------------------------------------------------------------------------
 # Replay buffer
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: ReplayBuffer(0), "capacity must be positive"),
+    (lambda: RewardHistory(0), "window must be positive"),
+], ids=["buffer", "reward-window"])
+def test_a_buffer_or_reward_window_of_size_zero_is_rejected(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
 
 
 def test_buffer_fifo_and_capacity():

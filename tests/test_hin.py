@@ -153,7 +153,8 @@ def test_csv_triples_endpoint_type_mismatch(tmp_path):
     ("M-A,Movie:zero,Actor:1", "g.csv:2: node ids must be integers, got 'Movie:zero' and 'Actor:1'"),
     ("M-A,Movie:0,Actor:", "g.csv:2: node ids must be integers"),
     ("M-A,Movie:0,Actor:1.5", "g.csv:2: node ids must be integers"),
-], ids=["unknown-relation", "word-id", "missing-id", "fractional-id"])
+    ("M-A,Movie:0", "g.csv:2: expected 3 fields, got 2"),
+], ids=["unknown-relation", "word-id", "missing-id", "fractional-id", "two-fields"])
 def test_csv_triples_names_the_file_and_line_of_a_bad_edge(tmp_path, line, message):
     schema = {
         "node_types": ["Movie", "Actor"],
@@ -366,6 +367,37 @@ def test_csv_triples_names_the_schema_sidecar_and_field(tmp_path):
     assert str(err.value) == f"{sidecar}: missing field 'relation_types[0].src'"
 
 
+def test_csv_triples_needs_its_schema_sidecar(tmp_path):
+    edges = tmp_path / "g.csv"
+    edges.write_text("M-A,Movie:0,Actor:1\n")
+    with pytest.raises(SchemaError, match=f"^missing schema sidecar {tmp_path}/g.schema.json$"):
+        load_hin(edges, format="csv-triples")
+
+
+def test_csv_triples_skips_blank_edge_lines_and_reads_a_type_without_attrs_as_empty(tmp_path):
+    schema = {
+        "node_types": ["Movie", "Actor", "Tag"],
+        "relation_types": [{"name": "M-A", "src": "Movie", "dst": "Actor"}],
+        "target_type": "Movie",
+        "num_classes": 2,
+        "attribute_dims": {"Movie": 1, "Actor": 1, "Tag": 3},
+    }
+    (tmp_path / "g.schema.json").write_text(json.dumps(schema))
+    (tmp_path / "g.attrs.Movie.csv").write_text("0.1\n0.2\n")
+    (tmp_path / "g.attrs.Actor.csv").write_text("1.0\n2.0\n")
+    edges = tmp_path / "g.csv"
+    edges.write_text("M-A,Movie:0,Actor:1\n\nM-A,Movie:1,Actor:0\n")
+    g = load_hin(edges, format="csv-triples")
+    assert g.edge_count("M-A") == 2
+    assert g.num_nodes["Tag"] == 0 and g.attributes["Tag"].shape == (0, 3)
+
+
+def test_load_rejects_an_unknown_graph_format(tmp_path):
+    path, _ = imdb_like_json(tmp_path)
+    with pytest.raises(ValueError, match="^unknown graph format 'graphml'$"):
+        load_hin(path, format="graphml")
+
+
 def test_csv_triples_round(tmp_path):
     schema = {
         "node_types": ["Movie", "Actor"],
@@ -438,9 +470,13 @@ def _with_entry(attributes, t, row, col, value):
     (lambda g: {"edge_lists": {"M-A": [(0, 0), (0, 6)]}},
      "relation 'M-A': target id out of range for type 'Actor'"),
     (lambda g: {"target_type": "Studio"}, "target type 'Studio' not a declared node type"),
+    (lambda g: {"num_nodes": {t: n for t, n in g.num_nodes.items() if t != "Director"}},
+     "missing node count for type 'Director'"),
+    (lambda g: {"edge_lists": {"M-A": [(0, 1, 2)]}},
+     "relation 'M-A': edge list must be (src, dst) pairs"),
 ], ids=["negative-count", "no-classes", "narrow-table", "flat-table", "nan", "minus-infinity",
         "short-labels", "label-below-minus-one", "unlabelled-in-dict", "label-node-out-of-range",
-        "endpoint-out-of-range", "unknown-target"])
+        "endpoint-out-of-range", "unknown-target", "missing-count", "not-pairs"])
 def test_build_graph_names_the_first_broken_invariant(change, message):
     g = imdb_like_graph()
     with pytest.raises(SchemaError) as err:
@@ -616,6 +652,16 @@ def test_schema_validation():
             (RelationType("r", "A", "A"), RelationType("r", "A", "A")),
             {"A": 1},
         )
+
+
+def test_a_schema_names_a_missing_attribute_dim_and_an_unknown_relation_or_node_type():
+    with pytest.raises(SchemaError, match="^missing attribute dim for node type 'B'$"):
+        HinSchema(("A", "B"), (), {"A": 1})
+    schema = HinSchema(("A",), (RelationType("r", "A", "A"),), {"A": 1})
+    with pytest.raises(KeyError, match="unknown relation type 'q'"):
+        schema.relation("q")
+    with pytest.raises(SchemaError, match="^unknown node type 'B'$"):
+        schema.relations_from("B")
 
 
 def test_self_loops_are_ordinary_edges():

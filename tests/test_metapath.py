@@ -92,6 +92,8 @@ def test_path_validate_catches_bad_chain():
     with pytest.raises(SchemaError):
         MetaPath("Movie", ("M-A", "M-D")).validate(schema)
     MetaPath("Movie", ("M-A", "A-M", "M-D")).validate(schema)
+    with pytest.raises(SchemaError, match="^unknown start type 'Studio'$"):
+        MetaPath("Studio", ()).validate(schema)
 
 
 def test_expand_frontier_single_chain():

@@ -456,6 +456,23 @@ def test_one_plan_serves_every_pass_and_is_read_only():
         plan.index[0].src_rows[0] = 0
 
 
+def test_init_params_rejects_a_dim_the_heads_do_not_divide():
+    g = imdb_like_graph()
+    with pytest.raises(ValueError, match="^representation dim must be divisible by the head count$"):
+        small_params(g, d=6, heads=4)
+
+
+def test_hgnn_forward_rejects_an_unknown_mode_and_a_non_finite_parameter():
+    g = imdb_like_graph(seed=2)
+    plan = build_plan(g, [episode(g, ("Movie", 0), ("M-A",))])
+    p = small_params(g)
+    with pytest.raises(ValueError, match="^unknown mode 'test'$"):
+        hgnn_forward(p, g, plan, mode="test")
+    p.table["proj:Movie"].value[0, 0] = np.nan
+    with pytest.raises(ValueError, match="^non-finite values in episode representations$"):
+        hgnn_forward(p, g, plan)
+
+
 def test_plan_deeper_than_model_errors():
     g = imdb_like_graph(seed=2)
     plan = build_plan(g, [episode(g, ("Movie", 0), ("M-A", "A-M"))])
@@ -677,8 +694,10 @@ def test_adam_updates_in_place_bit_identical_to_out_of_place_formula():
 def test_optimizer_shape_mismatch():
     w = ad.param(np.zeros((2, 2)))
     st = init_adam([w])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^gradient shape \(3,\) != parameter shape \(2, 2\)$"):
         optimizer_step([w], [np.zeros(3)], st)
+    with pytest.raises(ValueError, match="^parameter/gradient/state count mismatch$"):
+        optimizer_step([w], [], st)
 
 
 # ---------------------------------------------------------------------------

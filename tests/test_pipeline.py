@@ -6,10 +6,11 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from helpers import run_with_one_blas_thread
+from helpers import fifo_rows, run_with_one_blas_thread
 from rlhgnn import pipeline
 from rlhgnn.hin import HinSchema, RelationType, build_graph
 from rlhgnn.pipeline import (
+    EpisodeReport,
     TrainConfig,
     action_report,
     bench_aggregation,
@@ -156,6 +157,14 @@ def test_config_rejects_unknown_keys():
         TrainConfig.from_dict({"hiden_dim": 16, "max_timestep": 2, "seed": 1})
 
 
+@pytest.mark.parametrize("variant,rounds,resolved", [
+    ("rl-hgnn", None, 20), ("rl-hgnn-pp", None, 200), ("rl-hgnn", 7, 7), ("rl-hgnn-pp", 7, 7),
+])
+def test_rounds_default_to_20_for_the_base_loop_and_200_for_the_fast_loop(variant, rounds,
+                                                                          resolved):
+    assert TrainConfig(variant=variant, rounds=rounds).resolved_rounds() == resolved
+
+
 def test_config_boundary_values_are_accepted():
     TrainConfig.from_dict(small_cfg(gamma=1.0, dropout=0.0, eps_start=0.0, eps_fraction=0.0,
                                     weight_decay=0.0, fan_out_cap=1, rounds=1,
@@ -199,6 +208,19 @@ def test_f1_micro_equals_accuracy_multiclass():
 def test_f1_empty_set_errors():
     with pytest.raises(ValueError):
         evaluate_f1(np.array([0]), np.array([0]), np.array([], dtype=int))
+
+
+@pytest.mark.parametrize("ids,message", [
+    ([-1], "node id -1, which is no node id in [0, 30)"),
+    ([3, 31], "node id 31, which is no node id in [0, 30)"),
+    ([1.5], "node id 1.5, which is no node id in [0, 30)"),
+    ([2, 4], "node id 4, which has no label"),
+], ids=["negative", "past-the-end", "float", "unlabelled"])
+def test_f1_names_the_first_node_id_it_cannot_score(ids, message):
+    labels = np.arange(30) % 3
+    labels[4] = -1
+    with pytest.raises(ValueError, match=f"^nodes hold {re.escape(message)}$"):
+        evaluate_f1(np.zeros(30, dtype=np.int64), labels, np.array(ids))
 
 
 def test_f1_random_cases_match_brute_force():
@@ -259,6 +281,42 @@ def test_alg2_counts():
     assert len(report.steps) == 7
     # timesteps cycle 1..T
     assert [s.timestep for s in report.steps] == [1, 2, 1, 2, 1, 2, 1]
+
+
+@pytest.mark.parametrize("variant,rounds", [("rl-hgnn", 3), ("rl-hgnn-pp", 7)])
+def test_stored_transitions_follow_the_episodes(variant, rounds):
+    """The ring holds every step's transitions in step order, one per acting
+    node: each carries its step's action and reward, a node that acts again in
+    its episode acts on the s_next of its previous transition, which was not
+    terminal, and every transition of timestep T is terminal. A-M lets a
+    fast-loop episode extend at timestep T, so that mark is not Stop's alone."""
+    g, split = generate_planted_hin(SyntheticSpec(
+        node_counts={"Movie": 60, "Actor": 24, "Director": 12}, target_type="Movie",
+        relations=[("M-A", "Movie", "Actor"), ("A-M", "Actor", "Movie"),
+                   ("M-D", "Movie", "Director")],
+        out_degree={"M-A": 2, "A-M": 2, "M-D": 2}, planted_path=("M-A",),
+        train_count=24, val_count=18))
+    cfg = small_cfg(variant=variant, rounds=rounds, inner_rounds=2)
+    _, agent, report = run(cfg, g, split)
+    rows = fifo_rows(agent.buffer)
+    assert len(rows) == sum(len(s.actions) for s in report.steps) < agent.buffer.capacity
+    first_t, T, stop = (0 if variant == "rl-hgnn" else 1), cfg.max_timesteps, report.num_actions - 1
+    acted_again = extended_at_T = 0
+    for step in report.steps:
+        if step.timestep == first_t:
+            last: dict = {}  # a new batch of episodes: each node's latest transition
+        mine, rows = rows[:len(step.actions)], rows[len(step.actions):]
+        for node, action, row in zip(step.acting_nodes, step.actions, mine):
+            assert (row.a, row.r) == (action, step.reward)
+            if node in last:
+                assert not last[node].terminal
+                assert np.array_equal(row.s, last[node].s_next)
+                acted_again += 1
+            assert row.terminal or step.timestep < T
+            extended_at_T += step.timestep == T and action != stop
+            last[node] = row
+    assert acted_again
+    assert extended_at_T or variant == "rl-hgnn"  # base episodes are at max depth at T
 
 
 def test_episode_paths_never_exceed_T():
@@ -347,6 +405,11 @@ def test_determinism_identical_reports():
 
 # ---------------------------------------------------------------------------
 # Reports
+
+
+def test_an_empty_report_has_no_best_round():
+    with pytest.raises(ValueError, match="^empty report$"):
+        EpisodeReport(variant="rl-hgnn", num_actions=3).best_round()
 
 
 def test_action_report_all_stop_and_accounting():
@@ -480,6 +543,16 @@ def test_an_empty_train_or_validation_key_is_rejected_before_any_round(variant, 
     monkeypatch.setattr(pipeline, "_make_agent", None)  # no agent may be built
     with pytest.raises(ValueError, match=f"^split key '{key}' holds no node id$"):
         run(small_cfg(variant=variant, rounds=2, inner_rounds=2), g, empty)
+
+
+@pytest.mark.parametrize("loop,variant", [(run_rl_hgnn, "rl-hgnn-pp"),
+                                          (run_rl_hgnn_pp, "rl-hgnn")])
+def test_each_loop_rejects_a_config_of_the_other_variant(loop, variant, monkeypatch):
+    g, split = generate_planted_hin(planted_spec_1hop())
+    other = "rl-hgnn" if variant == "rl-hgnn-pp" else "rl-hgnn-pp"
+    monkeypatch.setattr(pipeline, "_make_agent", None)  # no agent may be built
+    with pytest.raises(ValueError, match=f"^config variant must be {other}$"):
+        loop(small_cfg(variant=variant, rounds=2, inner_rounds=2), g, split)
 
 
 @pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])

@@ -5,7 +5,9 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from rlhgnn.synth import SyntheticSpec, generate_planted_hin, planted_oracle_accuracy
+from rlhgnn.hin import HinSchema, RelationType, SchemaError, build_graph
+from rlhgnn.synth import (SyntheticSpec, generate_planted_hin, planted_oracle_accuracy,
+                          planted_oracle_predict)
 
 
 def movie_actor_spec(**overrides):
@@ -113,6 +115,18 @@ def test_invalid_specs_rejected():
         generate_planted_hin(movie_actor_spec(signal_strength=1.5))
     with pytest.raises(ValueError):
         generate_planted_hin(movie_actor_spec(train_count=50, val_count=50))
+    with pytest.raises(ValueError, match="^type 'Actor' needs at least 3 nodes for class pools$"):
+        movie_actor_spec(node_counts={"Movie": 60, "Actor": 2, "Director": 12})
+
+
+def test_the_oracle_predicts_class_0_where_the_path_reaches_no_node_and_rejects_a_broken_path():
+    schema = HinSchema(("Movie", "Actor"), (RelationType("M-A", "Movie", "Actor"),),
+                       {"Movie": 1, "Actor": 2})
+    g = build_graph(schema, {"Movie": 2, "Actor": 2}, {"M-A": [(0, 1)]},
+                    {"Movie": np.zeros((2, 1)), "Actor": np.eye(2)}, "Movie", 2, np.ones(2, int))
+    assert planted_oracle_predict(g, ("M-A",), np.array([0, 1])).tolist() == [1, 0]
+    with pytest.raises(SchemaError, match="^planted path broken at relation 'M-A'$"):
+        planted_oracle_predict(g, ("M-A", "M-A"), np.array([0]))
 
 
 def test_a_spec_is_checked_when_made_and_frozen():
