@@ -6,7 +6,6 @@ from .agent import (
     Normalizer,
     QNetwork,
     ReplayBuffer,
-    RewardHistory,
     compute_reward,
     dqn_step,
     load_agent,

@@ -203,7 +203,6 @@ class Normalizer:
         self.mean: np.ndarray | None = None
         self.std: np.ndarray | None = None
         self._pending: list[np.ndarray] = []
-        self._seen = 0
 
     @property
     def frozen(self) -> bool:
@@ -214,8 +213,7 @@ class Normalizer:
         if self.frozen:
             return self.apply(states)
         self._pending.append(states.copy())
-        self._seen += len(states)
-        if self._seen >= self.fit_count:
+        if sum(map(len, self._pending)) >= self.fit_count:
             stacked = np.concatenate(self._pending, axis=0)
             self.mean = stacked.mean(axis=0)
             self.std = np.maximum(stacked.std(axis=0), 1e-6)
@@ -230,58 +228,40 @@ class Normalizer:
         return states
 
 
-def state_static(g: HinGraph, episode: Episode, prev_state: np.ndarray) -> np.ndarray:
-    """Running average of arrived-attribute means: (mean(D) + s_prev) / 2.
+def state_static(g: HinGraph, episodes: list[Episode], states: np.ndarray,
+                 rows: np.ndarray) -> None:
+    """Advance row r of `states`, for each r in `rows`, in place to the running
+    average of episodes[r]'s arrived-attribute means: (mean(D) + s_prev) / 2.
 
     Attribute vectors are zero-padded to the state dimension so that types
     with different attribute widths share one state space.
     """
-    mean = arrived_mean(g, episode)
-    padded = np.zeros_like(prev_state)
-    padded[: len(mean)] = mean
-    return (padded + prev_state) / 2.0
+    for r in rows:
+        mean = arrived_mean(g, episodes[r])
+        padded = np.zeros_like(states[r])
+        padded[: len(mean)] = mean
+        states[r] = (padded + states[r]) / 2.0
 
 
-def initial_state_static(g: HinGraph, node, state_dim: int) -> np.ndarray:
-    """s_0 is the start node's own attributes (zero-padded)."""
-    x = g.attributes[node[0]][node[1]]
-    s = np.zeros(state_dim)
-    s[: len(x)] = x
-    return s
+def initial_state_static(g: HinGraph, episodes: list[Episode], state_dim: int) -> np.ndarray:
+    """s_0 of every episode, row i for episode i: its start node's own
+    attributes (zero-padded)."""
+    states = np.zeros((len(episodes), state_dim))
+    for i, (t, node) in enumerate(e.start for e in episodes):
+        states[i, : g.attributes[t].shape[1]] = g.attributes[t][node]
+    return states
 
 
 def static_state_dim(g: HinGraph) -> int:
     return max(g.schema.attribute_dims[t] for t in g.schema.node_types)
 
 
-class RewardHistory:
-    """Ring buffer of the last `window` validation metric values."""
-
-    def __init__(self, window: int):
-        if window < 1:
-            raise ValueError("window must be positive")
-        self.window = window
-        self._values: deque[float] = deque(maxlen=window)
-
-    def baseline(self) -> float | None:
-        if not self._values:
-            return None
-        return float(np.mean(self._values))
-
-    def record(self, value: float) -> None:
-        self._values.append(float(value))
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-
-def compute_reward(history: RewardHistory, current: float) -> float:
-    """Improvement of the metric over the moving baseline; records current."""
+def compute_reward(history: deque[float], current: float) -> float:
+    """Gain of current over the mean of `history`, 0.0 while it is empty; records current."""
     if not 0.0 <= current <= 1.0:
         raise ValueError("metric value must lie in [0, 1]")
-    base = history.baseline()
-    reward = 0.0 if base is None else current - base
-    history.record(current)
+    reward = current - float(np.mean(history)) if history else 0.0
+    history.append(float(current))
     return reward
 
 
@@ -333,17 +313,19 @@ def dqn_step(
 
 @dataclass
 class DqnAgent:
-    """Q-network plus its training companions, bundled for the loops."""
+    """Q-network plus its training companions, bundled for the loops; `history` holds
+    the last reward_window validation scores, `eps_position` the run's final ε."""
 
     qnet: QNetwork
     target_net: QNetwork
     opt_state: AdamState
     buffer: ReplayBuffer
-    history: RewardHistory
+    history: deque[float]
     gamma: float
     sync_every: int
     normalizer: Normalizer | None = None
     update_count: int = 0
+    eps_position: float = 0.0
 
     @classmethod
     def create(
@@ -360,6 +342,8 @@ class DqnAgent:
         hidden=Q_HIDDEN,
         seed: int = 0,
     ) -> "DqnAgent":
+        if reward_window < 1:
+            raise ValueError("window must be positive")
         qnet = QNetwork(input_dim, num_actions, hidden, seed=seed)
         target = QNetwork(input_dim, num_actions, hidden, seed=seed)
         sync_target(qnet, target)
@@ -368,7 +352,7 @@ class DqnAgent:
             target_net=target,
             opt_state=init_adam(qnet.vars(), lr, weight_decay),
             buffer=ReplayBuffer(buffer_capacity),
-            history=RewardHistory(reward_window),
+            history=deque(maxlen=reward_window),
             gamma=gamma,
             sync_every=sync_every,
             normalizer=Normalizer(normalizer_fit) if normalizer_fit else None,
@@ -412,7 +396,7 @@ def _normalizer_rule(n: int) -> Rule:
         f"null or {{fit_count: {fit.what}, mean and std: both null or both {stats.what}}}")
 
 
-def save_agent(agent: DqnAgent, path, eps_position: float = 0.0) -> None:
+def save_agent(agent: DqnAgent, path) -> None:
     norm = agent.normalizer
     write_checkpoint(path, "dqn-agent", {
         "input_dim": agent.qnet.input_dim,
@@ -421,8 +405,8 @@ def save_agent(agent: DqnAgent, path, eps_position: float = 0.0) -> None:
         "gamma": agent.gamma,
         "sync_every": agent.sync_every,
         "update_count": agent.update_count,
-        "eps_position": eps_position,
-        "reward_window": agent.history.window,
+        "eps_position": agent.eps_position,
+        "reward_window": agent.history.maxlen,
         "buffer_capacity": agent.buffer.capacity,
         "normalizer": None
         if norm is None
@@ -456,7 +440,7 @@ def load_agent(path) -> DqnAgent:
     )
     for n, v in _named_vars(agent):
         v.value = arrays[n]
-    agent.update_count = f["update_count"]
+    agent.update_count, agent.eps_position = f["update_count"], f["eps_position"]
     if norm is not None:
         agent.normalizer = Normalizer(norm["fit_count"])
         if norm["mean"] is not None:

@@ -58,7 +58,7 @@ def cmd_train(args) -> int:
     split = split_nodes(g, (args.train_count, args.val_count), args.split_seed)
     params, agent, report = pl.run(cfg, g, split)
     nn.save_params(params, out / "model.bin")
-    rl.save_agent(agent, out / "agent.bin", eps_position=report.meta.get("final_eps", 0.0))
+    rl.save_agent(agent, out / "agent.bin")
     _save_split(split, out / "split.json")
     with open(out / "config.json", "w", encoding="utf-8") as f:
         json.dump(cfg.to_dict(), f, indent=2)

@@ -235,17 +235,25 @@ class DataSplit:
                     raise ValueError(f"{where}split key {key!r} repeats node id {i} "
                                      f"of key {owner[i]!r}")
                 owner[i] = key
-        n = len(labels)
         for key in keys:
-            ids = getattr(self, key)
-            outside = ids[(ids < 0) | (ids >= n)]
-            if len(outside):
-                raise ValueError(f"{where}split key {key!r} holds node id {outside[0]}, "
-                                 f"which is no node id in [0, {n})")
-            unlabelled = ids[labels[ids] < 0]
-            if len(unlabelled):
-                raise ValueError(f"{where}split key {key!r} holds node id {unlabelled[0]}, "
-                                 f"which has no label")
+            need_labelled(getattr(self, key), labels, f"{where}split key {key!r} holds")
+
+
+def first_outside(ids: np.ndarray, n: int) -> int | float | None:
+    """The first of `ids` that is not an integer in [0, n), or None."""
+    ok = (ids >= 0) & (ids < n) if ids.dtype.kind in "iu" else np.zeros(ids.shape, bool)
+    return None if ok.all() else ids[~ok][0].item()
+
+
+def need_labelled(ids: np.ndarray, labels: np.ndarray, subject: str) -> None:
+    """Raise ValueError, `subject` first, naming the first of `ids` that is no
+    integer in [0, len(labels)), or else the first whose node has no label (-1)."""
+    bad = first_outside(ids, len(labels))
+    if bad is not None:
+        raise ValueError(f"{subject} node id {bad!r}, which is no node id in [0, {len(labels)})")
+    unlabelled = ids[labels[ids] < 0]
+    if len(unlabelled):
+        raise ValueError(f"{subject} node id {unlabelled[0]}, which has no label")
 
 
 def build_graph(
@@ -417,10 +425,11 @@ def _named(path):
         raise SchemaError(f"{path}: {e}") from None
 
 
-def _schema_from_json(path, s: dict, attributes: dict,
+def _schema_from_json(path, s: dict, rows_of: Callable[[str], Any],
                       where: str) -> tuple[HinSchema, str, int]:
     """The schema object `s` of a graph file; a type missing from its
-    attribute_dims takes the length of its first attribute row, or 0."""
+    attribute_dims takes the length of the first list in rows_of(type), its
+    attribute rows, or 0."""
     f = _fields(path, s, _SCHEMA, where, defaults=_OPTIONAL)
     relations = tuple(RelationType(**_fields(path, r, _RELATION, f"{where}relation_types[{i}]."))
                       for i, r in enumerate(f["relation_types"]))
@@ -432,8 +441,9 @@ def _schema_from_json(path, s: dict, attributes: dict,
     dims = _fields(path, f["attribute_dims"], {t: COUNT for t in types if t in f["attribute_dims"]},
                    where + "attribute_dims.")
     for t in types:
-        if t not in dims:  # _load_json_graph names a row that is not a list
-            rows = attributes.get(t) if isinstance(attributes.get(t), list) else []
+        if t not in dims:  # the loaders name a row of another length
+            rows = rows_of(t)
+            rows = rows if isinstance(rows, list) else []
             dims[t] = next((len(r) for r in rows if isinstance(r, list)), 0)
     with _named(path):
         schema = HinSchema(tuple(types), relations, {t: dims[t] for t in types})
@@ -495,7 +505,7 @@ def _load_json_graph(path: Path) -> tuple:
     doc = read_json(path, SchemaError)
     top = _fields(path, doc, _GRAPH, defaults=_OPTIONAL)
     attrs = top["attributes"]
-    schema, target_type, num_classes = _schema_from_json(path, top["schema"], attrs, "schema.")
+    schema, target_type, num_classes = _schema_from_json(path, top["schema"], attrs.get, "schema.")
     types = schema.node_types
     need_known(f"{path}: field 'nodes'", top["nodes"], types, "node type")
     need_known(f"{path}: field 'attributes'", attrs, types, "node type")
@@ -563,7 +573,13 @@ def _load_csv_triples(path: Path) -> tuple:
     if not schema_path.exists():
         raise SchemaError(f"missing schema sidecar {schema_path}")
     doc = read_json(schema_path, SchemaError)
-    schema, target_type, num_classes = _schema_from_json(schema_path, doc, {}, "")
+    def first_line(t: str) -> list[list[str]]:  # type t's first non-empty attrs line, if any
+        attr_path = Path(f"{stem}.attrs.{t}.csv")
+        if not attr_path.exists():
+            return []
+        with open(attr_path, "r", encoding="utf-8") as f:
+            return [next((line for line in csv.reader(f) if line), [])]
+    schema, target_type, num_classes = _schema_from_json(schema_path, doc, first_line, "")
 
     attributes: dict[str, np.ndarray] = {}
     num_nodes: dict[str, int] = {}

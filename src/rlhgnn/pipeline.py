@@ -27,7 +27,7 @@ from . import model as nn
 from .aggplan import (AggregationDag, AggregationStats, Restriction, build_plan, naive_plan,
                       plan_stats, restrict)
 from .hin import (RELATION_NAMES, UNIT, DataSplit, HinGraph, HinSchema, NodeId, Rule, SchemaError,
-                  at_least, check_fields, number, read_object)
+                  at_least, check_fields, first_outside, need_labelled, number, read_object)
 from .metapath import (
     Episode,
     MetaPath,
@@ -230,12 +230,8 @@ def evaluate_f1(predictions: np.ndarray, labels: np.ndarray, nodes: np.ndarray) 
     nodes = np.asarray(nodes)
     if len(nodes) == 0:
         raise ValueError("empty node set")
-    bad = _first_outside(nodes, len(labels))
-    if bad is not None:
-        raise ValueError(f"nodes hold node id {bad!r}, which is no node id in [0, {len(labels)})")
+    need_labelled(nodes, labels, "nodes hold")
     y = labels[nodes]
-    if (y < 0).any():
-        raise ValueError(f"nodes hold node id {nodes[y < 0][0]}, which has no label")
     p = predictions[nodes]
     classes = np.union1d(y, p)
     yi, pi = np.searchsorted(classes, y), np.searchsorted(classes, p)
@@ -244,12 +240,6 @@ def evaluate_f1(predictions: np.ndarray, labels: np.ndarray, nodes: np.ndarray) 
     # pooled, each miss is one FP and one FN, so micro-F1 is the hit rate
     pooled = np.bincount(yi, minlength=len(classes)) + np.bincount(pi, minlength=len(classes))
     return float(np.mean(y == p)), float(np.mean(2 * tp / pooled))
-
-
-def _first_outside(ids: np.ndarray, n: int) -> int | float | None:
-    """The first of `ids` that is not an integer in [0, n), or None."""
-    ok = (ids >= 0) & (ids < n) if ids.dtype.kind in "iu" else np.zeros(ids.shape, bool)
-    return None if ok.all() else ids[~ok][0].item()
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +290,9 @@ def _eps_at(cfg: TrainConfig, step: int, total: int) -> float:
     if cfg.fixed_path is not None:
         return 0.0
     horizon = max(1.0, cfg.eps_fraction * total)
-    frac = min(1.0, step / horizon)
-    return cfg.eps_start + (cfg.eps_end - cfg.eps_start) * frac
+    if step >= horizon:
+        return cfg.eps_end
+    return cfg.eps_start + (cfg.eps_end - cfg.eps_start) * (step / horizon)
 
 
 @dataclass(frozen=True)
@@ -393,19 +384,6 @@ def _act(
     return rows, batch
 
 
-def _initial_static_states(g: HinGraph, episodes: list[Episode], state_dim: int) -> np.ndarray:
-    """Static-variant states at timestep 0, row i for episode i."""
-    return np.array([rl.initial_state_static(g, e.start, state_dim) for e in episodes],
-                    dtype=np.float64).reshape(len(episodes), state_dim)
-
-
-def _advance_static_states(g: HinGraph, episodes: list[Episode], states: np.ndarray,
-                           rows: np.ndarray) -> None:
-    """Static-variant state update of the episodes at `rows`, the extended ones."""
-    for r in rows:
-        states[r] = rl.state_static(g, episodes[r], states[r])
-
-
 def _eval_pass(params: nn.HgnnParams, g: HinGraph, plan: AggregationDag, nodes: np.ndarray,
                cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode pass over the plan of `nodes`, recording no tape:
@@ -466,7 +444,6 @@ class _Loop:
         self.report = EpisodeReport(variant=cfg.variant, num_actions=action_space_size(g.schema))
         self.best_params: nn.HgnnParams | None = None
         self.best_metric = -1.0
-        self.update_opportunities = 0
         self.design_wall_ms = 0.0
 
     def draw_batch(self) -> tuple[np.ndarray, np.ndarray]:
@@ -501,7 +478,6 @@ class _Loop:
         if self.cfg.fixed_path is None:
             batch.r[:] = reward
             self.agent.buffer.push_batch(batch)
-            self.update_opportunities += 1
             q_loss = self.agent.maybe_update(self.cfg.dqn_batch, self.rng_dqn)
         self.report.steps.append(StepRecord(
             round=round, timestep=t, acting_nodes=ep_nodes[rows].tolist(), actions=batch.a.tolist(),
@@ -523,8 +499,11 @@ class _Loop:
 
     def finish(self, counter: str, count: int, final_eps: float
                ) -> tuple[nn.HgnnParams | None, rl.DqnAgent, EpisodeReport]:
+        self.agent.eps_position = final_eps
+        # each closed step was one DQN update opportunity, unless a fixed path rules the agent out
+        opportunities = len(self.report.steps) if self.cfg.fixed_path is None else 0
         self.report.meta = {
-            "dqn_update_opportunities": self.update_opportunities,
+            "dqn_update_opportunities": opportunities,
             counter: count,
             "design_wall_ms": self.design_wall_ms,
             "best_val_metric": self.best_metric,
@@ -552,13 +531,13 @@ def run_rl_hgnn(cfg: TrainConfig, g: HinGraph, split: DataSplit):
         ep_nodes, train_rows = loop.draw_batch()
         episodes = loop.fresh_episodes(g, ep_nodes)
         stopped = np.zeros(len(episodes), dtype=bool)
-        states = _initial_static_states(g, episodes, agent.qnet.input_dim)
+        states = rl.initial_state_static(g, episodes, agent.qnet.input_dim)
 
         for t in range(T + 1):
             step_t0 = time.perf_counter()
             rows, batch = _act(g, cfg, loop.table, episodes, stopped, states, agent.qnet,
                                _eps_at(cfg, k * (T + 1) + t, total_steps), loop.rng_eps, loop.memo)
-            _advance_static_states(g, episodes, states, rows[~batch.terminal])
+            rl.state_static(g, episodes, states, rows[~batch.terminal])
             plan = build_plan(g, list(episodes))
             part = restrict(plan, train_rows)  # what the loss reads, shared by the B rounds
             for beta in range(cfg.inner_rounds):
@@ -658,7 +637,7 @@ def predict(
     if nodes.ndim != 1:
         raise ValueError(f"node ids must be a 1-D array, got shape {nodes.shape}")
     n = g.num_nodes[g.target_type]
-    bad = _first_outside(nodes, n)
+    bad = first_outside(nodes, n)
     if bad is not None:
         raise ValueError(f"node id {bad!r} is not a {g.target_type} node: "
                          f"ids must be integers in [0, {n})")
@@ -669,13 +648,13 @@ def predict(
     memo: EpisodeMemo = {}  # nodes repeated in `nodes` share their extensions
     preds = None
     if cfg.variant == "rl-hgnn":
-        states = _initial_static_states(g, episodes, rl.static_state_dim(g))
+        states = rl.initial_state_static(g, episodes, rl.static_state_dim(g))
         for _ in range(cfg.max_timesteps + 1):
             if stopped.all():
                 break
             rows, batch = _act(g, cfg, table, episodes, stopped, states, agent.qnet, 0.0, rng,
                                memo)
-            _advance_static_states(g, episodes, states, rows[~batch.terminal])
+            rl.state_static(g, episodes, states, rows[~batch.terminal])
     else:
         reps = nn.project_attributes(params, g, [(g.target_type, nodes)])
         for _ in range(cfg.max_timesteps):

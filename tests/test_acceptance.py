@@ -1,6 +1,7 @@
 """Acceptance criteria. Each test prints one PASS line when its criterion
 holds at the stated tolerance; any failure is a real failure of the build."""
 import time
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,6 @@ from rlhgnn.aggplan import (
 from rlhgnn.agent import (
     DqnAgent,
     ReplayBuffer,
-    RewardHistory,
     compute_reward,
     select_action,
     sync_target,
@@ -278,9 +278,7 @@ def test_criterion_8_unit_invariants(seed):
         float(cross_entropy(const(uni), np.zeros(4, dtype=int), np.arange(4)).value),
         4 * np.log(3), atol=1e-12)
     # reward window arithmetic
-    h = RewardHistory(window=3)
-    for v in (0.5, 0.5, 0.5):
-        h.record(v)
+    h = deque([0.5, 0.5, 0.5], maxlen=3)
     assert abs(compute_reward(h, 0.6) - 0.1) < 1e-12
     # stop-at-0 output equals the projected attributes
     ep = Episode.initial(("Movie", 2))

@@ -1,4 +1,6 @@
 """DQN machinery: states, action selection, buffer, TD loss, convergence."""
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from rlhgnn.agent import (
     Normalizer,
     QNetwork,
     ReplayBuffer,
-    RewardHistory,
     compute_reward,
     dqn_step,
     initial_state_static,
@@ -63,9 +64,10 @@ def transition(s, a, s_next, r, terminal=False, n_actions=3):
 def test_state_static_t0_is_own_attributes():
     g = imdb_like_graph(seed=2)
     dim = static_state_dim(g)
-    s0 = initial_state_static(g, ("Movie", 1), dim)
-    np.testing.assert_allclose(s0[: g.schema.attribute_dims["Movie"]],
-                               g.attributes["Movie"][1])
+    s0 = initial_state_static(g, [Episode.initial(("Movie", n)) for n in (1, 3)], dim)
+    assert s0.shape == (2, dim)
+    np.testing.assert_allclose(s0[:, : g.schema.attribute_dims["Movie"]],
+                               g.attributes["Movie"][[1, 3]])
 
 
 def test_state_static_recurrence():
@@ -74,15 +76,18 @@ def test_state_static_recurrence():
     f = expand_frontier(g, Episode.initial(("Movie", 0)), "M-A")
     prev = np.zeros(dim)
     prev[0], prev[1] = 1.0, 0.0
-    s = state_static(g, f, prev)
+    states = np.stack([prev, prev])
+    state_static(g, [Episode.initial(("Movie", 1)), f], states, np.array([1]))
     mean = g.attributes["Actor"][f.reached].mean(axis=0)
     padded = np.zeros(dim)
     padded[: len(mean)] = mean
-    np.testing.assert_allclose(s, (padded + prev) / 2)
+    np.testing.assert_array_equal(states[0], prev)  # a row not named is left alone
+    np.testing.assert_allclose(states[1], (padded + prev) / 2)
     # direct example: s_prev=[1,0], arrived mean [0,0.5] -> [0.5, 0.25]
     # and arrived mean equal to the previous state is a fixed point
-    fp = state_static(g, f, padded)
-    np.testing.assert_allclose(fp, padded)
+    states = padded[None, :].copy()
+    state_static(g, [f], states, np.array([0]))
+    np.testing.assert_allclose(states[0], padded)
 
 
 def test_state_pp_normalizer():
@@ -191,7 +196,7 @@ def test_select_action_uniform_at_eps_one():
 
 @pytest.mark.parametrize("make,message", [
     (lambda: ReplayBuffer(0), "capacity must be positive"),
-    (lambda: RewardHistory(0), "window must be positive"),
+    (lambda: DqnAgent.create(4, 3, buffer_capacity=5, reward_window=0), "window must be positive"),
 ], ids=["buffer", "reward-window"])
 def test_a_buffer_or_reward_window_of_size_zero_is_rejected(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -237,26 +242,23 @@ def test_buffer_rejects_non_finite_reward():
 
 
 def test_reward_window_arithmetic():
-    h = RewardHistory(window=3)
-    for v in (0.5, 0.5, 0.5):
-        h.record(v)
+    h = deque([0.5, 0.5, 0.5], maxlen=3)
     assert abs(compute_reward(h, 0.6) - 0.1) < 1e-12
-    h2 = RewardHistory(window=3)
-    h2.record(0.4)
+    assert list(h) == [0.5, 0.5, 0.6]  # the oldest value leaves the window
+    h2 = deque([0.4], maxlen=3)
     assert abs(compute_reward(h2, 0.5) - 0.1) < 1e-12  # partial window
-    h3 = RewardHistory(window=3)
+    h3 = deque(maxlen=3)
     assert compute_reward(h3, 0.7) == 0.0  # empty history
     assert len(h3) == 1
-    h4 = RewardHistory(window=2)
-    for v in (0.2, 0.4):
-        h4.record(v)
+    h4 = deque([0.2, 0.4], maxlen=2)
     assert abs(compute_reward(h4, 0.3) - 0.0) < 1e-12  # equals baseline mean
 
 
 def test_reward_requires_unit_interval_metric():
-    h = RewardHistory(window=2)
+    h = deque(maxlen=2)
     with pytest.raises(ValueError):
         compute_reward(h, 1.5)
+    assert not h  # nothing recorded
 
 
 # ---------------------------------------------------------------------------
@@ -406,17 +408,18 @@ def test_agent_checkpoint_round_trip(tmp_path):
     agent = DqnAgent.create(6, 4, buffer_capacity=20, gamma=0.9, sync_every=7,
                             reward_window=3, normalizer_fit=5, seed=2)
     agent.normalizer.transform(np.random.default_rng(0).normal(size=(5, 6)))
-    agent.update_count = 9
+    agent.update_count, agent.eps_position = 9, 0.4
     path = tmp_path / "agent.bin"
-    save_agent(agent, path, eps_position=0.4)
+    save_agent(agent, path)
     loaded = load_agent(path)
     s = np.random.default_rng(1).normal(size=(3, 6))
     np.testing.assert_array_equal(agent.qnet.values(s), loaded.qnet.values(s))
     np.testing.assert_array_equal(agent.target_net.values(s), loaded.target_net.values(s))
     assert loaded.gamma == 0.9 and loaded.sync_every == 7
-    assert loaded.update_count == 9
+    assert loaded.update_count == 9 and loaded.eps_position == 0.4
+    assert loaded.history.maxlen == 3 and not loaded.history
     np.testing.assert_allclose(loaded.normalizer.mean, agent.normalizer.mean)
-    # the exploration position is kept in the header for inspection
+    # the exploration position is also readable in the header
     import json
 
     with open(path, "rb") as f:

@@ -125,7 +125,8 @@ def save_model(path):
 
 def save_dqn(path):
     agent = DqnAgent.create(6, 4, buffer_capacity=20, normalizer_fit=5, seed=2)
-    save_agent(agent, path, eps_position=0.4)
+    agent.eps_position = 0.4
+    save_agent(agent, path)
 
 
 CHECKPOINTS = {"model": (save_model, load_params), "agent": (save_dqn, load_agent)}

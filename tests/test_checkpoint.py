@@ -21,13 +21,13 @@ def save_dqn(path):
     agent = DqnAgent.create(6, 4, buffer_capacity=20, gamma=0.9, sync_every=7,
                             reward_window=3, normalizer_fit=5, seed=2)
     agent.normalizer.transform(np.random.default_rng(0).normal(size=(5, 6)))
-    agent.update_count = 9
-    save_agent(agent, path, eps_position=0.4)
+    agent.update_count, agent.eps_position = 9, 0.4
+    save_agent(agent, path)
 
 
 KINDS = {
     "model": (save_model, load_params, save_params),
-    "agent": (save_dqn, load_agent, lambda a, path: save_agent(a, path, eps_position=0.4)),
+    "agent": (save_dqn, load_agent, save_agent),
 }
 
 
@@ -133,7 +133,7 @@ def test_agent_arrays_are_checked_against_the_header_before_any_network_is_built
     without allocating the two Q-networks and Adam state the header
     describes (~30 MiB)."""
     path = tmp_path / "agent.bin"
-    save_agent(DqnAgent.create(6, 4, buffer_capacity=20, seed=2), path, eps_position=0.0)
+    save_agent(DqnAgent.create(6, 4, buffer_capacity=20, seed=2), path)
     rewrite_header(path, setting("input_dim", 20000))
     tracemalloc.start()
     try:

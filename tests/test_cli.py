@@ -5,6 +5,7 @@ import re
 import pytest
 
 from helpers import save_csv_triples
+from rlhgnn.agent import load_agent, save_agent
 from rlhgnn.cli import main
 from rlhgnn.hin import SchemaError, load_hin
 
@@ -294,6 +295,16 @@ def train_run(tmp_path, synth_graph, name="run", **overrides):
                "--train-count", "24", "--val-count", "18"])
     assert rc == 0
     return out
+
+
+@pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
+def test_a_trained_agent_bin_saves_back_to_its_bytes_and_holds_the_final_eps(
+        tmp_path, synth_graph, variant):
+    out = train_run(tmp_path, synth_graph, variant=variant)
+    agent = load_agent(out / "agent.bin")
+    save_agent(agent, tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == (out / "agent.bin").read_bytes()
+    assert agent.eps_position == json.loads((out / "report.json").read_text())["meta"]["final_eps"]
 
 
 @pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])

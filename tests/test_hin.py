@@ -355,6 +355,52 @@ def test_json_graph_infers_the_dims_missing_from_attribute_dims(tmp_path):
     assert load_hin(path).schema.attribute_dims == {"Movie": 2, "Director": 1, "Actor": 3}
 
 
+@pytest.mark.parametrize("kept", [None, ["Movie"]], ids=["no-dims", "some-dims"])
+def test_csv_triples_infers_the_dims_missing_from_attribute_dims(tmp_path, kept):
+    """A schema sidecar that leaves out some or all attribute_dims loads the
+    graph the full sidecar gives."""
+    path, sidecar = tmp_path / "g.csv", tmp_path / "g.schema.json"
+    save_csv_triples(imdb_like_graph(), path)
+    full = load_hin(path, "csv-triples")
+    schema = json.loads(sidecar.read_text())
+    if kept is None:
+        del schema["attribute_dims"]
+    else:
+        schema["attribute_dims"] = {t: schema["attribute_dims"][t] for t in kept}
+    sidecar.write_text(json.dumps(schema))
+    g = load_hin(path, "csv-triples")
+    assert (g.schema, g.num_nodes) == (full.schema, full.num_nodes)
+    for t in g.schema.node_types:
+        np.testing.assert_array_equal(g.attributes[t], full.attributes[t])
+    np.testing.assert_array_equal(g.labels, full.labels)
+    for r in g.schema.relation_types:
+        for a, b in zip(g.edges[r.name], full.edges[r.name]):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_csv_triples_takes_a_missing_dim_from_the_first_attrs_line(tmp_path):
+    """The first non-empty line sets the dim, a type without an attrs file
+    gets 0, and a later line of another length is named by its number."""
+    schema = {
+        "node_types": ["Movie", "Actor", "Tag"],
+        "relation_types": [{"name": "M-A", "src": "Movie", "dst": "Actor"}],
+        "target_type": "Movie",
+        "num_classes": 2,
+    }
+    (tmp_path / "g.schema.json").write_text(json.dumps(schema))
+    (tmp_path / "g.attrs.Movie.csv").write_text("\n0.1,0.2\n0.3,0.4\n")
+    (tmp_path / "g.attrs.Actor.csv").write_text("1.0\n2.0\n")
+    edges = tmp_path / "g.csv"
+    edges.write_text("M-A,Movie:0,Actor:1\n")
+    g = load_hin(edges, format="csv-triples")
+    assert g.schema.attribute_dims == {"Movie": 2, "Actor": 1, "Tag": 0}
+    np.testing.assert_array_equal(g.attributes["Movie"], [[0.1, 0.2], [0.3, 0.4]])
+    (tmp_path / "g.attrs.Movie.csv").write_text("0.1,0.2\n0.3\n")
+    with pytest.raises(SchemaError) as err:
+        load_hin(edges, format="csv-triples")
+    assert str(err.value) == f"{tmp_path}/g.attrs.Movie.csv:2: expected 2 numbers, got 1"
+
+
 def test_csv_triples_names_the_schema_sidecar_and_field(tmp_path):
     g = imdb_like_graph()
     path = tmp_path / "g.csv"

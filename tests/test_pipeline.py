@@ -272,6 +272,23 @@ def test_alg1_zero_weight_net_tie_breaks_to_lowest_action(monkeypatch):
     assert set(first.actions) == {0}
 
 
+@pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
+def test_the_eps_schedule_ends_exactly_on_eps_end_and_the_agent_keeps_it(variant):
+    """1.0 + (0.05 - 1.0) * 1.0 is 0.050000000000000044: the schedule's end
+    is eps_end itself, in the report and in the trained agent."""
+    for eps_end, fraction in [(0.05, 0.5), (0.1, 1.0), (0.3, 0.7), (0.0, 0.25)]:
+        cfg = small_cfg(variant=variant, eps_end=eps_end, eps_fraction=fraction)
+        for total in (1, 7, 30, 200):
+            assert pipeline._eps_at(cfg, total, total) == eps_end
+    g, split = generate_planted_hin(planted_spec_1hop())
+    cfg = small_cfg(variant=variant, rounds=4, inner_rounds=2, max_timesteps=1)
+    _, agent, report = run(cfg, g, split)
+    assert agent.eps_position == report.meta["final_eps"] == cfg.eps_end
+    _, agent, report = run(replace(cfg, fixed_path=("M-A",)), g, split)
+    assert agent.eps_position == report.meta["final_eps"] == 0.0
+    assert report.meta["dqn_update_opportunities"] == 0
+
+
 def test_alg2_counts():
     g, split = generate_planted_hin(planted_spec_1hop())
     cfg = small_cfg(rounds=7, max_timesteps=2)
@@ -797,6 +814,11 @@ def test_a_split_holding_an_unlabelled_node_is_rejected_before_any_round(variant
         with pytest.raises(ValueError, match=f"^split key '{key}' holds node id {outside}, "
                                              f"which is no node id in \\[0, {n}\\)$"):
             run(cfg, g, replace(split, **{key: ids}))
+    # float ids are no node ids either: the first is named, as numpy would not
+    floats = getattr(split, key).astype(np.float64)
+    with pytest.raises(ValueError, match=f"^split key '{key}' holds node id {float(floats[0])!r}, "
+                                         f"which is no node id in \\[0, {n}\\)$"):
+        run(cfg, g, replace(split, **{key: floats}))
 
 
 @pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
