@@ -30,7 +30,7 @@ _SPLIT_KEYS = ("train", "validation", "test")  # DataSplit's fields, in split.js
 
 def _save_split(split: DataSplit, path: Path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump({k: getattr(split, k).tolist() for k in _SPLIT_KEYS}, f)
+        f.write(json.dumps({k: getattr(split, k).tolist() for k in _SPLIT_KEYS}))
 
 
 def _load_split(path: Path, labels: np.ndarray) -> DataSplit:
@@ -61,13 +61,13 @@ def cmd_train(args) -> int:
     rl.save_agent(agent, out / "agent.bin")
     _save_split(split, out / "split.json")
     with open(out / "config.json", "w", encoding="utf-8") as f:
-        json.dump(cfg.to_dict(), f, indent=2)
+        f.write(json.dumps(cfg.to_dict(), indent=2))
     with open(out / "report.csv", "w", encoding="utf-8", newline="") as f:
         f.write(report.to_csv(include_wall=False))
     with open(out / "metrics.csv", "w", encoding="utf-8", newline="") as f:
         f.write(report.to_csv(include_wall=True))
     with open(out / "report.json", "w", encoding="utf-8") as f:
-        json.dump(report.to_json(g.schema, g.target_type), f)
+        f.write(json.dumps(report.to_json(g.schema, g.target_type)))
     stats = pl.action_report(report, g)
     with open(out / "actions.txt", "w", encoding="utf-8") as f:
         f.write(stats.render() + "\n")
@@ -122,7 +122,7 @@ def cmd_bench_agg(args) -> int:
         }
     if args.export:
         with open(args.export, "w", encoding="utf-8") as f:
-            json.dump(export, f)
+            f.write(json.dumps(export))
         print(f"diagnostic plan export written to {args.export}")
     return 0
 

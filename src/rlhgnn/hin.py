@@ -12,6 +12,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass
+from itertools import chain
 from operator import index
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -259,18 +260,20 @@ def need_labelled(ids: np.ndarray, labels: np.ndarray, subject: str) -> None:
 def build_graph(
     schema: HinSchema,
     num_nodes: dict[str, int],
-    edge_lists: dict[str, list[tuple[int, int]]],
+    edge_lists: dict[str, list[tuple[int, int]] | np.ndarray],
     attributes: dict[str, np.ndarray],
     target_type: str,
     num_classes: int,
     labels: dict[int, int] | np.ndarray | None = None,
 ) -> HinGraph:
-    """Assemble a HinGraph, converting edge lists to sorted CSR adjacency.
+    """Assemble a HinGraph, converting each relation's edges, (src, dst)
+    pairs or an (E, 2) integer array, to sorted CSR adjacency.
 
     The one check of a graph's invariants: a SchemaError names the first of
     an unknown or missing type, a node count < 0, an edge endpoint out of
-    range, an attribute table not of shape (count, dim) or not finite, labels
-    not of the target type's length, num_classes < 1, and a label that is no
+    range (also one beyond int64), an attribute table not of shape
+    (count, dim) or not finite, labels not of the target type's length,
+    num_classes < 1, and a label that is no
     class in [0, num_classes). An array of labels may also hold -1
     (unlabelled); a dict maps node ids to classes. Missing attributes are
     zeros, and an empty table such as np.asarray([]) has shape (0, dim).
@@ -285,27 +288,16 @@ def build_graph(
         if num_nodes[t] < 0:
             raise SchemaError(f"node count for type {t!r} must be >= 0, got {num_nodes[t]}")
 
+    # every relation's ids are checked before any table is sized by a count
+    arrays = {r.name: _edge_array(r, edge_lists.get(r.name, []), num_nodes)
+              for r in schema.relation_types}
     edges: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for r in schema.relation_types:
-        pairs = edge_lists.get(r.name, [])
-        n_src = num_nodes[r.src]
-        n_dst = num_nodes[r.dst]
-        if pairs:
-            arr = np.asarray(pairs, dtype=np.int64)
-            if arr.ndim != 2 or arr.shape[1] != 2:
-                raise SchemaError(f"relation {r.name!r}: edge list must be (src, dst) pairs")
-            if arr[:, 0].min() < 0 or arr[:, 0].max() >= n_src:
-                raise SchemaError(f"relation {r.name!r}: source id out of range for type {r.src!r}")
-            if arr[:, 1].min() < 0 or arr[:, 1].max() >= n_dst:
-                raise SchemaError(f"relation {r.name!r}: target id out of range for type {r.dst!r}")
-            order = np.lexsort((arr[:, 1], arr[:, 0]))
-            arr = arr[order]
-            indptr = np.zeros(n_src + 1, dtype=np.int64)
-            np.add.at(indptr, arr[:, 0] + 1, 1)
-            indptr = np.cumsum(indptr)
-            edges[r.name] = (indptr, np.ascontiguousarray(arr[:, 1]))
-        else:
-            edges[r.name] = (np.zeros(n_src + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        arr = arrays[r.name]
+        arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+        indptr = np.zeros(num_nodes[r.src] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(arr[:, 0], minlength=num_nodes[r.src]), out=indptr[1:])
+        edges[r.name] = (indptr, np.ascontiguousarray(arr[:, 1]))
 
     attr_out: dict[str, np.ndarray] = {}
     for t in schema.node_types:
@@ -351,6 +343,24 @@ def build_graph(
         num_classes=int(num_classes),
         labels=lab,
     )
+
+
+def _edge_array(r: RelationType, pairs, num_nodes: dict[str, int]) -> np.ndarray:
+    """r's edges as an (E, 2) int64 array; a SchemaError unless they are
+    (src, dst) pairs of ids in range for r's node types."""
+    if not len(pairs):
+        return np.zeros((0, 2), dtype=np.int64)
+    try:
+        arr = np.asarray(pairs, dtype=np.int64)
+    except OverflowError:  # an id beyond int64, which the range check names
+        arr = np.asarray(pairs, dtype=object)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise SchemaError(f"relation {r.name!r}: edge list must be (src, dst) pairs")
+    for ids, end, t in ((arr[:, 0], "source", r.src), (arr[:, 1], "target", r.dst)):
+        n = min(num_nodes[t], np.iinfo(np.int64).max)  # no id beyond int64 names a node
+        if ids.min() < 0 or ids.max() >= n:
+            raise SchemaError(f"relation {r.name!r}: {end} id out of range for type {t!r}")
+    return arr
 
 
 def _need_class(node: int, c: int, lo: int, num_classes: int) -> None:
@@ -463,12 +473,17 @@ def load_hin(path: str | Path, format: str = "json-graph") -> HinGraph:
         return build_graph(*args)
 
 
+def _holds_bool(rows: list[list]) -> bool:
+    """Whether a value of the lists in `rows` is a bool, in one C-level pass."""
+    return bool in set(map(type, chain.from_iterable(rows)))
+
+
 def _number_rows(path: Path, t: str, rows: list[list]) -> np.ndarray:
     """Equal-length attribute rows as float64; a SchemaError names the first
     row holding a value that is not a JSON number."""
     # numpy infers a number dtype unless some value is not a number; it would
     # also take a bool, alone or beside floats, so any bool skips the fast path
-    if not any(type(x) is bool for row in rows for x in row):
+    if not _holds_bool(rows):
         try:
             a = np.asarray(rows)
             if a.dtype.kind in "iuf" and a.ndim == 2:
@@ -500,6 +515,18 @@ def _json_int(v) -> int:
     return index(v)
 
 
+def _int_pairs(pairs) -> np.ndarray | None:
+    """A JSON edge list of [int, int] pairs as an (E, 2) int64 array, in one
+    bulk conversion; None for anything else, which the per-pair reading names."""
+    try:
+        arr = np.asarray(pairs)
+    except ValueError:  # ragged, or a pair holding a list
+        return None
+    if arr.dtype != np.int64 or arr.ndim != 2 or arr.shape[1] != 2:
+        return None
+    return None if _holds_bool(pairs) else arr  # numpy reads a bool as 0 or 1
+
+
 def _load_json_graph(path: Path) -> tuple:
     """build_graph's arguments, read from a json-graph file."""
     doc = read_json(path, SchemaError)
@@ -524,6 +551,10 @@ def _load_json_graph(path: Path) -> tuple:
     schema.need_relations(f"{path}: field 'edges'", top["edges"])
     edge_lists = {}
     for rel, pairs in top["edges"].items():
+        arr = _int_pairs(pairs)
+        if arr is not None:
+            edge_lists[rel] = arr
+            continue
         try:
             edge_lists[rel] = [(_json_int(s), _json_int(d)) for s, d in pairs]
         except (TypeError, ValueError):
@@ -537,6 +568,7 @@ def _load_json_graph(path: Path) -> tuple:
 
 def save_hin(g: HinGraph, path: str | Path) -> None:
     """Write the json-graph format; load_hin(save_hin(g)) round-trips."""
+    labelled = g.labelled_nodes()
     doc = {
         "schema": {
             "node_types": list(g.schema.node_types),
@@ -549,7 +581,7 @@ def save_hin(g: HinGraph, path: str | Path) -> None:
         },
         "nodes": dict(g.num_nodes),
         "attributes": {t: g.attributes[t].tolist() for t in g.schema.node_types},
-        "labels": {int(i): int(c) for i, c in enumerate(g.labels) if c >= 0},
+        "labels": dict(zip(labelled.tolist(), g.labels[labelled].tolist())),
         "edges": {},
     }
     for rel in g.schema.relation_types:
@@ -557,7 +589,7 @@ def save_hin(g: HinGraph, path: str | Path) -> None:
         src = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
         doc["edges"][rel.name] = np.stack([src, indices], axis=1).tolist()
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f)
+        f.write(json.dumps(doc))  # json.dump would take the pure-Python encoder
 
 
 def _load_csv_triples(path: Path) -> tuple:

@@ -107,25 +107,25 @@ def generate_planted_hin(spec: SyntheticSpec) -> tuple[HinGraph, DataSplit]:
             pools[t] = pool
 
     planted_rels = set(spec.planted_path)
-    edge_lists: dict[str, list[tuple[int, int]]] = {}
+    edge_lists: dict[str, np.ndarray] = {}
     for r in schema.relation_types:
         k = spec.out_degree.get(r.name, 0)
         n_src, n_dst = spec.node_counts[r.src], spec.node_counts[r.dst]
-        pairs: list[tuple[int, int]] = []
+        picks: list[np.ndarray] = []  # per source node, its targets; build_graph sorts them
         if k > 0 and n_dst > 0:
             if r.name in planted_rels:
                 by_class = [np.flatnonzero(pools[r.dst] == c) for c in range(C)]
                 for s in range(n_src):
                     pool = by_class[pools[r.src][s]]
                     take = min(k, len(pool))
-                    picked = rng.choice(pool, size=take, replace=False)
-                    pairs.extend((s, int(d)) for d in np.sort(picked))
+                    picks.append(rng.choice(pool, size=take, replace=False))
             else:
                 for s in range(n_src):
                     take = min(k, n_dst)
-                    picked = rng.choice(n_dst, size=take, replace=False)
-                    pairs.extend((s, int(d)) for d in np.sort(picked))
-        edge_lists[r.name] = pairs
+                    picks.append(rng.choice(n_dst, size=take, replace=False))
+        src = np.repeat(np.arange(len(picks), dtype=np.int64), [len(p) for p in picks])
+        dst = np.concatenate(picks) if picks else np.zeros(0, dtype=np.int64)
+        edge_lists[r.name] = np.stack([src, dst], axis=1)
 
     attributes: dict[str, np.ndarray] = {}
     for t in schema.node_types:

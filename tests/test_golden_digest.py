@@ -1,15 +1,18 @@
 """Pinned artifact bytes: a fixed graph and config must keep training to the
-same report.csv, model.bin, Q-network weights and predictions.
+same report.csv, model.bin, Q-network weights and predictions, and a fixed
+spec must keep gen-synth writing the same graph file and split sidecar.
 
 The digest was taken on the numpy version named next to it. Float64 sums
 may round differently under another numpy, so there the test skips.
 """
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rlhgnn.cli import main
 from rlhgnn.model import save_params
 from rlhgnn.pipeline import TrainConfig, predict, run
 from rlhgnn.synth import SyntheticSpec, generate_planted_hin
@@ -70,3 +73,47 @@ def test_one_node_batches_match_their_golden_digest(variant, tmp_path):
     if np.__version__ != GOLDEN_NUMPY:
         pytest.skip(f"digest taken on numpy {GOLDEN_NUMPY}, running numpy {np.__version__}")
     assert artifact_digest(variant, tmp_path, **ONE_NODE_BATCH) == ONE_NODE_BATCH_SHA256[variant]
+
+
+# The README quickstart spec, and 4,600 nodes with inverse relations.
+README_SPEC = {
+    "node_counts": {"Movie": 120, "Actor": 48, "Tag": 12, "Director": 16},
+    "relations": [["M-A", "Movie", "Actor"], ["A-T", "Actor", "Tag"],
+                  ["M-D", "Movie", "Director"]],
+    "out_degree": {"M-A": 2, "A-T": 2, "M-D": 2},
+    "target_type": "Movie", "planted_path": ["M-A", "A-T"], "signal_strength": 1.0,
+    "num_classes": 3, "train_count": 48, "val_count": 36,
+}
+INVERSE_SPEC = {
+    "node_counts": {"Movie": 3000, "Actor": 1200, "Director": 300, "Tag": 100},
+    "relations": [["M-A", "Movie", "Actor"], ["A-M", "Actor", "Movie"],
+                  ["M-D", "Movie", "Director"], ["D-M", "Director", "Movie"],
+                  ["A-T", "Actor", "Tag"]],
+    "out_degree": {"M-A": 4, "A-M": 4, "M-D": 1, "D-M": 6, "A-T": 2},
+    "target_type": "Movie", "planted_path": ["M-A", "A-T"],
+    "train_count": 1200, "val_count": 900,
+}
+# (spec, seed) -> sha256 of graph.json and of graph.json.split.json
+GEN_SYNTH_SHA256 = {
+    ("readme", 0): ("448b778bc0553ebe57d65a2f2a8af76459a1373b4a75939b2c4b34de532c3205",
+                    "cd5ffb31549ecacf64e7f1b472f736b1ef43d39b7b90968723c697607f3a9de0"),
+    ("readme", 1): ("9b52d61ea77ca162e8a01915786df55b790f840117643ab500555930858fb448",
+                    "e2b00f139bec5949b86e43c5cd388b6bea42a1ca5341711fc05132b9c4d8bd6e"),
+    ("inverse", 0): ("fdfddeac36649be22785298183794894fe2990cd631d4ea951bbe7a90432fdd6",
+                     "a78279de84a6bd1f4448b05ee4faccba748da482305bf89b23f5a3960d5037df"),
+    ("inverse", 901): ("7c0ac47bd2da1f336aad41802ee7c7bc1a1df6f3a1526a2ec36f1a34148c0912",
+                       "e8e136c3a498c8c295c30d540f50359193b5a01559db2b5eb2cf5cb1b394843e"),
+}
+
+
+@pytest.mark.parametrize("spec,seed", sorted(GEN_SYNTH_SHA256))
+def test_gen_synth_writes_the_golden_bytes(spec, seed, tmp_path):
+    if np.__version__ != GOLDEN_NUMPY:
+        pytest.skip(f"digest taken on numpy {GOLDEN_NUMPY}, running numpy {np.__version__}")
+    doc = {"readme": README_SPEC, "inverse": INVERSE_SPEC}[spec]
+    (tmp_path / "spec.json").write_text(json.dumps({**doc, "seed": seed}))
+    out = tmp_path / "graph.json"
+    assert main(["gen-synth", "--spec", str(tmp_path / "spec.json"), "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in (out, tmp_path / "graph.json.split.json"))
+    assert digests == GEN_SYNTH_SHA256[spec, seed]

@@ -281,12 +281,23 @@ def test_json_graph_reads_an_integer_attribute_beyond_int64(tmp_path):
     ("edges", "A-M", [0, True], "relation 'A-M': edges must be integer pairs"),
     ("labels", "0", True, "labels must map integer node ids to integers"),
     ("labels", "1", False, "labels must map integer node ids to integers"),
+    ("late-edges", "M-A", [0, True], "relation 'M-A': edges must be integer pairs"),
+    ("late-edges", "M-A", [True, 0], "relation 'M-A': edges must be integer pairs"),
+    ("late-edges", "M-A", [0, 1.0], "relation 'M-A': edges must be integer pairs"),
+    ("late-edges", "M-A", "01", "relation 'M-A': edges must be integer pairs"),
+    ("late-edges", "M-A", 7, "relation 'M-A': edges must be integer pairs"),
+    ("late-edges", "M-A", [0, 2**70], "relation 'M-A': target id out of range for type 'Actor'"),
+    ("late-edges", "A-M", [-2**70, 0], "relation 'A-M': source id out of range for type 'Actor'"),
 ], ids=["word-id", "one-id", "three-ids", "fractional-id", "word-node", "object-class",
-        "string-class", "bool-ids", "bool-dst", "true-class", "false-class"])
+        "string-class", "bool-ids", "bool-dst", "true-class", "false-class", "late-bool-dst",
+        "late-bool-src", "late-float-dst", "late-string-pair", "late-number-pair",
+        "late-id-beyond-int64", "late-id-below-int64"])
 def test_json_graph_names_the_file_of_a_bad_edge_or_label(tmp_path, part, key, value, message):
     path, doc = imdb_like_json(tmp_path)
     if part == "edges":
         doc["edges"][key].append(value)
+    elif part == "late-edges":  # numpy's bulk conversion sees a list of mostly integer pairs
+        doc["edges"][key] += [[0, 0]] * 1000 + [value]
     else:
         doc["labels"][key] = value
     path.write_text(json.dumps(doc))
@@ -530,6 +541,32 @@ def test_build_graph_names_the_first_broken_invariant(change, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("edges", [
+    [(1, 0), (0, 2), (0, 1), (1, 0)],
+    np.array([[1, 0], [0, 2], [0, 1], [1, 0]]),
+    np.array([[1, 0], [0, 2], [0, 1], [1, 0]], dtype=np.int32),
+    [],
+    np.zeros((0, 2), dtype=np.int64),
+], ids=["pairs", "int64-array", "int32-array", "no-pairs", "empty-array"])
+def test_build_graph_takes_pairs_or_an_integer_array(edges):
+    schema = HinSchema(("A", "B"), (RelationType("A-B", "A", "B"),), {"A": 0, "B": 0})
+    g = build_graph(schema, {"A": 2, "B": 3}, {"A-B": edges}, {}, "A", 2)
+    indptr, indices = g.edges["A-B"]
+    pairs = sorted(map(tuple, np.asarray(edges).tolist()))
+    expected_indptr = [0, 2, 4] if pairs else [0, 0, 0]
+    for got, want in ((indptr, expected_indptr), (indices, [d for _, d in pairs])):
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+
+
+def test_build_graph_names_an_id_beyond_int64():
+    g = imdb_like_graph()
+    for pair, end, t in (((0, 2**70), "target", "Actor"), ((2**64, 0), "source", "Movie")):
+        with pytest.raises(SchemaError) as err:
+            rebuilt(g, edge_lists={"M-A": [(0, 0), pair]})
+        assert str(err.value) == f"relation 'M-A': {end} id out of range for type {t!r}"
+
+
 def test_build_graph_reads_an_empty_table_as_zero_rows_of_the_dim():
     g = imdb_like_graph()
     g2 = rebuilt(g, num_nodes={**g.num_nodes, "Director": 0}, edge_lists={},
@@ -549,6 +586,10 @@ def fault_in_json(doc, fault):
         doc["schema"]["num_classes"] = 0
     elif fault == "endpoint-past-count":
         doc["edges"]["M-A"].append([0, 4])
+    elif fault == "target-beyond-int64":
+        doc["edges"]["M-D"].append([0, 2**70])
+    elif fault == "later-target-beyond-int64":
+        doc["edges"]["A-M"].append([0, 2**70])
     elif fault == "rows-not-count":
         doc["nodes"]["Movie"] = 6
     return doc
@@ -571,6 +612,12 @@ def fault_in_csv(path, fault):
     elif fault == "endpoint-past-count":
         with open(path, "a") as f:
             f.write("M-A,Movie:0,Actor:6\n")
+    elif fault == "target-beyond-int64":
+        with open(path, "a") as f:
+            f.write(f"M-D,Movie:0,Director:{2**70}\n")
+    elif fault == "later-target-beyond-int64":
+        with open(path, "a") as f:
+            f.write(f"A-M,Actor:0,Movie:{2**70}\n")
     elif fault == "rows-not-count":
         attrs.write_text("".join(attrs.read_text().splitlines(keepends=True)[:-1]))
 
@@ -582,6 +629,8 @@ def fault_in_csv(path, fault):
     ("no-classes", "num_classes must be >= 1, got 0"),
     ("endpoint-past-count", "relation 'M-A': target id out of range for type 'Actor'"),
     ("rows-not-count", "attribute row count 5 != node count 6 for type 'Movie'"),
+    ("target-beyond-int64", "relation 'M-D': target id out of range for type 'Director'"),
+    ("later-target-beyond-int64", "relation 'A-M': target id out of range for type 'Movie'"),
 ])
 def test_json_graph_names_the_file_of_a_broken_graph_invariant(tmp_path, fault, message):
     path, doc = imdb_like_json(tmp_path)
@@ -599,6 +648,10 @@ def test_json_graph_names_the_file_of_a_broken_graph_invariant(tmp_path, fault, 
     # attribute table falls a row short
     ("endpoint-past-count", "attribute row count 6 != node count 7 for type 'Actor'"),
     ("rows-not-count", "attribute row count 7 != node count 8 for type 'Movie'"),
+    # but no id beyond int64 names a node, whatever the count; every relation's
+    # ids are checked before M-D, the first, sizes its table by the Movie count
+    ("target-beyond-int64", "relation 'M-D': target id out of range for type 'Director'"),
+    ("later-target-beyond-int64", "relation 'A-M': target id out of range for type 'Movie'"),
 ])
 def test_csv_triples_names_the_edges_file_of_a_broken_graph_invariant(tmp_path, fault, message):
     path = tmp_path / "g.csv"
