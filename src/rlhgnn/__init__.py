@@ -66,8 +66,6 @@ from .pipeline import (
     evaluate_f1,
     predict,
     run,
-    run_rl_hgnn,
-    run_rl_hgnn_pp,
 )
 from .synth import SyntheticSpec, generate_planted_hin, planted_oracle_accuracy
 

@@ -306,8 +306,7 @@ def dqn_step(
     """One uniform-with-replacement sample and one optimizer step on theta."""
     batch = buffer.sample(batch_size, rng)
     loss = td_loss(qnet, target_net, batch, gamma)
-    grads = backward(loss, qnet.vars())
-    optimizer_step(qnet.vars(), grads, opt_state)
+    optimizer_step(opt_state, backward(loss, opt_state.params))
     return float(loss.value)
 
 
@@ -345,11 +344,10 @@ class DqnAgent:
         if reward_window < 1:
             raise ValueError("window must be positive")
         qnet = QNetwork(input_dim, num_actions, hidden, seed=seed)
-        target = QNetwork(input_dim, num_actions, hidden, seed=seed)
-        sync_target(qnet, target)
         return cls(
             qnet=qnet,
-            target_net=target,
+            # drawn from qnet's seed, so theta_minus starts equal to theta
+            target_net=QNetwork(input_dim, num_actions, hidden, seed=seed),
             opt_state=init_adam(qnet.vars(), lr, weight_decay),
             buffer=ReplayBuffer(buffer_capacity),
             history=deque(maxlen=reward_window),

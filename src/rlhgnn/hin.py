@@ -270,11 +270,11 @@ def build_graph(
     pairs or an (E, 2) integer array, to sorted CSR adjacency.
 
     The one check of a graph's invariants: a SchemaError names the first of
-    an unknown or missing type, a node count < 0, an edge endpoint out of
-    range (also one beyond int64), an attribute table not of shape
-    (count, dim) or not finite, labels not of the target type's length,
-    num_classes < 1, and a label that is no
-    class in [0, num_classes). An array of labels may also hold -1
+    an unknown or missing type, a node count < 0 or beyond int64, an edge
+    endpoint out of range (also one beyond int64), an attribute table not
+    of shape (count, dim) or not finite, labels not of the target type's
+    length, num_classes < 1, and a label that is no class in
+    [0, num_classes). An array of labels may also hold -1
     (unlabelled); a dict maps node ids to classes. Missing attributes are
     zeros, and an empty table such as np.asarray([]) has shape (0, dim).
     """
@@ -288,9 +288,15 @@ def build_graph(
         if num_nodes[t] < 0:
             raise SchemaError(f"node count for type {t!r} must be >= 0, got {num_nodes[t]}")
 
-    # every relation's ids are checked before any table is sized by a count
+    # every relation's ids are checked before any table is sized by a count, and
+    # before the counts' int64 bound: csv-triples counts a type up to its largest
+    # id, and an id beyond int64 is named as the id it is
     arrays = {r.name: _edge_array(r, edge_lists.get(r.name, []), num_nodes)
               for r in schema.relation_types}
+    for t in schema.node_types:
+        if num_nodes[t] > np.iinfo(np.int64).max:
+            raise SchemaError(f"node count for type {t!r} must be <= "
+                              f"{np.iinfo(np.int64).max}, got {num_nodes[t]}")
     edges: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for r in schema.relation_types:
         arr = arrays[r.name]

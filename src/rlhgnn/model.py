@@ -126,12 +126,6 @@ class HgnnParams:
         """The same parameters with copied values."""
         return replace(self, table={n: ad.param(v.value.copy()) for n, v in self.table.items()})
 
-    def aggregator_param_count(self) -> int:
-        return sum(v.value.size for n, v in self.table.items() if n.startswith("layer"))
-
-    def single_layer_param_count(self) -> int:
-        return sum(v.value.size for n, v in self.table.items() if n.startswith("layer0:"))
-
 
 def _axis_sum(g: np.ndarray, axis: int) -> np.ndarray:
     """g summed over `axis`, kept as length 1; a sum of one would turn -0.0 into 0.0."""
@@ -574,15 +568,12 @@ def cross_entropy(probs: ad.Var, labels: np.ndarray, rows: np.ndarray) -> ad.Var
 def backward(loss: ad.Var, params: list[ad.Var]) -> list[np.ndarray]:
     """Gradients of a recorded scalar loss for each parameter, in order.
 
-    Parameters that do not participate in the loss get zero gradients;
-    their .grad is cleared first so nothing stale from an earlier pass leaks.
+    Parameters that do not participate in the loss get zero gradients.
     The loss's tape is released: a second call on it, or a loss without a
     tape (over an eval pass's outputs, or a constant), raises ValueError.
     """
-    for p in params:
-        p.grad = None
-    ad.backward(loss)
-    return [p.grad if p.grad is not None else np.zeros_like(p.value) for p in params]
+    grads = ad.backward(loss)
+    return [grads[p] if p in grads else np.zeros_like(p.value) for p in params]
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +585,7 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominato
 
 @dataclass
 class AdamState:
+    params: list[ad.Var]  # what optimizer_step steps; m, v and step follow its order
     lr: float
     weight_decay: float
     m: list[np.ndarray]
@@ -606,6 +598,7 @@ class AdamState:
 
 
 def init_adam(params: list[ad.Var], lr: float = 0.005, weight_decay: float = 0.0001) -> AdamState:
+    """Zero moments for `params`, which every optimizer_step on the state steps."""
     bounds = np.cumsum([0] + [p.value.size for p in params])
     rows = np.zeros((4, bounds[-1]))
 
@@ -613,6 +606,7 @@ def init_adam(params: list[ad.Var], lr: float = 0.005, weight_decay: float = 0.0
         return [row[a:b].reshape(p.value.shape) for p, a, b in zip(params, bounds, bounds[1:])]
 
     return AdamState(
+        params=list(params),
         lr=lr,
         weight_decay=weight_decay,
         m=views(rows[0]),
@@ -623,14 +617,17 @@ def init_adam(params: list[ad.Var], lr: float = 0.005, weight_decay: float = 0.0
     )
 
 
-def optimizer_step(params: list[ad.Var], grads: list[np.ndarray], state: AdamState) -> None:
-    """Adaptive-moment update with bias correction and decoupled weight decay.
+def optimizer_step(state: AdamState, grads: list[np.ndarray]) -> None:
+    """Adaptive-moment update of state.params, with bias correction and
+    decoupled weight decay; grads holds one gradient per parameter, in
+    state.params' order.
 
     The moments and the parameter values are updated in place, so an array
     that must keep a parameter's old value has to be a copy. The update runs
     once over all parameters laid end to end, and allocates no array."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("parameter/gradient/state count mismatch")
+    params = state.params
+    if len(grads) != len(params):
+        raise ValueError(f"{len(grads)} gradients for {len(params)} parameters")
     for p, g in zip(params, grads):
         if g.shape != p.value.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.value.shape}")

@@ -426,12 +426,10 @@ class _Loop:
     """Setup and bookkeeping shared by both loops: the agent with its RNG
     streams, the batch cursor, the report and the best-round tracking."""
 
-    def __init__(self, cfg: TrainConfig, g: HinGraph, split: DataSplit, variant: str):
-        if cfg.variant != variant:
-            raise ValueError(f"config variant must be {variant}")
+    def __init__(self, cfg: TrainConfig, g: HinGraph, split: DataSplit):
         g.schema.need_relations("fixed_path", cfg.fixed_path or ())
         split.need_labels(g.labels, ("train", "validation"))
-        fast = variant == "rl-hgnn-pp"
+        fast = cfg.variant == "rl-hgnn-pp"
         self.cfg, self.split, self.labels = cfg, split, g.labels
         self.agent = _make_agent(g, cfg, split,
                                  cfg.hidden_dim if fast else rl.static_state_dim(g),
@@ -516,9 +514,9 @@ class _Loop:
 # Algorithm variant 1: per-round network reinitialisation
 
 
-def run_rl_hgnn(cfg: TrainConfig, g: HinGraph, split: DataSplit):
+def _base_loop(cfg: TrainConfig, g: HinGraph, split: DataSplit):
     """Base loop: K rounds, each walking one batch through timesteps 0..T."""
-    loop = _Loop(cfg, g, split, "rl-hgnn")
+    loop = _Loop(cfg, g, split)
     agent = loop.agent
     K, T = cfg.resolved_rounds(), cfg.max_timesteps
     total_steps = K * (T + 1)
@@ -543,8 +541,7 @@ def run_rl_hgnn(cfg: TrainConfig, g: HinGraph, split: DataSplit):
             for beta in range(cfg.inner_rounds):
                 loss = _train_loss(params, g, part, ep_nodes, train_rows, cfg,
                                    seed=_derive_seed(cfg.seed, 30, k, t, beta))
-                grads = nn.backward(loss, params.all_vars())
-                nn.optimizer_step(params.all_vars(), grads, opt)
+                nn.optimizer_step(opt, nn.backward(loss, opt.params))
             _, preds = _eval_pass(params, g, plan, ep_nodes, cfg)
             micro = loop.close_step(k, t, ep_nodes, rows, batch, states, preds,
                                     float(loss.value), step_t0)
@@ -558,10 +555,10 @@ def run_rl_hgnn(cfg: TrainConfig, g: HinGraph, split: DataSplit):
 # Algorithm variant 2: persistent network, one timestep per round
 
 
-def run_rl_hgnn_pp(cfg: TrainConfig, g: HinGraph, split: DataSplit):
+def _fast_loop(cfg: TrainConfig, g: HinGraph, split: DataSplit):
     """Fast loop: round k is timestep k - k0 + 1 of the batch's cycle from round k0,
     with one optimizer step; states from the normalised current representations."""
-    loop = _Loop(cfg, g, split, "rl-hgnn-pp")
+    loop = _Loop(cfg, g, split)
     agent = loop.agent
     K, T = cfg.resolved_rounds(), cfg.max_timesteps
     params = nn.init_params(g.schema, g.num_classes, T, cfg.hidden_dim, cfg.heads,
@@ -586,10 +583,10 @@ def run_rl_hgnn_pp(cfg: TrainConfig, g: HinGraph, split: DataSplit):
             # clean pass for states/metrics; the step waits until after that pass
             loss = _train_loss(params, g, restrict(plan, train_rows), ep_nodes, train_rows, cfg,
                                seed=_derive_seed(cfg.seed, 31, k))
-            grads = nn.backward(loss, params.all_vars())
+            grads = nn.backward(loss, opt.params)
             reps, preds = _eval_pass(params, g, plan, ep_nodes, cfg)
             states = agent.normalizer.transform(reps)
-            nn.optimizer_step(params.all_vars(), grads, opt)
+            nn.optimizer_step(opt, grads)
             micro = loop.close_step(k, k - k0 + 1, ep_nodes, rows, batch, states, preds,
                                     float(loss.value), step_t0)
         loop.design_wall_ms += 1000 * (time.perf_counter() - cycle_t0)
@@ -599,7 +596,8 @@ def run_rl_hgnn_pp(cfg: TrainConfig, g: HinGraph, split: DataSplit):
 
 
 def run(cfg: TrainConfig, g: HinGraph, split: DataSplit):
-    return run_rl_hgnn(cfg, g, split) if cfg.variant == "rl-hgnn" else run_rl_hgnn_pp(cfg, g, split)
+    """Train with cfg.variant's loop: (best params, agent, report)."""
+    return (_base_loop if cfg.variant == "rl-hgnn" else _fast_loop)(cfg, g, split)
 
 
 # ---------------------------------------------------------------------------

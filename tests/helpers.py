@@ -526,33 +526,29 @@ def topo(root: ad.Var) -> list[ad.Var]:
     return order
 
 
-def reference_backward(root: ad.Var) -> None:
+def reference_backward(root: ad.Var) -> dict[ad.Var, np.ndarray]:
     """The general DAG walk that ad.backward was before every tape became a
-    chain: .grad on every reachable Var, each copied, summed over a Var's
-    consumers; a Var without parents (a parameter or a constant) is a leaf."""
+    chain: the gradient of every reachable Var, each copied, summed over a
+    Var's consumers; a Var without parents (a parameter or a constant) is a leaf."""
     if root.value.ndim != 0:
         raise ValueError("backward expects a scalar root")
-    order = topo(root)
-    for node in order:
-        node.grad = None
-    root.grad = np.asarray(1.0)
-    for node in reversed(order):
-        if node.grad is None or not node.parents:
+    grads = {root: np.asarray(1.0)}
+    for node in reversed(topo(root)):
+        if node not in grads or not node.parents:
             continue
-        for parent, g in zip(node.parents, node.bw(node.grad)):
-            if parent.grad is None:
-                parent.grad = np.array(g, dtype=np.float64, copy=True)
+        for parent, g in zip(node.parents, node.bw(grads[node])):
+            if parent not in grads:
+                grads[parent] = np.array(g, dtype=np.float64, copy=True)
             else:
-                parent.grad += g
+                grads[parent] += g
+    return grads
 
 
 def reference_grads(loss: ad.Var, params: list[ad.Var]) -> list[np.ndarray]:
     """model.backward through reference_backward, for per-op and mixed tapes:
     each parameter's gradient, zero where the loss does not reach it."""
-    for p in params:
-        p.grad = None
-    reference_backward(loss)
-    return [p.grad if p.grad is not None else np.zeros_like(p.value) for p in params]
+    grads = reference_backward(loss)
+    return [grads[p] if p in grads else np.zeros_like(p.value) for p in params]
 
 
 # ---------------------------------------------------------------------------

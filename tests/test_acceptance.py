@@ -42,8 +42,7 @@ from rlhgnn.pipeline import (
     bench_aggregation,
     bench_runtime,
     random_legal_episodes,
-    run_rl_hgnn,
-    run_rl_hgnn_pp,
+    run,
 )
 from rlhgnn.synth import SyntheticSpec, generate_planted_hin
 
@@ -141,8 +140,8 @@ def test_criterion_3_gradient_correctness():
 def test_criterion_4_parameter_sharing():
     g = imdb_like_graph()
     params = init_params(g.schema, g.num_classes, max_timesteps=4, d=128, heads=8)
-    u = params.single_layer_param_count()
-    total = params.aggregator_param_count()
+    u = sum(v.value.size for n, v in params.table.items() if n.startswith("layer0:"))
+    total = sum(v.value.size for n, v in params.table.items() if n.startswith("layer"))
     assert total == 4 * u
     assert total != 10 * u
     _ok(4, f"T=4 aggregator parameters = 4u = {total} (u={u}), not 10u")
@@ -196,14 +195,14 @@ def test_criterion_6_planted_path_recovery():
                           inner_rounds=64, node_batch=48, hidden_dim=32, heads=4,
                           dropout=0.1, seed=seed, eps_start=1.0, eps_end=0.05,
                           eps_fraction=0.4, dqn_batch=64, target_sync_every=20)
-        _, _, report = run_rl_hgnn_pp(cfg, g, split)
+        _, _, report = run(cfg, g, split)
         best = report.meta["best_val_metric"]
         assert best >= 0.90, f"seed {seed}: best val micro-F1 {best}"
 
         ablation = TrainConfig(variant="rl-hgnn-pp", max_timesteps=2, rounds=240,
                                inner_rounds=64, node_batch=48, hidden_dim=32, heads=4,
                                dropout=0.1, seed=seed, fixed_path=("M-D",))
-        _, _, rep_wrong = run_rl_hgnn_pp(ablation, g, split)
+        _, _, rep_wrong = run(ablation, g, split)
         gap = best - rep_wrong.meta["best_val_metric"]
         assert gap >= 0.10, f"seed {seed}: gap over wrong-path ablation {gap}"
 
@@ -227,12 +226,23 @@ def test_criterion_7_runtime_ordering():
         train_count=24, val_count=18, seed=0,
     )
     g, split = generate_planted_hin(spec)
-    ratios = {}
-    for B in (10, 20):
-        cfg = TrainConfig(max_timesteps=2, rounds=6, inner_rounds=B, node_batch=24,
-                          hidden_dim=16, heads=2, dropout=0.2, seed=0)
-        res = bench_runtime(cfg, g, split, repeats=3)
-        ratios[B] = res["ratio"]
+
+    def cfg(B, seed):
+        return TrainConfig(max_timesteps=2, rounds=6, inner_rounds=B, node_batch=24,
+                           hidden_dim=16, heads=2, dropout=0.2, seed=seed)
+
+    # after one warm-up call the two B values alternate across calls, the one
+    # that goes first alternating too, so that a burst of host load falls on
+    # both; host load only adds time, so each side's ratio term is the fastest
+    # of its pooled runs
+    bench_runtime(cfg(10, 0), g, split, repeats=1)
+    runs = {B: {"rl-hgnn_ms": [], "rl-hgnn-pp_ms": []} for B in (10, 20)}
+    for seed in range(3):
+        for B in ((10, 20), (20, 10))[seed % 2]:
+            res = bench_runtime(cfg(B, seed), g, split, repeats=1)
+            for key, ms in runs[B].items():
+                ms += res[key]
+    ratios = {B: min(r["rl-hgnn-pp_ms"]) / min(r["rl-hgnn_ms"]) for B, r in runs.items()}
     assert ratios[10] < 0.5, f"design-time ratio at B=10 is {ratios[10]:.3f}"
     assert ratios[20] < ratios[10], f"ratio did not shrink: {ratios}"
     _ok(7, f"design-time ratio {ratios[10]:.3f} at B=10, {ratios[20]:.3f} at B=20")
@@ -298,13 +308,13 @@ def test_criterion_9_determinism():
         train_count=24, val_count=18, seed=0,
     )
     g, split = generate_planted_hin(spec)
-    for variant, runner, T in (("rl-hgnn", run_rl_hgnn, 1), ("rl-hgnn-pp", run_rl_hgnn_pp, 2)):
+    for variant, T in (("rl-hgnn", 1), ("rl-hgnn-pp", 2)):
         reports = []
         for _ in range(2):
             cfg = TrainConfig(variant=variant, max_timesteps=T, rounds=4,
                               inner_rounds=4, node_batch=24, hidden_dim=16, heads=2,
                               dropout=0.3, seed=7)
-            _, _, report = runner(cfg, g, split)
+            _, _, report = run(cfg, g, split)
             reports.append(report.to_csv().encode("utf-8"))
         assert reports[0] == reports[1], f"{variant} reports differ"
     _ok(9, "identical config and seeds give byte-identical report CSVs, both variants")

@@ -81,9 +81,9 @@ def check(build, *leaf_shapes, seed=0, tol=1e-6):
     rng = np.random.default_rng(seed)
     leaves = [ad.param(rng.normal(size=s)) for s in leaf_shapes]
     loss = build(*leaves)
-    reference_backward(loss)
+    grads = reference_backward(loss)
     for leaf in leaves:
-        analytic = leaf.grad
+        analytic = grads[leaf]
         numeric = fd_grad(lambda: float(build(*leaves).value), leaf.value)
         np.testing.assert_allclose(analytic, numeric, rtol=tol, atol=tol)
 
@@ -168,8 +168,7 @@ def test_shared_subexpression_grad_accumulates():
     # y = sum(a*a + a) -> dy/da = 2a + 1
     a = ad.param(np.array([1.0, -2.0, 3.0]))
     loss = total_sum(add(mul(a, a), a))
-    reference_backward(loss)
-    np.testing.assert_allclose(a.grad, 2 * a.value + 1)
+    np.testing.assert_allclose(reference_backward(loss)[a], 2 * a.value + 1)
 
 
 def test_backward_requires_scalar():
@@ -188,9 +187,8 @@ def test_softmax_composition_matches_closed_form():
     onehot = np.zeros((5, 4))
     onehot[np.arange(5), [0, 1, 2, 3, 0]] = 1.0
     loss = scale(total_sum(log(sum_cols(mul_const(probs, onehot)))), -1.0)
-    reference_backward(loss)
     # d(-log softmax)/dlogits = probs - onehot
-    np.testing.assert_allclose(x.grad, probs.value - onehot, atol=1e-10)
+    np.testing.assert_allclose(reference_backward(loss)[x], probs.value - onehot, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +267,30 @@ NO_TAPE = "no tape to walk: record a train-mode forward pass for each backward"
 
 def _assert_same_grads_as_reference(build, leaves):
     """build() records one of the program's chains over `leaves`: the chain
-    walk must give the reference walk's leaf gradients bit for bit, each in
-    memory of its own, and release every recorded node."""
-    ref = reference_grads(build(), leaves)
+    walk must map exactly the chain's leaves to the reference walk's
+    gradients bit for bit, each in memory of its own, and release every
+    recorded node; model.backward must list the reference's gradients, with
+    zeros where the chain does not reach. No parameter keeps a gradient."""
+    ref = reference_backward(build())
     loss = build()
     recorded = [node for node in topo(loss) if node.parents]
-    grads = backward(loss, leaves)
-    for got, want in zip(grads, ref):
+    chain_leaves = {p for node in recorded for p in node.parents if p.bw is None}
+    grads = ad.backward(loss)
+    assert grads.keys() == chain_leaves
+    for leaf, got in grads.items():
+        want = ref[leaf]
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert got.base is None
-    for i, a in enumerate(grads):
-        for b in grads[i + 1:]:
+    arrays = list(grads.values())
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
             assert not np.shares_memory(a, b)
     for node in recorded:
-        assert node.parents == () and node.bw is ad.no_tape and node.grad is None
+        assert node.parents == () and node.bw is ad.no_tape
+    listed = backward(build(), leaves)
+    for got, want in zip(listed, reference_grads(build(), leaves), strict=True):
+        assert got.tobytes() == want.tobytes()
+    assert not any(hasattr(leaf, "grad") for leaf in leaves)
 
 
 def test_a_walked_tape_cannot_be_walked_again():

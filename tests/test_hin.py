@@ -510,6 +510,8 @@ def _with_entry(attributes, t, row, col, value):
 @pytest.mark.parametrize("change,message", [
     (lambda g: {"num_nodes": {**g.num_nodes, "Director": -1}},
      "node count for type 'Director' must be >= 0, got -1"),
+    (lambda g: {"num_nodes": {**g.num_nodes, "Director": 2**70}},
+     f"node count for type 'Director' must be <= {2**63 - 1}, got {2**70}"),
     (lambda g: {"num_classes": 0}, "num_classes must be >= 1, got 0"),
     (lambda g: {"attributes": {**g.attributes, "Movie": g.attributes["Movie"][:, :3]}},
      "attribute dim mismatch for type 'Movie': expected 4, got shape (8, 3)"),
@@ -531,7 +533,7 @@ def _with_entry(attributes, t, row, col, value):
      "missing node count for type 'Director'"),
     (lambda g: {"edge_lists": {"M-A": [(0, 1, 2)]}},
      "relation 'M-A': edge list must be (src, dst) pairs"),
-], ids=["negative-count", "no-classes", "narrow-table", "flat-table", "nan", "minus-infinity",
+], ids=["negative-count", "count-beyond-int64", "no-classes", "narrow-table", "flat-table", "nan", "minus-infinity",
         "short-labels", "label-below-minus-one", "unlabelled-in-dict", "label-node-out-of-range",
         "endpoint-out-of-range", "unknown-target", "missing-count", "not-pairs"])
 def test_build_graph_names_the_first_broken_invariant(change, message):
@@ -592,6 +594,8 @@ def fault_in_json(doc, fault):
         doc["edges"]["A-M"].append([0, 2**70])
     elif fault == "rows-not-count":
         doc["nodes"]["Movie"] = 6
+    elif fault == "count-beyond-int64":
+        doc["nodes"]["Director"] = 2**70
     return doc
 
 
@@ -631,6 +635,8 @@ def fault_in_csv(path, fault):
     ("rows-not-count", "attribute row count 5 != node count 6 for type 'Movie'"),
     ("target-beyond-int64", "relation 'M-D': target id out of range for type 'Director'"),
     ("later-target-beyond-int64", "relation 'A-M': target id out of range for type 'Movie'"),
+    ("count-beyond-int64",
+     f"node count for type 'Director' must be <= {2**63 - 1}, got {2**70}"),
 ])
 def test_json_graph_names_the_file_of_a_broken_graph_invariant(tmp_path, fault, message):
     path, doc = imdb_like_json(tmp_path)

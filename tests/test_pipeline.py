@@ -17,8 +17,6 @@ from rlhgnn.pipeline import (
     evaluate_f1,
     predict,
     run,
-    run_rl_hgnn,
-    run_rl_hgnn_pp,
 )
 from rlhgnn.synth import SyntheticSpec, generate_planted_hin
 
@@ -242,7 +240,7 @@ def test_alg1_counts():
     g, split = generate_planted_hin(planted_spec_1hop())
     cfg = small_cfg(variant="rl-hgnn", max_timesteps=1, rounds=2, inner_rounds=2,
                     eps_start=0.0, eps_end=0.0)
-    params, agent, report = run_rl_hgnn(cfg, g, split)
+    params, agent, report = run(cfg, g, split)
     assert report.meta["hgnn_reinits"] == 2
     assert report.meta["dqn_update_opportunities"] == 2 * (1 + 1)  # K * (T+1)
 
@@ -265,7 +263,7 @@ def test_alg1_zero_weight_net_tie_breaks_to_lowest_action(monkeypatch):
     monkeypatch.setattr(pl, "_make_agent", zeroed)
     cfg = small_cfg(variant="rl-hgnn", max_timesteps=1, rounds=1, inner_rounds=1,
                     eps_start=0.0, eps_end=0.0)
-    _, _, report = run_rl_hgnn(cfg, g, split)
+    _, _, report = run(cfg, g, split)
     first = report.steps[0]
     # M-A is relation index 0 and legal from Movie: every node picks it
     assert g.schema.relation_index("M-A") == 0
@@ -292,7 +290,7 @@ def test_the_eps_schedule_ends_exactly_on_eps_end_and_the_agent_keeps_it(variant
 def test_alg2_counts():
     g, split = generate_planted_hin(planted_spec_1hop())
     cfg = small_cfg(rounds=7, max_timesteps=2)
-    params, agent, report = run_rl_hgnn_pp(cfg, g, split)
+    params, agent, report = run(cfg, g, split)
     assert report.meta["hgnn_steps"] == 7
     assert report.meta["dqn_update_opportunities"] == 7
     assert len(report.steps) == 7
@@ -338,10 +336,9 @@ def test_stored_transitions_follow_the_episodes(variant, rounds):
 
 def test_episode_paths_never_exceed_T():
     g, split = generate_planted_hin(planted_spec_1hop())
-    for cfg, runner in ((small_cfg(variant="rl-hgnn", max_timesteps=2, rounds=2,
-                                   inner_rounds=2), run_rl_hgnn),
-                        (small_cfg(rounds=6, max_timesteps=2), run_rl_hgnn_pp)):
-        _, _, report = runner(cfg, g, split)
+    for cfg in (small_cfg(variant="rl-hgnn", max_timesteps=2, rounds=2, inner_rounds=2),
+                small_cfg(rounds=6, max_timesteps=2)):
+        _, _, report = run(cfg, g, split)
         for r in report.rounds:
             assert all(len(p) <= cfg.max_timesteps for p in r.paths)
 
@@ -373,7 +370,7 @@ def test_snapshots_keep_their_values_across_later_optimizer_steps():
     snapshot = [v.value.copy() for v in best.all_vars()]
     opt = init_adam(p.all_vars())
     for _ in range(3):
-        optimizer_step(p.all_vars(), [np.ones_like(v.value) for v in p.all_vars()], opt)
+        optimizer_step(opt, [np.ones_like(v.value) for v in p.all_vars()])
     for a, b, v in zip(snapshot, best.all_vars(), p.all_vars()):
         np.testing.assert_array_equal(a, b.value)
         assert not np.array_equal(a, v.value)
@@ -395,10 +392,10 @@ def test_snapshots_keep_their_values_across_later_optimizer_steps():
 def test_default_dimensions_smoke():
     """Both loops run at the default widths (d=128, 8 heads, 16-wide heads)."""
     g, split = generate_planted_hin(planted_spec_1hop())
-    for variant, runner in (("rl-hgnn", run_rl_hgnn), ("rl-hgnn-pp", run_rl_hgnn_pp)):
+    for variant in ("rl-hgnn", "rl-hgnn-pp"):
         cfg = TrainConfig(variant=variant, max_timesteps=2, rounds=2, inner_rounds=2,
                           node_batch=12, seed=0)  # d=128, heads=8, dropout=0.5 defaults
-        params, agent, report = runner(cfg, g, split)
+        params, agent, report = run(cfg, g, split)
         assert params.d == 128 and params.heads == 8 and params.head_dim == 16
         assert len(report.steps) > 0
         assert np.isfinite(report.meta["best_val_metric"])
@@ -406,17 +403,16 @@ def test_default_dimensions_smoke():
 
 def test_determinism_identical_reports():
     g, split = generate_planted_hin(planted_spec_1hop())
-    for variant, runner in (("rl-hgnn", run_rl_hgnn), ("rl-hgnn-pp", run_rl_hgnn_pp)):
+    for variant in ("rl-hgnn", "rl-hgnn-pp"):
         cfg = small_cfg(variant=variant, max_timesteps=1 if variant == "rl-hgnn" else 2,
                         rounds=3, inner_rounds=3, seed=42)
-        _, _, r1 = runner(cfg, g, split)
+        _, _, r1 = run(cfg, g, split)
         cfg2 = small_cfg(variant=variant, max_timesteps=1 if variant == "rl-hgnn" else 2,
                          rounds=3, inner_rounds=3, seed=42)
-        _, _, r2 = runner(cfg2, g, split)
+        _, _, r2 = run(cfg2, g, split)
         assert r1.to_csv() == r2.to_csv()
-        _, _, r3 = runner(small_cfg(variant=variant,
-                                    max_timesteps=1 if variant == "rl-hgnn" else 2,
-                                    rounds=3, inner_rounds=3, seed=43), g, split)
+        _, _, r3 = run(small_cfg(variant=variant, max_timesteps=1 if variant == "rl-hgnn" else 2,
+                                 rounds=3, inner_rounds=3, seed=43), g, split)
         assert r1.to_csv() != r3.to_csv()
 
 
@@ -433,14 +429,14 @@ def test_action_report_all_stop_and_accounting():
     g, split = generate_planted_hin(planted_spec_1hop())
     # a fixed empty path forces Stop at the first decision for every node
     cfg = small_cfg(rounds=2, fixed_path=())
-    _, _, report = run_rl_hgnn_pp(cfg, g, split)
+    _, _, report = run(cfg, g, split)
     stats = action_report(report, g)
     assert stats.per_timestep[1] == {"STOP": 1.0}
     assert stats.stop_at_zero_fraction == 1.0
     assert stats.path_table == []
     # accounting identity on a learned run
     cfg2 = small_cfg(rounds=6)
-    _, _, rep2 = run_rl_hgnn_pp(cfg2, g, split)
+    _, _, rep2 = run(cfg2, g, split)
     st2 = action_report(rep2, g)
     total = st2.stop_at_zero_fraction + sum(f for _, f in st2.path_table)
     assert abs(total - 1.0) < 1e-9
@@ -451,7 +447,7 @@ def test_action_report_all_stop_and_accounting():
 def test_action_report_arrow_format():
     g, split = generate_planted_hin(planted_spec_1hop())
     cfg = small_cfg(rounds=4, fixed_path=("M-A",), max_timesteps=1)
-    _, _, report = run_rl_hgnn_pp(cfg, g, split)
+    _, _, report = run(cfg, g, split)
     stats = action_report(report, g)
     assert stats.path_table[0][0] == "Movie -M-A-> Actor"
     assert stats.path_table[0][1] == 1.0
@@ -472,7 +468,7 @@ def test_stop_at_zero_nonzero_when_labels_are_own_attributes():
     g, split = generate_planted_hin(spec)
     cfg = small_cfg(rounds=60, max_timesteps=2, hidden_dim=16, heads=2,
                     dropout=0.1, inner_rounds=32, eps_fraction=0.4, seed=1)
-    _, _, report = run_rl_hgnn_pp(cfg, g, split)
+    _, _, report = run(cfg, g, split)
     stats = action_report(report, g)
     assert stats.stop_at_zero_fraction > 0.0
 
@@ -486,7 +482,7 @@ def test_alg1_concentrates_on_planted_relation():
     cfg = TrainConfig(variant="rl-hgnn", max_timesteps=1, rounds=30, inner_rounds=30,
                       node_batch=36, hidden_dim=32, heads=4, dropout=0.1, seed=0,
                       eps_start=1.0, eps_end=0.05, eps_fraction=0.4, dqn_batch=64)
-    params, agent, report = run_rl_hgnn(cfg, g, split)
+    params, agent, report = run(cfg, g, split)
     stats = action_report(report, g)
     planted = sum(f for arrow, f in stats.path_table if arrow.startswith("Movie -M-A->"))
     assert planted >= 0.8
@@ -560,16 +556,6 @@ def test_an_empty_train_or_validation_key_is_rejected_before_any_round(variant, 
     monkeypatch.setattr(pipeline, "_make_agent", None)  # no agent may be built
     with pytest.raises(ValueError, match=f"^split key '{key}' holds no node id$"):
         run(small_cfg(variant=variant, rounds=2, inner_rounds=2), g, empty)
-
-
-@pytest.mark.parametrize("loop,variant", [(run_rl_hgnn, "rl-hgnn-pp"),
-                                          (run_rl_hgnn_pp, "rl-hgnn")])
-def test_each_loop_rejects_a_config_of_the_other_variant(loop, variant, monkeypatch):
-    g, split = generate_planted_hin(planted_spec_1hop())
-    other = "rl-hgnn" if variant == "rl-hgnn-pp" else "rl-hgnn-pp"
-    monkeypatch.setattr(pipeline, "_make_agent", None)  # no agent may be built
-    with pytest.raises(ValueError, match=f"^config variant must be {other}$"):
-        loop(small_cfg(variant=variant, rounds=2, inner_rounds=2), g, split)
 
 
 @pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
@@ -700,7 +686,7 @@ def test_loops_build_each_start_nodes_initial_episode_once_per_run(variant, monk
     drawn = {n for r in report.rounds for n in r.nodes}
     assert len(report.rounds) >= 4 and sorted(made) == sorted(drawn)
 
-    loop = pipeline._Loop(cfg, g, split, variant)
+    loop = pipeline._Loop(cfg, g, split)
     first = loop.fresh_episodes(g, split.validation)
     again = loop.fresh_episodes(g, split.validation[::-1].copy())
     assert all(a is b for a, b in zip(first, again[::-1]))
