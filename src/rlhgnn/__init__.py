@@ -38,9 +38,10 @@ from .hin import (
 from .metapath import (
     DeadEndError,
     Episode,
-    MetaPath,
     arrived_mean,
     expand_frontier,
+    path_arrow,
+    path_types,
     valid_actions,
 )
 from .model import (

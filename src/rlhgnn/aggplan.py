@@ -28,7 +28,7 @@ from typing import Callable, Hashable
 import numpy as np
 
 from .hin import HinGraph, NodeId
-from .metapath import Episode, MetaPath, neighbors_local
+from .metapath import Episode, neighbors_local, path_types
 
 Key = Hashable
 
@@ -233,7 +233,7 @@ def _surviving_edges(ep: Episode) -> list[dict[int, list[tuple[int, int]]]]:
     A traversal survives only if it can be extended to the path's full length;
     dead branches never appear in any meta-path instance.
     """
-    n = len(ep.path.relations)
+    n = len(ep.path)
     per_step: list[dict[int, list[tuple[int, int]]]] = []
     valid_next: set[int] | None = None  # None means "all children valid" (leaf level)
     for k in reversed(range(n)):
@@ -272,7 +272,7 @@ def build_plan(g: HinGraph, episodes: list[Episode]) -> AggregationDag:
     h0_types = sorted(schema.node_types)  # H0 rows are sorted (type, local id) pairs
     h0_rank = {t: i for i, t in enumerate(h0_types)}
 
-    sig = [(ep.start, ep.path.relations) for ep in episodes]
+    sig = [(ep.start, ep.path) for ep in episodes]
     paths: dict[tuple[str, ...], int] = {}
     ep_path = np.array([paths.setdefault(rels, len(paths)) for _, rels in sig], dtype=np.intp)
     ep_start = np.array([start[1] for start, _ in sig], dtype=np.int64)
@@ -448,9 +448,9 @@ def naive_plan(g: HinGraph, episodes: list[Episode]) -> AggregationDag:
     h0: set[NodeId] = set()
     sig = []
     for idx, ep in enumerate(episodes):
-        sig.append((ep.start, ep.path.relations))
-        types = ep.path.node_type_sequence(g.schema)
-        n = len(ep.path.relations)
+        sig.append((ep.start, ep.path))
+        types = path_types(g.schema, ep.start[0], ep.path)
+        n = len(ep.path)
         if n == 0:
             outputs.append(("h0",) + ep.start)
             h0.add(ep.start)
@@ -476,7 +476,7 @@ def naive_plan(g: HinGraph, episodes: list[Episode]) -> AggregationDag:
             else:
                 sources = [((idx, prefix + (c,)), m) for c, m in kids]
                 stack.extend(prefix + (c,) for c, _ in reversed(kids))
-            steps[key] = PlanStep(key, target_node, ep.path.relations[k], n - k, sources)
+            steps[key] = PlanStep(key, target_node, ep.path[k], n - k, sources)
     return _finish(g, steps, outputs, h0, sig, "naive")
 
 
@@ -549,16 +549,17 @@ def plan_stats(naive: AggregationDag, merged: AggregationDag) -> AggregationStat
 # Independent recount by brute-force instance enumeration (test oracle)
 
 
-def enumerate_instances(g: HinGraph, start: NodeId, path: MetaPath) -> list[tuple[int, ...]]:
+def enumerate_instances(g: HinGraph, start: NodeId, path: tuple[str, ...]
+                        ) -> list[tuple[int, ...]]:
     """All complete meta-path instances as local-id chains (uncapped DFS)."""
     out: list[tuple[int, ...]] = []
     chain = [start[1]]
 
     def rec(k: int):
-        if k == len(path.relations):
+        if k == len(path):
             out.append(tuple(chain))
             return
-        for c in neighbors_local(g, chain[-1], path.relations[k]):
+        for c in neighbors_local(g, chain[-1], path[k]):
             chain.append(int(c))
             rec(k + 1)
             chain.pop()
@@ -568,18 +569,18 @@ def enumerate_instances(g: HinGraph, start: NodeId, path: MetaPath) -> list[tupl
 
 
 def count_steps_by_enumeration(
-    g: HinGraph, episodes: list[tuple[NodeId, MetaPath]]
+    g: HinGraph, episodes: list[tuple[NodeId, tuple[str, ...]]]
 ) -> tuple[int, int]:
     """(naive, merged) step counts recomputed from raw instance enumeration."""
     naive_keys: set = set()
     merged_keys: set = set()
     for idx, (start, path) in enumerate(episodes):
-        n = len(path.relations)
+        n = len(path)
         if n == 0:
             continue
-        types = path.node_type_sequence(g.schema)
+        types = path_types(g.schema, start[0], path)
         for inst in enumerate_instances(g, start, path):
             for k in range(n):
                 naive_keys.add((idx, inst[:k + 1]))
-                merged_keys.add(((types[k], inst[k]), path.relations[k:]))
+                merged_keys.add(((types[k], inst[k]), path[k:]))
     return len(naive_keys), len(merged_keys)

@@ -16,43 +16,26 @@ class DeadEndError(RuntimeError):
     """An episode reached no nodes; it must be force-stopped."""
 
 
-@dataclass(frozen=True)
-class MetaPath:
-    """An ordered relation-type sequence starting from a node type."""
+def path_types(schema: HinSchema, start_type: str, relations: tuple[str, ...]) -> list[str]:
+    """The node types of the path that takes `relations` from `start_type`,
+    the start type first; SchemaError names the first type it cannot take."""
+    if start_type not in schema.node_types:
+        raise SchemaError(f"unknown start type {start_type!r}")
+    types = [start_type]
+    for rel in relations:
+        r = schema.relation(rel)
+        if r.src != types[-1]:
+            raise SchemaError(
+                f"relation {rel!r} starts at {r.src!r} but path is at {types[-1]!r}"
+            )
+        types.append(r.dst)
+    return types
 
-    start_type: str
-    relations: tuple[str, ...] = ()
 
-    def end_type(self, schema: HinSchema) -> str:
-        if not self.relations:
-            return self.start_type
-        return schema.relation(self.relations[-1]).dst
-
-    def node_type_sequence(self, schema: HinSchema) -> list[str]:
-        seq = [self.start_type]
-        for rel in self.relations:
-            seq.append(schema.relation(rel).dst)
-        return seq
-
-    def validate(self, schema: HinSchema) -> None:
-        cur = self.start_type
-        if cur not in schema.node_types:
-            raise SchemaError(f"unknown start type {cur!r}")
-        for rel in self.relations:
-            r = schema.relation(rel)
-            if r.src != cur:
-                raise SchemaError(
-                    f"relation {rel!r} starts at {r.src!r} but path is at {cur!r}"
-                )
-            cur = r.dst
-
-    def to_arrow(self, schema: HinSchema) -> str:
-        """Render as e.g. "Movie -M-A-> Actor -A-M-> Movie"."""
-        types = self.node_type_sequence(schema)
-        return " ".join([types[0]] + [f"-{rel}-> {t}" for rel, t in zip(self.relations, types[1:])])
-
-    def __len__(self) -> int:
-        return len(self.relations)
+def path_arrow(schema: HinSchema, start_type: str, relations: tuple[str, ...]) -> str:
+    """Render as e.g. "Movie -M-A-> Actor -A-M-> Movie"."""
+    types = path_types(schema, start_type, relations)
+    return " ".join([start_type] + [f"-{rel}-> {t}" for rel, t in zip(relations, types[1:])])
 
 
 def stop_index(schema: HinSchema) -> int:
@@ -79,8 +62,9 @@ def valid_actions(schema: HinSchema, terminal_type: str, at_max_depth: bool) -> 
 
 @dataclass(frozen=True)
 class Episode:
-    """One node's meta-path design: its start node, the relations chosen so
-    far (`path`), and the nodes they reach.
+    """One node's meta-path design: its start node, the names of the
+    relations chosen so far (`path`, leaving `start[0]`), and the nodes they
+    reach.
 
     `reached` holds the nodes of `node_type` reached at the current step,
     deduplicated; the per-step edge arrays keep one entry per traversal, so a
@@ -90,21 +74,15 @@ class Episode:
     """
 
     start: NodeId
-    path: MetaPath
+    path: tuple[str, ...]
     node_type: str
     reached: np.ndarray
     step_edges: list[tuple[np.ndarray, np.ndarray]]  # (parents, children) per step
 
-    def __post_init__(self):
-        if self.path.start_type != self.start[0]:
-            raise ValueError(f"episode starts at {self.start!r} on a "
-                             f"{self.path.start_type!r} path")
-
     @classmethod
     def initial(cls, start: NodeId) -> "Episode":
         node_type, local = start
-        return cls(start, MetaPath(node_type), node_type,
-                   np.asarray([local], dtype=np.int64), [])
+        return cls(start, (), node_type, np.asarray([local], dtype=np.int64), [])
 
 
 def _child_sample_rng(seed: int, relation_idx: int, type_idx: int, local: int):
@@ -153,9 +131,8 @@ def expand_frontier(
         par = np.zeros(0, dtype=np.int64)
         chi = np.zeros(0, dtype=np.int64)
         reached = np.zeros(0, dtype=np.int64)
-    path = episode.path
-    return Episode(episode.start, MetaPath(path.start_type, path.relations + (relation,)),
-                   r.dst, reached, episode.step_edges + [(par, chi)])
+    return Episode(episode.start, episode.path + (relation,), r.dst, reached,
+                   episode.step_edges + [(par, chi)])
 
 
 def neighbors_local(g: HinGraph, local: int, relation: str) -> np.ndarray:

@@ -585,13 +585,11 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominato
 
 @dataclass
 class AdamState:
-    params: list[ad.Var]  # what optimizer_step steps; m, v and step follow its order
+    params: list[ad.Var]  # what optimizer_step steps; rows and step follow its order
     lr: float
     weight_decay: float
-    m: list[np.ndarray]
-    v: list[np.ndarray]
     t: int
-    # (4, parameter count): rows 0 and 1 hold the moments that m and v view,
+    # (4, parameter count): rows 0 and 1 hold the first and second moments,
     # rows 2 and 3 are a step's work rows; `step` views row 2 per parameter
     rows: np.ndarray
     step: list[np.ndarray]
@@ -601,19 +599,13 @@ def init_adam(params: list[ad.Var], lr: float = 0.005, weight_decay: float = 0.0
     """Zero moments for `params`, which every optimizer_step on the state steps."""
     bounds = np.cumsum([0] + [p.value.size for p in params])
     rows = np.zeros((4, bounds[-1]))
-
-    def views(row: np.ndarray) -> list[np.ndarray]:
-        return [row[a:b].reshape(p.value.shape) for p, a, b in zip(params, bounds, bounds[1:])]
-
     return AdamState(
         params=list(params),
         lr=lr,
         weight_decay=weight_decay,
-        m=views(rows[0]),
-        v=views(rows[1]),
         t=0,
         rows=rows,
-        step=views(rows[2]),
+        step=[rows[2, a:b].reshape(p.value.shape) for p, a, b in zip(params, bounds, bounds[1:])],
     )
 
 

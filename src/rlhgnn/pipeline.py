@@ -30,9 +30,9 @@ from .hin import (RELATION_NAMES, UNIT, DataSplit, HinGraph, HinSchema, NodeId, 
                   at_least, check_fields, first_outside, need_labelled, number, read_object)
 from .metapath import (
     Episode,
-    MetaPath,
     action_space_size,
     expand_frontier,
+    path_arrow,
     stop_index,
     valid_actions,
 )
@@ -192,15 +192,6 @@ class ActionStats:
     stop_at_zero: int  # nodes that stopped at t=0
     num_paths: int  # nodes in the best round (at least 1)
 
-    @property
-    def path_table(self) -> list[tuple[str, float]]:
-        """Arrow string -> fraction of nodes."""
-        return [(arrow, c / self.num_paths) for arrow, c in self.path_counts]
-
-    @property
-    def stop_at_zero_fraction(self) -> float:
-        return self.stop_at_zero / self.num_paths
-
     def render(self) -> str:
         """The text of actions.txt and of `rlhgnn report-paths`."""
         lines = [f"best round: {self.best_round} "
@@ -224,12 +215,15 @@ def evaluate_f1(predictions: np.ndarray, labels: np.ndarray, nodes: np.ndarray) 
 
     Micro pools TP/FP/FN globally; macro averages per-class F1 over classes
     present in either predictions or labels on this node set. ValueError
-    names the first node id that is no integer in [0, len(labels)) or has no
-    label (-1).
+    names predictions and labels of different lengths, or the first node id
+    that is no integer in [0, len(labels)) or has no label (-1).
     """
     nodes = np.asarray(nodes)
     if len(nodes) == 0:
         raise ValueError("empty node set")
+    if len(predictions) != len(labels):
+        raise ValueError(f"{len(predictions)} predictions for {len(labels)} labels: both "
+                         "are indexed by node id")
     need_labelled(nodes, labels, "nodes hold")
     y = labels[nodes]
     p = predictions[nodes]
@@ -368,7 +362,7 @@ def _act(
     next_keys = keys.copy()  # a terminal transition keeps the mask of its state
     for i in np.flatnonzero(~terminal):
         ep, rel = active[i], schema.relation_types[actions[i]].name
-        key = (ep.start, ep.path.relations + (rel,))
+        key = (ep.start, ep.path + (rel,))
         if key in memo:
             nxt = memo[key]
         else:
@@ -489,7 +483,7 @@ class _Loop:
         self.report.rounds.append(RoundRecord(
             round=round, val_metric=val_metric,
             nodes=[int(n) for n in ep_nodes],
-            paths=[e.path.relations for e in episodes],
+            paths=[e.path for e in episodes],
         ))
         if val_metric > self.best_metric:
             self.best_metric = val_metric
@@ -617,8 +611,9 @@ def predict(
     prediction, so the final plan is built and forwarded once.
 
     Raises ValueError when the model's schema or class count, the agent's
-    action count or cfg.fixed_path does not fit the graph, or a node id is
-    not a target-type node's; a state width that does not fit is named by
+    action count or cfg.fixed_path does not fit the graph, when
+    cfg.max_timesteps exceeds the model's T, or when a node id is not a
+    target-type node's; a state width that does not fit is named by
     QNetwork.values."""
     if params.schema != g.schema:
         raise ValueError("the model's schema is not the graph's: the checkpoint was trained "
@@ -631,6 +626,9 @@ def predict(
         raise ValueError(f"the agent has {agent.qnet.num_actions} actions, but the graph's "
                          f"schema has {num_actions} (one per relation type, plus Stop)")
     g.schema.need_relations("fixed_path", cfg.fixed_path or ())
+    if cfg.max_timesteps > params.T:
+        raise ValueError(f"the config designs meta-paths of up to {cfg.max_timesteps} "
+                         f"relations, but the model has T={params.T} aggregator parameter sets")
     nodes = np.asarray(nodes)
     if nodes.ndim != 1:
         raise ValueError(f"node ids must be a 1-D array, got shape {nodes.shape}")
@@ -696,7 +694,7 @@ def action_report(report: EpisodeReport, g: HinGraph) -> ActionStats:
         best_round=best.round,
         best_val_metric=best.val_metric,
         per_timestep=per_t,
-        path_counts=[(MetaPath(g.target_type, rels).to_arrow(schema), c) for rels, c in table],
+        path_counts=[(path_arrow(schema, g.target_type, rels), c) for rels, c in table],
         stop_at_zero=stop0,
         num_paths=max(1, len(best.paths)),
     )
@@ -744,6 +742,8 @@ def bench_aggregation(
     merge removes. Counts are per episode batch.
     """
     n_target = g.num_nodes[g.target_type]
+    if n_target == 0:
+        raise ValueError(f"the graph has no {g.target_type} nodes to start episodes at")
     n = cfg.node_batch if episodes_per_t is None else episodes_per_t
     if n < 1:
         raise ValueError(f"episode count must be >= 1, got {n}")

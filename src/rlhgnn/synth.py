@@ -21,7 +21,7 @@ import numpy as np
 from .hin import (COUNTS, RELATION_NAMES, STRING, TRIPLES, UNIT, DataSplit, HinGraph,
                   HinSchema, RelationType, Rule, SchemaError, at_least, build_graph, check_fields,
                   is_int, read_object, split_nodes)
-from .metapath import MetaPath, neighbors_local
+from .metapath import neighbors_local, path_types
 
 _NOISE_AMP = 0.2
 
@@ -49,8 +49,7 @@ class SyntheticSpec:
         schema = self.schema()
         schema.need_relations("out_degree", self.out_degree)
         schema.need_relations("planted_path", self.planted_path)
-        MetaPath(self.target_type, self.planted_path).validate(schema)
-        for t in self._planted_types(schema):
+        for t in path_types(schema, self.target_type, self.planted_path):
             if self.node_counts[t] < self.num_classes:
                 raise ValueError(f"type {t!r} needs at least {self.num_classes} nodes "
                                  "for class pools")
@@ -62,9 +61,6 @@ class SyntheticSpec:
             relation_types=tuple(RelationType(*r) for r in self.relations),
             attribute_dims={t: dim for t in self.node_counts},
         )
-
-    def _planted_types(self, schema: HinSchema) -> list[str]:
-        return MetaPath(self.target_type, self.planted_path).node_type_sequence(schema)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SyntheticSpec":
@@ -93,7 +89,7 @@ def generate_planted_hin(spec: SyntheticSpec) -> tuple[HinGraph, DataSplit]:
     rng = np.random.default_rng(spec.seed)
     C = spec.num_classes
 
-    planted_types = spec._planted_types(schema)
+    planted_types = path_types(schema, spec.target_type, spec.planted_path)
     end_type = planted_types[-1]
 
     # class pools for every type on the planted path; the target type's pool

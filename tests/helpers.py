@@ -19,8 +19,8 @@ from rlhgnn.agent import _FIELDS, ReplayBuffer, TransitionBatch
 from rlhgnn.hin import HinGraph, HinSchema, NodeId, RelationType, SchemaError, build_graph
 from rlhgnn.metapath import (
     Episode,
-    MetaPath,
     expand_frontier,
+    path_types,
     stop_index,
     valid_actions,
 )
@@ -164,7 +164,7 @@ def graphs_and_episodes(draw):
         start = (types[0], draw(st.integers(0, counts[types[0]] - 1)))
         ep = Episode.initial(start)
         for _ in range(draw(st.integers(0, 3))):  # 0 is stop-at-0
-            legal = schema.relations_from(ep.path.end_type(schema))
+            legal = schema.relations_from(ep.node_type)
             if not legal:
                 break
             rel = draw(st.sampled_from(legal)).name
@@ -744,21 +744,21 @@ def reference_build_plan(g: HinGraph, episodes: list[Episode]) -> AggregationDag
     h0: set[NodeId] = set()
     sig = []
     for ep in episodes:
-        sig.append((ep.start, ep.path.relations))
-        types = ep.path.node_type_sequence(g.schema)
-        n = len(ep.path.relations)
+        sig.append((ep.start, ep.path))
+        types = path_types(g.schema, ep.start[0], ep.path)
+        n = len(ep.path)
         if n == 0:
             outputs.append(("h0",) + ep.start)
             h0.add(ep.start)
             continue
         surviving = _surviving_edges(ep)
-        root_key = (ep.start, ep.path.relations)
+        root_key = (ep.start, ep.path)
         outputs.append(root_key)
         # walk levels root -> leaves; only parents on complete instances get steps
         level_parents: set[int] = {ep.start[1]}
         for k in range(n):
-            suffix = ep.path.relations[k:]
-            child_suffix = ep.path.relations[k + 1:]
+            suffix = ep.path[k:]
+            child_suffix = ep.path[k + 1:]
             leaf_layer = k == n - 1
             next_parents: set[int] = set()
             for p in sorted(level_parents):
@@ -849,7 +849,7 @@ class ReferenceEpisode:
     keeps the expansion in `trace`."""
 
     node: NodeId
-    path: MetaPath
+    path: tuple[str, ...]
     trace: Episode
     stopped: bool = False
 
@@ -859,7 +859,7 @@ def reference_fresh_episodes(g: HinGraph, nodes: np.ndarray) -> list[ReferenceEp
     t = g.target_type
     for local in nodes:
         node = (t, int(local))
-        out.append(ReferenceEpisode(node=node, path=MetaPath(t), trace=Episode.initial(node)))
+        out.append(ReferenceEpisode(node=node, path=(), trace=Episode.initial(node)))
     return out
 
 
@@ -877,7 +877,7 @@ def reference_act(g: HinGraph, cfg, episodes: list[ReferenceEpisode], states: np
         qvals = qnet.values(states)
     for i, e in enumerate(active):
         at_max = len(e.path) >= cfg.max_timesteps
-        mask = valid_actions(schema, e.path.end_type(schema), at_max)
+        mask = valid_actions(schema, end_type(schema, e.node[0], e.path), at_max)
         if cfg.fixed_path is not None:
             k = len(e.path)
             if timestep_for_fixed is not None and k < len(cfg.fixed_path) and not at_max:
@@ -899,10 +899,10 @@ def reference_act(g: HinGraph, cfg, episodes: list[ReferenceEpisode], states: np
             pending.append(dict(ep=e, s=s_before, a=a, s_next=s_before, terminal=True,
                                 next_mask=mask.copy()))
             continue
-        e.path = extend_path(e.path, rel, schema)
+        e.path = extend_path(schema, e.node[0], e.path, rel)
         e.trace = nxt
         now_max = len(e.path) >= cfg.max_timesteps
-        next_mask = valid_actions(schema, e.path.end_type(schema), now_max)
+        next_mask = valid_actions(schema, end_type(schema, e.node[0], e.path), now_max)
         pending.append(dict(ep=e, s=s_before, a=a, s_next=None, terminal=False,
                             next_mask=next_mask))
     return acting, actions, pending
@@ -916,17 +916,17 @@ def reference_random_legal_episodes(g: HinGraph, nodes: np.ndarray, length: int,
     episodes = []
     for local in nodes:
         node = (g.target_type, int(local))
-        path = MetaPath(g.target_type)
+        path = ()
         trace = Episode.initial(node)
         for _ in range(length):
-            legal = g.schema.relations_from(path.end_type(g.schema))
+            legal = g.schema.relations_from(end_type(g.schema, g.target_type, path))
             if not legal:
                 break
             rel = legal[int(rng.integers(len(legal)))].name
             nxt = expand_frontier(g, trace, rel, fan_out_cap, seed)
             if len(nxt.reached) == 0:
                 break
-            path = extend_path(path, rel, g.schema)
+            path = extend_path(g.schema, g.target_type, path, rel)
             trace = nxt
         episodes.append(Episode(node, path, trace.node_type, trace.reached, trace.step_edges))
     return episodes
@@ -1008,15 +1008,28 @@ def neighbors(g: HinGraph, node: NodeId, relation: str) -> np.ndarray:
     return indices[indptr[local]:indptr[local + 1]]
 
 
-def extend_path(path: MetaPath, relation: str, schema: HinSchema) -> MetaPath:
-    """Return a new path with `relation` appended; the original is unchanged."""
+def end_type(schema: HinSchema, start_type: str, path: tuple[str, ...]) -> str:
+    """The node type a relation path from `start_type` ends at."""
+    return schema.relation(path[-1]).dst if path else start_type
+
+
+def extend_path(schema: HinSchema, start_type: str, path: tuple[str, ...],
+                relation: str) -> tuple[str, ...]:
+    """`path` with `relation` appended, checked against the type it ends at."""
     r = schema.relation(relation)
-    if r.src != path.end_type(schema):
+    end = end_type(schema, start_type, path)
+    if r.src != end:
         raise SchemaError(
             f"cannot extend: relation {relation!r} starts at {r.src!r}, "
-            f"path terminal is {path.end_type(schema)!r}"
+            f"path terminal is {end!r}"
         )
-    return MetaPath(path.start_type, path.relations + (relation,))
+    return path + (relation,)
+
+
+def path_table(stats) -> list[tuple[str, float]]:
+    """An action report's arrow strings, each with the fraction of the best
+    round's nodes that designed it."""
+    return [(arrow, c / stats.num_paths) for arrow, c in stats.path_counts]
 
 
 def finite_diff_check(

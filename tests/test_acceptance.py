@@ -14,6 +14,7 @@ from helpers import (
     fifo_rows,
     finite_diff_check,
     imdb_like_graph,
+    path_table,
     random_hin,
     stack_transitions,
 )
@@ -207,7 +208,7 @@ def test_criterion_6_planted_path_recovery():
         assert gap >= 0.10, f"seed {seed}: gap over wrong-path ablation {gap}"
 
         stats = action_report(report, g)
-        planted = sum(f for arrow, f in stats.path_table
+        planted = sum(f for arrow, f in path_table(stats)
                       if arrow == "Movie -M-A-> Actor -A-T-> Tag")
         assert planted >= 0.50, f"seed {seed}: planted-path mass {planted}"
     elapsed = time.perf_counter() - t0

@@ -25,7 +25,7 @@ from helpers import (
 from rlhgnn import agent
 from rlhgnn.agent import QNetwork, ReplayBuffer, TransitionBatch, select_action, td_loss
 from rlhgnn.hin import HinSchema, RelationType, SchemaError, build_graph
-from rlhgnn.metapath import Episode, MetaPath, action_space_size, valid_actions
+from rlhgnn.metapath import Episode, action_space_size, valid_actions
 from rlhgnn.pipeline import (
     LegalActionTable,
     TrainConfig,
@@ -196,7 +196,7 @@ def test_a_dead_end_stays_none_in_the_memo_on_every_later_lookup(monkeypatch):
         episodes, stopped = _fresh_episodes(g, [0, 1]), np.zeros(2, dtype=bool)
         _, batch = _act(g, cfg, table, episodes, stopped, states, qnet, 0.0, rng, memo)
         assert batch.terminal.tolist() == [False, True] and stopped.tolist() == [False, True]
-        assert episodes[1].path.relations == ()
+        assert episodes[1].path == ()
         assert memo[(("A", 1), ("ab",))] is None
         assert memo[(("A", 0), ("ab",))] is episodes[0]
         assert len(calls) == 2
@@ -223,7 +223,7 @@ def test_episodes_and_frontiers_are_frozen():
     with pytest.raises(FrozenInstanceError):
         ep.reached = np.zeros(0, dtype=np.int64)
     with pytest.raises(FrozenInstanceError):
-        ep.path = MetaPath("A", ("r0",))
+        ep.path = ("r0",)
 
 
 # ---------------------------------------------------------------------------

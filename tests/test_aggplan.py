@@ -16,7 +16,7 @@ from rlhgnn.aggplan import (
     restrict,
 )
 from rlhgnn.hin import HinSchema, RelationType, build_graph
-from rlhgnn.metapath import Episode, MetaPath, expand_frontier
+from rlhgnn.metapath import Episode, expand_frontier
 from rlhgnn.model import hgnn_forward, init_params
 from rlhgnn.pipeline import random_legal_episodes
 
@@ -260,7 +260,7 @@ def test_plan_stats_mismatched_episodes_error():
     g = academic_graph()
     ep1 = make_episode(g, ("Paper", 0), ("Written",))
     ep2 = make_episode(g, ("Paper", 1), ("Written",)) if len(
-        enumerate_instances(g, ("Paper", 1), MetaPath("Paper", ("Written",)))) else None
+        enumerate_instances(g, ("Paper", 1), ("Written",))) else None
     naive = naive_plan(g, [ep1])
     other = build_plan(g, [ep1, ep1])
     with pytest.raises(ValueError):
@@ -280,16 +280,6 @@ def test_stats_arithmetic():
 
 # ---------------------------------------------------------------------------
 # Episode boundary checks and rejected traces
-
-
-def test_episode_rejects_a_path_from_another_node_type():
-    g = academic_graph()
-    ep = expand_frontier(g, Episode.initial(("Author", 2)), "Write")
-    with pytest.raises(ValueError, match=r"starts at \('Author', 2\) on a 'Paper' path"):
-        replace(ep, path=MetaPath("Paper", ("Write",)))
-    with pytest.raises(ValueError, match="on a 'Paper' path"):
-        Episode(("Author", 0), MetaPath("Paper"), "Author", np.array([0]), [])
-    assert replace(ep, path=MetaPath("Author", ("Write",))).path == ep.path
 
 
 def _chain_graph():

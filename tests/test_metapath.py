@@ -2,14 +2,15 @@
 import numpy as np
 import pytest
 
-from helpers import extend_path, imdb_like_graph, imdb_like_schema, random_hin
+from helpers import end_type, extend_path, imdb_like_graph, imdb_like_schema, random_hin
 from rlhgnn.hin import HinSchema, RelationType, SchemaError, build_graph
 from rlhgnn.metapath import (
     DeadEndError,
     Episode,
-    MetaPath,
     arrived_mean,
     expand_frontier,
+    path_arrow,
+    path_types,
     stop_index,
     valid_actions,
 )
@@ -61,39 +62,44 @@ def test_valid_actions_unknown_type():
 
 def test_extend_author_cite():
     schema = academic_schema()
-    p = extend_path(MetaPath("Author"), "Cite", schema)
-    assert p.relations == ("Cite",)
-    assert p.end_type(schema) == "Author"
+    p = extend_path(schema, "Author", (), "Cite")
+    assert p == ("Cite",)
+    assert path_types(schema, "Author", p)[-1] == "Author"
     assert len(p) == 1
 
 
 def test_extend_movie_actor_movie():
     schema = imdb_like_schema()
-    p = extend_path(MetaPath("Movie", ("M-A",)), "A-M", schema)
-    assert p.node_type_sequence(schema) == ["Movie", "Actor", "Movie"]
-    assert p.to_arrow(schema) == "Movie -M-A-> Actor -A-M-> Movie"
+    p = extend_path(schema, "Movie", ("M-A",), "A-M")
+    assert path_types(schema, "Movie", p) == ["Movie", "Actor", "Movie"]
+    assert path_arrow(schema, "Movie", p) == "Movie -M-A-> Actor -A-M-> Movie"
+    assert path_arrow(schema, "Movie", ()) == "Movie"
 
 
 def test_extend_illegal_chaining():
     schema = imdb_like_schema()
     with pytest.raises(SchemaError):
-        extend_path(MetaPath("Movie", ("M-A",)), "M-D", schema)  # terminal is Actor
+        extend_path(schema, "Movie", ("M-A",), "M-D")  # terminal is Actor
 
 
 def test_extend_does_not_mutate_original():
     schema = imdb_like_schema()
-    p = MetaPath("Movie", ("M-A",))
-    extend_path(p, "A-M", schema)
-    assert p.relations == ("M-A",)
+    p = ("M-A",)
+    extend_path(schema, "Movie", p, "A-M")
+    assert p == ("M-A",)
 
 
-def test_path_validate_catches_bad_chain():
+def test_path_types_catches_bad_chain():
     schema = imdb_like_schema()
-    with pytest.raises(SchemaError):
-        MetaPath("Movie", ("M-A", "M-D")).validate(schema)
-    MetaPath("Movie", ("M-A", "A-M", "M-D")).validate(schema)
+    with pytest.raises(SchemaError,
+                       match="^relation 'M-D' starts at 'Movie' but path is at 'Actor'$"):
+        path_types(schema, "Movie", ("M-A", "M-D"))
+    assert path_types(schema, "Movie", ("M-A", "A-M", "M-D")) == [
+        "Movie", "Actor", "Movie", "Director"]
     with pytest.raises(SchemaError, match="^unknown start type 'Studio'$"):
-        MetaPath("Studio", ()).validate(schema)
+        path_types(schema, "Studio", ())
+    with pytest.raises(SchemaError, match="^relation 'M-D' starts at 'Movie'"):
+        path_arrow(schema, "Movie", ("M-A", "M-D"))
 
 
 def test_expand_frontier_single_chain():
@@ -109,8 +115,7 @@ def test_expand_frontier_single_chain():
     )
     f = Episode.initial(("Author", 0))
     f2 = expand_frontier(g, f, "Cite")
-    assert (f2.start, f2.path, f2.node_type) == (("Author", 0), MetaPath("Author", ("Cite",)),
-                                                 "Author")
+    assert (f2.start, f2.path, f2.node_type) == (("Author", 0), ("Cite",), "Author")
     assert f2.reached.tolist() == [1]
     assert len(f2.step_edges) == 1
     np.testing.assert_allclose(arrived_mean(g, f2), [0.0, 1.0])
@@ -189,7 +194,7 @@ def test_expand_matches_brute_force_instance_projection():
         )
         for ep in eps:
             insts = enumerate_instances(g, ep.start, ep.path)
-            n = len(ep.path.relations)
+            n = len(ep.path)
             for level in range(1, n + 1):
                 expected = sorted({inst[level] for inst in insts})
                 # episode levels may include dead branches; the instance
@@ -214,12 +219,12 @@ def test_random_legal_action_sequences_revalidate():
     schema = imdb_like_schema()
     rel_names = [r.name for r in schema.relation_types]
     for _ in range(50):
-        path = MetaPath("Movie")
+        path = ()
         for depth in range(4):
-            mask = valid_actions(schema, path.end_type(schema), depth >= 3)
+            mask = valid_actions(schema, end_type(schema, "Movie", path), depth >= 3)
             legal = [i for i in range(len(rel_names)) if mask[i]]
             if not legal or rng.random() < 0.2:
                 break
-            path = extend_path(path, rel_names[int(rng.choice(legal))], schema)
-        path.validate(schema)
+            path = extend_path(schema, "Movie", path, rel_names[int(rng.choice(legal))])
+        path_types(schema, "Movie", path)
         assert len(path) <= 4

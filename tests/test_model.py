@@ -659,7 +659,12 @@ def test_adam_updates_in_place_bit_identical_to_out_of_place_formula():
     ps = [ad.param(rng.normal(size=s)) for s in shapes]
     lr, wd, b1, b2, eps = 0.01, 0.001, 0.9, 0.999, 1e-8
     st = init_adam(ps, lr=lr, weight_decay=wd)
-    arrays = [p.value for p in ps] + st.m + st.v
+    arrays = [p.value for p in ps] + [st.rows]
+    bounds = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
+
+    def moment(row, i):  # parameter i's moment in the state's moment row
+        return st.rows[row, bounds[i]:bounds[i + 1]].reshape(shapes[i])
+
     x = [p.value.copy() for p in ps]
     m = [np.zeros(s) for s in shapes]
     v = [np.zeros(s) for s in shapes]
@@ -673,9 +678,9 @@ def test_adam_updates_in_place_bit_identical_to_out_of_place_formula():
             vh = v[i] / (1 - b2 ** t)
             x[i] = x[i] - lr * (mh / (np.sqrt(vh) + eps) + wd * x[i])
             np.testing.assert_array_equal(ps[i].value, x[i])
-            np.testing.assert_array_equal(st.m[i], m[i])
-            np.testing.assert_array_equal(st.v[i], v[i])
-    assert all(a is b for a, b in zip(arrays, [p.value for p in ps] + st.m + st.v))
+            np.testing.assert_array_equal(moment(0, i), m[i])
+            np.testing.assert_array_equal(moment(1, i), v[i])
+    assert all(a is b for a, b in zip(arrays, [p.value for p in ps] + [st.rows]))
 
 
 def test_optimizer_shape_mismatch():

@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from helpers import fifo_rows, run_with_one_blas_thread
+from helpers import fifo_rows, path_table, run_with_one_blas_thread
 from rlhgnn import pipeline
 from rlhgnn.hin import HinSchema, RelationType, build_graph
 from rlhgnn.pipeline import (
@@ -206,6 +206,13 @@ def test_f1_micro_equals_accuracy_multiclass():
 def test_f1_empty_set_errors():
     with pytest.raises(ValueError):
         evaluate_f1(np.array([0]), np.array([0]), np.array([], dtype=int))
+
+
+def test_f1_names_predictions_shorter_than_labels():
+    labels = np.arange(10) % 3
+    with pytest.raises(ValueError, match="^3 predictions for 10 labels: both are indexed by "
+                                         "node id$"):
+        evaluate_f1(np.zeros(3, dtype=np.int64), labels, np.array([0, 6]))
 
 
 @pytest.mark.parametrize("ids,message", [
@@ -416,6 +423,46 @@ def test_determinism_identical_reports():
         assert r1.to_csv() != r3.to_csv()
 
 
+NAIVE_RUN_PARAM_TOL = 1e-9  # the plans sum the same terms in other orders
+
+
+@pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
+def test_a_whole_run_on_naive_plans_equals_the_merged_run(variant, monkeypatch):
+    """Without dropout the merge changes no result of a run: both loops and
+    predict on naive plans give the merged run's report.csv, actions and
+    predictions, and its parameters to within NAIVE_RUN_PARAM_TOL."""
+    spec = SyntheticSpec(
+        node_counts={"Movie": 60, "Actor": 24, "Director": 10},
+        relations=[("M-A", "Movie", "Actor"), ("A-M", "Actor", "Movie"),
+                   ("M-D", "Movie", "Director"), ("D-M", "Director", "Movie")],
+        out_degree={"M-A": 2, "A-M": 3, "M-D": 1, "D-M": 4},
+        target_type="Movie", planted_path=("M-A", "A-M"), train_count=24, val_count=18,
+    )
+    g, split = generate_planted_hin(spec)
+    cfg = small_cfg(variant=variant, max_timesteps=3, rounds=3 if variant == "rl-hgnn" else 9,
+                    inner_rounds=8, dropout=0.0)
+
+    def whole_run():
+        params, agent, report = run(cfg, g, split)
+        return params, report, predict(params, agent, g, cfg, split.test)
+
+    merged = whole_run()
+    naive_calls = []
+    monkeypatch.setattr(pipeline, "build_plan",
+                        lambda g, eps: naive_calls.append(1) or pipeline.naive_plan(g, eps))
+    naive = whole_run()
+    assert naive_calls
+    (p_m, r_m, pred_m), (p_n, r_n, pred_n) = merged, naive
+    assert any(len(path) >= 2 for rd in r_m.rounds for path in rd.paths)
+    assert r_n.to_csv() == r_m.to_csv()
+    assert [(s.acting_nodes, s.actions) for s in r_n.steps] == [
+        (s.acting_nodes, s.actions) for s in r_m.steps]
+    assert [rd.paths for rd in r_n.rounds] == [rd.paths for rd in r_m.rounds]
+    assert pred_n.tolist() == pred_m.tolist()
+    for name, p in p_m.table.items():
+        assert np.max(np.abs(p_n.table[name].value - p.value)) <= NAIVE_RUN_PARAM_TOL, name
+
+
 # ---------------------------------------------------------------------------
 # Reports
 
@@ -432,13 +479,13 @@ def test_action_report_all_stop_and_accounting():
     _, _, report = run(cfg, g, split)
     stats = action_report(report, g)
     assert stats.per_timestep[1] == {"STOP": 1.0}
-    assert stats.stop_at_zero_fraction == 1.0
-    assert stats.path_table == []
+    assert stats.stop_at_zero / stats.num_paths == 1.0
+    assert path_table(stats) == []
     # accounting identity on a learned run
     cfg2 = small_cfg(rounds=6)
     _, _, rep2 = run(cfg2, g, split)
     st2 = action_report(rep2, g)
-    total = st2.stop_at_zero_fraction + sum(f for _, f in st2.path_table)
+    total = st2.stop_at_zero / st2.num_paths + sum(f for _, f in path_table(st2))
     assert abs(total - 1.0) < 1e-9
     for t, freqs in st2.per_timestep.items():
         assert abs(sum(freqs.values()) - 1.0) < 1e-9
@@ -449,8 +496,8 @@ def test_action_report_arrow_format():
     cfg = small_cfg(rounds=4, fixed_path=("M-A",), max_timesteps=1)
     _, _, report = run(cfg, g, split)
     stats = action_report(report, g)
-    assert stats.path_table[0][0] == "Movie -M-A-> Actor"
-    assert stats.path_table[0][1] == 1.0
+    assert path_table(stats)[0][0] == "Movie -M-A-> Actor"
+    assert path_table(stats)[0][1] == 1.0
     rendered = stats.render()
     assert "Movie -M-A-> Actor" in rendered and "%" in rendered
 
@@ -470,7 +517,7 @@ def test_stop_at_zero_nonzero_when_labels_are_own_attributes():
                     dropout=0.1, inner_rounds=32, eps_fraction=0.4, seed=1)
     _, _, report = run(cfg, g, split)
     stats = action_report(report, g)
-    assert stats.stop_at_zero_fraction > 0.0
+    assert stats.stop_at_zero / stats.num_paths > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +531,7 @@ def test_alg1_concentrates_on_planted_relation():
                       eps_start=1.0, eps_end=0.05, eps_fraction=0.4, dqn_batch=64)
     params, agent, report = run(cfg, g, split)
     stats = action_report(report, g)
-    planted = sum(f for arrow, f in stats.path_table if arrow.startswith("Movie -M-A->"))
+    planted = sum(f for arrow, f in path_table(stats) if arrow.startswith("Movie -M-A->"))
     assert planted >= 0.8
     assert report.meta["best_val_metric"] >= 0.9
     # greedy predictions from the returned artifacts transfer to test nodes
@@ -527,6 +574,21 @@ def test_predict_rejects_a_model_of_another_class_count():
     two_class = replace(g, num_classes=2, labels=np.minimum(g.labels, 1))
     with pytest.raises(ValueError, match="the model has 3 classes, but the graph has 2"):
         predict(params, agent, two_class, small_cfg(), split.test)
+
+
+@pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
+def test_predict_rejects_a_config_deeper_than_the_model(variant, monkeypatch):
+    """A config may design paths shorter than the model's T, never longer:
+    the extra layers would have no aggregator parameters."""
+    g, split = generate_planted_hin(planted_spec_1hop())
+    params, agent, _ = run(small_cfg(variant=variant, rounds=2, inner_rounds=2), g, split)
+    assert params.T == 2
+    shallow = predict(params, agent, g, small_cfg(variant=variant, max_timesteps=1), split.test)
+    assert shallow.shape == (90,)
+    monkeypatch.setattr(pipeline, "_act", None)  # no meta-path may be designed
+    with pytest.raises(ValueError, match="^the config designs meta-paths of up to 3 relations, "
+                                         "but the model has T=2 aggregator parameter sets$"):
+        predict(params, agent, g, small_cfg(variant=variant, max_timesteps=3), split.test)
 
 
 @pytest.mark.parametrize("variant", ["rl-hgnn", "rl-hgnn-pp"])
@@ -590,6 +652,17 @@ def test_bench_aggregation_star_graph_single_episode_no_sharing():
     stats = bench_aggregation(g, cfg, [1], episodes_per_t=1, seed=0)
     assert stats[1].reduction_ratio == 0.0
     assert stats[1].step_count_naive == stats[1].step_count_merged == 1
+
+
+def test_bench_aggregation_names_a_graph_without_target_type_nodes():
+    schema = HinSchema(
+        node_types=("Hub", "Leaf"),
+        relation_types=(RelationType("out", "Hub", "Leaf"),),
+        attribute_dims={"Hub": 2, "Leaf": 2},
+    )
+    g = build_graph(schema, {"Hub": 0, "Leaf": 5}, {"out": []}, {}, "Hub", 2)
+    with pytest.raises(ValueError, match="^the graph has no Hub nodes to start episodes at$"):
+        bench_aggregation(g, TrainConfig(), [1], episodes_per_t=1)
 
 
 def runtime_rerun_spread() -> float:
@@ -704,7 +777,7 @@ def _counted_expansions(monkeypatch, variant, memo):
     real_expand, real_act = pipeline.expand_frontier, pipeline._act
 
     def counted(g, episode, relation, *args):
-        keys.append((episode.start, episode.path.relations + (relation,)))
+        keys.append((episode.start, episode.path + (relation,)))
         return real_expand(g, episode, relation, *args)
 
     monkeypatch.setattr(pipeline, "expand_frontier", counted)
@@ -746,7 +819,7 @@ def test_a_repeated_start_and_path_is_one_episode_object_across_rounds(variant, 
     seen: dict = {}
     for k, episodes in enumerate(rounds):
         for e in episodes:
-            seen.setdefault((e.start, e.path.relations), []).append((k, e))
+            seen.setdefault((e.start, e.path), []).append((k, e))
     repeated = [v for key, v in seen.items() if key[1] and len({k for k, _ in v}) > 1]
     assert repeated
     assert all(e is v[0][1] for v in seen.values() for _, e in v)

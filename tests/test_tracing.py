@@ -91,7 +91,7 @@ def test_every_captured_plan_matches_the_episodes_it_was_built_from(variant):
     assert len(captured) > (9 if variant == "rl-hgnn" else 3)  # run()'s plans, then predict()'s
     assert any(len(e.path) == 2 for episodes, _ in captured for e in episodes)
     for episodes, plan in captured:
-        assert plan.episodes_sig == [(e.start, e.path.relations) for e in episodes]
+        assert plan.episodes_sig == [(e.start, e.path) for e in episodes]
 
 
 def test_fast_loop_walks_the_train_tape_before_the_eval_pass_and_steps_last():
